@@ -1,11 +1,15 @@
 """Quadratic-Hamiltonian evolution in the truncated Fock space.
 
-Three independent routes to the same dynamics are provided and cross-checked
+Independent routes to the same dynamics are provided and cross-checked
 against each other:
 
 - ``integrate_flow``: fixed-step fourth-order integration of the linear
   (F, G) system, with the Riccati matrix M = F G^-1 and the scalar phase c
-  carried along;
+  carried along; it serves every time-dependent generator path;
+- ``exponential_flow``: the exact flow of a constant generator, one matrix
+  exponential of the 2d x 2d system matrix with the phase in closed form
+  and its square-root branch continued explicitly; ``integrate_flow`` is
+  its oracle in the tests;
 - ``picard_flow``: the iterated-integral (Picard) series for the same system
   in the interaction picture of the constant single-particle part L;
 - ``propagate_direct``: fourth-order integration of the truncated
@@ -22,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import expm
 
 from .fock import (
     ConvergenceError,
@@ -41,6 +46,7 @@ __all__ = [
     "CreatedState",
     "FlowError",
     "integrate_flow",
+    "exponential_flow",
     "flow_invariants",
     "riccati_residual",
     "picard_flow",
@@ -238,6 +244,44 @@ def integrate_flow(
                 f"flow invariants off by {res.max:.3e} > {residual_tol:.1e}; "
                 "the integration step is too coarse"
             )
+    return flow
+
+
+def exponential_flow(gen: QuadraticGenerator, t: float) -> BogoliubovFlow:
+    """Exact flow of a constant generator from (F, G) = (0, 1) to time t.
+
+    [F; G](t) = expm(K t) [0; 1] with K = [[-i H+-, -i H++],
+    [i conj(H++), i conj(H+-)]], and the phase equation integrates to
+
+        c = det(G)^(-1/2) exp(i t/2 tr conj(H+-) - i t hbar).
+
+    The square root is the branch continued from det G(0) = 1.  Because
+    ||M|| < 1, omega = |tr H+-| + d ||H++||_2 bounds |d arg det G / dt|, so
+    on a uniform grid of ceil(omega t / (pi/2)) intervals consecutive
+    samples of arg det G differ by less than pi/2 and unwrapping them is
+    exact.  The cond(G) guard and the invariant gate are those of
+    ``integrate_flow`` at its defaults; the flow carries no trajectory.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    d = gen.modes
+    hpm, hpp = gen.hpm, gen.hpp
+    k = np.block([[-1j * hpm, -1j * hpp],
+                   [1j * np.conj(hpp), 1j * np.conj(hpm)]])
+    trace = float(np.trace(hpm).real)
+    omega = abs(trace) + d * float(np.linalg.norm(hpp, 2))
+    n = max(1, math.ceil(omega * t / (math.pi / 2))) if t > 0 else 0
+    # [F; G] on the unwrap grid: [0; 1] first, the flow at t last
+    ys = np.array([expm(k * s)[:, d:] for s in np.linspace(0.0, t, n + 1)])
+    f, g = ys[-1, :d], ys[-1, d:]
+    dets = np.linalg.det(ys[:, d:])
+    arg = float(np.unwrap(np.angle(dets))[-1])
+    log_det = math.log(abs(dets[-1])) + 1j * arg
+    c = complex(np.exp(-0.5 * log_det + 0.5j * t * trace - 1j * t * gen.hbar))
+    flow = BogoliubovFlow(f=f, g=g, m=_split_m(f, g, 1e8), c=c, t=float(t))
+    res = flow_invariants(flow)
+    if res.max > 1e-5:
+        raise FlowError(f"flow invariants off by {res.max:.3e} > 1.0e-05")
     return flow
 
 
@@ -483,27 +527,36 @@ def propagator_from_flow(flow: BogoliubovFlow, basis: ModeBasis) -> tuple:
     """Realize the flow's unitary as a matrix on the truncated basis.
 
     Column for |n> is prod_i (A_t+[e_i])^(n_i) / sqrt(n_i!) applied to the
-    transported vacuum.  Returns (matrix, max column leakage).
+    transported vacuum, modes in ascending order.  The unscaled product for
+    n is one more A_t+[e_l] (l the last occupied mode) applied to the
+    unscaled product for n - e_l, which precedes n in the graded order, so
+    each column costs a single ladder pair.  Returns (matrix, max column
+    leakage).
     """
     d = basis.modes
     vac = gaussian_state(GaussianData(flow.m, c=flow.c), basis)
     unit = np.eye(d)
+    created = [np.conj(flow.g) @ unit[mode] for mode in range(d)]
+    killed = [flow.f @ unit[mode] for mode in range(d)]  # conj(e_mode) = e_mode
+    index = basis.index
+    products = []
     cols = np.empty((basis.size, basis.size), dtype=complex)
     worst_leak = vac.leakage
     for col, occ in enumerate(basis.states):
-        psi = vac
+        if col == 0:
+            psi = vac
+        else:
+            last = max(mode for mode, n in enumerate(occ) if n)
+            prev = products[index[occ[:last] + (occ[last] - 1,) + occ[last + 1:]]]
+            up = apply_ladder(created[last], prev, "create")
+            down = apply_ladder(killed[last], prev, "annihilate")
+            psi = FockVector(basis, up.coeffs - down.coeffs,
+                             max(up.leakage, down.leakage))
+        products.append(psi)
         scale = 1.0
-        for mode, n in enumerate(occ):
-            if n == 0:
-                continue
-            created = np.conj(flow.g) @ unit[mode]
-            killed = flow.f @ unit[mode]  # conj(e_mode) = e_mode
-            for _ in range(n):
-                up = apply_ladder(created, psi, "create")
-                down = apply_ladder(killed, psi, "annihilate")
-                psi = FockVector(basis, up.coeffs - down.coeffs,
-                                 max(up.leakage, down.leakage))
-            scale *= math.factorial(n)
+        for n in occ:
+            if n:
+                scale *= math.factorial(n)
         cols[:, col] = psi.coeffs / math.sqrt(scale)
         worst_leak = max(worst_leak, psi.leakage)
     return cols, worst_leak

@@ -16,8 +16,10 @@ Configurations are YAML documents with three blocks::
     output:
       report: report.json
 
-Reports are JSON with one record per executed check, each carrying its
-anchor string, residual, tolerance and verdict; the report body is
+Reports are strict JSON with one record per executed check, each carrying
+its anchor string, residual, tolerance and verdict (a check that raises or
+returns a non-finite residual is recorded with a null residual, a failed
+verdict and the error); the report body is
 deterministic for a fixed config (timings live in a separate key that is
 excluded from the determinism contract).  Exit codes: 0 all checks passed,
 1 at least one check failed, 2 configuration error.
@@ -29,6 +31,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -156,6 +159,8 @@ def run_scenario(cfg: dict, seed: Optional[int] = None,
         started = time.perf_counter()
         try:
             residual = float(check.fn())
+            if not math.isfinite(residual):
+                raise ValueError(f"check returned a non-finite residual ({residual})")
             record = {
                 "name": check.name,
                 "anchor": check.anchor,
@@ -196,7 +201,7 @@ def run_scenario(cfg: dict, seed: Optional[int] = None,
 def report_body(report: dict) -> str:
     """Deterministic serialization: everything except timings."""
     body = {k: v for k, v in report.items() if k != "timings"}
-    return json.dumps(body, indent=2, sort_keys=True)
+    return json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
 
 
 _SWEEPABLE = {
@@ -353,7 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         body = report_body(report)
         if out:
             with open(out, "w") as fh:
-                fh.write(json.dumps(report, indent=2, sort_keys=True))
+                fh.write(json.dumps(report, indent=2, sort_keys=True,
+                                    allow_nan=False))
         print(body)
         return 0 if report["passed"] else 1
 

@@ -18,6 +18,7 @@ vectors themselves stay at their own cutoff.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -214,6 +215,7 @@ class _DisplacementFamily:
 
 
 _FAMILY_CACHE: dict = {}
+_FAMILY_LOCK = threading.Lock()
 
 
 def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _DisplacementFamily:
@@ -231,9 +233,12 @@ def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _Displacem
     fam = _FAMILY_CACHE.get(key)
     if fam is None:
         fam = _DisplacementFamily(plane, basis, pad)
-        if len(_FAMILY_CACHE) >= 8:
-            _FAMILY_CACHE.pop(next(iter(_FAMILY_CACHE)))
-        _FAMILY_CACHE[key] = fam
+        # check workers share the cache; a family built twice is identical,
+        # so the first one stored wins
+        with _FAMILY_LOCK:
+            if key not in _FAMILY_CACHE and len(_FAMILY_CACHE) >= 8:
+                _FAMILY_CACHE.pop(next(iter(_FAMILY_CACHE)))
+            fam = _FAMILY_CACHE.setdefault(key, fam)
     return fam
 
 

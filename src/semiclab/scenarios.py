@@ -503,11 +503,16 @@ def _u2_checks(model: dict, run: dict, seed: int):
             worst = max(worst, check_group_law(fam, g1, g2, x0, basis, dt=dt))
         return worst
 
-    def contractible_loop():
-        res = word_product(fam, GroupWord([(2, 2 * math.pi)]), x0, basis, dt=dt)
+    def closed_word_distance(word):
+        res = word_product(fam, word, x0, basis, dt=dt)
         if not res.classical_is_loop:
-            return float("inf")
+            raise RuntimeError(
+                f"word {word.factors} does not close classically, so its "
+                "operator product has no loop distance")
         return float(res.loop_distance)
+
+    def contractible_loop():
+        return closed_word_distance(GroupWord([(2, 2 * math.pi)]))
 
     def commutator_word():
         s, t = 0.4, 0.7
@@ -518,10 +523,7 @@ def _u2_checks(model: dict, run: dict, seed: int):
         word = GroupWord(
             [(2, s), (3, t), (2, -s), (3, -t)]
             + [(k, float(alphas[k])) for k in range(len(alphas) - 1, -1, -1)])
-        res = word_product(fam, word, x0, basis, dt=dt)
-        if not res.classical_is_loop:
-            return float("inf")
-        return float(res.loop_distance)
+        return closed_word_distance(word)
 
     return [
         Check("group-law-random-pairs", "group.reconstruction", 1e-6,

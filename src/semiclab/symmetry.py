@@ -31,6 +31,7 @@ from .bogoliubov import (
     BogoliubovFlow,
     GeneratorPath,
     compose_flows,
+    exponential_flow,
     flow_invariants,
     integrate_flow,
     propagator_from_flow,
@@ -179,6 +180,15 @@ class ClassicalSystem:
             dz += ai * (gen.lin @ z + gen.off)
             h += ai * gen.ham(q, p)
         return np.array([p * dz[0] - h, dz[0], dz[1]])
+
+    def is_fixed_point(self, a: np.ndarray, x: np.ndarray) -> bool:
+        """True when the field of direction a vanishes exactly at x.
+
+        Every stage of the integrator then returns x unchanged, so the flow
+        of a stays at x for all times.
+        """
+        a = np.asarray(a, dtype=float)
+        return not np.any(self._field(a, np.asarray(x, dtype=float).reshape(3)))
 
     def _rk4(self, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
         k1 = self._field(a, x)
@@ -471,14 +481,24 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
     """Solve the one-parameter evolution along the classical flow of B.
 
     The generator path tau -> H(B: u_(g_B(tau)) X) feeds the linear flow
-    integrator; the resulting (F, G, M, c) is realized as a matrix on the
+    solver; the resulting (F, G, M, c) is realized as a matrix on the
     truncated basis.  Unitary up to the reported leakage.
+
+    When X is a fixed point of the classical flow of B
+    (``ClassicalSystem.is_fixed_point``) the path is the constant generator
+    H(B: X) and ``exponential_flow`` solves it exactly, so ``dt`` is not
+    used.  Points that move are integrated by ``integrate_flow`` with a
+    step of at most ``dt`` on the sampled trajectory.
     """
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
     if t == 0.0:
         return OneParamResult(np.eye(basis.size, dtype=complex),
                               BogoliubovFlow.identity(basis.modes), x.copy(), 0.0)
+    if fam.system.is_fixed_point(b, x):
+        flow = exponential_flow(fam.generator(np.sign(t) * b, x), abs(t))
+        matrix, leak = propagator_from_flow(flow, basis)
+        return OneParamResult(matrix, flow, x.copy(), leak)
     n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
     dt_eff = abs(t) / n_steps
     states = fam.system.trajectory(b, t, x, dt_eff)

@@ -9,19 +9,24 @@ from semiclab.bogoliubov import (
     FlowError,
     GeneratorPath,
     compose_flows,
+    exponential_flow,
     flow_invariants,
     integrate_flow,
     picard_flow,
     propagate_direct,
     propagate_gaussian,
+    propagator_from_flow,
     propagator_matrix,
     riccati_residual,
     trajectory_to_csv,
 )
 from semiclab.fock import (
     FockVector,
+    GaussianData,
     ModeBasis,
     QuadraticGenerator,
+    apply_ladder,
+    gaussian_state,
     inner,
     number_state,
     vacuum_state,
@@ -317,3 +322,110 @@ def test_trajectory_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("t,F00_re")
     assert len(lines) == len(flow.times) + 1
+
+
+def _assert_flows_agree(exact, oracle, tol=1e-9):
+    for name in ("f", "g", "m"):
+        err = np.abs(getattr(exact, name) - getattr(oracle, name)).max()
+        assert err <= tol, (name, err)
+    assert abs(exact.c - oracle.c) <= tol
+
+
+def test_exponential_flow_metaplectic_branch():
+    # su11 rotation over 4 pi: G returns to 1, the continued square root to -1
+    gen = QuadraticGenerator.from_blocks(hpm=[[0.5]], hbar=0.25)
+    t = 4 * math.pi
+    exact = exponential_flow(gen, t)
+    _assert_flows_agree(exact, integrate_flow(GeneratorPath.constant(gen, t), t, 1e-3))
+    assert exact.c == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, t, windings", [
+    ((0.0, 1.0, 0.0), 5.0, 0.0),      # pure squeeze: det G stays real
+    ((4.0, 2.4, 0.0), 6.0, 1.2),      # elliptic rotation + squeeze
+    ((4.0, 1.2, -2.0), 6.0, 1.2),     # elliptic, both squeeze directions
+])
+def test_exponential_flow_matches_rk4_su11(a, t, windings):
+    from semiclab.scenarios import su11_family
+
+    gen = su11_family().generator(np.array(a), np.zeros(3))
+    oracle = integrate_flow(GeneratorPath.constant(gen, t), t, 1e-3)
+    turns = np.unwrap(np.angle(oracle.gs[:, 0, 0]))[-1] / (2 * math.pi)
+    assert abs(turns) >= windings
+    _assert_flows_agree(exponential_flow(gen, t), oracle)
+
+
+def test_exponential_flow_matches_rk4_random_u2():
+    from semiclab.scenarios import u2_family
+
+    fam = u2_family()
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        gen = fam.generator(rng.normal(size=4), np.zeros(3))
+        t = 2.0
+        oracle = integrate_flow(GeneratorPath.constant(gen, t), t, 1e-3)
+        _assert_flows_agree(exponential_flow(gen, t), oracle)
+
+
+def test_exponential_flow_random_two_mode_with_pairing():
+    rng = np.random.default_rng(8)
+    hpp = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    hpm = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    gen = QuadraticGenerator.from_blocks(
+        hpp=0.15 * (hpp + hpp.T), hpm=0.5 * (hpm + hpm.conj().T), hbar=0.3)
+    t = 3.0
+    oracle = integrate_flow(GeneratorPath.constant(gen, t), t, 1e-3)
+    _assert_flows_agree(exponential_flow(gen, t), oracle)
+
+
+def test_exponential_flow_t0_is_identity():
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.3]], hpm=[[0.8]], hbar=0.2)
+    flow = exponential_flow(gen, 0.0)
+    assert np.array_equal(flow.f, np.zeros((1, 1)))
+    assert np.array_equal(flow.g, np.eye(1))
+    assert np.array_equal(flow.m, np.zeros((1, 1)))
+    assert flow.c == 1.0
+    oracle = integrate_flow(GeneratorPath.constant(gen, 1.0), 0.0, 1e-3)
+    _assert_flows_agree(flow, oracle)
+
+
+def _propagator_per_column(flow, basis):
+    # every column built from the transported vacuum on its own
+    d = basis.modes
+    vac = gaussian_state(GaussianData(flow.m, c=flow.c), basis)
+    unit = np.eye(d)
+    cols = np.empty((basis.size, basis.size), dtype=complex)
+    worst_leak = vac.leakage
+    for col, occ in enumerate(basis.states):
+        psi = vac
+        scale = 1.0
+        for mode, n in enumerate(occ):
+            if n == 0:
+                continue
+            created = np.conj(flow.g) @ unit[mode]
+            killed = flow.f @ unit[mode]
+            for _ in range(n):
+                up = apply_ladder(created, psi, "create")
+                down = apply_ladder(killed, psi, "annihilate")
+                psi = FockVector(basis, up.coeffs - down.coeffs,
+                                 max(up.leakage, down.leakage))
+            scale *= math.factorial(n)
+        cols[:, col] = psi.coeffs / math.sqrt(scale)
+        worst_leak = max(worst_leak, psi.leakage)
+    return cols, worst_leak
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 14), (2, 12), (3, 5)])
+def test_propagator_from_flow_matches_per_column_oracle(modes, cutoff):
+    rng = np.random.default_rng(modes)
+    hpp = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    hpm = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    gen = QuadraticGenerator.from_blocks(
+        hpp=0.05 * (hpp + hpp.T), hpm=0.5 * (hpm + hpm.conj().T))
+    flow = exponential_flow(gen, 0.7)
+    basis = ModeBasis(modes, cutoff)
+    cols, leak = propagator_from_flow(flow, basis)
+    ref_cols, ref_leak = _propagator_per_column(flow, basis)
+    assert np.array_equal(cols, ref_cols)
+    assert leak == ref_leak
+    assert leak > 0.0

@@ -143,3 +143,58 @@ def test_sweep_unsupported_combo():
     cfg = load_config(CONFIG_DIR / "rotation.yaml")
     with pytest.raises(ValueError):
         sweep(cfg, "lambda", [0.1, 0.01, 0.001])
+
+
+def _strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_open_word_is_an_error_not_infinity(monkeypatch):
+    from types import SimpleNamespace
+
+    import semiclab.symmetry
+
+    open_word = SimpleNamespace(classical_is_loop=False)
+    monkeypatch.setattr(semiclab.symmetry, "word_product",
+                        lambda *args, **kwargs: open_word)
+    cfg = load_config(CONFIG_DIR / "u2-grouplaw.yaml")
+    cfg["run"]["n_pairs"] = 0
+    report = run_scenario(cfg)
+    records = {c["name"]: c for c in _strict_loads(report_body(report))["checks"]}
+    for name in ("contractible-loop", "commutator-word"):
+        assert records[name]["residual"] is None
+        assert records[name]["pass"] is False
+        assert "does not close classically" in records[name]["error"]
+    assert records["group-law-random-pairs"]["pass"] is True
+
+
+def test_non_finite_residual_reported_as_null(monkeypatch, tmp_path):
+    import semiclab.cli
+    from semiclab.scenarios import Check
+
+    monkeypatch.setattr(semiclab.cli, "build_checks", lambda *args: [
+        Check("blows-up", "test.anchor", 1e-6, lambda: float("inf")),
+        Check("undefined", "test.anchor", 1e-6, lambda: float("nan")),
+    ])
+    report = run_scenario(load_config(CONFIG_DIR / "rotation.yaml"))
+    for record in _strict_loads(report_body(report))["checks"]:
+        assert record["residual"] is None and record["pass"] is False
+        assert "non-finite residual" in record["error"]
+    out = tmp_path / "r.json"
+    assert main(["run", str(CONFIG_DIR / "rotation.yaml"), "--out", str(out)]) == 1
+    assert not _strict_loads(out.read_text())["passed"]
+
+
+def test_worker_pool_gives_identical_report_body(monkeypatch):
+    from semiclab import constrained
+
+    cfg = load_config(CONFIG_DIR / "constrained-basics.yaml")
+    bodies = []
+    for workers in (1, 2):
+        # an empty family cache, so both runs build their families
+        monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
+        bodies.append(report_body(run_scenario(cfg, workers=workers)))
+    assert bodies[0] == bodies[1]

@@ -392,3 +392,39 @@ def test_transform_composed_identity():
     for old, new in zip(state.fibers, moved.fibers):
         assert np.allclose(old.coeffs, new.coeffs, atol=1e-9)
     assert np.allclose(state.constraints, moved.constraints, atol=1e-9)
+
+
+def test_family_cache_is_safe_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    from semiclab import constrained
+
+    monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
+    basis = ModeBasis(1, 1)
+    planes = [make_plane([np.array([0.5 + 0.1 * j])]) for j in range(12)]
+    errors = []
+
+    def hammer(offset):
+        try:
+            for r in range(30):
+                for j in range(len(planes)):
+                    plane = planes[(j + offset + r) % len(planes)]
+                    fam = constrained._get_family(plane, basis, 1)
+                    assert fam.plane.bs[0][0] == plane.bs[0][0]
+        except Exception as exc:  # collected and asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors[0]
+    assert len(constrained._FAMILY_CACHE) <= 8

@@ -262,6 +262,53 @@ def test_one_param_u_against_matrix_ode():
     assert np.linalg.norm((res.matrix - u_ode)[:keep, :keep], 2) < 1e-6
 
 
+@pytest.mark.parametrize("family, b, x", [
+    (su11_family, [0.4, 0.8, -0.3], [0.0, 0.0, 0.0]),
+    (u2_family, [0.3, -0.5, 0.7, 0.2], [0.2, 0.6, -0.4]),
+])
+def test_one_param_u_fixed_point_route_matches_rk4(family, b, x):
+    from semiclab.bogoliubov import (GeneratorPath, integrate_flow,
+                                     propagator_from_flow)
+
+    fam = family()
+    basis = ModeBasis(fam.modes, 12 if fam.modes == 1 else 8)
+    b, x, t = np.array(b), np.array(x), 1.3
+    assert fam.system.is_fixed_point(b, x)
+    res = one_param_u(fam, b, t, x, basis, dt=1e-3)
+    assert res.flow.times is None  # the exact route keeps no trajectory
+    assert np.array_equal(res.x_out, x)
+    path = GeneratorPath.constant(fam.generator(b, x), t)
+    rk4, _ = propagator_from_flow(integrate_flow(path, t, 1e-3), basis)
+    keep = basis.grade_size(basis.cutoff - 4)
+    assert np.linalg.norm((res.matrix - rk4)[:keep, :keep], 2) <= 1e-9
+
+
+def test_one_param_u_moving_point_stays_on_rk4():
+    from semiclab.bogoliubov import (GeneratorPath, integrate_flow,
+                                     propagator_from_flow)
+
+    fam = su11_family()
+    basis = ModeBasis(1, 12)
+    b = np.array([0.3, 0.5, 0.0])
+    x = np.array([0.1, 0.6, 0.2])
+    t, dt = 0.8, 1e-3
+    assert not fam.system.is_fixed_point(b, x)
+    res = one_param_u(fam, b, t, x, basis, dt=dt)
+
+    n_steps = math.ceil(t / dt - 1e-12)
+    states = fam.system.trajectory(b, t, x, t / n_steps)
+    half = t / n_steps / 2
+
+    def gen(tau):
+        return fam.generator(b, states[min(int(round(tau / half)), len(states) - 1)])
+
+    flow = integrate_flow(GeneratorPath(gen, t, kind="trajectory"), t, t / n_steps)
+    matrix, leak = propagator_from_flow(flow, basis)
+    assert np.array_equal(res.matrix, matrix)
+    assert res.leakage == leak
+    assert np.array_equal(res.x_out, states[-1])
+
+
 def test_one_param_cocycle():
     # operator products corrupt the top grades, so the comparison block
     # sits well below the cutoff
