@@ -15,6 +15,10 @@ against each other:
 - ``propagate_direct``: fourth-order integration of the truncated
   Schroedinger equation itself, which serves as the oracle for the
   Gaussian-ansatz propagator ``propagate_gaussian``.
+
+Every fixed-step integration in the package goes through one fourth-order
+Runge-Kutta step ``rk4_step`` and one driver ``rk4`` with its step count
+``step_count``.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .fock import (
 )
 
 __all__ = [
+    "rk4_step",
+    "rk4",
+    "step_count",
     "GeneratorPath",
     "BogoliubovFlow",
     "FlowResiduals",
@@ -65,6 +72,46 @@ class FlowError(RuntimeError):
     """Flow integration failed a numerical health check."""
 
 
+def rk4_step(rhs: Callable, t: float, y, h: float):
+    """One classical fourth-order Runge-Kutta step of y' = rhs(t, y) from t."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + h / 2 * k1)
+    k3 = rhs(t + h / 2, y + h / 2 * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def step_count(t: float, dt: float) -> int:
+    """Number of steps of at most dt that cover [0, t].
+
+    The slack is relative, so step_count(t, t / n) == n for all n < 1e12.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return max(1, math.ceil(t / dt * (1 - 1e-12))) if t > 0 else 0
+
+
+def rk4(rhs: Callable, y0, t: float, dt: float, keep: bool = False):
+    """Integrate y' = rhs(t, y) from y(0) = y0 to time t with ``rk4_step``.
+
+    Steps are of size dt, the last one shortened to land on t.  Returns
+    y(t), or with ``keep`` the arrays (times, states) of every step,
+    starting with (0, y0).
+    """
+    now, y = 0.0, y0
+    times, ys = [now], [y0]
+    for _ in range(step_count(t, dt)):
+        h = min(dt, t - now)
+        y = rk4_step(rhs, now, y, h)
+        now += h
+        if keep:
+            times.append(now)
+            ys.append(y)
+    return (np.array(times), np.array(ys)) if keep else y
+
+
 def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
     """Complex-valued cumulative Simpson (scipy's handles only real input)."""
     re = cumulative_simpson(y.real, dx=dx, axis=axis, initial=0.0)
@@ -76,14 +123,12 @@ def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray
 class GeneratorPath:
     """Time-dependent quadratic generator t -> H_t on [0, t_max].
 
-    ``kind`` records whether the path came from an analytic callback or from
-    piecewise samples; the constant single-particle block L must not vary
-    along the path (it is the interaction-picture pivot).
+    The constant single-particle block L must not vary along the path (it
+    is the interaction-picture pivot).
     """
 
     generator: Callable[[float], QuadraticGenerator]
     t_max: float
-    kind: str = "analytic"
 
     def __post_init__(self):
         if self.t_max <= 0:
@@ -101,9 +146,14 @@ class GeneratorPath:
     def __call__(self, t: float) -> QuadraticGenerator:
         return self.generator(t)
 
+    def check_time(self, t: float) -> None:
+        """Reject an end time outside [0, t_max]."""
+        if t < 0 or t > self.t_max + 1e-12:
+            raise ValueError("t outside the path domain")
+
     @staticmethod
     def constant(gen: QuadraticGenerator, t_max: float) -> "GeneratorPath":
-        return GeneratorPath(lambda t: gen, t_max, kind="constant")
+        return GeneratorPath(lambda t: gen, t_max)
 
     @staticmethod
     def from_samples(times: Sequence[float], gens: Sequence[QuadraticGenerator]):
@@ -126,7 +176,7 @@ class GeneratorPath:
                 hbar=(1 - w) * a.hbar + w * b.hbar,
             )
 
-        return GeneratorPath(interp, float(times[-1]), kind="sampled")
+        return GeneratorPath(interp, float(times[-1]))
 
 
 @dataclass(frozen=True)
@@ -178,18 +228,6 @@ def _split_m(f: np.ndarray, g: np.ndarray, cond_limit: float) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _flow_rhs(path: GeneratorPath, t: float, f: np.ndarray, g: np.ndarray, c: complex,
-              cond_limit: float):
-    gen = path(t)
-    hpm = gen.hpm
-    hpp = gen.hpp
-    df = -1j * (hpm @ f + hpp @ g)
-    dg = 1j * (np.conj(hpm) @ g + np.conj(hpp) @ f)
-    m = _split_m(f, g, cond_limit)
-    dc = -1j * (0.5 * np.trace(np.conj(hpp) @ m) + gen.hbar) * c
-    return df, dg, dc
-
-
 def integrate_flow(
     path: GeneratorPath,
     t: float,
@@ -199,43 +237,32 @@ def integrate_flow(
 ) -> BogoliubovFlow:
     """Integrate the linear flow equations from (F, G) = (0, 1) to time t.
 
-    Classical one-step fourth-order scheme with a fixed dt (the final step
-    is shortened to land on t exactly).  M is recovered as F G^-1 and
-    symmetrized at every evaluation; c solves the phase equation alongside.
+    ``rk4`` steps the packed state [vec F, vec G, c] with a fixed dt (the
+    final step is shortened to land on t exactly) and keeps every step as
+    the trajectory.  M is recovered as F G^-1 and symmetrized at every
+    evaluation; c solves the phase equation alongside.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t < 0 or t > path.t_max + 1e-12:
-        raise ValueError("t outside the path domain")
+    path.check_time(t)
     d = path.modes
-    f = np.zeros((d, d), dtype=complex)
-    g = np.eye(d, dtype=complex)
-    c = 1.0 + 0j
-    n_steps = max(1, int(math.ceil(t / dt - 1e-12))) if t > 0 else 0
-    times = [0.0]
-    fs, gs, cs = [f.copy()], [g.copy()], [c]
-    now = 0.0
-    for k in range(n_steps):
-        h = min(dt, t - now)
-        k1 = _flow_rhs(path, now, f, g, c, cond_limit)
-        k2 = _flow_rhs(path, now + h / 2, f + h / 2 * k1[0], g + h / 2 * k1[1],
-                       c + h / 2 * k1[2], cond_limit)
-        k3 = _flow_rhs(path, now + h / 2, f + h / 2 * k2[0], g + h / 2 * k2[1],
-                       c + h / 2 * k2[2], cond_limit)
-        k4 = _flow_rhs(path, now + h, f + h * k3[0], g + h * k3[1],
-                       c + h * k3[2], cond_limit)
-        f = f + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        g = g + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        c = c + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        now += h
-        times.append(now)
-        fs.append(f.copy())
-        gs.append(g.copy())
-        cs.append(c)
-    m = _split_m(f, g, cond_limit)
+    n = d * d
+
+    def rhs(tau, y):
+        f, g, c = y[:n].reshape(d, d), y[n:2 * n].reshape(d, d), y[-1]
+        gen = path(tau)
+        hpm, hpp = gen.hpm, gen.hpp
+        df = -1j * (hpm @ f + hpp @ g)
+        dg = 1j * (np.conj(hpm) @ g + np.conj(hpp) @ f)
+        m = _split_m(f, g, cond_limit)
+        dc = -1j * (0.5 * np.trace(np.conj(hpp) @ m) + gen.hbar) * c
+        return np.concatenate([df.ravel(), dg.ravel(), [dc]])
+
+    y0 = np.concatenate([np.zeros(n), np.eye(d).ravel(), [1.0]]).astype(complex)
+    times, ys = rk4(rhs, y0, t, dt, keep=True)
+    fs, gs = ys[:, :n].reshape(-1, d, d), ys[:, n:2 * n].reshape(-1, d, d)
+    f, g = fs[-1], gs[-1]
     flow = BogoliubovFlow(
-        f=f, g=g, m=m, c=c, t=now,
-        times=np.array(times), fs=np.array(fs), gs=np.array(gs), cs=np.array(cs),
+        f=f, g=g, m=_split_m(f, g, cond_limit), c=ys[-1, -1], t=float(times[-1]),
+        times=times, fs=fs, gs=gs, cs=ys[:, -1],
     )
     if residual_tol is not None:
         res = flow_invariants(flow)
@@ -446,6 +473,11 @@ def propagate_gaussian(
     return state
 
 
+def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis) -> Callable:
+    """The right-hand side -i H_t psi of the truncated Schroedinger equation."""
+    return lambda tau, psi: -1j * (quadratic_matrix(path(tau), basis) @ psi)
+
+
 @dataclass(frozen=True)
 class DirectResult:
     state: FockVector
@@ -464,26 +496,10 @@ def propagate_direct(
     The compressed H_t is Hermitian, so the exact truncated flow is unitary;
     the reported norm drift isolates pure integrator error.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    path.check_time(t)
     basis = psi0.basis
-    v = psi0.coeffs.copy()
-    n0 = np.linalg.norm(v)
-
-    def rhs(tau, vec):
-        h = quadratic_matrix(path(tau), basis)
-        return -1j * (h @ vec)
-
-    now = 0.0
-    n_steps = max(1, int(math.ceil(t / dt - 1e-12))) if t > 0 else 0
-    for _ in range(n_steps):
-        h = min(dt, t - now)
-        k1 = rhs(now, v)
-        k2 = rhs(now + h / 2, v + h / 2 * k1)
-        k3 = rhs(now + h / 2, v + h / 2 * k2)
-        k4 = rhs(now + h, v + h * k3)
-        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        now += h
+    n0 = np.linalg.norm(psi0.coeffs)
+    v = rk4(_schroedinger_rhs(path, basis), psi0.coeffs.copy(), t, dt)
     drift = abs(np.linalg.norm(v) - n0)
     if norm_tol is not None and drift > norm_tol:
         raise FlowError(f"norm drift {drift:.3e} > {norm_tol:.1e}")
@@ -501,26 +517,8 @@ def propagator_matrix(
     Fourth-order integration of dU/dt = -i H_t U from U = 1; the oracle
     realization used to validate flow-based propagators.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    dim = basis.size
-    u = np.eye(dim, dtype=complex)
-
-    def rhs(tau, mat):
-        h = quadratic_matrix(path(tau), basis)
-        return -1j * (h @ mat)
-
-    now = 0.0
-    n_steps = max(1, int(math.ceil(t / dt - 1e-12))) if t > 0 else 0
-    for _ in range(n_steps):
-        h = min(dt, t - now)
-        k1 = rhs(now, u)
-        k2 = rhs(now + h / 2, u + h / 2 * k1)
-        k3 = rhs(now + h / 2, u + h / 2 * k2)
-        k4 = rhs(now + h, u + h * k3)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        now += h
-    return u
+    path.check_time(t)
+    return rk4(_schroedinger_rhs(path, basis), np.eye(basis.size, dtype=complex), t, dt)
 
 
 def propagator_from_flow(flow: BogoliubovFlow, basis: ModeBasis) -> tuple:

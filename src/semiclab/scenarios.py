@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bogoliubov import rk4_step
 from .fock import QuadraticGenerator
 from .symmetry import (
     AffineGenerator,
@@ -234,18 +235,12 @@ def wkb_evolution_error(
     zs = np.empty((n_cl + 1, 3))
     zs[0] = (0.0, q0, p0)
 
-    def cl_field(z):
+    def cl_field(_, z):
         s, q, p = z
         return np.array([p * p - (p * p / 2 + v(q)), p, -q - 3 * cubic * q * q])
 
-    z = zs[0]
     for j in range(n_cl):
-        k1 = cl_field(z)
-        k2 = cl_field(z + hcl / 2 * k1)
-        k3 = cl_field(z + hcl / 2 * k2)
-        k4 = cl_field(z + hcl * k3)
-        z = z + hcl / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        zs[j + 1] = z
+        zs[j + 1] = rk4_step(cl_field, 0.0, zs[j], hcl)
     s_t, q_t, p_t = zs[-1]
 
     # fiber shape under the quadratic fiber Hamiltonian (lambda-free)
@@ -314,7 +309,7 @@ def mixed_rotation_squeeze_path(t_max: float = 8.0):
             hbar=0.1 * t,
         )
 
-    return GeneratorPath(gen, t_max, kind="analytic")
+    return GeneratorPath(gen, t_max)
 
 
 def _rotation_checks(model: dict, run: dict):

@@ -20,7 +20,6 @@ of the second kind, and report anomaly residuals as scalars.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +34,8 @@ from .bogoliubov import (
     flow_invariants,
     integrate_flow,
     propagator_from_flow,
+    rk4_step,
+    step_count,
 )
 from .fock import (
     FockVector,
@@ -190,13 +191,6 @@ class ClassicalSystem:
         a = np.asarray(a, dtype=float)
         return not np.any(self._field(a, np.asarray(x, dtype=float).reshape(3)))
 
-    def _rk4(self, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-        k1 = self._field(a, x)
-        k2 = self._field(a, x + h / 2 * k1)
-        k3 = self._field(a, x + h / 2 * k2)
-        k4 = self._field(a, x + h * k3)
-        return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
     def flow(self, a: np.ndarray, t: float, x: np.ndarray,
              dt: float = 1e-3) -> np.ndarray:
         return self.trajectory(a, t, x, dt)[-1]
@@ -205,19 +199,22 @@ class ClassicalSystem:
                    dt: float = 1e-3) -> np.ndarray:
         """States at half-step resolution 0, h/2, h, ..., t.
 
-        The half-step states let a fixed-step integrator look its stage
+        ``step_count(|t|, dt)`` uniform ``rk4_step`` steps h of the sign of
+        t.  The half-step states let a fixed-step integrator look its stage
         points up exactly.
         """
         a = np.asarray(a, dtype=float)
         cur = np.asarray(x, dtype=float).reshape(3).copy()
-        if t == 0.0:
-            return np.array([cur])
-        n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
-        h = t / n_steps
+        n_steps = step_count(abs(t), dt)
+        h = t / max(n_steps, 1)
+
+        def field(_, y):
+            return self._field(a, y)
+
         out = [cur.copy()]
         for _ in range(n_steps):
-            out.append(self._rk4(a, cur, h / 2))
-            cur = self._rk4(a, cur, h)
+            out.append(rk4_step(field, 0.0, cur, h / 2))
+            cur = rk4_step(field, 0.0, cur, h)
             out.append(cur.copy())
         return np.array(out)
 
@@ -499,7 +496,7 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
         flow = exponential_flow(fam.generator(np.sign(t) * b, x), abs(t))
         matrix, leak = propagator_from_flow(flow, basis)
         return OneParamResult(matrix, flow, x.copy(), leak)
-    n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
+    n_steps = step_count(abs(t), dt)
     dt_eff = abs(t) / n_steps
     states = fam.system.trajectory(b, t, x, dt_eff)
     half = (t / n_steps) / 2
@@ -511,7 +508,7 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
         j = min(j, len(states) - 1)
         return fam.generator(np.sign(t) * b, states[j])
 
-    path = GeneratorPath(path_gen, abs(t), kind="trajectory")
+    path = GeneratorPath(path_gen, abs(t))
     flow = integrate_flow(path, abs(t), dt_eff)
     matrix, leak = propagator_from_flow(flow, basis)
     return OneParamResult(matrix, flow, states[-1], leak)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semiclab.bogoliubov import (
     BogoliubovFlow,
@@ -18,6 +19,8 @@ from semiclab.bogoliubov import (
     propagator_from_flow,
     propagator_matrix,
     riccati_residual,
+    rk4,
+    step_count,
     trajectory_to_csv,
 )
 from semiclab.fock import (
@@ -429,3 +432,50 @@ def test_propagator_from_flow_matches_per_column_oracle(modes, cutoff):
     assert np.array_equal(cols, ref_cols)
     assert leak == ref_leak
     assert leak > 0.0
+
+
+def test_rk4_is_fourth_order_on_oscillator():
+    omega, t = 1.3, 2.0
+    dts = [0.1, 0.05, 0.025, 0.0125]
+    errs = [abs(rk4(lambda _, y: 1j * omega * y, np.array([1.0 + 0j]), t, dt)[0]
+                - np.exp(1j * omega * t)) for dt in dts]
+    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+    assert 3.8 <= slope <= 4.2
+
+
+def test_rk4_keep_returns_every_step_ending_at_t():
+    t, dt = 1.0, 0.3  # three full steps and a shortened last one
+    times, ys = rk4(lambda _, y: -y, np.array([1.0, 2.0]), t, dt, keep=True)
+    n = step_count(t, dt)
+    assert n == 4
+    assert times.shape == (n + 1,) and ys.shape == (n + 1, 2)
+    assert times[0] == 0.0 and times[-1] == pytest.approx(t, abs=1e-15)
+    assert np.allclose(np.diff(times)[:-1], dt)
+    assert np.array_equal(ys[0], [1.0, 2.0])
+    assert np.allclose(ys[-1], np.exp(-t) * np.array([1.0, 2.0]), atol=1e-4)
+
+
+@given(st.floats(min_value=1e-6, max_value=1e6), st.integers(min_value=1, max_value=10**9))
+def test_step_count_inverts_a_uniform_step(t, n):
+    assert step_count(t, t / n) == n
+
+
+def test_step_count_edges():
+    assert step_count(0.0, 1e-3) == 0
+    assert step_count(1e-9, 1.0) == 1
+    assert step_count(1.0, 0.3) == 4
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            step_count(1.0, dt)
+    with pytest.raises(ValueError):
+        step_count(-1.0, 1e-3)
+
+
+@pytest.mark.parametrize("t", [-0.1, 4.5])
+def test_direct_propagators_reject_times_outside_the_path(t):
+    path = rotation_path(t_max=4.0)
+    basis = ModeBasis(1, 4)
+    with pytest.raises(ValueError, match="domain"):
+        propagate_direct(vacuum_state(basis), path, t, 1e-2)
+    with pytest.raises(ValueError, match="domain"):
+        propagator_matrix(path, t, 1e-2, basis)

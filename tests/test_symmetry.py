@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from semiclab.fock import ModeBasis, number_matrix
+from semiclab.fock import ModeBasis, QuadraticGenerator, number_matrix
 from semiclab.scenarios import heisenberg_family, su11_family, u2_family
 from semiclab.symmetry import (
     GroupWord,
@@ -256,7 +257,7 @@ def test_one_param_u_against_matrix_ode():
         j = int(round(tau / (t / 1600)))
         return fam.generator(b, states[min(j, len(states) - 1)])
 
-    u_ode = propagator_matrix(GeneratorPath(gen, t, kind="trajectory"),
+    u_ode = propagator_matrix(GeneratorPath(gen, t),
                               t, t / 800, basis)
     keep = basis.grade_size(8)
     assert np.linalg.norm((res.matrix - u_ode)[:keep, :keep], 2) < 1e-6
@@ -302,11 +303,39 @@ def test_one_param_u_moving_point_stays_on_rk4():
     def gen(tau):
         return fam.generator(b, states[min(int(round(tau / half)), len(states) - 1)])
 
-    flow = integrate_flow(GeneratorPath(gen, t, kind="trajectory"), t, t / n_steps)
+    flow = integrate_flow(GeneratorPath(gen, t), t, t / n_steps)
     matrix, leak = propagator_from_flow(flow, basis)
     assert np.array_equal(res.matrix, matrix)
     assert res.leakage == leak
     assert np.array_equal(res.x_out, states[-1])
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_trajectory_rejects_nonpositive_dt(dt):
+    fam = su11_family()
+    with pytest.raises(ValueError, match="dt"):
+        classical_flow(fam.system, [1, 0, 0], 2.0, np.array([0.0, 1.0, 0.0]), dt=dt)
+    with pytest.raises(ValueError, match="dt"):
+        fam.system.trajectory(np.array([1.0, 0.0, 0.0]), 0.0, np.zeros(3), dt)
+
+
+def test_one_param_u_step_grid_at_many_steps():
+    # hbar = a0 Q^2 along the unit Q-translation: c = exp(-i int (Q0 + s)^2 ds).
+    # At 18144 steps t / (t / n) rounds above n, so a step count with an
+    # absolute slack put the trajectory on a finer grid than the flow and
+    # the phase read the wrong states (error 3.5e-6).
+    fam = dataclasses.replace(
+        heisenberg_family(),
+        quad_gen=lambda a, x: QuadraticGenerator.from_blocks(
+            hbar=float(a[0] * x[1] ** 2), modes=1))
+    x = np.array([0.0, 0.5, 0.2])
+    t = 0.3
+    res = one_param_u(fam, np.array([1.0, 0.0, 0.0]), t, x, ModeBasis(1, 1),
+                      dt=t / 18143.5)
+    assert len(res.flow.times) == 18145
+    phase = -((x[1] + t) ** 3 - x[1] ** 3) / 3
+    assert abs(res.flow.c - np.exp(1j * phase)) <= 1e-10
+    assert np.allclose(res.x_out, [0.0, x[1] + t, x[2]], atol=1e-12)
 
 
 def test_one_param_cocycle():
