@@ -1,20 +1,24 @@
 """Scenario runner and report emitter.
 
-Configurations are YAML documents with three blocks::
+Configurations are YAML documents naming a scenario, with up to three
+blocks::
 
     scenario: squeeze
     model:
       cutoff: 24
       kappa: 0.2
-      algebra: su11          # heisenberg | u2 | su11 | custom-matrices
-      hpp: {rows: 1, data: [[0.0, 0.0]]}   # row-major [re, im] pairs
     run:
+      t: 1.0
       dt: 1.0e-3
-      h: 1.0e-4
-      lambda_sweep: [0.1, 0.01, 0.001, 0.0001]
       seed: 0
     output:
-      report: report.json
+      report: report.json     # `run` writes the full report here
+      table: sweep.csv        # `sweep` writes its table here
+
+Each scenario declares the ``model`` and ``run`` keys it reads, with their
+defaults, in ``semiclab.scenarios.SCENARIOS``; ``run.seed`` (the seed of the
+randomized checks, recorded in the report) is accepted by every scenario.
+Any other key, or a value of the wrong kind, is a configuration error.
 
 Reports are strict JSON with one record per executed check, each carrying
 its anchor string, residual, tolerance and verdict (a check that raises or
@@ -42,13 +46,19 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .scenarios import SCENARIOS, build_checks
+from .scenarios import INTEGER, SCENARIOS, Kind, build_checks
 
 __all__ = ["load_config", "validate_config", "run_scenario", "sweep", "main"]
 
 SCHEMA_VERSION = 1
 
-_KNOWN_ALGEBRAS = ("heisenberg", "u2", "su11", "custom-matrices")
+# keys the runner reads for every scenario, besides the scenario's own
+_PATH = Kind("be a file path", lambda v: isinstance(v, str) and v != "")
+_RUNNER_KEYS = {
+    "model": {},
+    "run": {"seed": INTEGER},
+    "output": {"report": _PATH, "table": _PATH},
+}
 
 
 def load_config(path) -> dict:
@@ -59,75 +69,36 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _parse_matrix(spec, name: str, errors: list) -> Optional[np.ndarray]:
-    if not isinstance(spec, dict) or "rows" not in spec or "data" not in spec:
-        errors.append(f"{name}: matrix needs 'rows' and row-major 'data' pairs")
-        return None
-    rows = spec["rows"]
-    data = spec["data"]
-    if len(data) != rows * rows:
-        errors.append(f"{name}: expected {rows * rows} entries, got {len(data)}")
-        return None
-    try:
-        flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError):
-        errors.append(f"{name}: entries must be [re, im] pairs")
-        return None
-    return flat.reshape(rows, rows)
-
-
 def validate_config(cfg: dict) -> list:
     """Full list of schema violations; empty means valid."""
-    errors = []
+    errors = [f"unknown top-level key {key!r}" for key in cfg
+              if key not in ("scenario", *_RUNNER_KEYS)]
     scenario = cfg.get("scenario")
+    spec = None
     if not scenario:
         errors.append("missing 'scenario'")
-    elif scenario not in SCENARIOS:
+    elif not isinstance(scenario, str) or scenario not in SCENARIOS:
         errors.append(
             f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
-    model = cfg.get("model", {})
-    run = cfg.get("run", {})
-    for block, name in ((model, "model"), (run, "run")):
+    else:
+        spec = SCENARIOS[scenario]
+    for name, runner_keys in _RUNNER_KEYS.items():
+        block = cfg.get(name, {})
         if not isinstance(block, dict):
             errors.append(f"'{name}' must be a mapping")
-            return errors
-    algebra = model.get("algebra")
-    if algebra is not None and algebra not in _KNOWN_ALGEBRAS:
-        errors.append(
-            f"model.algebra {algebra!r} not one of {_KNOWN_ALGEBRAS}")
-    cutoff = model.get("cutoff")
-    if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 1):
-        errors.append("model.cutoff must be a positive integer")
-    for key in ("hpp", "hpm", "weight_t"):
-        if key in model:
-            mat = _parse_matrix(model[key], f"model.{key}", errors)
-            if mat is None:
-                continue
-            if key == "hpp" and not np.allclose(mat, mat.T, atol=1e-12):
-                errors.append("model.hpp must be symmetric")
-            if key == "hpm" and not np.allclose(mat, mat.conj().T, atol=1e-12):
-                errors.append("model.hpm must be Hermitian")
-            if key == "weight_t":
-                if not np.allclose(mat, mat.conj().T, atol=1e-12):
-                    errors.append("model.weight_t must be Hermitian")
-                elif np.linalg.eigvalsh(mat).min() < 1.0 - 1e-12:
-                    errors.append("model.weight_t must have eigenvalues >= 1")
-    for key in ("dt", "h", "t", "tolerance"):
-        if key in run and not (isinstance(run[key], (int, float))
-                               and run[key] > 0):
-            errors.append(f"run.{key} must be a positive number")
-    sweep_vals = run.get("lambda_sweep")
-    if sweep_vals is not None:
-        if (not isinstance(sweep_vals, list) or len(sweep_vals) < 2
-                or any(not isinstance(v, (int, float)) or v <= 0
-                       for v in sweep_vals)):
-            errors.append("run.lambda_sweep must list at least two positive values")
-    seed = run.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        errors.append("run.seed must be an integer")
-    out = cfg.get("output", {})
-    if out and not isinstance(out, dict):
-        errors.append("'output' must be a mapping")
+            continue
+        if spec is None:
+            continue
+        declared = {"model": spec.model, "run": spec.run}.get(name, {})
+        kinds = {key: kind for key, (_, kind) in declared.items()}
+        kinds.update(runner_keys)
+        for key, value in block.items():
+            if key not in kinds:
+                errors.append(
+                    f"{name}.{key} is not a key of scenario {scenario!r}; "
+                    f"it takes {sorted(kinds) or 'none'}")
+            elif not kinds[key].ok(value):
+                errors.append(f"{name}.{key} must {kinds[key].must}")
     return errors
 
 
@@ -204,93 +175,33 @@ def report_body(report: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
 
 
-_SWEEPABLE = {
-    ("squeeze", "dt"),
-    ("rotation", "dt"),
-    ("squeeze", "N"),
-    ("u2-grouplaw", "h"),
-    ("su11-metaplectic-loop", "h"),
-    ("packet-harmonic", "lambda"),
-}
-
-
 def sweep(cfg: dict, parameter: str, grid: Sequence[float]) -> dict:
     """Run one residual across a parameter grid; fit the log-log slope."""
     errors = validate_config(cfg)
     if errors:
         raise ValueError("; ".join(errors))
     scenario = cfg["scenario"]
-    if (scenario, parameter) not in _SWEEPABLE:
+    spec = SCENARIOS[scenario]
+    if parameter not in spec.sweeps:
+        supported = [f"{name} {p}" for name, s in SCENARIOS.items()
+                     for p in s.sweeps]
         raise ValueError(
             f"scenario {scenario!r} has no sweep over {parameter!r}; "
-            f"supported: {sorted(_SWEEPABLE)}")
+            f"supported: {', '.join(supported)}")
+    kind, residual = spec.sweeps[parameter]
     grid = [float(v) for v in grid]
     if len(grid) < 3:
         raise ValueError("need at least three grid points to fit a slope")
-    model = dict(cfg.get("model", {}))
-    run = dict(cfg.get("run", {}))
-    rows = []
-    for value in grid:
-        if parameter == "dt":
-            residual = _flow_invariant_residual(scenario, model, run, value)
-        elif parameter == "N":
-            residual = _equivalence_residual(model, run, int(value))
-        elif parameter == "h":
-            residual = _field_algebra_residual(scenario, value)
-        elif parameter == "lambda":
-            from .scenarios import wkb_evolution_error
-
-            residual = wkb_evolution_error(value)
-        rows.append((value, residual))
+    bad = [v for v in grid if not kind.ok(v)]
+    if bad:
+        raise ValueError(f"every {parameter} grid value must {kind.must}; "
+                         f"got {bad}")
+    model, run = spec.settings(cfg.get("model", {}), cfg.get("run", {}))
+    rows = [(value, residual(model, run, value)) for value in grid]
     xs = np.array([r[0] for r in rows])
     ys = np.maximum(np.array([r[1] for r in rows]), 1e-300)
     slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     return {"parameter": parameter, "rows": rows, "slope": slope}
-
-
-def _flow_invariant_residual(scenario, model, run, dt):
-    # the dt sweep measures integrator order on the mixed reference path by
-    # self-convergence against an 8x refined step (the canonical-relation
-    # residuals themselves superconverge through drift cancellation)
-    from .bogoliubov import integrate_flow
-    from .scenarios import mixed_rotation_squeeze_path
-
-    path = mixed_rotation_squeeze_path()
-    t = run.get("t", 2.0)
-    coarse = integrate_flow(path, t, dt, residual_tol=None)
-    fine = integrate_flow(path, t, dt / 8, residual_tol=None)
-    return float(np.linalg.norm(coarse.f - fine.f)
-                 + np.linalg.norm(coarse.g - fine.g))
-
-
-def _equivalence_residual(model, run, cutoff):
-    from .bogoliubov import CreatedState, integrate_flow, propagate_direct, \
-        propagate_gaussian
-    from .fock import ModeBasis, vacuum_state
-    from .scenarios import _flow_paths
-
-    path = _flow_paths("squeeze", model)
-    t = run.get("t", 1.0)
-    dt = run.get("dt", 1e-3)
-    basis = ModeBasis(1, cutoff)
-    flow = integrate_flow(path, t, dt)
-    gauss = propagate_gaussian(CreatedState(), flow, basis)
-    direct = propagate_direct(vacuum_state(basis), path, t, dt)
-    return float(np.linalg.norm(gauss.coeffs - direct.state.coeffs))
-
-
-def _field_algebra_residual(scenario, h):
-    from .scenarios import su11_family, u2_family
-    from .symmetry import check_vector_field_algebra
-
-    fam = su11_family() if scenario == "su11-metaplectic-loop" else u2_family()
-    if scenario == "u2-grouplaw":
-        # trivial classical action: use the su11 system for the h-sweep
-        fam = su11_family()
-    x = np.array([0.0, 0.8, -0.3])
-    a = np.array([1.0, 0.2, 0.0])
-    b = np.array([0.0, 0.4, 1.0])
-    return check_vector_field_algebra(fam.system, fam.algebra, a, b, x, h=h)
 
 
 def sweep_to_csv(result: dict, path_out):
@@ -316,8 +227,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--param", required=True,
-                         choices=["lambda", "dt", "h", "N"])
+    p_sweep.add_argument("--param", required=True, choices=sorted(
+        {p for spec in SCENARIOS.values() for p in spec.sweeps}))
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated values")
     p_sweep.add_argument("--out", default=None, help="table path (CSV)")
@@ -364,8 +275,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if report["passed"] else 1
 
     if args.command == "sweep":
-        grid = [float(v) for v in args.grid.split(",") if v]
         try:
+            grid = [float(v) for v in args.grid.split(",") if v]
             result = sweep(cfg, args.param, grid)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,11 @@ identity has an independent closed-form anchor:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+import threading
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -165,7 +167,6 @@ def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
     return GeneratorFamily(algebra=algebra, system=system, quad_gen=quad_gen,
                            phi=standard_phi, modes=1)
 
-
 # ---------------------------------------------------------------------------
 # scenario check suites
 
@@ -181,6 +182,23 @@ class Check:
     anchor: str
     tolerance: float
     fn: "Callable[[], float]"
+
+
+def _once(fn: Callable) -> Callable:
+    """``fn`` memoized per argument tuple.
+
+    Checks of one suite share their artifacts through such closures: the
+    first check to ask computes an artifact, the others read it, also when
+    the worker pool asks from several threads at once.
+    """
+    lock = threading.Lock()
+    cached = functools.cache(fn)
+
+    def get(*args):
+        with lock:
+            return cached(*args)
+
+    return get
 
 
 def harmonic_orbit_manifold(n_alpha: int = 64):
@@ -275,20 +293,6 @@ def wkb_evolution_error(
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
 
 
-def _flow_paths(kind: str, p: dict):
-    from .bogoliubov import GeneratorPath
-    from .fock import QuadraticGenerator
-
-    if kind == "rotation":
-        gen = QuadraticGenerator.from_blocks(
-            hpm=[[p.get("omega", 0.8)]], hbar=p.get("hbar", 0.3))
-    elif kind == "squeeze":
-        gen = QuadraticGenerator.from_blocks(hpp=[[p.get("kappa", 0.2)]])
-    else:
-        raise ValueError(f"unknown flow kind {kind!r}")
-    return GeneratorPath.constant(gen, p.get("t_max", 8.0))
-
-
 def mixed_rotation_squeeze_path(t_max: float = 8.0):
     """Time-dependent two-mode generator mixing rotation and squeezing.
 
@@ -297,7 +301,6 @@ def mixed_rotation_squeeze_path(t_max: float = 8.0):
     accumulates visible fourth-order error.
     """
     from .bogoliubov import GeneratorPath
-    from .fock import QuadraticGenerator
 
     hpm0 = np.array([[0.8, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
     hpp0 = np.array([[0.15, 0.05], [0.05, 0.10]])
@@ -312,11 +315,10 @@ def mixed_rotation_squeeze_path(t_max: float = 8.0):
     return GeneratorPath(gen, t_max)
 
 
-def _rotation_checks(model: dict, run: dict):
-    import numpy as np
-
+def _rotation_checks(model: dict, run: dict, seed: int):
     from .bogoliubov import (
         CreatedState,
+        GeneratorPath,
         flow_invariants,
         integrate_flow,
         propagate_direct,
@@ -325,31 +327,21 @@ def _rotation_checks(model: dict, run: dict):
     )
     from .fock import ModeBasis, vacuum_state
 
-    omega = model.get("omega", 0.8)
-    hbar = model.get("hbar", 0.3)
-    t = run.get("t", 1.7)
-    dt = run.get("dt", 1e-3)
-    cutoff = model.get("cutoff", 12)
-    path = _flow_paths("rotation", {"omega": omega, "hbar": hbar})
+    omega, hbar, cutoff = model["omega"], model["hbar"], model["cutoff"]
+    t, dt = run["t"], run["dt"]
+    path = GeneratorPath.constant(
+        QuadraticGenerator.from_blocks(hpm=[[omega]], hbar=hbar), 8.0)
+    flow = _once(lambda: integrate_flow(path, t, dt))
 
     def closed_form():
-        flow = integrate_flow(path, t, dt)
+        fl = flow()
         return float(
-            abs(flow.g[0, 0] - np.exp(1j * omega * t))
-            + abs(flow.f[0, 0]) + abs(flow.m[0, 0])
-            + abs(flow.c - np.exp(-1j * hbar * t)))
-
-    def invariants():
-        return flow_invariants(integrate_flow(path, t, dt)).max
-
-    def riccati():
-        flow = integrate_flow(path, t, dt)
-        return riccati_residual(flow, path)
+            abs(fl.g[0, 0] - np.exp(1j * omega * t))
+            + abs(fl.f[0, 0]) + abs(fl.m[0, 0])
+            + abs(fl.c - np.exp(-1j * hbar * t)))
 
     def vacuum_phase():
-        basis = ModeBasis(1, cutoff)
-        flow = integrate_flow(path, t, dt)
-        out = propagate_gaussian(CreatedState(), flow, basis)
+        out = propagate_gaussian(CreatedState(), flow(), ModeBasis(1, cutoff))
         return float(abs(out.coeffs[0] - np.exp(-1j * hbar * t))
                      + np.linalg.norm(out.coeffs[1:]))
 
@@ -359,18 +351,19 @@ def _rotation_checks(model: dict, run: dict):
 
     return [
         Check("rotation-closed-form", "flow.rotation", 1e-9, closed_form),
-        Check("flow-invariants", "flow.canonical-relations", 1e-9, invariants),
-        Check("riccati-residual", "flow.riccati", 1e-9, riccati),
+        Check("flow-invariants", "flow.canonical-relations", 1e-9,
+              lambda: flow_invariants(flow()).max),
+        Check("riccati-residual", "flow.riccati", 1e-9,
+              lambda: riccati_residual(flow(), path)),
         Check("vacuum-phase", "propagator.gaussian-ansatz", 1e-9, vacuum_phase),
         Check("direct-norm-drift", "propagator.direct", 1e-8, norm_drift),
     ]
 
 
-def _squeeze_checks(model: dict, run: dict):
-    import numpy as np
-
+def _squeeze_checks(model: dict, run: dict, seed: int):
     from .bogoliubov import (
         CreatedState,
+        GeneratorPath,
         flow_invariants,
         integrate_flow,
         picard_flow,
@@ -378,35 +371,37 @@ def _squeeze_checks(model: dict, run: dict):
         propagate_gaussian,
         riccati_residual,
     )
-    from .constrained import QuadSpec, invariance_check, make_plane
+    from .constrained import (
+        QuadSpec,
+        inner_constrained,
+        invariance_check,
+        make_plane,
+    )
     from .fock import ModeBasis, vacuum_state
 
-    kappa = model.get("kappa", 0.2)
-    cutoff = model.get("cutoff", 24)
-    t = run.get("t", 1.0)
-    dt = run.get("dt", 1e-3)
-    path = _flow_paths("squeeze", {"kappa": kappa})
+    kappa, cutoff = model["kappa"], model["cutoff"]
+    t, dt = run["t"], run["dt"]
+    path = GeneratorPath.constant(
+        QuadraticGenerator.from_blocks(hpp=[[kappa]]), 8.0)
+    # the flow up to a horizon, and the vacuum evolved directly at a cutoff
+    flow = _once(lambda horizon: integrate_flow(path, horizon, dt))
+    direct = _once(lambda n: propagate_direct(
+        vacuum_state(ModeBasis(1, n)), path, t, dt).state)
 
     def closed_form():
-        flow = integrate_flow(path, t, dt)
+        fl = flow(t)
         r = kappa * t
         return float(
-            abs(flow.f[0, 0] + 1j * math.sinh(r))
-            + abs(flow.g[0, 0] - math.cosh(r))
-            + abs(flow.m[0, 0] + 1j * math.tanh(r))
-            + abs(flow.c - math.cosh(r) ** -0.5))
-
-    def invariants():
-        return flow_invariants(integrate_flow(path, t, dt)).max
-
-    def riccati():
-        return riccati_residual(integrate_flow(path, t, dt), path)
+            abs(fl.f[0, 0] + 1j * math.sinh(r))
+            + abs(fl.g[0, 0] - math.cosh(r))
+            + abs(fl.m[0, 0] + 1j * math.tanh(r))
+            + abs(fl.c - math.cosh(r) ** -0.5))
 
     def picard_agreement():
-        flow = integrate_flow(path, min(t, 1.0), dt)
+        fl = flow(min(t, 1.0))
         res = picard_flow(path, min(t, 1.0), n_terms=25)
-        return float(np.linalg.norm(res.f_lab - flow.f)
-                     + np.linalg.norm(res.g_lab - flow.g))
+        return float(np.linalg.norm(res.f_lab - fl.f)
+                     + np.linalg.norm(res.g_lab - fl.g))
 
     def picard_factorial():
         horizon = min(t, 1.0)
@@ -419,20 +414,15 @@ def _squeeze_checks(model: dict, run: dict):
         return worst
 
     def propagator_equivalence():
-        basis = ModeBasis(1, cutoff)
-        flow = integrate_flow(path, t, dt)
-        gauss = propagate_gaussian(CreatedState(), flow, basis)
-        direct = propagate_direct(vacuum_state(basis), path, t, dt)
-        return float(np.linalg.norm(gauss.coeffs - direct.state.coeffs))
+        gauss = propagate_gaussian(CreatedState(), flow(t), ModeBasis(1, cutoff))
+        return float(np.linalg.norm(gauss.coeffs - direct(cutoff).coeffs))
 
     def tail_consistency():
-        small = ModeBasis(1, cutoff // 2)
-        big = ModeBasis(1, cutoff)
-        full = propagate_direct(vacuum_state(big), path, t, dt).state
-        half = propagate_direct(vacuum_state(small), path, t, dt).state
-        diff = np.linalg.norm(full.coeffs[: small.size] - half.coeffs)
+        full, half = direct(cutoff), direct(cutoff // 2)
+        kept = half.coeffs.size
+        diff = np.linalg.norm(full.coeffs[:kept] - half.coeffs)
         q = math.tanh(kappa * t)
-        tail = abs(full.coeffs[small.size - 1]) * q / math.sqrt(1 - q * q) + 1e-12
+        tail = abs(full.coeffs[kept - 1]) * q / math.sqrt(1 - q * q) + 1e-12
         return float(diff / (10 * tail))
 
     def constrained_invariance():
@@ -442,8 +432,6 @@ def _squeeze_checks(model: dict, run: dict):
                                 quad=QuadSpec(pad=16, order=64))
 
     def constrained_vacuum():
-        from .constrained import inner_constrained
-
         basis = ModeBasis(1, 32)
         plane = make_plane([np.array([1.0])])
         val = inner_constrained(vacuum_state(basis), vacuum_state(basis),
@@ -452,8 +440,10 @@ def _squeeze_checks(model: dict, run: dict):
 
     return [
         Check("squeeze-closed-form", "flow.squeeze", 1e-9, closed_form),
-        Check("flow-invariants", "flow.canonical-relations", 1e-9, invariants),
-        Check("riccati-residual", "flow.riccati", 1e-8, riccati),
+        Check("flow-invariants", "flow.canonical-relations", 1e-9,
+              lambda: flow_invariants(flow(t)).max),
+        Check("riccati-residual", "flow.riccati", 1e-8,
+              lambda: riccati_residual(flow(t), path)),
         Check("picard-agreement", "flow.picard-series", 1e-6, picard_agreement),
         Check("picard-term-bound", "flow.picard-factorial", 1.0, picard_factorial),
         Check("propagator-equivalence", "propagator.gaussian-vs-direct", 1e-6,
@@ -468,7 +458,6 @@ def _squeeze_checks(model: dict, run: dict):
 
 
 def _u2_checks(model: dict, run: dict, seed: int):
-    import numpy as np
     from scipy.linalg import expm
 
     from .fock import ModeBasis
@@ -480,11 +469,8 @@ def _u2_checks(model: dict, run: dict, seed: int):
     )
 
     fam = u2_family()
-    cutoff = model.get("cutoff", 12)
-    basis = ModeBasis(2, cutoff)
-    dt = run.get("dt", 2e-3)
-    n_pairs = run.get("n_pairs", 20)
-    scale = run.get("pair_scale", 0.3)
+    basis = ModeBasis(2, model["cutoff"])
+    dt, n_pairs, scale = run["dt"], run["n_pairs"], run["pair_scale"]
     x0 = np.zeros(3)
 
     def group_law_pairs():
@@ -528,72 +514,48 @@ def _u2_checks(model: dict, run: dict, seed: int):
     ]
 
 
-def _metaplectic_checks(model: dict, run: dict):
-    import numpy as np
-
+def _metaplectic_checks(model: dict, run: dict, seed: int):
     from .fock import ModeBasis
     from .symmetry import GroupWord, word_product
 
     fam = su11_family()
-    cutoff = model.get("cutoff", 14)
+    cutoff, dt = model["cutoff"], run["dt"]
     basis = ModeBasis(1, cutoff)
-    dt = run.get("dt", 1e-3)
     x0 = np.zeros(3)
-
-    def run_word():
-        return word_product(fam, GroupWord([(0, 4 * math.pi)]), x0, basis, dt=dt)
+    loop = _once(lambda: word_product(fam, GroupWord([(0, 4 * math.pi)]), x0,
+                                      basis, dt=dt))
 
     def classical_identity():
-        res = run_word()
+        res = loop()
         return float(np.linalg.norm(res.rep_matrix - np.eye(2), 2)
                      + np.abs(res.x_out - x0).max())
 
-    def loop_phase():
-        res = run_word()
-        return float(abs(abs(res.loop_phase) - math.pi))
-
     def global_sign():
-        res = run_word()
         keep = basis.grade_size(cutoff - 4)
-        sub = res.matrix[:keep, :keep]
+        sub = loop().matrix[:keep, :keep]
         return float(np.abs(sub + np.eye(keep)).max())
 
     return [
         Check("classical-loop-identity", "group.loop-base", 1e-8,
               classical_identity),
-        Check("loop-phase-pi", "group.double-valued-lift", 1e-8, loop_phase),
+        Check("loop-phase-pi", "group.double-valued-lift", 1e-8,
+              lambda: float(abs(abs(loop().loop_phase) - math.pi))),
         Check("global-sign", "group.double-valued-lift", 1e-8, global_sign),
     ]
 
 
-def _anomaly_checks(model: dict, run: dict):
-    import numpy as np
-
+def _anomaly_checks(model: dict, run: dict, seed: int):
     from .fock import ModeBasis, quadratic_matrix
     from .symmetry import check_f3, check_x6, omega_matrix
 
-    eps = model.get("offset", 0.05)
+    eps, cutoff = model["offset"], model["cutoff"]
     fam = su11_family(central_offset=eps)
-    cutoff = model.get("cutoff", 16)
     basis = ModeBasis(1, cutoff)
     x0 = np.zeros(3)
     a = np.array([0.0, 1.0, 0.0])
     b = np.array([0.0, 0.0, 1.0])
-
-    def f3_scalar():
-        rep = check_f3(fam, a, b, x0)
-        return float(abs(rep.hbar_residual - eps))
-
-    def f3_quadratic():
-        rep = check_f3(fam, a, b, x0)
-        return rep.max_quadratic
-
-    def x6_scalar():
-        rep = check_x6(fam, a, b, x0, basis)
-        return float(abs(rep.scalar - 1j * eps))
-
-    def x6_off_scalar():
-        return check_x6(fam, a, b, x0, basis).off_scalar_norm
+    f3 = _once(lambda: check_f3(fam, a, b, x0))
+    x6 = _once(lambda: check_x6(fam, a, b, x0, basis))
 
     def omega_commutant():
         r = -(quadratic_matrix(fam.generator(a, x0), basis)
@@ -611,18 +573,19 @@ def _anomaly_checks(model: dict, run: dict):
         return worst
 
     return [
-        Check("f3-scalar-recovery", "anomaly.scalar-relation", 1e-6, f3_scalar),
+        Check("f3-scalar-recovery", "anomaly.scalar-relation", 1e-6,
+              lambda: float(abs(f3().hbar_residual - eps))),
         Check("f3-quadratic-clean", "anomaly.quadratic-relations", 1e-10,
-              f3_quadratic),
-        Check("x6-scalar-recovery", "anomaly.c-number-form", 1e-6, x6_scalar),
-        Check("x6-off-scalar", "anomaly.c-number-form", 1e-6, x6_off_scalar),
+              lambda: f3().max_quadratic),
+        Check("x6-scalar-recovery", "anomaly.c-number-form", 1e-6,
+              lambda: float(abs(x6().scalar - 1j * eps))),
+        Check("x6-off-scalar", "anomaly.c-number-form", 1e-6,
+              lambda: x6().off_scalar_norm),
         Check("omega-commutant", "anomaly.commutant", 1e-6, omega_commutant),
     ]
 
 
-def _packet_checks(model: dict, run: dict):
-    import numpy as np
-
+def _packet_checks(model: dict, run: dict, seed: int):
     from .packets import (
         ComposedPacket,
         PacketForms,
@@ -642,8 +605,7 @@ def _packet_checks(model: dict, run: dict):
         wave_moments,
     )
 
-    lam_sweep = run.get("lambda_sweep", [1e-1, 1e-2, 1e-3, 1e-4])
-    h = run.get("h", 1e-4)
+    lam_sweep, h = run["lambda_sweep"], run["h"]
 
     def klambda_norm():
         f = gaussian_shape(n=512)
@@ -726,8 +688,6 @@ def _packet_checks(model: dict, run: dict):
 
 
 def _constrained_checks(model: dict, run: dict, seed: int):
-    import numpy as np
-
     from .constrained import (
         QuadSpec,
         decay_profile,
@@ -737,6 +697,8 @@ def _constrained_checks(model: dict, run: dict, seed: int):
         regularized_inner,
     )
     from .fock import FockVector, ModeBasis, number_state, vacuum_state
+
+    n_random = run["n_random"]
 
     def vacuum_analytic():
         basis = ModeBasis(1, 32)
@@ -758,7 +720,7 @@ def _constrained_checks(model: dict, run: dict, seed: int):
         plane = make_plane([np.array([1.0])])
         spec = QuadSpec(pad=140, order=64)
         worst = 0.0
-        for _ in range(run.get("n_random", 100)):
+        for _ in range(n_random):
             c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
             c[basis.totals > 6] = 0
             c /= np.linalg.norm(c)
@@ -821,18 +783,141 @@ def _constrained_checks(model: dict, run: dict, seed: int):
     ]
 
 
+# ---------------------------------------------------------------------------
+# sweeps: one residual as a function of one parameter
+
+
+def _dt_self_convergence(model: dict, run: dict, dt: float) -> float:
+    # integrator order on the mixed reference path, by self-convergence
+    # against an 8x refined step (the canonical-relation residuals
+    # themselves superconverge through drift cancellation)
+    from .bogoliubov import integrate_flow
+
+    path = mixed_rotation_squeeze_path()
+    coarse = integrate_flow(path, run["t"], dt, residual_tol=None)
+    fine = integrate_flow(path, run["t"], dt / 8, residual_tol=None)
+    return float(np.linalg.norm(coarse.f - fine.f)
+                 + np.linalg.norm(coarse.g - fine.g))
+
+
+def _equivalence_at_cutoff(model: dict, run: dict, n: float) -> float:
+    (check,) = [c for c in _squeeze_checks({**model, "cutoff": int(n)}, run, 0)
+                if c.name == "propagator-equivalence"]
+    return check.fn()
+
+
+def _field_algebra_residual(model: dict, run: dict, h: float) -> float:
+    from .symmetry import check_vector_field_algebra
+
+    fam = su11_family()
+    x = np.array([0.0, 0.8, -0.3])
+    a = np.array([1.0, 0.2, 0.0])
+    b = np.array([0.0, 0.4, 1.0])
+    return check_vector_field_algebra(fam.system, fam.algebra, a, b, x, h=h)
+
+
+# ---------------------------------------------------------------------------
+# declarations
+
+
+@dataclass(frozen=True)
+class Kind:
+    """The values a config key (or a sweep grid) accepts.
+
+    ``must`` completes the sentence "<key> must ...".
+    """
+
+    must: str
+    ok: Callable[[object], bool]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+REAL = Kind("be a finite number", _is_real)
+POSITIVE = Kind("be a positive number", lambda v: _is_real(v) and v > 0)
+CUTOFF = Kind("be a positive integer", lambda v: _is_int(v) and v >= 1)
+COUNT = Kind("be a non-negative integer", lambda v: _is_int(v) and v >= 0)
+INTEGER = Kind("be an integer", _is_int)
+GRID = Kind("list at least two positive values",
+            lambda v: isinstance(v, list) and len(v) >= 2
+            and all(POSITIVE.ok(x) for x in v))
+WHOLE = Kind("be a positive whole number",
+             lambda v: POSITIVE.ok(v) and float(v).is_integer())
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything one scenario knows.
+
+    ``model`` and ``run`` map each config key the scenario reads to its
+    ``(default, Kind)``.  ``checks(model, run, seed)`` builds the check list
+    from the settings, every key resolved to its value or its default, and
+    reads them all while building; the checks compute their shared
+    artifacts lazily, at most once per build.  ``sweeps`` maps each
+    parameter the scenario sweeps to ``(Kind, residual)`` with
+    ``residual(model, run, value)``.
+    """
+
+    model: dict
+    run: dict
+    checks: Callable
+    sweeps: dict = field(default_factory=dict)
+
+    def settings(self, model: dict, run: dict) -> tuple:
+        return ({k: model.get(k, d) for k, (d, _) in self.model.items()},
+                {k: run.get(k, d) for k, (d, _) in self.run.items()})
+
+
+_DT_SWEEP = {"dt": (POSITIVE, _dt_self_convergence)}
+
 SCENARIOS = {
-    "rotation": lambda model, run, seed: _rotation_checks(model, run),
-    "squeeze": lambda model, run, seed: _squeeze_checks(model, run),
-    "u2-grouplaw": _u2_checks,
-    "su11-metaplectic-loop": lambda model, run, seed: _metaplectic_checks(model, run),
-    "anomaly-injection": lambda model, run, seed: _anomaly_checks(model, run),
-    "packet-harmonic": lambda model, run, seed: _packet_checks(model, run),
-    "constrained-basics": _constrained_checks,
+    "rotation": Scenario(
+        model={"cutoff": (12, CUTOFF), "omega": (0.8, REAL),
+               "hbar": (0.3, REAL)},
+        run={"t": (1.7, POSITIVE), "dt": (1e-3, POSITIVE)},
+        checks=_rotation_checks, sweeps=_DT_SWEEP),
+    "squeeze": Scenario(
+        model={"cutoff": (24, CUTOFF), "kappa": (0.2, REAL)},
+        run={"t": (1.0, POSITIVE), "dt": (1e-3, POSITIVE)},
+        checks=_squeeze_checks,
+        sweeps={**_DT_SWEEP, "N": (WHOLE, _equivalence_at_cutoff)}),
+    "u2-grouplaw": Scenario(
+        model={"cutoff": (12, CUTOFF)},
+        run={"dt": (2e-3, POSITIVE), "n_pairs": (20, COUNT),
+             "pair_scale": (0.3, REAL)},
+        checks=_u2_checks),
+    "su11-metaplectic-loop": Scenario(
+        model={"cutoff": (14, CUTOFF)},
+        run={"dt": (1e-3, POSITIVE)},
+        checks=_metaplectic_checks,
+        sweeps={"h": (POSITIVE, _field_algebra_residual)}),
+    "anomaly-injection": Scenario(
+        model={"cutoff": (16, CUTOFF), "offset": (0.05, REAL)},
+        run={},
+        checks=_anomaly_checks),
+    "packet-harmonic": Scenario(
+        model={},
+        run={"h": (1e-4, POSITIVE),
+             "lambda_sweep": ([1e-1, 1e-2, 1e-3, 1e-4], GRID)},
+        checks=_packet_checks,
+        sweeps={"lambda": (POSITIVE, lambda model, run, lam:
+                           wkb_evolution_error(lam))}),
+    "constrained-basics": Scenario(
+        model={},
+        run={"n_random": (100, COUNT)},
+        checks=_constrained_checks),
 }
 
 
-def build_checks(scenario: str, model: dict, run: dict, seed: int = 0):
+def build_checks(scenario: str, model: dict, run: dict, seed: int):
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return SCENARIOS[scenario](model, run, seed)
+    spec = SCENARIOS[scenario]
+    return spec.checks(*spec.settings(model, run), seed)

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from semiclab.cli import (
+    build_checks,
     load_config,
     main,
     report_body,
@@ -12,6 +13,7 @@ from semiclab.cli import (
     sweep,
     validate_config,
 )
+from semiclab.scenarios import SCENARIOS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,23 +33,73 @@ def test_validate_unknown_scenario():
     assert any("unknown scenario" in e for e in errs)
 
 
-def test_validate_nonsymmetric_hpp():
-    cfg = {
-        "scenario": "squeeze",
-        "model": {"hpp": {"rows": 2,
-                          "data": [[0, 0], [1, 0], [2, 0], [0, 0]]}},
-    }
-    errs = validate_config(cfg)
-    assert any("symmetric" in e for e in errs)
+UNDECLARED = {
+    "squeeze-model-hpp": ("squeeze.yaml", "model", "hpp",
+                          {"rows": 1, "data": [[0.0, 0.0]]}),
+    "u2-model-algebra": ("u2-grouplaw.yaml", "model", "algebra", "u2"),
+    "run-tolerance": ("squeeze.yaml", "run", "tolerance", 1e-6),
+    "run-misspelled-dt": ("rotation.yaml", "run", "dtt", 1e-3),
+    "unknown-output": ("rotation.yaml", "output", "plot", "out.png"),
+}
 
 
-def test_validate_weight_below_one():
-    cfg = {
-        "scenario": "squeeze",
-        "model": {"weight_t": {"rows": 1, "data": [[0.5, 0.0]]}},
-    }
-    errs = validate_config(cfg)
-    assert any("eigenvalues >= 1" in e for e in errs)
+@pytest.mark.parametrize("case", sorted(UNDECLARED))
+def test_undeclared_key_is_a_config_error(case, tmp_path):
+    config, block, key, value = UNDECLARED[case]
+    cfg = load_config(CONFIG_DIR / config)
+    cfg.setdefault(block, {})[key] = value
+    assert any(f"{block}.{key} is not a key" in e for e in validate_config(cfg))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+
+
+def test_unknown_top_level_key_is_a_config_error():
+    cfg = load_config(CONFIG_DIR / "rotation.yaml")
+    cfg["modle"] = {"cutoff": 8}
+    assert any("'modle'" in e for e in validate_config(cfg))
+
+
+@pytest.mark.parametrize("config, block, key, value", [
+    ("rotation.yaml", "model", "cutoff", True),
+    ("squeeze.yaml", "run", "dt", True),
+    ("squeeze.yaml", "model", "kappa", False),
+    ("u2-grouplaw.yaml", "run", "seed", True),
+    ("packet-harmonic.yaml", "run", "lambda_sweep", [0.1, True, 0.001]),
+    ("u2-grouplaw.yaml", "run", "n_pairs", -1),
+    ("constrained-basics.yaml", "run", "n_random", -1),
+    ("constrained-basics.yaml", "run", "n_random", 2.0),
+    ("rotation.yaml", "run", "t", float("nan")),
+    ("rotation.yaml", "output", "report", 5),
+])
+def test_values_of_the_wrong_kind_are_rejected(config, block, key, value,
+                                               tmp_path):
+    cfg = load_config(CONFIG_DIR / config)
+    cfg.setdefault(block, {})[key] = value
+    assert any(e.startswith(f"{block}.{key} must") for e in validate_config(cfg))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "scenario: rotation\nmodel: {cutoff: true}\n",
+    "scenario: squeeze\nrun: {dt: yes}\n",
+])
+def test_yaml_booleans_are_not_numbers(text, tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+def test_zero_counts_are_allowed():
+    for config, key in (("u2-grouplaw.yaml", "n_pairs"),
+                        ("constrained-basics.yaml", "n_random")):
+        cfg = load_config(CONFIG_DIR / config)
+        cfg["run"][key] = 0
+        assert validate_config(cfg) == []
 
 
 def test_run_scenario_deterministic_body():
@@ -145,6 +197,42 @@ def test_sweep_unsupported_combo():
         sweep(cfg, "lambda", [0.1, 0.01, 0.001])
 
 
+def test_u2_has_no_h_sweep():
+    # its classical action is trivial, so there is no field algebra to probe
+    cfg = load_config(CONFIG_DIR / "u2-grouplaw.yaml")
+    with pytest.raises(ValueError, match="supported: .*su11-metaplectic-loop h"):
+        sweep(cfg, "h", [4e-3, 2e-3, 1e-3])
+
+
+@pytest.mark.parametrize("parameter, grid", [
+    ("dt", [1e-2, float("nan"), 5e-3]),
+    ("dt", [1e-2, float("inf"), 5e-3]),
+    ("dt", [1e-2, 0.0, 5e-3]),
+    ("dt", [1e-2, -5e-3, 2.5e-3]),
+    ("N", [8, 24.5, 64]),
+])
+def test_sweep_rejects_bad_grid_values(parameter, grid):
+    cfg = load_config(CONFIG_DIR / "squeeze.yaml")
+    with pytest.raises(ValueError, match="grid value"):
+        sweep(cfg, parameter, grid)
+
+
+@pytest.mark.parametrize("parameter, grid", [
+    ("dt", "1e-2,abc,5e-3"),
+    ("N", "8,24.5,64"),
+])
+def test_cli_bad_sweep_grid_exits_2(parameter, grid):
+    config = str(CONFIG_DIR / "squeeze.yaml")
+    assert main(["sweep", config, "--param", parameter, "--grid", grid]) == 2
+
+
+def test_sweep_n_takes_whole_floats():
+    cfg = load_config(CONFIG_DIR / "squeeze.yaml")
+    cfg["run"]["t"] = 0.2
+    result = sweep(cfg, "N", [4.0, 6.0, 8.0])
+    assert [value for value, _ in result["rows"]] == [4.0, 6.0, 8.0]
+
+
 def _strict_loads(text):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -191,10 +279,116 @@ def test_non_finite_residual_reported_as_null(monkeypatch, tmp_path):
 def test_worker_pool_gives_identical_report_body(monkeypatch):
     from semiclab import constrained
 
-    cfg = load_config(CONFIG_DIR / "constrained-basics.yaml")
-    bodies = []
-    for workers in (1, 2):
-        # an empty family cache, so both runs build their families
-        monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
-        bodies.append(report_body(run_scenario(cfg, workers=workers)))
-    assert bodies[0] == bodies[1]
+    # rotation and squeeze checks share flows and propagations
+    for config in ("constrained-basics.yaml", "rotation.yaml", "squeeze.yaml"):
+        cfg = load_config(CONFIG_DIR / config)
+        bodies = []
+        for workers in (1, 2):
+            # an empty family cache, so both runs build their families
+            monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
+            bodies.append(report_body(run_scenario(cfg, workers=workers)))
+        assert bodies[0] == bodies[1], config
+
+
+class _RecordingDict(dict):
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _keys_read(spec):
+    """Model and run keys that building the checks reads; an undeclared
+    key raises KeyError, as the settings hold only declared keys."""
+    model, run = (_RecordingDict(s) for s in spec.settings({}, {}))
+    spec.checks(model, run, 0)
+    return model.read, run.read
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_checks_read_exactly_the_declared_keys(name):
+    spec = SCENARIOS[name]
+    assert _keys_read(spec) == (set(spec.model), set(spec.run))
+
+
+def test_key_read_check_catches_unread_and_undeclared_keys():
+    from semiclab.scenarios import CUTOFF, POSITIVE, Scenario
+
+    unread = Scenario(model={"cutoff": (4, CUTOFF)}, run={"dt": (0.1, POSITIVE)},
+                      checks=lambda model, run, seed: [model["cutoff"]])
+    assert _keys_read(unread) != (set(unread.model), set(unread.run))
+    undeclared = Scenario(model={"cutoff": (4, CUTOFF)}, run={},
+                          checks=lambda model, run, seed: [run["dt"]])
+    with pytest.raises(KeyError):
+        _keys_read(undeclared)
+
+
+def test_build_checks_computes_nothing(monkeypatch):
+    from semiclab import bogoliubov, symmetry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed while building checks")
+
+    for module, name in ((bogoliubov, "integrate_flow"),
+                         (bogoliubov, "propagate_direct"),
+                         (symmetry, "word_product")):
+        monkeypatch.setattr(module, name, refuse)
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        cfg = load_config(path)
+        checks = build_checks(cfg["scenario"], cfg.get("model", {}),
+                              cfg.get("run", {}), 0)
+        assert checks, path.name
+
+
+def _count_calls(monkeypatch):
+    from collections import Counter
+
+    from semiclab import bogoliubov, constrained, symmetry
+
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (bogoliubov, symmetry, constrained):
+        for name in ("integrate_flow", "propagate_direct", "word_product",
+                     "check_f3", "check_x6"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name,
+                                    counted(name, vars(module)[name]))
+    return counts
+
+
+@pytest.mark.parametrize("config, calls", [
+    ("rotation.yaml", {"integrate_flow": 1, "propagate_direct": 1}),
+    # constrained-invariance keeps its own flow and propagation
+    ("squeeze.yaml", {"integrate_flow": 2, "propagate_direct": 3}),
+    ("su11-metaplectic-loop.yaml", {"word_product": 1}),
+    ("anomaly-injection.yaml", {"check_f3": 1, "check_x6": 1}),
+])
+def test_shared_artifacts_are_computed_once(config, calls, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    run_scenario(load_config(CONFIG_DIR / config), workers=1)
+    assert dict(counts) == calls
+
+
+def test_shared_artifacts_are_computed_once_under_the_pool(monkeypatch):
+    import sys
+
+    counts = _count_calls(monkeypatch)
+    cfg = load_config(CONFIG_DIR / "anomaly-injection.yaml")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            counts.clear()
+            run_scenario(cfg, workers=8)
+            assert dict(counts) == {"check_f3": 1, "check_x6": 1}
+    finally:
+        sys.setswitchinterval(interval)
