@@ -111,6 +111,19 @@ def _environment() -> dict:
     }
 
 
+def _worker_count(workers: Optional[int]) -> int:
+    """``workers``, or ``SEMICLAB_WORKERS`` (default 1) when it is None."""
+    if workers is None:
+        raw = os.environ.get("SEMICLAB_WORKERS", "1")
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(
+                f"SEMICLAB_WORKERS must be a whole number >= 1, got {raw!r}")
+        return int(raw)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def run_scenario(cfg: dict, seed: Optional[int] = None,
                  workers: Optional[int] = None) -> dict:
     """Execute the scenario's checks and assemble the report."""
@@ -122,8 +135,7 @@ def run_scenario(cfg: dict, seed: Optional[int] = None,
     run = cfg.get("run", {})
     if seed is None:
         seed = run.get("seed", 0)
-    if workers is None:
-        workers = int(os.environ.get("SEMICLAB_WORKERS", "1"))
+    workers = _worker_count(workers)
     checks = build_checks(scenario, model, run, seed)
 
     def execute(check):
@@ -264,7 +276,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.command == "run":
-        report = run_scenario(cfg, seed=args.seed)
+        try:
+            report = run_scenario(cfg, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         out = args.out or cfg.get("output", {}).get("report")
         body = report_body(report)
         if out:

@@ -11,8 +11,16 @@ whenever the plane is isotropic, Im(B_i, B_j) = 0.
 Displacements along one plane direction commute with those along another on
 an isotropic plane, so the quadrature engine factorizes U[beta] into
 per-axis one-parameter unitary groups, each diagonalized once on a padded
-basis.  The padding keeps the integrand trustworthy out to the box edge; the
-vectors themselves stay at their own cutoff.
+basis by ``displacement_eig`` (a real symmetric eigensolve; V is a phase per
+occupation state times a real orthogonal matrix).  The padding keeps the
+integrand trustworthy out to the box edge; the vectors themselves stay at
+their own cutoff.
+
+On a two-axis plane the integrand at the tensor nodes (beta_1i, beta_2j) is
+one table, E1 W E2^T with W = V1+ V2 cached per family and the vectors
+folded into the exponential rows E1, E2; it is multiplied in the order that
+keeps the intermediate smallest, so a scan along one axis costs
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ __all__ = [
     "DecayProfile",
     "evolve_plane",
     "invariance_check",
+    "invariance_residual",
     "composed_inner",
     "transform_composed",
 ]
@@ -157,41 +166,45 @@ class _DisplacementFamily:
         return out
 
     def pairings(self, y1: FockVector, y2: FockVector, nodes: np.ndarray) -> np.ndarray:
-        """(Y1, U[sum beta_s B_s] Y2) for each node row of beta values."""
+        """(Y1, U[sum beta_s B_s] Y2) for each node row of beta values.
+
+        V+ y is formed as conj(V^T conj(y)), which copies no dim x dim matrix.
+        """
         k = self.plane.k
         nodes = np.atleast_2d(nodes)
+        c1 = np.conj(self.embed(y1))
+        c2 = np.conj(self.embed(y2))
         if k == 1:
             lam, v = self.eigs[0]
-            a = v.conj().T @ self.embed(y1)
-            b = v.conj().T @ self.embed(y2)
             phases = np.exp(np.outer(nodes[:, 0], lam))
-            return phases @ (np.conj(a) * b)
+            return phases @ ((v.T @ c1) * np.conj(v.T @ c2))
         # factorized product U_1(beta_1) ... U_k(beta_k); exact for commuting
         # axis generators, which isotropy guarantees
-        left = self.embed(y1)
-        right = self.embed(y2)
         if k == 2:
+            # table[i, j] = sum_mn conj(V1+ y1)_m e^(b1_i lam1_m) W_mn
+            #                      e^(b2_j lam2_n) (V2+ y2)_n,  W = V1+ V2,
+            # with the vectors folded into the exponential rows
             lam1, v1 = self.eigs[0]
             lam2, v2 = self.eigs[1]
-            w = self.axis_overlap()
-            a = v1.conj().T @ left
-            b = v2.conj().T @ right
-            core = (np.conj(a)[:, None] * w) * b[None, :]
             b1 = np.unique(nodes[:, 0])
             b2 = np.unique(nodes[:, 1])
-            e1 = np.exp(np.outer(b1, lam1))
-            e2 = np.exp(np.outer(b2, lam2))
-            table = e1 @ core @ e2.T
+            e1 = np.exp(np.outer(b1, lam1)) * (v1.T @ c1)
+            e2 = np.exp(np.outer(b2, lam2)) * np.conj(v2.T @ c2)
+            w = self.axis_overlap()
+            if len(b1) < len(b2):
+                table = (e1 @ w) @ e2.T
+            else:
+                table = e1 @ (w @ e2.T)
             i1 = np.searchsorted(b1, nodes[:, 0])
             i2 = np.searchsorted(b2, nodes[:, 1])
             return table[i1, i2]
         vals = np.empty(len(nodes), dtype=complex)
         for idx, beta in enumerate(nodes):
-            vec = right
+            vec = self.embed(y2)
             for s in range(k - 1, -1, -1):
                 lam, v = self.eigs[s]
-                vec = v @ (np.exp(beta[s] * lam) * (v.conj().T @ vec))
-            vals[idx] = np.vdot(left, vec)
+                vec = v @ (np.exp(beta[s] * lam) * np.conj(v.T @ np.conj(vec)))
+            vals[idx] = np.dot(c1, vec)
         return vals
 
     def axis_envelope(self, y1: FockVector, y2: FockVector, axis: int,
@@ -486,9 +499,22 @@ def invariance_check(
     quad: QuadSpec = QuadSpec(),
 ) -> float:
     """|<Psi_t, Psi_t>_(L_t) - <Y, Y>_L| for the evolved state and plane."""
-    before, _ = inner_constrained_detailed(y, y, plane, quad)
     flow = integrate_flow(path, t, dt)
     psi_t = propagate_direct(y, path, t, dt).state
+    return invariance_residual(y, psi_t, plane, flow, quad)
+
+
+def invariance_residual(
+    y: FockVector,
+    psi_t: FockVector,
+    plane: IsotropicPlane,
+    flow: BogoliubovFlow,
+    quad: QuadSpec = QuadSpec(),
+) -> float:
+    """|<Psi_t, Psi_t>_(L_t) - <Y, Y>_L| for Psi_t, the state Y evolved
+    along the path whose Bogoliubov flow is ``flow``; L_t is the plane
+    transported through that flow."""
+    before, _ = inner_constrained_detailed(y, y, plane, quad)
     plane_t = evolve_plane(plane, flow)
     after, _ = inner_constrained_detailed(psi_t, psi_t, plane_t, quad)
     return abs(after - before)

@@ -401,15 +401,29 @@ def displacement_eig(b: np.ndarray, basis: ModeBasis):
     """Eigendecomposition of K = A+[B] - A-[B*] so exp(beta K) = V e^(beta lam) V+.
 
     Returns (lam, v) with lam purely imaginary (K is anti-Hermitian on the
-    truncated space, so every exp(beta K) is exactly unitary).
+    truncated space, so every exp(beta K) is exactly unitary), sorted by
+    ascending Im(lam), and v unitary.
+
+    The eigensolve is real.  Write b_j = |b_j| e^(i phi_j) and take the
+    diagonal unitaries D = diag(e^(i n.phi)) and S = diag(i^|n|) over the
+    occupation states n.  Since D a+_j D+ = e^(i phi_j) a+_j and
+    S+ (a+_j - a_j) S = -i (a_j + a_j^T),
+
+        i K = (D S) X (D S)+,   X = sum_j |b_j| (a_j + a_j^T),
+
+    with X real symmetric: on one mode it is the Jacobi matrix of the
+    Hermite polynomials.  So eigh(X) = (w, Q) gives lam = -i w and
+    v = D S Q, a phase per occupation state times a real orthogonal Q.
     """
     b = _check_mode_vector(b, basis)
     a = lowering_matrices(basis)
-    k = np.zeros((basis.size, basis.size), dtype=complex)
+    x = np.zeros((basis.size, basis.size))
     for i in range(basis.modes):
-        k += b[i] * a[i].conj().T - np.conj(b[i]) * a[i]
-    w, v = np.linalg.eigh(1j * k)
-    return -1j * w, v
+        x += abs(b[i]) * a[i].real
+    w, q = np.linalg.eigh(x + x.T)
+    phase = np.array([1, 1j, -1, -1j])[basis.totals % 4]
+    phase *= np.exp(1j * (np.array(basis.states) @ np.angle(b)))
+    return -1j * w, phase[:, None] * q
 
 
 def displacement(
@@ -429,7 +443,7 @@ def displacement(
     lam, v = displacement_eig(b, big)
     src = np.zeros(big.size, dtype=complex)
     src[: psi.basis.size] = psi.coeffs
-    out = v @ (np.exp(lam) * (v.conj().T @ src))
+    out = v @ (np.exp(lam) * np.conj(v.T @ np.conj(src)))
     kept = out[: psi.basis.size]
     dropped = float(np.sum(np.abs(out[psi.basis.size:]) ** 2))
     if leak_threshold is not None and dropped > leak_threshold:

@@ -374,7 +374,7 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
     from .constrained import (
         QuadSpec,
         inner_constrained,
-        invariance_check,
+        invariance_residual,
         make_plane,
     )
     from .fock import ModeBasis, vacuum_state
@@ -426,10 +426,10 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
         return float(diff / (10 * tail))
 
     def constrained_invariance():
-        basis = ModeBasis(1, cutoff)
         plane = make_plane([np.array([1.0])])
-        return invariance_check(vacuum_state(basis), plane, path, t, dt,
-                                quad=QuadSpec(pad=16, order=64))
+        return invariance_residual(vacuum_state(ModeBasis(1, cutoff)),
+                                   direct(cutoff), plane, flow(t),
+                                   QuadSpec(pad=16, order=64))
 
     def constrained_vacuum():
         basis = ModeBasis(1, 32)

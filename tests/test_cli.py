@@ -290,6 +290,42 @@ def test_worker_pool_gives_identical_report_body(monkeypatch):
         assert bodies[0] == bodies[1], config
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
+def test_bad_semiclab_workers_is_a_config_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("SEMICLAB_WORKERS", value)
+    config = CONFIG_DIR / "anomaly-injection.yaml"
+    with pytest.raises(ValueError, match="SEMICLAB_WORKERS"):
+        run_scenario(load_config(config))
+    assert main(["run", str(config)]) == 2
+    assert "error: SEMICLAB_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_explicit_workers_below_one_is_rejected(workers):
+    cfg = load_config(CONFIG_DIR / "anomaly-injection.yaml")
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_scenario(cfg, workers=workers)
+
+
+def test_semiclab_workers_selects_the_pool(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    cfg = load_config(CONFIG_DIR / "anomaly-injection.yaml")
+    serial = report_body(run_scenario(cfg, workers=1))
+    monkeypatch.setenv("SEMICLAB_WORKERS", "2")
+    assert report_body(run_scenario(cfg)) == serial
+    assert pools == [2]
+    assert main(["run", str(CONFIG_DIR / "anomaly-injection.yaml")]) == 0
+
+
 class _RecordingDict(dict):
     def __init__(self, data):
         super().__init__(data)
@@ -367,8 +403,7 @@ def _count_calls(monkeypatch):
 
 @pytest.mark.parametrize("config, calls", [
     ("rotation.yaml", {"integrate_flow": 1, "propagate_direct": 1}),
-    # constrained-invariance keeps its own flow and propagation
-    ("squeeze.yaml", {"integrate_flow": 2, "propagate_direct": 3}),
+    ("squeeze.yaml", {"integrate_flow": 1, "propagate_direct": 2}),
     ("su11-metaplectic-loop.yaml", {"word_product": 1}),
     ("anomaly-injection.yaml", {"check_f3": 1, "check_x6": 1}),
 ])

@@ -230,6 +230,47 @@ def test_basis_change_invariance_mixing():
     assert abs(base - changed) < 1e-6 * max(1, abs(base))
 
 
+def _grid_nodes(b1, b2):
+    g1, g2 = np.meshgrid(b1, b2, indexing="ij")
+    return np.stack([g1.reshape(-1), g2.reshape(-1)], axis=-1)
+
+
+@pytest.mark.parametrize("bs", [
+    ([1.0, 0.3], [-0.2, 0.9]),
+    # complex, and isotropic: (B1, B2) = 0.4; V1+ V2 is not real here
+    ([1.0, 0.5j], [0.4 + 0.2j, 0.4]),
+])
+def test_two_axis_pairing_table_against_per_node_products(bs):
+    from semiclab.constrained import _DisplacementFamily
+
+    rng = np.random.default_rng(61)
+    basis = ModeBasis(2, 3)
+    plane = make_plane([np.array(b) for b in bs])
+    fam = _DisplacementFamily(plane, basis, pad=6)
+    y1 = random_low_state(basis, rng, basis.cutoff)
+    y2 = random_low_state(basis, rng, basis.cutoff)
+    (lam1, v1), (lam2, v2) = fam.eigs
+
+    def explicit(beta):
+        vec = v2 @ (np.exp(beta[1] * lam2) * (v2.conj().T @ fam.embed(y2)))
+        vec = v1 @ (np.exp(beta[0] * lam1) * (v1.conj().T @ vec))
+        return np.vdot(fam.embed(y1), vec)
+
+    radii = np.linspace(0.05, 3.0, 320)
+    zeros = np.zeros_like(radii)
+    node_sets = {
+        "n1 < n2": _grid_nodes([-0.4, 0.1, 1.3], np.linspace(-2, 2, 7)),
+        "n1 > n2": _grid_nodes(np.linspace(-2, 2, 7), [-0.4, 0.1, 1.3]),
+        "n1 = n2": rng.uniform(-2.5, 2.5, size=(9, 2)),
+        "(320, 1)": np.stack([radii, zeros], axis=-1),
+        "(1, 320)": np.stack([zeros, -radii], axis=-1),
+    }
+    for name, nodes in node_sets.items():
+        table = fam.pairings(y1, y2, nodes)
+        oracle = np.array([explicit(beta) for beta in nodes])
+        assert np.max(np.abs(table - oracle)) < 1e-12, name
+
+
 def test_evolve_plane_identity_and_rotation():
     from semiclab.bogoliubov import BogoliubovFlow
 
@@ -275,6 +316,20 @@ def test_invariance_rotation_random_state():
     res = invariance_check(y, plane, rotation_path(0.9), t=1.3,
                            quad=QuadSpec(pad=14, order=64))
     assert res < 1e-6
+
+
+def test_invariance_residual_reads_a_given_flow_and_state():
+    from semiclab.bogoliubov import propagate_direct
+    from semiclab.constrained import invariance_residual
+
+    basis = ModeBasis(1, 24)
+    plane = make_plane([np.array([1.0])])
+    path, t, dt = squeeze_path(0.3), 1.0, 1e-3
+    quad = QuadSpec(pad=16, order=64)
+    psi_t = propagate_direct(vacuum_state(basis), path, t, dt).state
+    res = invariance_residual(vacuum_state(basis), psi_t, plane,
+                              integrate_flow(path, t, dt), quad)
+    assert res == invariance_check(vacuum_state(basis), plane, path, t, dt, quad)
 
 
 def test_composed_inner_matches_pointwise():

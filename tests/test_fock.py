@@ -195,6 +195,39 @@ def test_displacement_shift_relation():
     assert np.linalg.norm(lhs2.coeffs - rhs2.coeffs) < 1e-10
 
 
+def _displacement_generator(b, basis):
+    """Dense K = A+[B] - A-[B*], the oracle's generator."""
+    a = fock.lowering_matrices(basis)
+    return sum(bi * ai.conj().T - np.conj(bi) * ai for bi, ai in zip(b, a))
+
+
+_DISPLACEMENT_AMPLITUDES = {
+    "real": [0.8, 0.3, 0.5],
+    "complex": [0.6 + 0.4j, -0.2 + 0.7j, 0.3 - 0.5j],
+    "negative": [-0.9, 0.4, -0.2],
+    "zero": [0.0, 0.5 + 0.2j, -0.3],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DISPLACEMENT_AMPLITUDES))
+@pytest.mark.parametrize("modes, cutoff", [(1, 20), (2, 12), (3, 6)])
+def test_displacement_eig_against_dense_oracles(kind, modes, cutoff):
+    from scipy.linalg import expm
+
+    basis = ModeBasis(modes, cutoff)
+    b = np.array(_DISPLACEMENT_AMPLITUDES[kind][:modes], dtype=complex)
+    k = _displacement_generator(b, basis)
+    lam, v = fock.displacement_eig(b, basis)
+    assert np.max(np.abs(lam.real)) == 0.0
+    assert np.max(np.abs(v.conj().T @ v - np.eye(basis.size))) < 1e-12
+    # the complex-Hermitian eigensolve the real one replaces
+    w_hermitian = np.linalg.eigvalsh(1j * k)
+    assert np.max(np.abs(lam - (-1j * w_hermitian))) < 1e-12
+    for beta in (-2.0, 0.3, 3.0):
+        u = (v * np.exp(beta * lam)) @ v.conj().T
+        assert np.max(np.abs(u - expm(beta * k))) < 1e-11, beta
+
+
 def test_displacement_leak_threshold():
     b = ModeBasis(1, 4)
     with pytest.raises(fock.LeakageError):
