@@ -38,6 +38,7 @@ from .fock import (
     GaussianData,
     ModeBasis,
     QuadraticGenerator,
+    _allclose,
     apply_ladder,
     gaussian_state,
     quadratic_matrix,
@@ -136,7 +137,7 @@ class GeneratorPath:
         probes = [self.generator(s * self.t_max) for s in (0.0, 0.5, 1.0)]
         l0 = probes[0].l_const
         for g in probes[1:]:
-            if not np.allclose(g.l_const, l0, atol=1e-12):
+            if not _allclose(g.l_const, l0):
                 raise ValueError("the constant block L must be time-independent")
 
     @property

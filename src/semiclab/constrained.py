@@ -34,7 +34,8 @@ import numpy as np
 
 from .bogoliubov import BogoliubovFlow, GeneratorPath, integrate_flow, propagate_direct
 from .fock import FockVector, ModeBasis, displacement_eig, weighted_norm
-from .quadrature import QuadCertificate, gauss_hermite_nodes, integrate_box
+from .quadrature import (QuadCertificate, gauss_hermite_nodes, integrate_box,
+                         trapezoid_weights)
 
 __all__ = [
     "IsotropicPlane",
@@ -160,11 +161,6 @@ class _DisplacementFamily:
             self._w12 = self.eigs[0][1].conj().T @ self.eigs[1][1]
         return self._w12
 
-    def embed(self, psi: FockVector) -> np.ndarray:
-        out = np.zeros(self.big.size, dtype=complex)
-        out[: psi.basis.size] = psi.coeffs
-        return out
-
     def pairings(self, y1: FockVector, y2: FockVector, nodes: np.ndarray) -> np.ndarray:
         """(Y1, U[sum beta_s B_s] Y2) for each node row of beta values.
 
@@ -172,8 +168,7 @@ class _DisplacementFamily:
         """
         k = self.plane.k
         nodes = np.atleast_2d(nodes)
-        c1 = np.conj(self.embed(y1))
-        c2 = np.conj(self.embed(y2))
+        c1, c2 = (np.conj(y.embed(self.big).coeffs) for y in (y1, y2))
         if k == 1:
             lam, v = self.eigs[0]
             phases = np.exp(np.outer(nodes[:, 0], lam))
@@ -200,7 +195,7 @@ class _DisplacementFamily:
             return table[i1, i2]
         vals = np.empty(len(nodes), dtype=complex)
         for idx, beta in enumerate(nodes):
-            vec = self.embed(y2)
+            vec = np.conj(c2)
             for s in range(k - 1, -1, -1):
                 lam, v = self.eigs[s]
                 vec = v @ (np.exp(beta[s] * lam) * np.conj(v.T @ np.conj(vec)))
@@ -560,15 +555,7 @@ class ComposedFockState:
 
     def quad_weights(self) -> np.ndarray:
         """Trapezoid weights on the alpha grid (periodic when the manifold closes)."""
-        a = self.alphas
-        if self.periodic_span is not None:
-            h = self.periodic_span / len(a)
-            return np.full(len(a), h)
-        w = np.zeros(len(a))
-        w[1:-1] = (a[2:] - a[:-2]) / 2
-        w[0] = (a[1] - a[0]) / 2
-        w[-1] = (a[-1] - a[-2]) / 2
-        return w
+        return trapezoid_weights(self.alphas, self.periodic_span)
 
 
 def composed_inner(

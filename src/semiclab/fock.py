@@ -9,7 +9,13 @@ basis with cutoff N+k, so embedding and truncation are array slices.
 Operators follow a drop-above-cutoff policy: amplitude raised past the
 cutoff is removed and its squared mass is accumulated in the vector's
 ``leakage`` field, which keeps every operation linear and makes truncation
-error observable instead of fatal.
+error observable instead of fatal; ``FockVector.truncate`` is the one
+place it is counted.  Every operator reads one representation, the cached
+``LadderTable`` of its basis: a_i as index maps and the pair products as
+maps composed from them.  Dense matrices appear only as outputs
+(``quadratic_matrix``, ``one_body_matrix``, ``symmetry.omega_matrix``), in
+``displacement_eig``'s eigensolve, in margin-restricted norms and in the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -126,47 +132,55 @@ def _totals(modes: int, cutoff: int) -> np.ndarray:
     return t
 
 
+@dataclass(frozen=True)
+class LadderTable:
+    """Index maps of the ladder operators on one truncated basis.
+
+    ``lower[i] = (rows, cols, vals)``: a_i[rows, cols] = vals = sqrt(n_i), no
+    row or column repeated, as a_i is one-to-one on occupation states.  The
+    pair products a+_i a+_j, a+_i a_j, a_i a_j put ``pair_vals`` at flat
+    positions ``pair_at`` for the coefficient at ``pair_slot`` in (Hpp, Hpm,
+    Hmm) flattened, slots ascending; products past the cutoff are absent.
+    """
+
+    dim: int
+    lower: tuple
+    pair_at: np.ndarray
+    pair_slot: np.ndarray
+    pair_vals: np.ndarray
+
+
 @lru_cache(maxsize=32)
-def _lowering_matrices(modes: int, cutoff: int) -> tuple[np.ndarray, ...]:
-    """Dense matrices of the per-mode annihilation operators a_i."""
-    states = _enumerate_states(modes, cutoff)
-    index = _state_index(modes, cutoff)
-    dim = len(states)
-    mats = []
-    for i in range(modes):
-        a = np.zeros((dim, dim), dtype=complex)
-        for col, s in enumerate(states):
-            n = s[i]
-            if n > 0:
-                lowered = s[:i] + (n - 1,) + s[i + 1:]
-                a[index[lowered], col] = math.sqrt(n)
-        a.flags.writeable = False
-        mats.append(a)
-    return tuple(mats)
-
-
-def lowering_matrices(basis: ModeBasis) -> tuple[np.ndarray, ...]:
-    return _lowering_matrices(basis.modes, basis.cutoff)
-
-
-@lru_cache(maxsize=16)
-def _pair_product_stacks(modes: int, cutoff: int):
-    """Stacks of a+_i a+_j, a+_i a_j and a_i a_j for fast H assembly."""
-    a = _lowering_matrices(modes, cutoff)
-    d = modes
-    dim = a[0].shape[0]
-    adad = np.empty((d, d, dim, dim), dtype=complex)
-    ada = np.empty((d, d, dim, dim), dtype=complex)
-    aa = np.empty((d, d, dim, dim), dtype=complex)
+def ladder_table(basis: ModeBasis) -> LadderTable:
+    """The ladder table of ``basis``, built once per basis."""
+    d, dim = basis.modes, basis.size
+    occ = np.array(basis.states)
+    # where a_i ("a") and a+_i ("a+") send each state, -1 for nowhere, and
+    # the factor sqrt(n) picked up on the way
+    to = {"a": np.full((d, dim), -1), "a+": np.full((d, dim), -1)}
+    factor = {"a": np.sqrt(occ.T.astype(float)), "a+": np.sqrt(occ.T + 1.0)}
+    lower = []
     for i in range(d):
-        adi = a[i].conj().T
-        for j in range(d):
-            adad[i, j] = adi @ a[j].conj().T
-            ada[i, j] = adi @ a[j]
-            aa[i, j] = a[i] @ a[j]
-    for arr in (adad, ada, aa):
+        cols = np.flatnonzero(occ[:, i])
+        lowered = (occ[cols] - np.eye(d, dtype=int)[i]).tolist()
+        rows = np.array([basis.index[tuple(s)] for s in lowered], dtype=int)
+        to["a"][i, cols], to["a+"][i, rows] = rows, cols
+        lower.append((rows, cols, factor["a"][i, cols]))
+    pairs = [(outer, i, inner, j)
+             for outer, inner in [("a+", "a+"), ("a+", "a"), ("a", "a")]
+             for i in range(d) for j in range(d)]
+    parts = []
+    for slot, (outer, i, inner, j) in enumerate(pairs):
+        cols = np.flatnonzero(to[inner][j] >= 0)
+        mid = to[inner][j, cols]
+        keep = to[outer][i, mid] >= 0
+        cols, mid = cols[keep], mid[keep]
+        parts.append((to[outer][i, mid] * dim + cols, np.full(cols.size, slot),
+                      factor[outer][i, mid] * factor[inner][j, cols]))
+    at, slots, vals = (np.concatenate(p) for p in zip(*parts))
+    for arr in (at, slots, vals, *(a for m in lower for a in m)):
         arr.flags.writeable = False
-    return adad, ada, aa
+    return LadderTable(dim, tuple(lower), at, slots, vals)
 
 
 @dataclass(frozen=True)
@@ -244,14 +258,23 @@ def vacuum_state(basis: ModeBasis) -> FockVector:
 
 
 def number_state(basis: ModeBasis, occupation: Sequence[int]) -> FockVector:
-    occ = tuple(int(n) for n in occupation)
+    occ = tuple(occupation)
     if len(occ) != basis.modes:
         raise ValueError(f"occupation needs {basis.modes} entries")
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in occ):
+        raise ValueError(f"occupations must be nonnegative integers, got {occ}")
     if sum(occ) > basis.cutoff:
         raise ValueError("occupation exceeds the cutoff")
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index[occ]] = 1.0
     return FockVector(basis, c)
+
+
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float = 1e-12) -> bool:
+    """``np.allclose(a, b, atol=atol)``'s predicate |a - b| <= atol + 1e-5 |b|
+    at a fraction of its cost; NaN and inf entries are rejected."""
+    return bool(np.isfinite(a).all() and np.isfinite(b).all()
+                and (np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
 def _check_mode_vector(f: np.ndarray, basis: ModeBasis) -> np.ndarray:
@@ -274,25 +297,21 @@ def apply_ladder(
     """
     f = _check_mode_vector(f, psi.basis)
     if mode == "annihilate":
-        a = lowering_matrices(psi.basis)
-        out = np.zeros_like(psi.coeffs)
-        for i in range(psi.basis.modes):
-            if f[i] != 0:
-                out += np.conj(f[i]) * (a[i] @ psi.coeffs)
+        out = np.zeros(psi.basis.size, dtype=complex)
+        for fi, (rows, cols, vals) in zip(f, ladder_table(psi.basis).lower):
+            if fi != 0:
+                out[rows] += np.conj(fi) * (vals * psi.coeffs[cols])
         return FockVector(psi.basis, out, psi.leakage)
     if mode != "create":
         raise ValueError("mode must be 'create' or 'annihilate'")
+    # raise into one extra grade, then truncate it into leakage; a+ on the
+    # padded basis reads grades <= N only, so psi itself is the source
     big = psi.basis.padded(1)
-    a = lowering_matrices(big)
-    src = np.zeros(big.size, dtype=complex)
-    src[: psi.basis.size] = psi.coeffs
     out = np.zeros(big.size, dtype=complex)
-    for i in range(psi.basis.modes):
-        if f[i] != 0:
-            out += f[i] * (a[i].conj().T @ src)
-    kept = out[: psi.basis.size]
-    dropped = float(np.sum(np.abs(out[psi.basis.size:]) ** 2))
-    return FockVector(psi.basis, kept, psi.leakage + dropped)
+    for fi, (rows, cols, vals) in zip(f, ladder_table(big).lower):
+        if fi != 0:
+            out[cols] += fi * (vals * psi.coeffs[rows])
+    return FockVector(big, out, psi.leakage).truncate(psi.basis)
 
 
 @dataclass(frozen=True)
@@ -318,11 +337,11 @@ class QuadraticGenerator:
         for name, m in (("hpp", hpp), ("l_const", l_const), ("hsmall", hsmall)):
             if m.shape != (d, d):
                 raise ValueError(f"{name} must be {d}x{d}")
-        if not np.allclose(hpp, hpp.T, atol=1e-12):
+        if not _allclose(hpp, hpp.T):
             raise ValueError("hpp must be symmetric")
-        if not np.allclose(l_const, l_const.conj().T, atol=1e-12):
+        if not _allclose(l_const, l_const.conj().T):
             raise ValueError("l_const must be Hermitian")
-        if not np.allclose(hsmall, hsmall.conj().T, atol=1e-12):
+        if not _allclose(hsmall, hsmall.conj().T):
             raise ValueError("hsmall must be Hermitian")
         object.__setattr__(self, "hpp", hpp)
         object.__setattr__(self, "l_const", l_const)
@@ -356,6 +375,17 @@ class QuadraticGenerator:
         return QuadraticGenerator(hpp=hpp, l_const=z, hsmall=hpm, hbar=hbar)
 
 
+def _dense(table: LadderTable, coeffs: np.ndarray) -> np.ndarray:
+    """Sum coeffs[slot] * value over the pair entries into a dim x dim matrix,
+    in table order: the order a sum over (i, j) of dense products adds them."""
+    n = table.dim
+    w = coeffs[table.pair_slot] * table.pair_vals
+    out = np.empty((n, n), dtype=complex)
+    out.real = np.bincount(table.pair_at, w.real, minlength=n * n).reshape(n, n)
+    out.imag = np.bincount(table.pair_at, w.imag, minlength=n * n).reshape(n, n)
+    return out
+
+
 def quadratic_matrix(gen: QuadraticGenerator, basis: ModeBasis) -> np.ndarray:
     """Dense matrix of the generator on the truncated basis.
 
@@ -364,11 +394,9 @@ def quadratic_matrix(gen: QuadraticGenerator, basis: ModeBasis) -> np.ndarray:
     """
     if gen.modes != basis.modes:
         raise ValueError("generator and basis mode counts differ")
-    adad, ada, aa = _pair_product_stacks(basis.modes, basis.cutoff)
-    h = 0.5 * np.einsum("ij,ijkl->kl", gen.hpp, adad)
-    h += np.einsum("ij,ijkl->kl", gen.hpm, ada)
-    h += 0.5 * np.einsum("ij,ijkl->kl", gen.hmm, aa)
-    h += gen.hbar * np.eye(basis.size)
+    h = _dense(ladder_table(basis), np.concatenate(
+        [(0.5 * gen.hpp).ravel(), gen.hpm.ravel(), (0.5 * gen.hmm).ravel()]))
+    h.flat[:: basis.size + 1] += gen.hbar
     return h
 
 
@@ -377,8 +405,8 @@ def one_body_matrix(t: np.ndarray, basis: ModeBasis) -> np.ndarray:
     t = np.atleast_2d(np.asarray(t, dtype=complex))
     if t.shape != (basis.modes, basis.modes):
         raise ValueError("matrix size does not match the mode count")
-    _, ada, _ = _pair_product_stacks(basis.modes, basis.cutoff)
-    return np.einsum("ij,ijkl->kl", t, ada)
+    z = np.zeros(t.size)
+    return _dense(ladder_table(basis), np.concatenate([z, t.ravel(), z]))
 
 
 def number_matrix(basis: ModeBasis) -> np.ndarray:
@@ -387,14 +415,9 @@ def number_matrix(basis: ModeBasis) -> np.ndarray:
 
 def apply_quadratic(gen: QuadraticGenerator, psi: FockVector) -> FockVector:
     """Apply the quadratic generator with exact drop-above-cutoff accounting."""
-    big = psi.basis.padded(2)
-    h = quadratic_matrix(gen, big)
-    src = np.zeros(big.size, dtype=complex)
-    src[: psi.basis.size] = psi.coeffs
-    out = h @ src
-    kept = out[: psi.basis.size]
-    dropped = float(np.sum(np.abs(out[psi.basis.size:]) ** 2))
-    return FockVector(psi.basis, kept, psi.leakage + dropped)
+    src = psi.embed(psi.basis.padded(2))
+    out = quadratic_matrix(gen, src.basis) @ src.coeffs
+    return FockVector(src.basis, out, src.leakage).truncate(psi.basis)
 
 
 def displacement_eig(b: np.ndarray, basis: ModeBasis):
@@ -416,10 +439,9 @@ def displacement_eig(b: np.ndarray, basis: ModeBasis):
     v = D S Q, a phase per occupation state times a real orthogonal Q.
     """
     b = _check_mode_vector(b, basis)
-    a = lowering_matrices(basis)
     x = np.zeros((basis.size, basis.size))
-    for i in range(basis.modes):
-        x += abs(b[i]) * a[i].real
+    for bi, (rows, cols, vals) in zip(b, ladder_table(basis).lower):
+        x[rows, cols] = abs(bi) * vals
     w, q = np.linalg.eigh(x + x.T)
     phase = np.array([1, 1j, -1, -1j])[basis.totals % 4]
     phase *= np.exp(1j * (np.array(basis.states) @ np.angle(b)))
@@ -441,17 +463,15 @@ def displacement(
         b = b.b
     big = psi.basis.padded(pad)
     lam, v = displacement_eig(b, big)
-    src = np.zeros(big.size, dtype=complex)
-    src[: psi.basis.size] = psi.coeffs
+    src = psi.embed(big).coeffs
     out = v @ (np.exp(lam) * np.conj(v.T @ np.conj(src)))
-    kept = out[: psi.basis.size]
-    dropped = float(np.sum(np.abs(out[psi.basis.size:]) ** 2))
-    if leak_threshold is not None and dropped > leak_threshold:
+    moved = FockVector(big, out).truncate(psi.basis)
+    if leak_threshold is not None and moved.leakage > leak_threshold:
         raise LeakageError(
-            f"displacement leaked {dropped:.3e} > {leak_threshold:.3e}; "
+            f"displacement leaked {moved.leakage:.3e} > {leak_threshold:.3e}; "
             "the cutoff is too small for this displacement"
         )
-    return FockVector(psi.basis, kept, psi.leakage + dropped)
+    return moved.with_leakage(psi.leakage + moved.leakage)
 
 
 @dataclass(frozen=True)
@@ -485,7 +505,7 @@ class GaussianData:
         m = np.atleast_2d(np.asarray(self.m, dtype=complex))
         if m.shape[0] != m.shape[1]:
             raise ValueError("M must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
+        if not _allclose(m, m.T):
             raise ValueError("M must be symmetric")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c", complex(self.c))
@@ -500,15 +520,26 @@ class GaussianData:
 
 def _raise_quadratic(m: np.ndarray, coeffs: np.ndarray, basis: ModeBasis) -> np.ndarray:
     """Apply 1/2 A+ M A+ within a fixed basis (no padding)."""
-    a = lowering_matrices(basis)
+    lower = ladder_table(basis).lower
     out = np.zeros_like(coeffs)
-    d = basis.modes
-    for i in range(d):
-        adi = a[i].conj().T
-        for j in range(d):
+    for i, (rows_i, cols_i, vals_i) in enumerate(lower):
+        for j, (rows_j, cols_j, vals_j) in enumerate(lower):
             if m[i, j] != 0:
-                out += 0.5 * m[i, j] * (adi @ (a[j].conj().T @ coeffs))
+                raised = np.zeros_like(coeffs)
+                raised[cols_j] = vals_j * coeffs[rows_j]
+                out[cols_i] += 0.5 * m[i, j] * (vals_i * raised[rows_i])
     return out
+
+
+def _exp_raise(m: np.ndarray, coeffs: np.ndarray, n_terms: int, basis: ModeBasis):
+    """The first n_terms terms of exp(1/2 A+ M A+) coeffs summed within the
+    basis, and the norm of each term."""
+    term, acc, norms = coeffs, coeffs.copy(), [float(np.linalg.norm(coeffs))]
+    for k in range(1, n_terms):
+        term = _raise_quadratic(m, term, basis) / k
+        acc += term
+        norms.append(float(np.linalg.norm(term)))
+    return acc, norms
 
 
 def gaussian_state(gd: GaussianData, basis: ModeBasis) -> FockVector:
@@ -523,16 +554,9 @@ def gaussian_state(gd: GaussianData, basis: ModeBasis) -> FockVector:
     q = gd.spectral_norm()
     if q >= 1.0:
         raise ValueError(f"||M|| = {q:.6f} >= 1: state is not normalizable")
-    term = np.zeros(basis.size, dtype=complex)
-    term[0] = 1.0
-    acc = term.copy()
-    n_terms = basis.cutoff // 2
-    last = 1.0
-    for k in range(1, n_terms + 1):
-        term = _raise_quadratic(gd.m, term, basis) / k
-        acc += term
-        last = float(np.linalg.norm(term))
-    tail = gaussian_tail_bound(q, basis.cutoff, last_term_norm=last)
+    acc, norms = _exp_raise(gd.m, vacuum_state(basis).coeffs, basis.cutoff // 2 + 1,
+                            basis)
+    tail = gaussian_tail_bound(q, basis.cutoff, last_term_norm=norms[-1])
     return FockVector(basis, gd.c * acc, leakage=abs(gd.c) ** 2 * tail**2)
 
 
@@ -565,7 +589,7 @@ def gaussian_perturb_series(
     """
     gd = GaussianData(m)
     dm = np.atleast_2d(np.asarray(dm, dtype=complex))
-    if not np.allclose(dm, dm.T, atol=1e-12):
+    if not _allclose(dm, dm.T):
         raise ValueError("dM must be symmetric")
     q = gd.spectral_norm()
     if q >= 1.0:
@@ -581,13 +605,7 @@ def gaussian_perturb_series(
     if np.linalg.norm(m + dm, 2) >= 1.0:
         raise ValueError("||M + dM|| must be < 1")
     base = gaussian_state(gd, basis)
-    term = base.coeffs.copy()
-    acc = term.copy()
-    norms = [float(np.linalg.norm(term))]
-    for k in range(1, n_terms):
-        term = _raise_quadratic(dm, term, basis) / k
-        acc += term
-        norms.append(float(np.linalg.norm(term)))
+    acc, norms = _exp_raise(dm, base.coeffs, n_terms, basis)
     if n_terms >= 4 and not (norms[-1] <= norms[-2] <= norms[-3]):
         raise ConvergenceError(
             "perturbation series term norms are not decreasing; "
@@ -606,7 +624,7 @@ class WeightOperator:
         t = np.atleast_2d(np.asarray(self.t, dtype=complex))
         if t.shape[0] != t.shape[1]:
             raise ValueError("T must be square")
-        if not np.allclose(t, t.conj().T, atol=1e-12):
+        if not _allclose(t, t.conj().T):
             raise ValueError("T must be Hermitian")
         if np.linalg.eigvalsh(t).min() < 1.0 - 1e-10:
             raise ValueError("T must have eigenvalues >= 1")

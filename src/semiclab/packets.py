@@ -25,6 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .quadrature import trapezoid_weights
+
 __all__ = [
     "UniformGrid",
     "ShapeFunction",
@@ -376,14 +378,7 @@ class PacketManifold:
         return worst
 
     def quad_weights(self) -> np.ndarray:
-        a = self.alphas
-        if self.periodic_span is not None:
-            return np.full(len(a), self.periodic_span / len(a))
-        w = np.zeros(len(a))
-        w[1:-1] = (a[2:] - a[:-2]) / 2
-        w[0] = (a[1] - a[0]) / 2
-        w[-1] = (a[-1] - a[-2]) / 2
-        return w
+        return trapezoid_weights(self.alphas, self.periodic_span)
 
     def density_at(self, alpha: float) -> float:
         return 1.0 if self.density is None else float(self.density(alpha))

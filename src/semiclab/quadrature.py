@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["QuadCertificate", "tensor_legendre", "integrate_box", "gauss_hermite_nodes"]
+__all__ = ["QuadCertificate", "tensor_legendre", "integrate_box",
+           "gauss_hermite_nodes", "trapezoid_weights"]
 
 
 class QuadratureError(RuntimeError):
@@ -49,6 +50,17 @@ def tensor_legendre(radius: Sequence[float], order: int):
     wgrids = np.meshgrid(*axes_weights, indexing="ij")
     weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
     return nodes, weights
+
+
+def trapezoid_weights(grid, periodic_span: Optional[float] = None) -> np.ndarray:
+    """Trapezoid weights on a sorted grid, or equal weights span/n on a closed one."""
+    if periodic_span is not None:
+        return np.full(len(grid), periodic_span / len(grid))
+    w = np.zeros(len(grid))
+    w[1:-1] = (grid[2:] - grid[:-2]) / 2
+    w[0] = (grid[1] - grid[0]) / 2
+    w[-1] = (grid[-1] - grid[-2]) / 2
+    return w
 
 
 def gauss_hermite_nodes(k: int, eps: float, order: int):

@@ -27,10 +27,12 @@ import numpy as np
 from .bogoliubov import rk4_step
 from .fock import QuadraticGenerator
 from .symmetry import (
+    MARGIN,
     AffineGenerator,
     ClassicalSystem,
     GeneratorFamily,
     LieAlgebra,
+    _restrict,
 )
 
 __all__ = [
@@ -531,9 +533,8 @@ def _metaplectic_checks(model: dict, run: dict, seed: int):
                      + np.abs(res.x_out - x0).max())
 
     def global_sign():
-        keep = basis.grade_size(cutoff - 4)
-        sub = loop().matrix[:keep, :keep]
-        return float(np.abs(sub + np.eye(keep)).max())
+        sub = _restrict(loop().matrix, basis)
+        return float(np.abs(sub + np.eye(len(sub))).max())
 
     return [
         Check("classical-loop-identity", "group.loop-base", 1e-8,
@@ -558,18 +559,16 @@ def _anomaly_checks(model: dict, run: dict, seed: int):
     x6 = _once(lambda: check_x6(fam, a, b, x0, basis))
 
     def omega_commutant():
-        r = -(quadratic_matrix(fam.generator(a, x0), basis)
-              @ quadratic_matrix(fam.generator(b, x0), basis)
-              - quadratic_matrix(fam.generator(b, x0), basis)
-              @ quadratic_matrix(fam.generator(a, x0), basis))
+        ha = quadratic_matrix(fam.generator(a, x0), basis)
+        hb = quadratic_matrix(fam.generator(b, x0), basis)
+        r = -(ha @ hb - hb @ ha)
         r += 1j * quadratic_matrix(
             fam.generator(fam.algebra.bracket(a, b), x0), basis)
-        keep = basis.grade_size(cutoff - 4)
         worst = 0.0
         for dx in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.3, -0.8])):
             om = omega_matrix(fam, x0, dx, basis)
             comm = r @ om - om @ r
-            worst = max(worst, float(np.linalg.norm(comm[:keep, :keep], 2)))
+            worst = max(worst, float(np.linalg.norm(_restrict(comm, basis), 2)))
         return worst
 
     return [
@@ -843,6 +842,8 @@ def _is_real(v) -> bool:
 REAL = Kind("be a finite number", _is_real)
 POSITIVE = Kind("be a positive number", lambda v: _is_real(v) and v > 0)
 CUTOFF = Kind("be a positive integer", lambda v: _is_int(v) and v >= 1)
+ABOVE_MARGIN = Kind(f"be an integer above the margin width {MARGIN}",
+                    lambda v: _is_int(v) and v > MARGIN)
 COUNT = Kind("be a non-negative integer", lambda v: _is_int(v) and v >= 0)
 INTEGER = Kind("be an integer", _is_int)
 GRID = Kind("list at least two positive values",
@@ -889,17 +890,17 @@ SCENARIOS = {
         checks=_squeeze_checks,
         sweeps={**_DT_SWEEP, "N": (WHOLE, _equivalence_at_cutoff)}),
     "u2-grouplaw": Scenario(
-        model={"cutoff": (12, CUTOFF)},
+        model={"cutoff": (12, ABOVE_MARGIN)},
         run={"dt": (2e-3, POSITIVE), "n_pairs": (20, COUNT),
              "pair_scale": (0.3, REAL)},
         checks=_u2_checks),
     "su11-metaplectic-loop": Scenario(
-        model={"cutoff": (14, CUTOFF)},
+        model={"cutoff": (14, ABOVE_MARGIN)},
         run={"dt": (1e-3, POSITIVE)},
         checks=_metaplectic_checks,
         sweeps={"h": (POSITIVE, _field_algebra_residual)}),
     "anomaly-injection": Scenario(
-        model={"cutoff": (16, CUTOFF), "offset": (0.05, REAL)},
+        model={"cutoff": (16, ABOVE_MARGIN), "offset": (0.05, REAL)},
         run={},
         checks=_anomaly_checks),
     "packet-harmonic": Scenario(

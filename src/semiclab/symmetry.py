@@ -41,7 +41,7 @@ from .fock import (
     FockVector,
     ModeBasis,
     QuadraticGenerator,
-    lowering_matrices,
+    ladder_table,
     quadratic_matrix,
 )
 
@@ -377,14 +377,21 @@ def anomaly_record(report: X6Report) -> str:
     return json.dumps(report.to_record())
 
 
-def _restrict(mat: np.ndarray, basis: ModeBasis, margin: int) -> np.ndarray:
+MARGIN = 4  # grades below the cutoff where truncated products are exact
+
+
+def _restrict(mat: np.ndarray, basis: ModeBasis, margin: int = MARGIN) -> np.ndarray:
+    """The block of ``mat`` on total quanta <= cutoff - margin, past the vacuum."""
+    if basis.cutoff <= margin:
+        raise ValueError(f"cutoff {basis.cutoff} leaves at most the vacuum below "
+                         f"the margin of {margin} quanta")
     keep = basis.grade_size(basis.cutoff - margin)
     return mat[:keep, :keep]
 
 
 def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
              x: np.ndarray, basis: ModeBasis, h: float = 1e-4,
-             margin: int = 4, scalar_tol: float = 1e-6) -> X6Report:
+             margin: int = MARGIN, scalar_tol: float = 1e-6) -> X6Report:
     """Operator residual of the commutator consistency identity:
 
         R = -[H(A:X), H(B:X)] - i delta[B] H(A:X) + i delta[A] H(B:X)
@@ -426,16 +433,16 @@ def omega_matrix(fam: GeneratorFamily, x: np.ndarray, dx: np.ndarray,
                  basis: ModeBasis) -> np.ndarray:
     """Matrix of Omega[dX] = -i (A+ phi - A- phi*) on the truncated basis."""
     phi = np.asarray(fam.phi(x, dx), dtype=complex).reshape(-1)
-    mats = lowering_matrices(basis)
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for i in range(basis.modes):
-        out += phi[i] * mats[i].conj().T - np.conj(phi[i]) * mats[i]
+    for p, (rows, cols, vals) in zip(phi, ladder_table(basis).lower):
+        out[cols, rows] = p * vals
+        out[rows, cols] = -(np.conj(p) * vals)
     return -1j * out
 
 
 def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
                           dx: np.ndarray, basis: ModeBasis,
-                          h: float = 1e-4, margin: int = 4) -> tuple[float, float]:
+                          h: float = 1e-4, margin: int = MARGIN) -> tuple[float, float]:
     """(omega residual, Omega residual) of the invariance conditions.
 
     omega: |delta[A] (P dQ - dS)| with the pushforward of dX included.
@@ -538,7 +545,7 @@ class WordResult:
 
 
 def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
-                 basis: ModeBasis, dt: float = 1e-3, margin: int = 4,
+                 basis: ModeBasis, dt: float = 1e-3, margin: int = MARGIN,
                  loop_tol: float = 1e-8) -> WordResult:
     """Compose one-parameter evolutions along a word of basis directions.
 
@@ -682,7 +689,7 @@ def group_element_action(fam: GeneratorFamily, g: np.ndarray,
 
 def check_group_law(fam: GeneratorFamily, g1: np.ndarray, g2: np.ndarray,
                     x: np.ndarray, basis: ModeBasis, dt: float = 1e-3,
-                    margin: int = 4) -> float:
+                    margin: int = MARGIN) -> float:
     """|| U_(g1)(u_(g1 g2) X <- u_(g2) X) U_(g2)(u_(g2) X <- X)
         - U_(g1 g2)(u_(g1 g2) X <- X) ||, margin-restricted."""
     x = np.asarray(x, dtype=float)

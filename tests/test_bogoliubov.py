@@ -290,7 +290,7 @@ def test_compose_flows_heisenberg_oracle():
     # the composed (F, G) must transport the creation operator the same way
     # as the product of matrix propagators:
     # U a+ U^-1 = conj(G) a+ - conj(F) a, on a deeply margin-restricted block
-    from semiclab.fock import lowering_matrices
+    from dense_fock import lowering_matrices
 
     k1, k2, t1, t2 = 0.3, 0.5, 0.6, 0.4
     f1 = integrate_flow(squeeze_path(k1), t=t1, dt=1e-3)

@@ -72,6 +72,10 @@ def test_unknown_top_level_key_is_a_config_error():
     ("constrained-basics.yaml", "run", "n_random", 2.0),
     ("rotation.yaml", "run", "t", float("nan")),
     ("rotation.yaml", "output", "report", 5),
+    # within the margin a restricted residual sees the vacuum alone, or nothing
+    ("anomaly-injection.yaml", "model", "cutoff", 4),
+    ("su11-metaplectic-loop.yaml", "model", "cutoff", 3),
+    ("u2-grouplaw.yaml", "model", "cutoff", 4),
 ])
 def test_values_of_the_wrong_kind_are_rejected(config, block, key, value,
                                                tmp_path):

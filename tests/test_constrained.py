@@ -251,10 +251,12 @@ def test_two_axis_pairing_table_against_per_node_products(bs):
     y2 = random_low_state(basis, rng, basis.cutoff)
     (lam1, v1), (lam2, v2) = fam.eigs
 
+    z1, z2 = y1.embed(fam.big).coeffs, y2.embed(fam.big).coeffs
+
     def explicit(beta):
-        vec = v2 @ (np.exp(beta[1] * lam2) * (v2.conj().T @ fam.embed(y2)))
+        vec = v2 @ (np.exp(beta[1] * lam2) * (v2.conj().T @ z2))
         vec = v1 @ (np.exp(beta[0] * lam1) * (v1.conj().T @ vec))
-        return np.vdot(fam.embed(y1), vec)
+        return np.vdot(z1, vec)
 
     radii = np.linspace(0.05, 3.0, 320)
     zeros = np.zeros_like(radii)

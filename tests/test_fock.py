@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from dense_fock import ladder_matrix, lowering_matrices
 
 from semiclab import fock
 from semiclab.fock import (
@@ -195,12 +197,6 @@ def test_displacement_shift_relation():
     assert np.linalg.norm(lhs2.coeffs - rhs2.coeffs) < 1e-10
 
 
-def _displacement_generator(b, basis):
-    """Dense K = A+[B] - A-[B*], the oracle's generator."""
-    a = fock.lowering_matrices(basis)
-    return sum(bi * ai.conj().T - np.conj(bi) * ai for bi, ai in zip(b, a))
-
-
 _DISPLACEMENT_AMPLITUDES = {
     "real": [0.8, 0.3, 0.5],
     "complex": [0.6 + 0.4j, -0.2 + 0.7j, 0.3 - 0.5j],
@@ -216,7 +212,7 @@ def test_displacement_eig_against_dense_oracles(kind, modes, cutoff):
 
     basis = ModeBasis(modes, cutoff)
     b = np.array(_DISPLACEMENT_AMPLITUDES[kind][:modes], dtype=complex)
-    k = _displacement_generator(b, basis)
+    k = ladder_matrix(b, basis)
     lam, v = fock.displacement_eig(b, basis)
     assert np.max(np.abs(lam.real)) == 0.0
     assert np.max(np.abs(v.conj().T @ v - np.eye(basis.size))) < 1e-12
@@ -444,3 +440,140 @@ def test_leakage_monotone_under_operations():
     psi = number_state(b, (4,)).with_leakage(0.5)
     out = apply_quadratic(QuadraticGenerator.from_blocks(hpp=[[0.3]]), psi)
     assert out.leakage >= 0.5
+
+
+def _dense_quadratic(gen, basis):
+    a = lowering_matrices(basis)
+    ad = [ai.conj().T for ai in a]
+    pairs = [(i, j) for i in range(gen.modes) for j in range(gen.modes)]
+    h = sum(0.5 * gen.hpp[i, j] * (ad[i] @ ad[j]) + gen.hpm[i, j] * (ad[i] @ a[j])
+            + 0.5 * gen.hmm[i, j] * (a[i] @ a[j]) for i, j in pairs)
+    return h + gen.hbar * np.eye(basis.size)
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 14), (2, 12), (3, 6)])
+def test_ladder_table_against_dense_oracle(modes, cutoff, monkeypatch):
+    # every operator that reads the ladder table, against products of the
+    # dense a_i built state by state: bitwise, since the table adds the
+    # nonzero terms of the dense products in the same order
+    from semiclab.symmetry import omega_matrix
+
+    rng = np.random.default_rng(modes * 100 + cutoff)
+    basis = ModeBasis(modes, cutoff)
+    a = lowering_matrices(basis)
+    ad = [ai.conj().T for ai in a]
+    pairs = [(i, j) for i in range(modes) for j in range(modes)]
+    psi = random_vector(basis, rng).with_leakage(0.125)
+    f = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+
+    def padded(extra):
+        big = basis.padded(extra)
+        return big, np.concatenate([psi.coeffs, np.zeros(big.size - basis.size)])
+
+    def kept_and_leakage(out):
+        return out[: basis.size], psi.leakage + np.sum(np.abs(out[basis.size:]) ** 2)
+
+    down = apply_ladder(f, psi, "annihilate")
+    dense = sum(np.conj(fi) * (ai @ psi.coeffs) for fi, ai in zip(f, a))
+    assert np.array_equal(down.coeffs, dense) and down.leakage == psi.leakage
+    big, src = padded(1)
+    up = apply_ladder(f, psi, "create")
+    kept, leakage = kept_and_leakage(
+        sum(fi * (ai.conj().T @ src) for fi, ai in zip(f, lowering_matrices(big))))
+    assert np.array_equal(up.coeffs, kept) and up.leakage == leakage
+
+    def herm(m):
+        return m + m.conj().T
+
+    z = rng.normal(size=(3, modes, modes)) + 1j * rng.normal(size=(3, modes, modes))
+    gen = QuadraticGenerator(z[0] + z[0].T, herm(z[1]), herm(z[2]), hbar=0.37)
+    h = _dense_quadratic(gen, basis)
+    assert np.array_equal(fock.quadratic_matrix(gen, basis), h)
+    dense = sum(z[1, i, j] * (ad[i] @ a[j]) for i, j in pairs)
+    assert np.array_equal(fock.one_body_matrix(z[1], basis), dense)
+    big, src = padded(2)
+    kept, leakage = kept_and_leakage(_dense_quadratic(gen, big) @ src)
+    out = apply_quadratic(gen, psi)
+    assert np.array_equal(out.coeffs, kept) and out.leakage == leakage
+
+    m = z[0] + z[0].T
+    m *= 0.4 / np.linalg.norm(m, 2)
+    term = np.zeros(basis.size, dtype=complex)
+    term[0] = 1.0
+    acc = term.copy()
+    for k in range(1, cutoff // 2 + 1):
+        term = sum(0.5 * m[i, j] * (ad[i] @ (ad[j] @ term)) for i, j in pairs) / k
+        acc += term
+    gauss = gaussian_state(GaussianData(m, c=0.7 + 0.2j), basis)
+    assert np.array_equal(gauss.coeffs, (0.7 + 0.2j) * acc)
+
+    phi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    fam = SimpleNamespace(phi=lambda x, dx: phi)
+    assert np.array_equal(omega_matrix(fam, None, None, basis),
+                          -1j * ladder_matrix(phi, basis))
+
+    # the real symmetric matrix that displacement_eig hands to eigh
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: seen.append(x) or eigh(x))
+    fock.displacement_eig(f, basis)
+    x = sum(abs(fi) * ai.real for fi, ai in zip(f, a))
+    assert np.array_equal(seen[0], x + x.T)
+
+
+def test_quadratic_matrix_memory_is_a_few_outputs():
+    # the assembly, table build included, holds no dim^2 stack per mode pair
+    import tracemalloc
+
+    for obj in vars(fock).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    basis = ModeBasis(2, 24)
+    gen = QuadraticGenerator.from_blocks(hpp=np.eye(2), hpm=np.ones((2, 2)))
+    tracemalloc.start()
+    try:
+        fock.quadratic_matrix(gen, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * basis.size**2 * 16
+
+
+@pytest.mark.parametrize("occupation", [(-1, 2), (1.7, 0), (2.0, 1)])
+def test_number_state_rejects_bad_occupations(occupation):
+    with pytest.raises(ValueError):
+        number_state(ModeBasis(2, 4), occupation)
+
+
+def test_number_state_takes_numpy_integers():
+    b = ModeBasis(2, 4)
+    psi = number_state(b, np.array([1, 2]))
+    assert psi.coeffs[b.index[(1, 2)]] == 1.0
+
+
+def test_validation_predicate_is_allclose():
+    tol = 1e-12 + 1e-5 * 2.0
+    cases = [
+        (2.0, 2.0),
+        (2.0 + 0.999 * tol, 2.0),
+        (2.0 + 1.001 * tol, 2.0),
+        (2.0 - 0.999 * tol, 2.0),
+        (2.0 - 1.001 * tol, 2.0),
+        (0.5e-12, 0.0),
+        (1.5e-12, 0.0),
+        (2.0 + 0.7j * tol, 2.0 + 0j),
+        (2.0 + 0.7 * tol + 0.75j * tol, 2.0 + 0j),
+        ([[1.0, 2.0 + 1e-9j], [2.0, 3.0]], [[1.0, 2.0], [2.0, 3.0]]),
+        ([[1.0, 2.1], [2.0, 3.0]], [[1.0, 2.0], [2.1, 3.0]]),
+    ]
+    verdicts = [fock._allclose(np.asarray(x), np.asarray(y)) for x, y in cases]
+    assert verdicts == [bool(np.allclose(x, y, atol=1e-12)) for x, y in cases]
+    assert True in verdicts and False in verdicts
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    assert not fock._allclose(nan, nan.T)
+    assert not fock._allclose(inf, inf.T)
+    with pytest.raises(ValueError):
+        QuadraticGenerator.from_blocks(hpp=inf)
+    with pytest.raises(ValueError):
+        GaussianData(nan * 0.1)

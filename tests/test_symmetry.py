@@ -23,6 +23,7 @@ from semiclab.symmetry import (
     second_kind_coords,
     word_product,
 )
+from semiclab.symmetry import _restrict
 
 
 def test_algebra_validation():
@@ -156,6 +157,20 @@ def test_x6_zero_generators():
     basis = ModeBasis(1, 8)
     rep = check_x6(fam, [0, 0, 0], [0, 0, 0], np.zeros(3), basis)
     assert rep.residual_norm == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("cutoff", [3, 4])
+def test_margin_restriction_needs_more_than_the_vacuum(cutoff):
+    # at cutoff <= 4 the restricted block is the vacuum alone or empty, where
+    # x6's off-scalar part is 0 by construction and a loop phase is 0/0
+    basis = ModeBasis(1, cutoff)
+    with pytest.raises(ValueError, match="margin"):
+        check_x6(su11_family(central_offset=0.05), [0, 1, 0], [0, 0, 1],
+                 np.zeros(3), basis)
+    with pytest.raises(ValueError, match="margin"):
+        word_product(su11_family(), GroupWord([(0, 4 * math.pi)]),
+                     np.zeros(3), basis)
+    assert _restrict(np.eye(6), ModeBasis(1, 5)).shape == (2, 2)
 
 
 def test_x6_anomaly_is_scalar_and_commutes_with_omega():
