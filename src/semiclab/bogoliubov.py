@@ -16,6 +16,9 @@ against each other:
   Schroedinger equation itself, which serves as the oracle for the
   Gaussian-ansatz propagator ``propagate_gaussian``.
 
+``compose_flows`` composes flows exactly, metaplectic phase included, so a
+product of evolutions stays one flow until ``propagator_from_flow``.
+
 Every fixed-step integration in the package goes through one fourth-order
 Runge-Kutta step ``rk4_step`` and one driver ``rk4`` with its step count
 ``step_count``.
@@ -446,6 +449,15 @@ class CreatedState:
         return len(self.vectors)
 
 
+def _transported_create(flow: BogoliubovFlow, vec: np.ndarray,
+                        psi: FockVector) -> FockVector:
+    """A_t+[f] psi = A+[conj(G) f] psi - A-[F conj(f)] psi, max leakage."""
+    up = apply_ladder(np.conj(flow.g) @ vec, psi, "create")
+    down = apply_ladder(flow.f @ np.conj(vec), psi, "annihilate")
+    return FockVector(psi.basis, up.coeffs - down.coeffs,
+                      max(up.leakage, down.leakage))
+
+
 def propagate_gaussian(
     init: CreatedState,
     flow: BogoliubovFlow,
@@ -465,10 +477,7 @@ def propagate_gaussian(
         raise FlowError(f"flow invariants off by {res.max:.3e}")
     state = gaussian_state(GaussianData(flow.m, c=flow.c), basis)
     for vec in reversed(init.vectors):
-        created = apply_ladder(np.conj(flow.g) @ vec, state, "create")
-        killed = apply_ladder(flow.f @ np.conj(vec), state, "annihilate")
-        state = FockVector(basis, created.coeffs - killed.coeffs,
-                           max(created.leakage, killed.leakage))
+        state = _transported_create(flow, vec, state)
     if init.scalar != 1.0:
         state = FockVector(basis, init.scalar * state.coeffs, state.leakage)
     return state
@@ -530,13 +539,10 @@ def propagator_from_flow(flow: BogoliubovFlow, basis: ModeBasis) -> tuple:
     n is one more A_t+[e_l] (l the last occupied mode) applied to the
     unscaled product for n - e_l, which precedes n in the graded order, so
     each column costs a single ladder pair.  Returns (matrix, max column
-    leakage).
+    leakage), each leakage scaled like its column.
     """
-    d = basis.modes
     vac = gaussian_state(GaussianData(flow.m, c=flow.c), basis)
-    unit = np.eye(d)
-    created = [np.conj(flow.g) @ unit[mode] for mode in range(d)]
-    killed = [flow.f @ unit[mode] for mode in range(d)]  # conj(e_mode) = e_mode
+    unit = np.eye(basis.modes)
     index = basis.index
     products = []
     cols = np.empty((basis.size, basis.size), dtype=complex)
@@ -547,28 +553,24 @@ def propagator_from_flow(flow: BogoliubovFlow, basis: ModeBasis) -> tuple:
         else:
             last = max(mode for mode, n in enumerate(occ) if n)
             prev = products[index[occ[:last] + (occ[last] - 1,) + occ[last + 1:]]]
-            up = apply_ladder(created[last], prev, "create")
-            down = apply_ladder(killed[last], prev, "annihilate")
-            psi = FockVector(basis, up.coeffs - down.coeffs,
-                             max(up.leakage, down.leakage))
+            psi = _transported_create(flow, unit[last], prev)
         products.append(psi)
         scale = 1.0
         for n in occ:
             if n:
                 scale *= math.factorial(n)
         cols[:, col] = psi.coeffs / math.sqrt(scale)
-        worst_leak = max(worst_leak, psi.leakage)
+        worst_leak = max(worst_leak, psi.leakage / scale)
     return cols, worst_leak
 
 
 def compose_flows(second: BogoliubovFlow, first: BogoliubovFlow) -> BogoliubovFlow:
     """Flow of the concatenated evolution (first, then second).
 
-    Composition acts through the block transfer matrix on (B, B*) pairs.
-    The scalar is the naive product c2 * c1: the metaplectic phase
-    correction of a Gaussian passing through the second flow is not applied
-    here, so only (F, G, M) should be trusted downstream; fiber operators
-    with correct phases come from per-factor propagation instead.
+    (F, G) compose through the block transfer matrices on (B, B*) pairs,
+    so G12 = G2 (1 + X) G1 with X = G2^-1 conj(F2) M1, and the phase
+    is c12 = c1 c2 det(1 + X)^(-1/2): the product of the principal roots of
+    the eigenvalues of 1 + X, which ||X|| < 1 keeps in the right half plane.
     """
     d = first.modes
 
@@ -581,11 +583,12 @@ def compose_flows(second: BogoliubovFlow, first: BogoliubovFlow) -> BogoliubovFl
     g = np.conj(tm[:d, :d])
     f = tm[:d, d:]
     m = _split_m(f, g, 1e12)
-    return BogoliubovFlow(f=f, g=g, m=m, c=second.c * first.c,
-                          t=first.t + second.t)
+    x = np.linalg.solve(second.g, np.conj(second.f) @ first.m)
+    c = second.c * first.c * np.prod(1 / np.sqrt(np.linalg.eigvals(np.eye(d) + x)))
+    return BogoliubovFlow(f=f, g=g, m=m, c=complex(c), t=first.t + second.t)
 
 
-def trajectory_to_csv(flow: BogoliubovFlow, path_out, path: Optional[GeneratorPath] = None):
+def trajectory_to_csv(flow: BogoliubovFlow, path_out):
     """Write the stored trajectory as CSV: t, vec(F), vec(G), vec(M), c, residuals."""
     if flow.times is None:
         raise ValueError("flow carries no trajectory")

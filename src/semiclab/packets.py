@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .bogoliubov import step_count
 from .quadrature import trapezoid_weights
 
 __all__ = [
@@ -770,11 +771,11 @@ def splitstep_evolve(
 ) -> GridWave:
     """Strang-split evolution: half potential, full kinetic, half potential.
 
-    Raises when the grid cannot resolve the packet's oscillation (spectral
-    mass too close to the Nyquist frequency).
+    ``step_count(t, dt)`` uniform steps cover [0, t].  Raises when the grid
+    cannot resolve the packet's oscillation (spectral mass too close to the
+    Nyquist frequency).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = step_count(t, dt)
     lam = psi0.lam
     grid = psi0.grid
     k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
@@ -787,8 +788,7 @@ def splitstep_evolve(
             "(spectral mass near the Nyquist frequency)"
         )
     x = grid.points
-    n_steps = max(1, int(round(t / dt)))
-    h = t / n_steps
+    h = t / max(n_steps, 1)
     kinetic = np.exp(-0.5j * h * lam * k**2 / problem.mass)
     vals = psi0.values.copy()
     now = 0.0

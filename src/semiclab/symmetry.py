@@ -474,19 +474,17 @@ def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
 
 @dataclass(frozen=True)
 class OneParamResult:
-    matrix: np.ndarray
     flow: BogoliubovFlow
     x_out: np.ndarray
-    leakage: float
 
 
 def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
-                basis: ModeBasis, dt: float = 1e-3) -> OneParamResult:
+                dt: float = 1e-3) -> OneParamResult:
     """Solve the one-parameter evolution along the classical flow of B.
 
     The generator path tau -> H(B: u_(g_B(tau)) X) feeds the linear flow
-    solver; the resulting (F, G, M, c) is realized as a matrix on the
-    truncated basis.  Unitary up to the reported leakage.
+    solver.  Returns the Bogoliubov flow (F, G, M, c) and the transported
+    point; ``propagator_from_flow`` realizes the flow on a truncated basis.
 
     When X is a fixed point of the classical flow of B
     (``ClassicalSystem.is_fixed_point``) the path is the constant generator
@@ -497,12 +495,10 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
     if t == 0.0:
-        return OneParamResult(np.eye(basis.size, dtype=complex),
-                              BogoliubovFlow.identity(basis.modes), x.copy(), 0.0)
+        return OneParamResult(BogoliubovFlow.identity(fam.modes), x.copy())
     if fam.system.is_fixed_point(b, x):
         flow = exponential_flow(fam.generator(np.sign(t) * b, x), abs(t))
-        matrix, leak = propagator_from_flow(flow, basis)
-        return OneParamResult(matrix, flow, x.copy(), leak)
+        return OneParamResult(flow, x.copy())
     n_steps = step_count(abs(t), dt)
     dt_eff = abs(t) / n_steps
     states = fam.system.trajectory(b, t, x, dt_eff)
@@ -516,9 +512,7 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
         return fam.generator(np.sign(t) * b, states[j])
 
     path = GeneratorPath(path_gen, abs(t))
-    flow = integrate_flow(path, abs(t), dt_eff)
-    matrix, leak = propagator_from_flow(flow, basis)
-    return OneParamResult(matrix, flow, states[-1], leak)
+    return OneParamResult(integrate_flow(path, abs(t), dt_eff), states[-1])
 
 
 @dataclass(frozen=True)
@@ -549,26 +543,25 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
                  loop_tol: float = 1e-8) -> WordResult:
     """Compose one-parameter evolutions along a word of basis directions.
 
-    When the word's classical product is the identity (in the matrix
-    representation and on the transported point), the result reports the
-    distance of the operator product to a global phase, and that phase.
+    The factor flows are composed (``compose_flows``) and the word's flow
+    is realized once, by ``propagator_from_flow``.  When the word's
+    classical product is the identity (in the matrix representation and on
+    the transported point), the result reports the distance of the operator
+    to a global phase, and that phase.
     """
     x = np.asarray(x, dtype=float)
     m = fam.algebra.dim
-    u_total = np.eye(basis.size, dtype=complex)
-    flow_total = BogoliubovFlow.identity(basis.modes)
+    flow_total = BogoliubovFlow.identity(fam.modes)
     rep = np.eye(fam.algebra.rep[0].shape[0], dtype=complex)
     x_cur = x.copy()
-    leak = 0.0
-    for idx, duration in word.factors:
+    for k, (idx, duration) in enumerate(word.factors):
         direction = np.zeros(m)
         direction[idx] = 1.0
-        step = one_param_u(fam, direction, duration, x_cur, basis, dt)
-        u_total = step.matrix @ u_total
-        flow_total = compose_flows(step.flow, flow_total)
+        step = one_param_u(fam, direction, duration, x_cur, dt)
+        flow_total = compose_flows(step.flow, flow_total) if k else step.flow
         rep = expm(duration * fam.algebra.rep[idx]) @ rep
         x_cur = step.x_out
-        leak = max(leak, step.leakage)
+    u_total, leak = propagator_from_flow(flow_total, basis)
     eye = np.eye(rep.shape[0])
     is_loop = (
         float(np.linalg.norm(rep - eye, 2)) <= loop_tol
@@ -663,7 +656,8 @@ class GroupAction:
         for idx, duration in self.word.factors:
             direction = np.zeros(m)
             direction[idx] = 1.0
-            x_cur = self._fam.system.flow(direction, duration, x_cur)
+            x_cur = self._fam.system.flow(direction, duration, x_cur,
+                                          self._dt)
         return x_cur
 
 

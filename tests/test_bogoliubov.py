@@ -311,6 +311,45 @@ def test_compose_flows_heisenberg_oracle():
     assert err < 1e-7
 
 
+def _random_generator(d, rng, pairing=0.3):
+    hpp = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    hpm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return QuadraticGenerator.from_blocks(
+        hpp=pairing * (hpp + hpp.T), hpm=0.5 * (hpm + hpm.conj().T),
+        hbar=rng.normal())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compose_flows_phase_splits_a_constant_flow(d):
+    rng = np.random.default_rng(40 + d)
+    naive = 0.0
+    for _ in range(10):
+        gen = _random_generator(d, rng)
+        t1, t2 = rng.uniform(0.1, 2.0, size=2)
+        first, second = exponential_flow(gen, t1), exponential_flow(gen, t2)
+        whole = exponential_flow(gen, t1 + t2)
+        comp = compose_flows(second, first)
+        assert abs(comp.c - whole.c) <= 1e-13
+        assert np.abs(comp.g - whole.g).max() <= 1e-12
+        naive = max(naive, abs(second.c * first.c - whole.c))
+    assert naive > 1e-3  # the phase is not the plain product
+
+
+@pytest.mark.parametrize("d, cutoff", [(1, 60), (2, 30)])
+def test_compose_flows_phase_is_the_vacuum_amplitude(d, cutoff):
+    # distinct generators: <0|U2 U1|0> from realized propagators; the
+    # truncated product itself is off by 1.4e-13 at (2, 30), 9e-16 at (2, 36)
+    rng = np.random.default_rng(d)
+    first = exponential_flow(_random_generator(d, rng, 0.2), 0.8)
+    second = exponential_flow(_random_generator(d, rng, 0.2), 0.6)
+    basis = ModeBasis(d, cutoff)
+    u1, _ = propagator_from_flow(first, basis)
+    u2, _ = propagator_from_flow(second, basis)
+    amplitude = (u2 @ u1)[0, 0]
+    assert abs(compose_flows(second, first).c - amplitude) <= 1e-12
+    assert abs(second.c * first.c - amplitude) > 1e-3
+
+
 def test_flow_error_on_coarse_step():
     rng = np.random.default_rng(3)
     path = random_path(2, rng, t_max=2.0)
@@ -414,7 +453,7 @@ def _propagator_per_column(flow, basis):
                                  max(up.leakage, down.leakage))
             scale *= math.factorial(n)
         cols[:, col] = psi.coeffs / math.sqrt(scale)
-        worst_leak = max(worst_leak, psi.leakage)
+        worst_leak = max(worst_leak, psi.leakage / scale)
     return cols, worst_leak
 
 

@@ -341,6 +341,34 @@ def test_splitstep_harmonic_center_follows_classical():
     assert abs(evolved.norm() - psi.norm()) < 1e-10
 
 
+def _harmonic_wave():
+    f = gaussian_shape(n=128, half_width=6)
+    x0 = PacketPoint(0.0, 1.0, 0.0)
+    return k_lambda(x0, f, 0.1, UniformGrid.centered(4.5, 512))
+
+
+def test_splitstep_rejects_negative_time():
+    psi = _harmonic_wave()
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        splitstep_evolve(psi, SplitStepProblem.polynomial([0, 0, 0.5]), -1.0, 1e-3)
+
+
+def test_splitstep_steps_never_exceed_dt():
+    # t / dt = 2.5 takes three steps of t / 3, not two of 0.125 > dt
+    psi = _harmonic_wave()
+    problem = SplitStepProblem.polynomial([0, 0, 0.5])
+    out = splitstep_evolve(psi, problem, 0.25, 0.1)
+    ref = splitstep_evolve(psi, problem, 0.25, 0.25 / 3)
+    assert np.array_equal(out.values, ref.values)
+
+
+def test_splitstep_zero_time_returns_initial_wave():
+    psi = _harmonic_wave()
+    out = splitstep_evolve(psi, SplitStepProblem.polynomial([0, 0, 0.5]), 0.0, 1e-3)
+    assert np.array_equal(out.values, psi.values)
+    assert out.lam == psi.lam
+
+
 def test_splitstep_resolution_guard():
     lam = 1e-3
     f = gaussian_shape(n=128, half_width=6)

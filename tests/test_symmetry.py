@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from semiclab.bogoliubov import propagator_from_flow
 from semiclab.fock import ModeBasis, QuadraticGenerator, number_matrix
 from semiclab.scenarios import heisenberg_family, su11_family, u2_family
 from semiclab.symmetry import (
@@ -237,23 +238,35 @@ def test_one_param_u_identity_and_rotation_phases():
     fam = su11_family()
     basis = ModeBasis(1, 12)
     x = np.zeros(3)
-    res0 = one_param_u(fam, [1, 0, 0], 0.0, x, basis)
-    assert np.allclose(res0.matrix, np.eye(basis.size))
+    res0 = one_param_u(fam, [1, 0, 0], 0.0, x)
+    assert np.allclose(propagator_from_flow(res0.flow, basis)[0], np.eye(basis.size))
     t = 0.9
-    res = one_param_u(fam, [1, 0, 0], t, x, basis, dt=1e-3)
+    res = one_param_u(fam, [1, 0, 0], t, x, dt=1e-3)
     # H(B0) = (n + 1/2)/2: diagonal phases e^(-i t (n + 1/2) / 2)
     expected = np.diag(np.exp(-1j * t * (np.arange(13) + 0.5) / 2))
-    assert np.abs(res.matrix - expected).max() < 1e-9
+    assert np.abs(propagator_from_flow(res.flow, basis)[0] - expected).max() < 1e-9
 
 
 def test_one_param_u_unitarity():
     fam = su11_family()
     basis = ModeBasis(1, 16)
     x = np.array([0.0, 0.3, -0.5])
-    res = one_param_u(fam, [0.4, 0.8, -0.3], 0.7, x, basis, dt=1e-3)
+    res = one_param_u(fam, [0.4, 0.8, -0.3], 0.7, x, dt=1e-3)
+    matrix, leakage = propagator_from_flow(res.flow, basis)
     drift = np.linalg.norm(
-        res.matrix.conj().T @ res.matrix - np.eye(basis.size), 2)
-    assert drift <= 1e-8 + 10 * res.leakage
+        matrix.conj().T @ matrix - np.eye(basis.size), 2)
+    assert drift <= 1e-8 + 10 * leakage
+
+
+def test_propagator_leakage_is_at_most_one_column_mass():
+    # the leakage is scaled like the columns (by 1 / prod n_i!), so it is
+    # a norm^2 on the scale of a unit column, not of the unscaled product
+    fam = su11_family()
+    basis = ModeBasis(1, 16)
+    x = np.array([0.0, 0.3, -0.5])
+    res = one_param_u(fam, [0.4, 0.8, -0.3], 0.7, x, dt=1e-3)
+    _, leakage = propagator_from_flow(res.flow, basis)
+    assert 0.0 < leakage <= 1.0
 
 
 def test_one_param_u_against_matrix_ode():
@@ -264,7 +277,7 @@ def test_one_param_u_against_matrix_ode():
     x = np.array([0.1, 0.6, 0.2])
     b = np.array([0.3, 0.5, 0.0])
     t = 0.8
-    res = one_param_u(fam, b, t, x, basis, dt=1e-3)
+    res = one_param_u(fam, b, t, x, dt=1e-3)
 
     states = fam.system.trajectory(b, t, x, t / 800)
 
@@ -275,7 +288,8 @@ def test_one_param_u_against_matrix_ode():
     u_ode = propagator_matrix(GeneratorPath(gen, t),
                               t, t / 800, basis)
     keep = basis.grade_size(8)
-    assert np.linalg.norm((res.matrix - u_ode)[:keep, :keep], 2) < 1e-6
+    matrix, _ = propagator_from_flow(res.flow, basis)
+    assert np.linalg.norm((matrix - u_ode)[:keep, :keep], 2) < 1e-6
 
 
 @pytest.mark.parametrize("family, b, x", [
@@ -283,25 +297,24 @@ def test_one_param_u_against_matrix_ode():
     (u2_family, [0.3, -0.5, 0.7, 0.2], [0.2, 0.6, -0.4]),
 ])
 def test_one_param_u_fixed_point_route_matches_rk4(family, b, x):
-    from semiclab.bogoliubov import (GeneratorPath, integrate_flow,
-                                     propagator_from_flow)
+    from semiclab.bogoliubov import GeneratorPath, integrate_flow
 
     fam = family()
     basis = ModeBasis(fam.modes, 12 if fam.modes == 1 else 8)
     b, x, t = np.array(b), np.array(x), 1.3
     assert fam.system.is_fixed_point(b, x)
-    res = one_param_u(fam, b, t, x, basis, dt=1e-3)
+    res = one_param_u(fam, b, t, x, dt=1e-3)
     assert res.flow.times is None  # the exact route keeps no trajectory
     assert np.array_equal(res.x_out, x)
     path = GeneratorPath.constant(fam.generator(b, x), t)
     rk4, _ = propagator_from_flow(integrate_flow(path, t, 1e-3), basis)
     keep = basis.grade_size(basis.cutoff - 4)
-    assert np.linalg.norm((res.matrix - rk4)[:keep, :keep], 2) <= 1e-9
+    matrix, _ = propagator_from_flow(res.flow, basis)
+    assert np.linalg.norm((matrix - rk4)[:keep, :keep], 2) <= 1e-9
 
 
 def test_one_param_u_moving_point_stays_on_rk4():
-    from semiclab.bogoliubov import (GeneratorPath, integrate_flow,
-                                     propagator_from_flow)
+    from semiclab.bogoliubov import GeneratorPath, integrate_flow
 
     fam = su11_family()
     basis = ModeBasis(1, 12)
@@ -309,7 +322,7 @@ def test_one_param_u_moving_point_stays_on_rk4():
     x = np.array([0.1, 0.6, 0.2])
     t, dt = 0.8, 1e-3
     assert not fam.system.is_fixed_point(b, x)
-    res = one_param_u(fam, b, t, x, basis, dt=dt)
+    res = one_param_u(fam, b, t, x, dt=dt)
 
     n_steps = math.ceil(t / dt - 1e-12)
     states = fam.system.trajectory(b, t, x, t / n_steps)
@@ -320,8 +333,9 @@ def test_one_param_u_moving_point_stays_on_rk4():
 
     flow = integrate_flow(GeneratorPath(gen, t), t, t / n_steps)
     matrix, leak = propagator_from_flow(flow, basis)
-    assert np.array_equal(res.matrix, matrix)
-    assert res.leakage == leak
+    res_matrix, res_leak = propagator_from_flow(res.flow, basis)
+    assert np.array_equal(res_matrix, matrix)
+    assert res_leak == leak
     assert np.array_equal(res.x_out, states[-1])
 
 
@@ -345,8 +359,7 @@ def test_one_param_u_step_grid_at_many_steps():
             hbar=float(a[0] * x[1] ** 2), modes=1))
     x = np.array([0.0, 0.5, 0.2])
     t = 0.3
-    res = one_param_u(fam, np.array([1.0, 0.0, 0.0]), t, x, ModeBasis(1, 1),
-                      dt=t / 18143.5)
+    res = one_param_u(fam, np.array([1.0, 0.0, 0.0]), t, x, dt=t / 18143.5)
     assert len(res.flow.times) == 18145
     phase = -((x[1] + t) ** 3 - x[1] ** 3) / 3
     assert abs(res.flow.c - np.exp(1j * phase)) <= 1e-10
@@ -362,13 +375,85 @@ def test_one_param_cocycle():
     b = np.array([0.2, 0.7, 0.1])
     t1, t2 = 0.5, 0.3
     x2 = classical_flow(fam.system, b, t2, x)
-    u1 = one_param_u(fam, b, t1, x2, basis, dt=5e-4)
-    u2 = one_param_u(fam, b, t2, x, basis, dt=5e-4)
-    u12 = one_param_u(fam, b, t1 + t2, x, basis, dt=5e-4)
+    u1, _ = propagator_from_flow(one_param_u(fam, b, t1, x2, dt=5e-4).flow, basis)
+    u2, _ = propagator_from_flow(one_param_u(fam, b, t2, x, dt=5e-4).flow, basis)
+    u12, _ = propagator_from_flow(
+        one_param_u(fam, b, t1 + t2, x, dt=5e-4).flow, basis)
     keep = basis.grade_size(6)
-    err = np.linalg.norm(
-        (u1.matrix @ u2.matrix - u12.matrix)[:keep, :keep], 2)
+    err = np.linalg.norm((u1 @ u2 - u12)[:keep, :keep], 2)
     assert err < 1e-8
+
+
+def _per_factor_product(fam, word, x, basis, dt):
+    # the per-factor route: realize every factor, multiply the matrices
+    u = np.eye(basis.size, dtype=complex)
+    for idx, duration in word.factors:
+        direction = np.zeros(fam.algebra.dim)
+        direction[idx] = 1.0
+        step = one_param_u(fam, direction, duration, x, dt)
+        u = propagator_from_flow(step.flow, basis)[0] @ u
+        x = step.x_out
+    return u
+
+
+def _u2_commutator_word(fam):
+    # factors apply first-to-last, so the first four produce the group
+    # element g2^-1 g1^-1 g2 g1; append the factorization of its inverse
+    s, t = 0.4, 0.7
+    g1 = expm(s * fam.algebra.rep[2])
+    g2 = expm(t * fam.algebra.rep[3])
+    residue = np.linalg.inv(g2) @ np.linalg.inv(g1) @ g2 @ g1
+    alphas = second_kind_coords(np.linalg.inv(residue), fam.algebra)
+    return GroupWord(
+        [(2, s), (3, t), (2, -s), (3, -t)]
+        + [(k, float(alphas[k])) for k in range(len(alphas) - 1, -1, -1)])
+
+
+@pytest.mark.parametrize("family, word, x, cutoff, grade", [
+    (u2_family, _u2_commutator_word, [0.0, 0.0, 0.0], 8, 4),
+    (su11_family, lambda fam: GroupWord([(0, 0.4), (1, 0.3), (2, -0.5)]),
+     [0.1, 0.5, -0.3], 60, 20),
+])
+def test_word_product_matches_per_factor_realizations(family, word, x, cutoff,
+                                                       grade):
+    fam = family()
+    word = word(fam)
+    basis = ModeBasis(fam.modes, cutoff)
+    x = np.array(x)
+    res = word_product(fam, word, x, basis, dt=2e-3)
+    oracle = _per_factor_product(fam, word, x, basis, 2e-3)
+    keep = basis.grade_size(grade)
+    assert np.linalg.norm((res.matrix - oracle)[:keep, :keep], 2) <= 1e-12
+
+
+def test_composed_phase_is_the_vacuum_amplitude_at_a_moving_point():
+    fam = su11_family()
+    basis = ModeBasis(1, 60)
+    x = np.array([0.1, 0.5, -0.3])
+    word = GroupWord([(0, 0.4), (1, 0.3), (2, -0.5)])
+    assert not fam.system.is_fixed_point([0, 1, 0], x)
+    res = word_product(fam, word, x, basis, dt=2e-3)
+    amplitude = _per_factor_product(fam, word, x, basis, 2e-3)[0, 0]
+    assert abs(res.flow.c - amplitude) <= 1e-12
+    assert res.matrix[0, 0] == res.flow.c
+
+
+def test_word_product_realizes_one_propagator(monkeypatch):
+    import semiclab.symmetry as symmetry
+
+    calls = []
+    real = symmetry.propagator_from_flow
+
+    def counting(flow, basis):
+        calls.append(basis)
+        return real(flow, basis)
+
+    monkeypatch.setattr(symmetry, "propagator_from_flow", counting)
+    fam = u2_family()
+    word = _u2_commutator_word(fam)
+    assert len(word.factors) == 8
+    word_product(fam, word, np.zeros(3), ModeBasis(2, 8), dt=2e-3)
+    assert len(calls) == 1
 
 
 def test_word_product_empty_and_loop():
@@ -396,18 +481,7 @@ def test_u2_commutator_word_closes():
     # its inverse: classically closed, quantum product must be the identity
     fam = u2_family()
     basis = ModeBasis(2, 8)
-    s, t = 0.4, 0.7
-    g1 = expm(s * fam.algebra.rep[2])
-    g2 = expm(t * fam.algebra.rep[3])
-    # factors apply first-to-last, so the first four produce the group
-    # element g2^-1 g1^-1 g2 g1; append the factorization of its inverse
-    residue = np.linalg.inv(g2) @ np.linalg.inv(g1) @ g2 @ g1
-    alphas = second_kind_coords(np.linalg.inv(residue), fam.algebra)
-    word = GroupWord(
-        [(2, s), (3, t), (2, -s), (3, -t)]
-        + [(k, float(alphas[k])) for k in range(len(alphas) - 1, -1, -1)]
-    )
-    res = word_product(fam, word, np.zeros(3), basis, dt=2e-3)
+    res = word_product(fam, _u2_commutator_word(fam), np.zeros(3), basis, dt=2e-3)
     assert res.classical_is_loop
     assert res.loop_distance < 1e-6
     assert abs(res.loop_phase) < 1e-6
@@ -516,3 +590,13 @@ def test_group_element_action_maps_points():
     g = expm(0.3 * fam.algebra.rep[0])
     act = group_element_action(fam, g, x, basis)
     assert np.abs(act.map_point(x) - act.x_out).max() < 1e-9
+
+
+@pytest.mark.parametrize("dt", [2e-3, 5e-3])
+def test_map_point_flows_at_the_action_step(dt):
+    fam = su11_family()
+    x = np.array([0.1, 0.5, -0.3])
+    g = expm(0.3 * fam.algebra.rep[0] + 0.2 * fam.algebra.rep[1]
+             - 0.1 * fam.algebra.rep[2])
+    act = group_element_action(fam, g, x, ModeBasis(1, 6), dt=dt)
+    assert np.array_equal(act.map_point(x), act.x_out)
