@@ -189,6 +189,8 @@ def report_body(report: dict) -> str:
 
 def sweep(cfg: dict, parameter: str, grid: Sequence[float]) -> dict:
     """Run one residual across a parameter grid; fit the log-log slope."""
+    from .packets import fit_loglog_slope
+
     errors = validate_config(cfg)
     if errors:
         raise ValueError("; ".join(errors))
@@ -210,9 +212,7 @@ def sweep(cfg: dict, parameter: str, grid: Sequence[float]) -> dict:
                          f"got {bad}")
     model, run = spec.settings(cfg.get("model", {}), cfg.get("run", {}))
     rows = [(value, residual(model, run, value)) for value in grid]
-    xs = np.array([r[0] for r in rows])
-    ys = np.maximum(np.array([r[1] for r in rows]), 1e-300)
-    slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    slope = fit_loglog_slope(grid, [r for _, r in rows], floor=1e-300)
     return {"parameter": parameter, "rows": rows, "slope": slope}
 
 

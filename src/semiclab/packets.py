@@ -13,7 +13,9 @@ evaluates independently of the grid.
 Shapes are sampled on uniform grids and evaluated off-grid by trigonometric
 interpolation with zero extension: the samples decay below 1e-10 at the
 grid edge, so the periodization error is negligible and shifted copies
-never wrap around.
+never wrap around.  Shifted grids are inverse FFTs of the phase-shifted
+spectrum, one batched kernel forms every fiber displacement, and split-step
+evolution fuses the half kicks that meet between kinetic steps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .bogoliubov import step_count
-from .quadrature import trapezoid_weights
+from .quadrature import gauss_legendre, trapezoid_weights
 
 __all__ = [
     "UniformGrid",
@@ -91,7 +93,6 @@ class ShapeFunction:
         self.grid = grid
         self.values = values
         self._spectrum = None
-        self._base_eval = None
 
     @property
     def spectrum(self):
@@ -127,17 +128,14 @@ class ShapeFunction:
     def at_shifted_grid(self, shifts: np.ndarray) -> np.ndarray:
         """Rows of samples at (grid points + shift), one row per shift.
 
-        The evaluation matrix factorizes into a cached per-point base and a
-        cheap per-shift phase vector, which makes batched shifted
-        evaluations much faster than generic interpolation.
+        On the grid e^(i w_k (xi_j - lo)) = e^(2 pi i k j / n), so each row
+        is the unnormalized inverse FFT of the coefficients times
+        e^(i w shift); points past the grid are zeroed as in ``at``.
         """
         shifts = np.asarray(shifts, dtype=float).reshape(-1)
-        if self._base_eval is None:
-            coeffs, freqs = self.spectrum
-            rel = self.grid.points - self.grid.lo
-            self._base_eval = np.exp(1j * np.outer(rel, freqs)) * coeffs[None, :]
-        phases = np.exp(1j * np.outer(shifts, self.spectrum[1]))
-        vals = phases @ self._base_eval.T
+        coeffs, freqs = self.spectrum
+        vals = np.fft.ifft(coeffs * np.exp(1j * np.outer(shifts, freqs)),
+                           axis=1, norm="forward")
         pts = self.grid.points[None, :] + shifts[:, None]
         outside = (pts < self.grid.lo) | (pts > self.grid.hi)
         vals[outside] = 0.0
@@ -152,17 +150,20 @@ class ShapeFunction:
         return ShapeFunction(self.grid, self.grid.points * self.values)
 
     def __add__(self, other: "ShapeFunction") -> "ShapeFunction":
-        if other.grid != self.grid:
-            raise ValueError("shapes live on different grids")
+        _require_same_grid(self, other)
         return ShapeFunction(self.grid, self.values + other.values)
 
     def scaled(self, z: complex) -> "ShapeFunction":
         return ShapeFunction(self.grid, z * self.values)
 
     def inner(self, other: "ShapeFunction") -> complex:
-        if other.grid != self.grid:
-            raise ValueError("shapes live on different grids")
+        _require_same_grid(self, other)
         return complex(np.vdot(self.values, other.values) * self.grid.spacing)
+
+
+def _require_same_grid(f: ShapeFunction, g: ShapeFunction) -> None:
+    if f.grid != g.grid:
+        raise ValueError("shapes live on different grids")
 
 
 def gaussian_shape(half_width: float = 10.0, n: int = 256,
@@ -272,9 +273,6 @@ class PacketForms:
     components = ("s", "q", "p")
     commutator_sign = -1.0
 
-    def omega(self, x: PacketPoint) -> dict:
-        return {"s": -1.0, "q": x.p, "p": 0.0}
-
     def omega_apply(self, x: PacketPoint, dx: Sequence[float]) -> float:
         ds, dq, dp = dx
         return x.p * dq - ds
@@ -287,11 +285,6 @@ class PacketForms:
         if component == "p":
             return f.times_xi()
         raise ValueError("component must be 's', 'q' or 'p'")
-
-    def apply_form(self, dx: Sequence[float], f: ShapeFunction) -> ShapeFunction:
-        ds, dq, dp = dx
-        out = f.times_xi().scaled(dp)
-        return out + f.derivative().scaled(1j * dq)
 
     def curl(self, i: str, j: str) -> float:
         """d_i omega_j - d_j omega_i for unit component directions."""
@@ -339,7 +332,8 @@ def derivative_identity_residual(
         raise ValueError("differencing step too small; cancellation detected")
     unit = {"s": (1.0, 0.0, 0.0), "q": (0.0, 1.0, 0.0), "p": (0.0, 0.0, 1.0)}[component]
     omega_val = forms.omega_apply(x, unit)
-    inner = f.scaled(omega_val) + forms.apply_form(unit, f).scaled(-math.sqrt(lam))
+    inner = f.scaled(omega_val) + forms.apply_operator(component, f).scaled(
+        -math.sqrt(lam))
     rhs = k_lambda(x, inner, lam, grid, tail_tol=1e-4)
     diff = lhs - rhs.values
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
@@ -412,30 +406,31 @@ def norm_constant(lam: float, k: int = 1) -> float:
     return lam ** (-k / 4)
 
 
-def fiber_displacement(g: ShapeFunction, a: float, b: float,
-                       beta: float) -> ShapeFunction:
-    """Apply exp(i beta (a xi - b (1/i) d/dxi)) to a shape.
+def _displaced_rows(g: ShapeFunction, a: float, b: float,
+                    betas: np.ndarray) -> np.ndarray:
+    """Samples of exp(i beta (a xi - b (1/i) d/dxi)) g, one row per beta.
 
     Splitting the exponent gives the exact one-dimensional formula
     e^(-i beta^2 a b / 2) e^(i beta a xi) g(xi - beta b); the shift is
     evaluated spectrally with zero extension, so nothing wraps around.
     """
-    xi = g.grid.points
-    shifted = g.at(xi - beta * b)
-    vals = np.exp(-0.5j * beta**2 * a * b) * np.exp(1j * beta * a * xi) * shifted
-    return ShapeFunction(g.grid, vals)
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    phases = np.exp(-0.5j * betas**2 * a * b)[:, None] * np.exp(
+        1j * np.outer(betas, a * g.grid.points))
+    return phases * g.at_shifted_grid(-betas * b)
+
+
+def fiber_displacement(g: ShapeFunction, a: float, b: float,
+                       beta: float) -> ShapeFunction:
+    """Apply exp(i beta (a xi - b (1/i) d/dxi)) to a shape."""
+    return ShapeFunction(g.grid, _displaced_rows(g, a, b, beta)[0])
 
 
 def _displacement_pairings(g1: ShapeFunction, g2: ShapeFunction, a: float,
                            b: float, betas: np.ndarray) -> np.ndarray:
     """(g1, e^(i beta (a xi - b (1/i) d/dxi)) g2) for a batch of betas."""
-    betas = np.asarray(betas, dtype=float).reshape(-1)
-    xi = g1.grid.points
-    shifted = g2.at_shifted_grid(-betas * b)
-    phases = np.exp(-0.5j * betas**2 * a * b)[:, None] * np.exp(
-        1j * np.outer(betas, a * xi))
-    integrand = np.conj(g1.values)[None, :] * phases * shifted
-    return integrand.sum(axis=1) * g1.grid.spacing
+    _require_same_grid(g1, g2)
+    return _displaced_rows(g2, a, b, betas) @ np.conj(g1.values) * g1.grid.spacing
 
 
 def _pairing_span(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
@@ -450,8 +445,8 @@ def _pairing_span(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
         cap = min(cap, 0.5 * math.pi / (g1.grid.spacing * abs(a)))
     scale = max(g1.norm() * g2.norm(), 1e-30)
     probe = np.linspace(0.05, cap, 400)
-    vals = np.abs(_displacement_pairings(g1, g2, a, b, probe))
-    vals = np.maximum(vals, np.abs(_displacement_pairings(g1, g2, a, b, -probe)))
+    both = _displacement_pairings(g1, g2, a, b, np.concatenate([probe, -probe]))
+    vals = np.abs(both).reshape(2, -1).max(axis=0)
     for j in range(len(probe)):
         if (vals[j:] <= target * scale).all():
             return float(min(1.1 * probe[j], cap))
@@ -474,7 +469,7 @@ def asymptotic_inner(
     if not np.allclose(m1.alphas, m2.alphas):
         raise ValueError("composed packets must share the manifold grid")
     weights = m1.quad_weights()
-    nodes, wq = np.polynomial.legendre.leggauss(beta_order)
+    nodes, wq = gauss_legendre(beta_order)
     total = 0.0 + 0.0j
     for j, alpha in enumerate(m1.alphas):
         alpha = float(alpha)
@@ -556,7 +551,7 @@ def direct_inner(
         raise ValueError("composed packets must share the manifold grid")
     weights = m1.quad_weights()
     root = math.sqrt(lam)
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(n_u)
+    u_nodes, u_weights = gauss_legendre(n_u)
     u_nodes = u_nodes * u_span
     u_weights = u_weights * u_span
     total = 0.0 + 0.0j
@@ -564,25 +559,22 @@ def direct_inner(
         alpha = float(alpha)
         x1 = m1.point(alpha)
         g1 = cp1.fiber_at(alpha)
-        xi = g1.grid.points
         alpha_ps = alpha + root * u_nodes
         s2 = np.array([m2.s_of(ap) for ap in alpha_ps])
         q2 = np.array([m2.q_of(ap) for ap in alpha_ps])
         p2 = np.array([m2.p_of(ap) for ap in alpha_ps])
+        shifts = (x1.q - q2) / root
         if callable(cp2.fiber):
-            rows = np.empty(len(alpha_ps), dtype=complex)
-            for i, ap in enumerate(alpha_ps):
-                g2 = cp2.fiber_at(float(ap))
-                vals2 = g2.at(xi + (x1.q - q2[i]) / root)
-                phase_xi = np.exp(1j * (p2[i] - x1.p) * xi / root)
-                rows[i] = np.sum(np.conj(g1.values) * vals2 * phase_xi) \
-                    * g1.grid.spacing
+            fibers = [cp2.fiber_at(float(ap)) for ap in alpha_ps]
+            shifted = np.concatenate([g2.at_shifted_grid(shift)
+                                      for g2, shift in zip(fibers, shifts)])
         else:
-            g2 = cp2.fiber
-            vals2 = g2.at_shifted_grid((x1.q - q2) / root)
-            phase_xi = np.exp(1j * np.outer(p2 - x1.p, xi) / root)
-            rows = (np.conj(g1.values)[None, :] * vals2 * phase_xi).sum(axis=1) \
-                * g1.grid.spacing
+            fibers = [cp2.fiber]
+            shifted = cp2.fiber.at_shifted_grid(shifts)
+        for g2 in fibers:
+            _require_same_grid(g1, g2)
+        phase_xi = np.exp(1j * np.outer(p2 - x1.p, g1.grid.points) / root)
+        rows = (shifted * phase_xi) @ np.conj(g1.values) * g1.grid.spacing
         phases = np.exp(1j * (s2 - x1.s) / lam) * np.exp(
             1j * p2 * (x1.q - q2) / lam)
         total += weights[j] * m1.density_at(alpha) * np.sum(
@@ -682,13 +674,8 @@ def project_fiber(
         xi_max = max(abs(g.grid.lo), abs(g.grid.hi))
         total_phase = abs(dp) * xi_max * 2 * span + 0.5 * abs(dp * dq) * span**2
         order = min(2048, 64 + int(0.8 * total_phase))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    betas = nodes * span
-    xi = g.grid.points
-    shifted = g.at_shifted_grid(-betas * dq)
-    phases = np.exp(-0.5j * betas**2 * dp * dq)[:, None] * np.exp(
-        1j * np.outer(betas, dp * xi))
-    total = (span * weights) @ (phases * shifted)
+    nodes, weights = gauss_legendre(order)
+    total = (span * weights) @ _displaced_rows(g, dp, dq, nodes * span)
     return ShapeFunction(g.grid, total)
 
 
@@ -734,10 +721,15 @@ def expansion_check(
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float],
                      floor: float = 1e-13) -> float:
+    """Least-squares slope of log(max(y, floor)) against log(x)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.maximum(np.asarray(ys, dtype=float), floor)
+    if xs.shape != ys.shape:
+        raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
     if len(xs) < 2:
         raise ValueError("need at least two points to fit a slope")
+    if not (xs > 0).all():
+        raise ValueError("every x must be positive")
     coeffs = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(coeffs[0])
 
@@ -771,9 +763,10 @@ def splitstep_evolve(
 ) -> GridWave:
     """Strang-split evolution: half potential, full kinetic, half potential.
 
-    ``step_count(t, dt)`` uniform steps cover [0, t].  Raises when the grid
-    cannot resolve the packet's oscillation (spectral mass too close to the
-    Nyquist frequency).
+    ``step_count(t, dt)`` uniform steps cover [0, t]; the two half kicks
+    that meet between steps act at one time and are applied as one full
+    kick.  Raises when the grid cannot resolve the packet's oscillation
+    (spectral mass too close to the Nyquist frequency).
     """
     n_steps = step_count(t, dt)
     lam = psi0.lam
@@ -790,13 +783,13 @@ def splitstep_evolve(
     x = grid.points
     h = t / max(n_steps, 1)
     kinetic = np.exp(-0.5j * h * lam * k**2 / problem.mass)
-    vals = psi0.values.copy()
+    vals = psi0.values * np.exp(-0.5j * h * problem.potential(x, 0.0) / lam)
     now = 0.0
-    for _ in range(n_steps):
-        vals = vals * np.exp(-0.5j * h * problem.potential(x, now) / lam)
+    for step in range(n_steps):
         vals = np.fft.ifft(kinetic * np.fft.fft(vals))
-        vals = vals * np.exp(-0.5j * h * problem.potential(x, now + h) / lam)
         now += h
+        kick = h if step < n_steps - 1 else 0.5 * h
+        vals = vals * np.exp(-1j * kick * problem.potential(x, now) / lam)
     return GridWave(grid, vals, lam)
 
 

@@ -9,12 +9,13 @@ asked to certify itself by order doubling and box growth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["QuadCertificate", "tensor_legendre", "integrate_box",
-           "gauss_hermite_nodes", "trapezoid_weights"]
+__all__ = ["QuadCertificate", "gauss_legendre", "tensor_legendre",
+           "integrate_box", "gauss_hermite_nodes", "trapezoid_weights"]
 
 
 class QuadratureError(RuntimeError):
@@ -39,10 +40,18 @@ class QuadCertificate:
         }
 
 
+@lru_cache(maxsize=64)
+def gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def tensor_legendre(radius: Sequence[float], order: int):
     """Nodes (n^k, k) and weights (n^k,) for the box prod_s [-r_s, r_s]."""
     radius = np.atleast_1d(np.asarray(radius, dtype=float))
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     axes_nodes = [r * x for r in radius]
     axes_weights = [r * w for r in radius]
     grids = np.meshgrid(*axes_nodes, indexing="ij")

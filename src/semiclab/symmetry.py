@@ -136,9 +136,6 @@ class LieAlgebra:
                 worst = max(worst, float(np.abs(comm - expect).max()))
         return worst
 
-    def rep_of(self, a: np.ndarray) -> np.ndarray:
-        return sum(float(ai) * ri for ai, ri in zip(a, self.rep))
-
 
 @dataclass(frozen=True)
 class AffineGenerator:

@@ -24,6 +24,7 @@ from semiclab.fock import (
     number_state,
     vacuum_state,
 )
+from semiclab.quadrature import gauss_legendre
 
 
 def squeeze_path(kappa=0.3, t_max=4.0):
@@ -360,6 +361,15 @@ def test_quadrature_certificate_record():
     rec = cert.to_record()
     assert set(rec) >= {"box", "order", "value", "order_doubling_delta"}
     assert rec["order_doubling_delta"] < 1e-8
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    x, w = gauss_legendre(64)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert gauss_legendre(64)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def _orbit_points():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semiclab.bogoliubov import step_count
 from semiclab.packets import (
     ComposedPacket,
     GridWave,
@@ -12,8 +13,11 @@ from semiclab.packets import (
     ShapeFunction,
     SplitStepProblem,
     UniformGrid,
+    _displaced_rows,
+    asymptotic_inner,
     compose_packet,
     derivative_identity_residual,
+    direct_inner,
     expansion_check,
     fiber_displacement,
     fit_loglog_slope,
@@ -217,6 +221,28 @@ def test_broken_isotropy_norm_collapse():
     assert slope > 2.0
 
 
+def test_fibers_on_different_grids_are_rejected():
+    # the same Gaussian on half-widths 10 and 8: pairing samples index by
+    # index would mis-pair them (22.2659 against 22.2362 for direct_inner)
+    orbit = harmonic_orbit(64)
+    wide = gaussian_shape(half_width=10)
+    narrow = gaussian_shape(half_width=8)
+    cp1 = ComposedPacket(orbit, wide)
+    for cp2 in (ComposedPacket(orbit, narrow),
+                ComposedPacket(orbit, lambda a: narrow)):
+        with pytest.raises(ValueError, match="different grids"):
+            direct_inner(cp1, cp2, lam=0.01)
+        with pytest.raises(ValueError, match="different grids"):
+            asymptotic_inner(cp1, cp2)
+
+
+def test_direct_inner_callable_fiber_matches_constant_fiber():
+    cp = ComposedPacket(harmonic_orbit(16), gaussian_shape(n=128, half_width=8))
+    same = ComposedPacket(cp.manifold, lambda a: cp.fiber)
+    ref = direct_inner(cp, cp, lam=0.01)
+    assert abs(direct_inner(cp, same, lam=0.01) - ref) < 1e-12 * abs(ref)
+
+
 def test_gauge_transform_trivial():
     cp = ComposedPacket(harmonic_orbit(16), gaussian_shape())
     zero = ShapeFunction(cp.fiber_at(0.0).grid,
@@ -369,6 +395,35 @@ def test_splitstep_zero_time_returns_initial_wave():
     assert out.lam == psi.lam
 
 
+def _unfused_splitstep(psi, problem, t, dt):
+    # the textbook Strang loop: two half kicks around every kinetic step
+    n_steps = step_count(t, dt)
+    h = t / n_steps
+    x = psi.grid.points
+    k = 2 * np.pi * np.fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
+    kinetic = np.exp(-0.5j * h * psi.lam * k**2 / problem.mass)
+    vals = psi.values.copy()
+    now = 0.0
+    for _ in range(n_steps):
+        vals = vals * np.exp(-0.5j * h * problem.potential(x, now) / psi.lam)
+        vals = np.fft.ifft(kinetic * np.fft.fft(vals))
+        vals = vals * np.exp(-0.5j * h * problem.potential(x, now + h) / psi.lam)
+        now += h
+    return vals
+
+
+@pytest.mark.parametrize("t, dt", [(0.5, 1e-3), (0.25, 0.1), (0.01, 0.01)])
+def test_splitstep_fused_kicks_match_unfused_loop(t, dt):
+    # a driven oscillator: the fused full kick must use the same times
+    def driven(x, now):
+        return 0.5 * x**2 + 0.3 * math.sin(3.0 * now) * x + 0.1 * now * x**3
+
+    psi = _harmonic_wave()
+    problem = SplitStepProblem(potential=driven)
+    out = splitstep_evolve(psi, problem, t, dt)
+    assert np.abs(out.values - _unfused_splitstep(psi, problem, t, dt)).max() < 1e-12
+
+
 def test_splitstep_resolution_guard():
     lam = 1e-3
     f = gaussian_shape(n=128, half_width=6)
@@ -388,3 +443,42 @@ def test_wave_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,re_psi,im_psi"
     assert len(lines) == 65
+
+
+@pytest.mark.parametrize("n", [128, 192, 255])
+def test_at_shifted_grid_matches_dense_interpolation(n):
+    # shifts inside, straddling the edge, exactly zero, and past the grid
+    f = gaussian_shape(half_width=8, n=n, width=0.9, center=0.3, momentum=1.1)
+    span = f.grid.hi - f.grid.lo
+    shifts = np.array([0.0, 0.37, -1.9, 6.5, -7.25, span - 0.01, span + 0.5,
+                       -span - 2.0])
+    rows = f.at_shifted_grid(shifts)
+    dense = np.array([f.at(f.grid.points + s) for s in shifts])
+    assert rows.shape == (len(shifts), n)
+    assert np.abs(rows - dense).max() < 1e-13
+    assert not rows[-2:].any()
+
+
+def test_displaced_rows_match_closed_form_through_at():
+    g = gaussian_shape(half_width=8, n=192, width=0.8, center=-0.4, momentum=0.6)
+    a, b = 0.7, -1.3
+    betas = np.array([0.0, 0.25, -0.8, 1.9, -3.1])
+    xi = g.grid.points
+    expect = np.array([
+        np.exp(-0.5j * beta**2 * a * b) * np.exp(1j * beta * a * xi)
+        * g.at(xi - beta * b) for beta in betas])
+    assert np.abs(_displaced_rows(g, a, b, betas) - expect).max() < 1e-13
+    moved = fiber_displacement(g, a, b, betas[3])
+    assert np.abs(moved.values - expect[3]).max() < 1e-13
+
+
+@pytest.mark.parametrize("xs", [[0.0, 0.1, 0.01], [-0.1, 0.01, 0.001]])
+def test_fit_loglog_slope_rejects_nonpositive_x(xs, capfd):
+    with pytest.raises(ValueError, match="positive"):
+        fit_loglog_slope(xs, [1e-3, 1e-4, 1e-5])
+    assert capfd.readouterr().err == ""
+
+
+def test_fit_loglog_slope_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="3 x values but 2 y values"):
+        fit_loglog_slope([0.1, 0.01, 0.001], [1e-3, 1e-4])
