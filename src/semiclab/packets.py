@@ -14,15 +14,18 @@ Shapes are sampled on uniform grids and evaluated off-grid by trigonometric
 interpolation with zero extension: the samples decay below 1e-10 at the
 grid edge, so the periodization error is negligible and shifted copies
 never wrap around.  Shifted grids are inverse FFTs of the phase-shifted
-spectrum, one batched kernel forms every fiber displacement, and split-step
-evolution fuses the half kicks that meet between kinetic steps.
+spectrum, and one batched kernel forms every fiber displacement.  The beta
+box of the fiber pairing is bracketed on a coarse subset of its probes and
+bisected.  Split-step evolution fuses the half kicks that meet between
+kinetic steps, and a time-independent potential kicks from phases built
+once per evolution.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -435,22 +438,40 @@ def _displacement_pairings(g1: ShapeFunction, g2: ShapeFunction, a: float,
 
 def _pairing_span(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
                   target: float = 1e-13, cap: float = 200.0) -> float:
-    """Half-width beyond which the pairing stays below target (scanned).
+    """Half-width beyond which the pairing stays below target (bracketed).
 
-    The scan never crosses the grid's alias limit: past beta with
-    |beta a| ~ pi / spacing the sampled modulation e^(i beta a xi) folds
-    back and fakes spurious revivals.
+    Of 400 probes in (0, cap], the last one where max |pairing(+-beta)|
+    exceeds target sets the span: 1.1 times the next probe.  Every fourth
+    probe and the last bracket it, and bisection between two bracketing
+    probes finds it, so a revival narrower than four probe spacings past
+    the last bracketing hit would go unseen.  The probes never cross the
+    grid's alias limit: past beta with |beta a| ~ pi / spacing the sampled
+    modulation e^(i beta a xi) folds back and fakes spurious revivals.
     """
     if abs(a) > 1e-12:
         cap = min(cap, 0.5 * math.pi / (g1.grid.spacing * abs(a)))
-    scale = max(g1.norm() * g2.norm(), 1e-30)
+    limit = target * max(g1.norm() * g2.norm(), 1e-30)
     probe = np.linspace(0.05, cap, 400)
-    both = _displacement_pairings(g1, g2, a, b, np.concatenate([probe, -probe]))
-    vals = np.abs(both).reshape(2, -1).max(axis=0)
-    for j in range(len(probe)):
-        if (vals[j:] <= target * scale).all():
-            return float(min(1.1 * probe[j], cap))
-    return cap
+
+    def above(idx):
+        betas = probe[idx]
+        both = _displacement_pairings(g1, g2, a, b, np.concatenate([betas, -betas]))
+        return ~(np.abs(both).reshape(2, -1).max(axis=0) <= limit)
+
+    coarse = np.append(np.arange(0, len(probe) - 1, 4), len(probe) - 1)
+    hits = np.flatnonzero(above(coarse))
+    if not len(hits):
+        return float(min(1.1 * probe[0], cap))
+    if hits[-1] == len(coarse) - 1:
+        return cap
+    lo, hi = coarse[hits[-1]], coarse[hits[-1] + 1]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above([mid])[0]:
+            lo = mid
+        else:
+            hi = mid
+    return float(min(1.1 * probe[hi], cap))
 
 
 def asymptotic_inner(
@@ -461,9 +482,9 @@ def asymptotic_inner(
 ) -> complex:
     """The lambda-free fiber inner product
 
-        int dalpha (g1, int dbeta e^(i beta Omega[X'(alpha)]) g2),
+        int dalpha rho1 rho2 (g1, int dbeta e^(i beta Omega[X'(alpha)]) g2),
 
-    with the beta box scanned from the pairing's decay per grid point.
+    with the beta box bracketed from the pairing's decay per grid point.
     """
     m1, m2 = cp1.manifold, cp2.manifold
     if not np.allclose(m1.alphas, m2.alphas):
@@ -478,7 +499,8 @@ def asymptotic_inner(
         g2 = cp2.fiber_at(alpha)
         span = beta_span if beta_span is not None else _pairing_span(g1, g2, dp, dq)
         vals = _displacement_pairings(g1, g2, dp, dq, nodes * span)
-        total += weights[j] * m1.density_at(alpha) * span * np.sum(wq * vals)
+        total += (weights[j] * m1.density_at(alpha) * m2.density_at(alpha)
+                  * span * np.sum(wq * vals))
     return complex(total)
 
 
@@ -545,6 +567,7 @@ def direct_inner(
     where the overlap profile is lambda-uniform on isotropic manifolds.
     The substitution absorbs the lam^(-k/2) of the squared superposition
     constant, so the value is directly comparable to the fiber expression.
+    Each pair is weighted by rho1(alpha) rho2(alpha'), as in the waves.
     """
     m1, m2 = cp1.manifold, cp2.manifold
     if not np.allclose(m1.alphas, m2.alphas):
@@ -563,6 +586,7 @@ def direct_inner(
         s2 = np.array([m2.s_of(ap) for ap in alpha_ps])
         q2 = np.array([m2.q_of(ap) for ap in alpha_ps])
         p2 = np.array([m2.p_of(ap) for ap in alpha_ps])
+        rho2 = np.array([m2.density_at(ap) for ap in alpha_ps])
         shifts = (x1.q - q2) / root
         if callable(cp2.fiber):
             fibers = [cp2.fiber_at(float(ap)) for ap in alpha_ps]
@@ -578,7 +602,7 @@ def direct_inner(
         phases = np.exp(1j * (s2 - x1.s) / lam) * np.exp(
             1j * p2 * (x1.q - q2) / lam)
         total += weights[j] * m1.density_at(alpha) * np.sum(
-            u_weights * phases * rows)
+            u_weights * rho2 * phases * rows)
     return complex(total)
 
 
@@ -736,22 +760,35 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float],
 
 @dataclass(frozen=True)
 class SplitStepProblem:
-    """i lam psi_t = (-lam^2/(2 m) d_xx + V(x, t)) psi with polynomial V."""
+    """i lam psi_t = (-lam^2/(2 m) d_xx + V(x, t)) psi.
+
+    ``static`` declares that V ignores t; only ``polynomial`` sets it, and
+    ``splitstep_evolve`` then builds its kick phases once.
+    """
 
     potential: Callable[[np.ndarray, float], np.ndarray]
     mass: float = 1.0
+    static: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     @staticmethod
     def polynomial(coeffs: Sequence[float], mass: float = 1.0) -> "SplitStepProblem":
-        """Potential sum_j coeffs[j] x^j (degree <= 4)."""
+        """Time-independent potential sum_j coeffs[j] x^j (degree <= 4)."""
         if len(coeffs) > 5:
             raise ValueError("potential degree must be at most 4")
         arr = np.asarray(coeffs, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("potential coefficients must be finite")
 
         def v(x, t):
             return np.polyval(arr[::-1], x)
 
-        return SplitStepProblem(potential=v, mass=mass)
+        problem = SplitStepProblem(potential=v, mass=mass)
+        object.__setattr__(problem, "static", True)
+        return problem
 
 
 def splitstep_evolve(
@@ -765,8 +802,10 @@ def splitstep_evolve(
 
     ``step_count(t, dt)`` uniform steps cover [0, t]; the two half kicks
     that meet between steps act at one time and are applied as one full
-    kick.  Raises when the grid cannot resolve the packet's oscillation
-    (spectral mass too close to the Nyquist frequency).
+    kick.  A static problem evaluates V and the half and full kick phases
+    once; otherwise each kick evaluates V at its time.  Raises when the
+    grid cannot resolve the packet's oscillation (spectral mass too close
+    to the Nyquist frequency).
     """
     n_steps = step_count(t, dt)
     lam = psi0.lam
@@ -783,13 +822,22 @@ def splitstep_evolve(
     x = grid.points
     h = t / max(n_steps, 1)
     kinetic = np.exp(-0.5j * h * lam * k**2 / problem.mass)
-    vals = psi0.values * np.exp(-0.5j * h * problem.potential(x, 0.0) / lam)
+    half, full = -0.5j * h, -1j * h
+    if problem.static:
+        v = problem.potential(x, 0.0)
+        phases = {scale: np.exp(scale * v / lam) for scale in (half, full)}
+
+    def kick(scale, now):
+        if problem.static:
+            return phases[scale]
+        return np.exp(scale * problem.potential(x, now) / lam)
+
+    vals = psi0.values * kick(half, 0.0)
     now = 0.0
     for step in range(n_steps):
         vals = np.fft.ifft(kinetic * np.fft.fft(vals))
         now += h
-        kick = h if step < n_steps - 1 else 0.5 * h
-        vals = vals * np.exp(-1j * kick * problem.potential(x, now) / lam)
+        vals = vals * kick(full if step < n_steps - 1 else half, now)
     return GridWave(grid, vals, lam)
 
 

@@ -215,22 +215,20 @@ def harmonic_orbit_manifold(n_alpha: int = 64):
     )
 
 
-def wkb_evolution_error(
-    lam: float,
+def wkb_reference(
     t: float = 0.1,
     q0: float = 1.0,
     p0: float = 0.0,
     cubic: float = 0.2,
     n_xi: int = 256,
     xi_half_width: float = 8.0,
-) -> float:
-    """Distance of the split-step evolution to the packet-form prediction.
+) -> Callable[[float], float]:
+    """The lambda-free half of the WKB oracle, and lam -> error against it.
 
-    The oracle assembles the predicted state from three independent
-    integrations: the classical trajectory (with its action), and the
-    shape evolved by the time-dependent quadratic fiber Hamiltonian
-    p^2/2 + V''(Q_t) xi^2/2.  The gap closes like sqrt(lambda) because the
-    cubic Taylor remainder of the potential enters at that order.
+    Integrates the classical trajectory with its action and the fiber
+    shape under the quadratic fiber Hamiltonian p^2/2 + V''(Q_t) xi^2/2
+    once; the returned function runs the full split-step evolution at one
+    lambda and measures its distance to the predicted packet.
     """
     from .packets import (
         GridWave,
@@ -274,25 +272,50 @@ def wkb_evolution_error(
     fiber_t = splitstep_evolve(
         fiber_wave, SplitStepProblem(potential=fiber_potential), t, hcl)
     f_t = ShapeFunction(f0.grid, fiber_t.values)
-
-    # full evolution at this lambda
-    root = math.sqrt(lam)
     q_span = max(abs(zs[:, 1].max()), abs(zs[:, 1].min()))
-    half_width = q_span + (xi_half_width + 2) * root + 0.2
     p_max = np.abs(zs[:, 2]).max()
-    k_need = (p_max + 6 * root) / lam + xi_half_width
-    n_x = 64
-    while math.pi * n_x / (2 * half_width) < 1.6 * k_need and n_x < 2**21:
-        n_x *= 2
-    grid = UniformGrid.centered(half_width, n_x)
-    psi0 = k_lambda(PacketPoint(0.0, q0, p0), f0, lam, grid)
-    dt = min(1e-3, lam / 8)
-    psi_t = splitstep_evolve(psi0, SplitStepProblem.polynomial(
-        [0.0, 0.0, 0.5, cubic]), t, dt)
-    predicted = k_lambda(PacketPoint(s_t, q_t, p_t), f_t, lam, grid,
-                         tail_tol=1e-4)
-    diff = psi_t.values - predicted.values
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
+
+    def error_at(lam: float) -> float:
+        # full evolution at this lambda
+        root = math.sqrt(lam)
+        half_width = q_span + (xi_half_width + 2) * root + 0.2
+        k_need = (p_max + 6 * root) / lam + xi_half_width
+        n_x = 64
+        while math.pi * n_x / (2 * half_width) < 1.6 * k_need and n_x < 2**21:
+            n_x *= 2
+        grid = UniformGrid.centered(half_width, n_x)
+        psi0 = k_lambda(PacketPoint(0.0, q0, p0), f0, lam, grid)
+        dt = min(1e-3, lam / 8)
+        psi_t = splitstep_evolve(psi0, SplitStepProblem.polynomial(
+            [0.0, 0.0, 0.5, cubic]), t, dt)
+        predicted = k_lambda(PacketPoint(s_t, q_t, p_t), f_t, lam, grid,
+                             tail_tol=1e-4)
+        diff = psi_t.values - predicted.values
+        return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
+
+    return error_at
+
+
+def wkb_evolution_error(
+    lam: float,
+    t: float = 0.1,
+    q0: float = 1.0,
+    p0: float = 0.0,
+    cubic: float = 0.2,
+    n_xi: int = 256,
+    xi_half_width: float = 8.0,
+) -> float:
+    """Distance of the split-step evolution to the packet-form prediction.
+
+    The oracle assembles the predicted state from three independent
+    integrations: the classical trajectory (with its action), and the
+    shape evolved by the time-dependent quadratic fiber Hamiltonian
+    p^2/2 + V''(Q_t) xi^2/2, both built by ``wkb_reference``.  The gap
+    closes like sqrt(lambda) because the cubic Taylor remainder of the
+    potential enters at that order.
+    """
+    return wkb_reference(t=t, q0=q0, p0=p0, cubic=cubic, n_xi=n_xi,
+                         xi_half_width=xi_half_width)(lam)
 
 
 def mixed_rotation_squeeze_path(t_max: float = 8.0):
@@ -664,7 +687,8 @@ def _packet_checks(model: dict, run: dict, seed: int):
         return float(abs(q - math.cos(t)) + abs(p + math.sin(t)))
 
     def wkb_slope():
-        errs = [wkb_evolution_error(lam) for lam in lam_sweep]
+        error_at = wkb_reference()
+        errs = [error_at(lam) for lam in lam_sweep]
         return 0.45 - fit_loglog_slope(lam_sweep, errs)
 
     return [

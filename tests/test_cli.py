@@ -431,3 +431,36 @@ def test_shared_artifacts_are_computed_once_under_the_pool(monkeypatch):
             assert dict(counts) == {"check_f3": 1, "check_x6": 1}
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_wkb_reference_is_built_once_per_check(monkeypatch):
+    # one trajectory and one fiber evolution for the whole lambda sweep,
+    # then one full evolution per lambda; the errors it fits are bitwise
+    # those of wkb_evolution_error
+    from collections import Counter
+
+    from semiclab import packets, scenarios
+
+    counts, fitted = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fit = packets.fit_loglog_slope
+    monkeypatch.setattr(packets, "splitstep_evolve",
+                        counted("splitstep_evolve", packets.splitstep_evolve))
+    monkeypatch.setattr(scenarios, "rk4_step",
+                        counted("rk4_step", scenarios.rk4_step))
+    monkeypatch.setattr(packets, "fit_loglog_slope",
+                        lambda xs, ys: fitted.append(list(ys)) or fit(xs, ys))
+    lams = [0.1, 0.01, 0.001]
+    checks = scenarios.build_checks("packet-harmonic", {},
+                                    {"lambda_sweep": lams}, 0)
+    [wkb] = [c for c in checks if c.name == "wkb-form-slope"]
+    wkb.fn()
+    assert dict(counts) == {"splitstep_evolve": 4, "rk4_step": 4096}
+    monkeypatch.undo()
+    assert fitted == [[scenarios.wkb_evolution_error(lam) for lam in lams]]

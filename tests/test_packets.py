@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from semiclab.packets import (
     SplitStepProblem,
     UniformGrid,
     _displaced_rows,
+    _displacement_pairings,
+    _pairing_span,
     asymptotic_inner,
     compose_packet,
     derivative_identity_residual,
@@ -32,6 +35,8 @@ from semiclab.packets import (
     wave_moments,
     wave_to_csv,
 )
+from semiclab.quadrature import gauss_legendre
+from semiclab.scenarios import harmonic_orbit_manifold
 
 
 def harmonic_orbit(n_alpha=64):
@@ -243,6 +248,29 @@ def test_direct_inner_callable_fiber_matches_constant_fiber():
     assert abs(direct_inner(cp, same, lam=0.01) - ref) < 1e-12 * abs(ref)
 
 
+def test_pairings_weight_both_densities():
+    # the grid inner product of the composed waves weights alpha by rho1 and
+    # alpha' by rho2; a plain packet against rho^2 pairs like rho against rho
+    lam = 0.01
+    plain = harmonic_orbit(128)
+
+    def rho(a):
+        return 1 + 0.5 * math.cos(a)
+
+    f = gaussian_shape(n=128, half_width=8)
+    packets = {
+        name: ComposedPacket(dataclasses.replace(plain, density=d), f)
+        for name, d in (("plain", None), ("rho", rho),
+                        ("rho2", lambda a: rho(a) ** 2))}
+    grid = UniformGrid.centered(2.2, 1024)
+    waves = {name: compose_packet(cp, lam, grid) for name, cp in packets.items()}
+    for left, right in (("rho", "rho"), ("plain", "rho2")):
+        cp1, cp2 = packets[left], packets[right]
+        exact = waves[left].inner(waves[right])
+        assert abs(direct_inner(cp1, cp2, lam) - exact) < 1e-10 * abs(exact)
+        assert abs(asymptotic_inner(cp1, cp2) - exact) < 1e-2 * abs(exact)
+
+
 def test_gauge_transform_trivial():
     cp = ComposedPacket(harmonic_orbit(16), gaussian_shape())
     zero = ShapeFunction(cp.fiber_at(0.0).grid,
@@ -424,6 +452,43 @@ def test_splitstep_fused_kicks_match_unfused_loop(t, dt):
     assert np.abs(out.values - _unfused_splitstep(psi, problem, t, dt)).max() < 1e-12
 
 
+@pytest.mark.parametrize("t, dt", [(0.5, 1e-3), (0.25, 0.1), (0.0, 1e-3)])
+def test_splitstep_static_kicks_match_time_dependent_loop(t, dt):
+    # the same potential as an opaque callable of (x, t) takes the per-step
+    # loop, which is the oracle of the cached phases
+    psi = _harmonic_wave()
+    static = SplitStepProblem.polynomial([0.1, -0.2, 0.5, 0.2, 0.05], mass=1.3)
+    loop = SplitStepProblem(potential=lambda x, now: static.potential(x, now),
+                            mass=1.3)
+    assert static.static and not loop.static
+    out = splitstep_evolve(psi, static, t, dt)
+    assert np.array_equal(out.values, splitstep_evolve(psi, loop, t, dt).values)
+
+
+def test_splitstep_static_kicks_evaluate_the_potential_once(monkeypatch):
+    calls = []
+    polyval = np.polyval
+    monkeypatch.setattr(np, "polyval",
+                        lambda c, x: calls.append(1) or polyval(c, x))
+    splitstep_evolve(_harmonic_wave(), SplitStepProblem.polynomial([0, 0, 0.5]),
+                     0.1, 1e-3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+def test_splitstep_problem_rejects_bad_mass(mass):
+    with pytest.raises(ValueError, match="mass"):
+        SplitStepProblem(potential=lambda x, t: 0 * x, mass=mass)
+    with pytest.raises(ValueError, match="mass"):
+        SplitStepProblem.polynomial([0, 0, 0.5], mass=mass)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_splitstep_problem_rejects_nonfinite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SplitStepProblem.polynomial([0, bad, 0.5])
+
+
 def test_splitstep_resolution_guard():
     lam = 1e-3
     f = gaussian_shape(n=128, half_width=6)
@@ -482,3 +547,53 @@ def test_fit_loglog_slope_rejects_nonpositive_x(xs, capfd):
 def test_fit_loglog_slope_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="3 x values but 2 y values"):
         fit_loglog_slope([0.1, 0.01, 0.001], [1e-3, 1e-4])
+
+
+def _scanned_span(g1, g2, a, b, target=1e-13, cap=200.0):
+    # the oracle: every one of the 400 probes, both signs
+    if abs(a) > 1e-12:
+        cap = min(cap, 0.5 * math.pi / (g1.grid.spacing * abs(a)))
+    scale = max(g1.norm() * g2.norm(), 1e-30)
+    probe = np.linspace(0.05, cap, 400)
+    both = _displacement_pairings(g1, g2, a, b, np.concatenate([probe, -probe]))
+    vals = np.abs(both).reshape(2, -1).max(axis=0)
+    for j in range(len(probe)):
+        if (vals[j:] <= target * scale).all():
+            return float(min(1.1 * probe[j], cap))
+    return cap
+
+
+def test_pairing_span_matches_scan_on_harmonic_orbit():
+    g = gaussian_shape()
+    manifold = harmonic_orbit_manifold()
+    for alpha in manifold.alphas:
+        _, dq, dp = manifold.tangent(float(alpha))
+        assert _pairing_span(g, g, dp, dq) == _scanned_span(g, g, dp, dq)
+
+
+def test_pairing_span_integral_matches_scan_on_revival_set():
+    # two-bump fibers revive where the shift maps one bump onto the other;
+    # off-centre and momentum-carrying fibers decay off-axis
+    gauss = gaussian_shape()
+    two_bump = (gaussian_shape(width=0.6, center=-3.0)
+                + gaussian_shape(width=0.6, center=3.0, momentum=-0.8))
+    off = gaussian_shape(width=0.7, center=2.5)
+    moving = gaussian_shape(width=1.3, momentum=1.5)
+    pairs = [(gauss, gauss), (two_bump, two_bump), (off, off), (moving, moving),
+             (gauss, two_bump), (two_bump, moving), (off, moving)]
+    rng = np.random.default_rng(3)
+    angles = np.concatenate([np.linspace(0, 2 * np.pi, 8, endpoint=False),
+                             rng.uniform(0, 2 * np.pi, 4)])
+    radii = np.concatenate([np.ones(8), rng.uniform(0.3, 3.0, 4)])
+    nodes, weights = gauss_legendre(96)
+
+    def integral(g1, g2, a, b, span):
+        return span * np.sum(weights * _displacement_pairings(g1, g2, a, b,
+                                                              nodes * span))
+
+    for g1, g2 in pairs:
+        for angle, r in zip(angles, radii):
+            a, b = r * math.cos(angle), r * math.sin(angle)
+            new = integral(g1, g2, a, b, _pairing_span(g1, g2, a, b))
+            old = integral(g1, g2, a, b, _scanned_span(g1, g2, a, b))
+            assert abs(new - old) <= 1e-12 * g1.norm() * g2.norm()
