@@ -4,17 +4,23 @@ Independent routes to the same dynamics are provided and cross-checked
 against each other:
 
 - ``integrate_flow``: fixed-step fourth-order integration of the linear
-  (F, G) system, with the Riccati matrix M = F G^-1 and the scalar phase c
-  carried along; it serves every time-dependent generator path;
+  system [F; G]' = K [F; G] and of the scalar theta' = 1/2 tr H+- - hbar;
+  it serves every time-dependent generator path;
 - ``exponential_flow``: the exact flow of a constant generator, one matrix
-  exponential of the 2d x 2d system matrix with the phase in closed form
-  and its square-root branch continued explicitly; ``integrate_flow`` is
+  exponential of the same 2d x 2d system matrix K; ``integrate_flow`` is
   its oracle in the tests;
 - ``picard_flow``: the iterated-integral (Picard) series for the same system
   in the interaction picture of the constant single-particle part L;
 - ``propagate_direct``: fourth-order integration of the truncated
   Schroedinger equation itself, which serves as the oracle for the
   Gaussian-ansatz propagator ``propagate_gaussian``.
+
+Both routes share K and the closed-form metaplectic phase: since
+d log det G = i tr H+- + i tr(conj(H++) M), the phase equation
+dc/dt = -i (1/2 tr(conj(H++) M) + hbar) c integrates to
+c = det(G)^(-1/2) e^(i theta), the square root continued from det G(0) = 1
+along the samples of the flow.  The Riccati matrix M = F G^-1 is formed
+only where it is read.
 
 ``compose_flows`` composes flows exactly, metaplectic phase included, so a
 product of evolutions stays one flow until ``propagator_from_flow``.
@@ -27,6 +33,7 @@ Runge-Kutta step ``rk4_step`` and one driver ``rk4`` with its step count
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -128,11 +135,14 @@ class GeneratorPath:
     """Time-dependent quadratic generator t -> H_t on [0, t_max].
 
     The constant single-particle block L must not vary along the path (it
-    is the interaction-picture pivot).
+    is the interaction-picture pivot).  ``static`` declares that the
+    generator ignores t; only ``constant`` sets it, and ``integrate_flow``
+    and the direct propagators then assemble their operators once.
     """
 
     generator: Callable[[float], QuadraticGenerator]
     t_max: float
+    static: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.t_max <= 0:
@@ -157,7 +167,9 @@ class GeneratorPath:
 
     @staticmethod
     def constant(gen: QuadraticGenerator, t_max: float) -> "GeneratorPath":
-        return GeneratorPath(lambda t: gen, t_max)
+        path = GeneratorPath(lambda t: gen, t_max)
+        object.__setattr__(path, "static", True)
+        return path
 
     @staticmethod
     def from_samples(times: Sequence[float], gens: Sequence[QuadraticGenerator]):
@@ -226,10 +238,38 @@ class FlowResiduals:
 
 
 def _split_m(f: np.ndarray, g: np.ndarray, cond_limit: float) -> np.ndarray:
-    if np.linalg.cond(g) > cond_limit:
+    """Symmetrized M = F G^-1 of one flow or of a stack of them."""
+    if np.any(np.linalg.cond(g) > cond_limit):
         raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
-    m = np.linalg.solve(g.T, f.T).T
-    return 0.5 * (m + m.T)
+    m = np.swapaxes(np.linalg.solve(np.swapaxes(g, -1, -2),
+                                    np.swapaxes(f, -1, -2)), -1, -2)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _linear_system(gen: QuadraticGenerator) -> tuple:
+    """(K, theta') of a generator: [F; G]' = K [F; G], theta' = 1/2 tr H+- - hbar.
+
+    K = [[-i H+-, -i H++], [i conj(H++), i conj(H+-)]].
+    """
+    hpm, hpp = gen.hpm, gen.hpp
+    k = np.block([[-1j * hpm, -1j * hpp],
+                  [1j * np.conj(hpp), 1j * np.conj(hpm)]])
+    return k, 0.5 * float(np.trace(hpm).real) - gen.hbar
+
+
+def _metaplectic_phase(gs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """c = det(G)^(-1/2) e^(i theta) at every sample of a flow from G = 1.
+
+    The square root is continued from det G(0) = 1 by unwrapping arg det G
+    over the samples, which is exact while consecutive samples differ by
+    less than pi/2; a larger move raises ``FlowError``.
+    """
+    dets = np.linalg.det(gs)
+    arg = np.unwrap(np.angle(dets))
+    if np.any(np.abs(np.diff(arg)) >= math.pi / 2):
+        raise FlowError("arg det G moves by pi/2 or more between samples; the "
+                        "step is too coarse to continue the square-root branch")
+    return np.exp(-0.5 * (np.log(np.abs(dets)) + 1j * arg) + 1j * thetas)
 
 
 def integrate_flow(
@@ -241,32 +281,38 @@ def integrate_flow(
 ) -> BogoliubovFlow:
     """Integrate the linear flow equations from (F, G) = (0, 1) to time t.
 
-    ``rk4`` steps the packed state [vec F, vec G, c] with a fixed dt (the
-    final step is shortened to land on t exactly) and keeps every step as
-    the trajectory.  M is recovered as F G^-1 and symmetrized at every
-    evaluation; c solves the phase equation alongside.
+    ``rk4`` steps the packed state [vec [F; G], theta] of the linear system
+    [F; G]' = K(tau) [F; G], theta' = 1/2 tr H+- - hbar with a fixed dt
+    (the final step is shortened to land on t exactly) and keeps every step
+    as the trajectory.  The phase c = det(G)^(-1/2) e^(i theta) is formed
+    at every kept step, its root continued over them, and M = F G^-1 only
+    at the end point.  Every stage's G is checked against ``cond_limit`` in
+    one batched cond after the loop.  A static path builds K once.
     """
     path.check_time(t)
     d = path.modes
-    n = d * d
+    n = 2 * d * d
+    stage_g = np.empty((4 * step_count(t, dt), d, d), dtype=complex)
+    stages = itertools.count()
+    fixed = _linear_system(path(0.0)) if path.static else None
 
     def rhs(tau, y):
-        f, g, c = y[:n].reshape(d, d), y[n:2 * n].reshape(d, d), y[-1]
-        gen = path(tau)
-        hpm, hpp = gen.hpm, gen.hpp
-        df = -1j * (hpm @ f + hpp @ g)
-        dg = 1j * (np.conj(hpm) @ g + np.conj(hpp) @ f)
-        m = _split_m(f, g, cond_limit)
-        dc = -1j * (0.5 * np.trace(np.conj(hpp) @ m) + gen.hbar) * c
-        return np.concatenate([df.ravel(), dg.ravel(), [dc]])
+        fg = y[:n].reshape(2 * d, d)
+        stage_g[next(stages)] = fg[d:]
+        k, rate = fixed if path.static else _linear_system(path(tau))
+        return np.concatenate([(k @ fg).ravel(), [rate]])
 
-    y0 = np.concatenate([np.zeros(n), np.eye(d).ravel(), [1.0]]).astype(complex)
+    y0 = np.concatenate([np.zeros(d * d), np.eye(d).ravel(), [0.0]]).astype(complex)
     times, ys = rk4(rhs, y0, t, dt, keep=True)
-    fs, gs = ys[:, :n].reshape(-1, d, d), ys[:, n:2 * n].reshape(-1, d, d)
+    if np.any(np.linalg.cond(stage_g) > cond_limit):
+        raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
+    fgs = ys[:, :n].reshape(-1, 2 * d, d)
+    fs, gs = fgs[:, :d], fgs[:, d:]
+    cs = _metaplectic_phase(gs, ys[:, -1].real)
     f, g = fs[-1], gs[-1]
     flow = BogoliubovFlow(
-        f=f, g=g, m=_split_m(f, g, cond_limit), c=ys[-1, -1], t=float(times[-1]),
-        times=times, fs=fs, gs=gs, cs=ys[:, -1],
+        f=f, g=g, m=_split_m(f, g, cond_limit), c=cs[-1], t=float(times[-1]),
+        times=times, fs=fs, gs=gs, cs=cs,
     )
     if residual_tol is not None:
         res = flow_invariants(flow)
@@ -288,7 +334,7 @@ def exponential_flow(gen: QuadraticGenerator, t: float) -> BogoliubovFlow:
 
     The square root is the branch continued from det G(0) = 1.  Because
     ||M|| < 1, omega = |tr H+-| + d ||H++||_2 bounds |d arg det G / dt|, so
-    on a uniform grid of ceil(omega t / (pi/2)) intervals consecutive
+    on a uniform grid of floor(omega t / (pi/2)) + 1 intervals consecutive
     samples of arg det G differ by less than pi/2 and unwrapping them is
     exact.  The cond(G) guard and the invariant gate are those of
     ``integrate_flow`` at its defaults; the flow carries no trajectory.
@@ -296,19 +342,15 @@ def exponential_flow(gen: QuadraticGenerator, t: float) -> BogoliubovFlow:
     if t < 0:
         raise ValueError("t must be nonnegative")
     d = gen.modes
-    hpm, hpp = gen.hpm, gen.hpp
-    k = np.block([[-1j * hpm, -1j * hpp],
-                   [1j * np.conj(hpp), 1j * np.conj(hpm)]])
-    trace = float(np.trace(hpm).real)
-    omega = abs(trace) + d * float(np.linalg.norm(hpp, 2))
-    n = max(1, math.ceil(omega * t / (math.pi / 2))) if t > 0 else 0
+    k, rate = _linear_system(gen)
+    omega = (abs(float(np.trace(gen.hpm).real))
+             + d * float(np.linalg.norm(gen.hpp, 2)))
+    n = math.floor(omega * t / (math.pi / 2)) + 1 if t > 0 else 0
     # [F; G] on the unwrap grid: [0; 1] first, the flow at t last
-    ys = np.array([expm(k * s)[:, d:] for s in np.linspace(0.0, t, n + 1)])
+    grid = np.linspace(0.0, t, n + 1)
+    ys = np.array([expm(k * s)[:, d:] for s in grid])
     f, g = ys[-1, :d], ys[-1, d:]
-    dets = np.linalg.det(ys[:, d:])
-    arg = float(np.unwrap(np.angle(dets))[-1])
-    log_det = math.log(abs(dets[-1])) + 1j * arg
-    c = complex(np.exp(-0.5 * log_det + 0.5j * t * trace - 1j * t * gen.hbar))
+    c = complex(_metaplectic_phase(ys[:, d:], rate * grid)[-1])
     flow = BogoliubovFlow(f=f, g=g, m=_split_m(f, g, 1e8), c=c, t=float(t))
     res = flow_invariants(flow)
     if res.max > 1e-5:
@@ -334,11 +376,8 @@ def riccati_residual(flow: BogoliubovFlow, path: GeneratorPath, stride: int = 10
     """
     if flow.times is None or len(flow.times) < 3:
         raise ValueError("flow carries no trajectory (or it is too short)")
-    times, fs, gs = flow.times, flow.fs, flow.gs
-    ms = []
-    for f, g in zip(fs, gs):
-        ms.append(_split_m(f, g, 1e12))
-    ms = np.array(ms)
+    times = flow.times
+    ms = _split_m(flow.fs, flow.gs, 1e12)
     worst = 0.0
     idx = range(1, len(times) - 1, max(1, stride))
     for j in idx:
@@ -484,7 +523,13 @@ def propagate_gaussian(
 
 
 def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis) -> Callable:
-    """The right-hand side -i H_t psi of the truncated Schroedinger equation."""
+    """The right-hand side -i H_t psi of the truncated Schroedinger equation.
+
+    A static path assembles H once.
+    """
+    if path.static:
+        h = quadratic_matrix(path(0.0), basis)
+        return lambda tau, psi: -1j * (h @ psi)
     return lambda tau, psi: -1j * (quadratic_matrix(path(tau), basis) @ psi)
 
 
@@ -593,6 +638,7 @@ def trajectory_to_csv(flow: BogoliubovFlow, path_out):
     if flow.times is None:
         raise ValueError("flow carries no trajectory")
     d = flow.modes
+    ms = _split_m(flow.fs, flow.gs, 1e12)
     with open(path_out, "w", newline="") as fh:
         w = csv.writer(fh)
         head = ["t"]
@@ -603,8 +649,7 @@ def trajectory_to_csv(flow: BogoliubovFlow, path_out):
         head += ["c_re", "c_im", "res_gram", "res_sym", "res_mg", "res_ginv"]
         w.writerow(head)
         for k, tk in enumerate(flow.times):
-            fk, gk, ck = flow.fs[k], flow.gs[k], flow.cs[k]
-            mk = _split_m(fk, gk, 1e12)
+            fk, gk, mk, ck = flow.fs[k], flow.gs[k], ms[k], flow.cs[k]
             snap = BogoliubovFlow(f=fk, g=gk, m=mk, c=ck, t=float(tk))
             res = flow_invariants(snap)
             row = [f"{tk:.12g}"]

@@ -202,7 +202,7 @@ def sweep(cfg: dict, parameter: str, grid: Sequence[float]) -> dict:
         raise ValueError(
             f"scenario {scenario!r} has no sweep over {parameter!r}; "
             f"supported: {', '.join(supported)}")
-    kind, residual = spec.sweeps[parameter]
+    kind, prepare = spec.sweeps[parameter]
     grid = [float(v) for v in grid]
     if len(grid) < 3:
         raise ValueError("need at least three grid points to fit a slope")
@@ -211,7 +211,8 @@ def sweep(cfg: dict, parameter: str, grid: Sequence[float]) -> dict:
         raise ValueError(f"every {parameter} grid value must {kind.must}; "
                          f"got {bad}")
     model, run = spec.settings(cfg.get("model", {}), cfg.get("run", {}))
-    rows = [(value, residual(model, run, value)) for value in grid]
+    residual = prepare(model, run)
+    rows = [(value, residual(value)) for value in grid]
     slope = fit_loglog_slope(grid, [r for _, r in rows], floor=1e-300)
     return {"parameter": parameter, "rows": rows, "slope": slope}
 

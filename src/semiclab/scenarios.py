@@ -385,17 +385,38 @@ def _rotation_checks(model: dict, run: dict, seed: int):
     ]
 
 
-def _squeeze_checks(model: dict, run: dict, seed: int):
+def _squeeze_artifacts(model: dict, run: dict):
+    """The squeeze path and its lazily shared artifacts.
+
+    Returns (path, flow, direct, equivalence): the flow up to a horizon, the
+    vacuum evolved directly at a cutoff, and the distance between the
+    Gaussian-ansatz and the direct vacuum at t on a cutoff.
+    """
     from .bogoliubov import (
         CreatedState,
         GeneratorPath,
-        flow_invariants,
         integrate_flow,
-        picard_flow,
         propagate_direct,
         propagate_gaussian,
-        riccati_residual,
     )
+    from .fock import ModeBasis, vacuum_state
+
+    t, dt = run["t"], run["dt"]
+    path = GeneratorPath.constant(
+        QuadraticGenerator.from_blocks(hpp=[[model["kappa"]]]), 8.0)
+    flow = _once(lambda horizon: integrate_flow(path, horizon, dt))
+    direct = _once(lambda n: propagate_direct(
+        vacuum_state(ModeBasis(1, n)), path, t, dt).state)
+
+    def equivalence(n: int) -> float:
+        gauss = propagate_gaussian(CreatedState(), flow(t), ModeBasis(1, n))
+        return float(np.linalg.norm(gauss.coeffs - direct(n).coeffs))
+
+    return path, flow, direct, equivalence
+
+
+def _squeeze_checks(model: dict, run: dict, seed: int):
+    from .bogoliubov import flow_invariants, picard_flow, riccati_residual
     from .constrained import (
         QuadSpec,
         inner_constrained,
@@ -404,14 +425,9 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
     )
     from .fock import ModeBasis, vacuum_state
 
+    path, flow, direct, equivalence = _squeeze_artifacts(model, run)
     kappa, cutoff = model["kappa"], model["cutoff"]
-    t, dt = run["t"], run["dt"]
-    path = GeneratorPath.constant(
-        QuadraticGenerator.from_blocks(hpp=[[kappa]]), 8.0)
-    # the flow up to a horizon, and the vacuum evolved directly at a cutoff
-    flow = _once(lambda horizon: integrate_flow(path, horizon, dt))
-    direct = _once(lambda n: propagate_direct(
-        vacuum_state(ModeBasis(1, n)), path, t, dt).state)
+    t = run["t"]
 
     def closed_form():
         fl = flow(t)
@@ -437,10 +453,6 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
             bound = (2 * k_const * horizon) ** n / math.factorial(n)
             worst = max(worst, tn / bound)
         return worst
-
-    def propagator_equivalence():
-        gauss = propagate_gaussian(CreatedState(), flow(t), ModeBasis(1, cutoff))
-        return float(np.linalg.norm(gauss.coeffs - direct(cutoff).coeffs))
 
     def tail_consistency():
         full, half = direct(cutoff), direct(cutoff // 2)
@@ -472,7 +484,7 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
         Check("picard-agreement", "flow.picard-series", 1e-6, picard_agreement),
         Check("picard-term-bound", "flow.picard-factorial", 1.0, picard_factorial),
         Check("propagator-equivalence", "propagator.gaussian-vs-direct", 1e-6,
-              propagator_equivalence),
+              lambda: equivalence(cutoff)),
         Check("cutoff-tail-consistency", "fock.gaussian-decay", 1.0,
               tail_consistency),
         Check("constrained-invariance", "constrained.flow-invariance", 1e-6,
@@ -810,33 +822,38 @@ def _constrained_checks(model: dict, run: dict, seed: int):
 # sweeps: one residual as a function of one parameter
 
 
-def _dt_self_convergence(model: dict, run: dict, dt: float) -> float:
+def _dt_self_convergence(model: dict, run: dict) -> Callable[[float], float]:
     # integrator order on the mixed reference path, by self-convergence
     # against an 8x refined step (the canonical-relation residuals
     # themselves superconverge through drift cancellation)
     from .bogoliubov import integrate_flow
 
     path = mixed_rotation_squeeze_path()
-    coarse = integrate_flow(path, run["t"], dt, residual_tol=None)
-    fine = integrate_flow(path, run["t"], dt / 8, residual_tol=None)
-    return float(np.linalg.norm(coarse.f - fine.f)
-                 + np.linalg.norm(coarse.g - fine.g))
+
+    def residual(dt: float) -> float:
+        coarse = integrate_flow(path, run["t"], dt, residual_tol=None)
+        fine = integrate_flow(path, run["t"], dt / 8, residual_tol=None)
+        return float(np.linalg.norm(coarse.f - fine.f)
+                     + np.linalg.norm(coarse.g - fine.g))
+
+    return residual
 
 
-def _equivalence_at_cutoff(model: dict, run: dict, n: float) -> float:
-    (check,) = [c for c in _squeeze_checks({**model, "cutoff": int(n)}, run, 0)
-                if c.name == "propagator-equivalence"]
-    return check.fn()
+def _equivalence_by_cutoff(model: dict, run: dict) -> Callable[[float], float]:
+    # one flow for every cutoff of the sweep
+    *_, equivalence = _squeeze_artifacts(model, run)
+    return lambda n: equivalence(int(n))
 
 
-def _field_algebra_residual(model: dict, run: dict, h: float) -> float:
+def _field_algebra_residual(model: dict, run: dict) -> Callable[[float], float]:
     from .symmetry import check_vector_field_algebra
 
     fam = su11_family()
     x = np.array([0.0, 0.8, -0.3])
     a = np.array([1.0, 0.2, 0.0])
     b = np.array([0.0, 0.4, 1.0])
-    return check_vector_field_algebra(fam.system, fam.algebra, a, b, x, h=h)
+    return lambda h: check_vector_field_algebra(fam.system, fam.algebra, a, b,
+                                                x, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +903,9 @@ class Scenario:
     from the settings, every key resolved to its value or its default, and
     reads them all while building; the checks compute their shared
     artifacts lazily, at most once per build.  ``sweeps`` maps each
-    parameter the scenario sweeps to ``(Kind, residual)`` with
-    ``residual(model, run, value)``.
+    parameter the scenario sweeps to ``(Kind, prepare)``:
+    ``prepare(model, run)`` builds what the residual does not take from the
+    swept value, once per sweep, and returns ``residual(value)``.
     """
 
     model: dict
@@ -912,7 +930,7 @@ SCENARIOS = {
         model={"cutoff": (24, CUTOFF), "kappa": (0.2, REAL)},
         run={"t": (1.0, POSITIVE), "dt": (1e-3, POSITIVE)},
         checks=_squeeze_checks,
-        sweeps={**_DT_SWEEP, "N": (WHOLE, _equivalence_at_cutoff)}),
+        sweeps={**_DT_SWEEP, "N": (WHOLE, _equivalence_by_cutoff)}),
     "u2-grouplaw": Scenario(
         model={"cutoff": (12, ABOVE_MARGIN)},
         run={"dt": (2e-3, POSITIVE), "n_pairs": (20, COUNT),
@@ -932,8 +950,7 @@ SCENARIOS = {
         run={"h": (1e-4, POSITIVE),
              "lambda_sweep": ([1e-1, 1e-2, 1e-3, 1e-4], GRID)},
         checks=_packet_checks,
-        sweeps={"lambda": (POSITIVE, lambda model, run, lam:
-                           wkb_evolution_error(lam))}),
+        sweeps={"lambda": (POSITIVE, lambda model, run: wkb_reference())}),
     "constrained-basics": Scenario(
         model={},
         run={"n_random": (100, COUNT)},

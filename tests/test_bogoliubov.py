@@ -23,6 +23,7 @@ from semiclab.bogoliubov import (
     step_count,
     trajectory_to_csv,
 )
+from semiclab.bogoliubov import _split_m
 from semiclab.fock import (
     FockVector,
     GaussianData,
@@ -34,6 +35,7 @@ from semiclab.fock import (
     number_state,
     vacuum_state,
 )
+from semiclab.scenarios import mixed_rotation_squeeze_path
 
 
 def rotation_path(omega=0.8, hbar=0.3, t_max=4.0):
@@ -357,6 +359,22 @@ def test_flow_error_on_coarse_step():
         integrate_flow(path, t=2.0, dt=0.5, residual_tol=1e-10)
 
 
+def test_flow_error_on_ill_conditioned_g():
+    # G leaves the identity at once, so cond(G) passes 1.0001 within the run
+    path = random_path(2, np.random.default_rng(5))
+    with pytest.raises(FlowError, match="singular"):
+        integrate_flow(path, t=2.0, dt=1e-2, cond_limit=1.0001)
+
+
+def test_flow_error_on_step_too_coarse_for_the_branch():
+    # det G = e^(i omega t): steps of omega dt = 1.7 > pi/2 (RK4 is still
+    # stable there) cannot continue the square root of det G
+    path = rotation_path(omega=1.0, hbar=0.0, t_max=4.0)
+    with pytest.raises(FlowError, match="branch"):
+        integrate_flow(path, t=3.4, dt=1.7, residual_tol=None)
+    integrate_flow(path, t=3.4, dt=1.7 / 2, residual_tol=None)
+
+
 def test_trajectory_csv(tmp_path):
     flow = integrate_flow(squeeze_path(0.3), t=0.5, dt=1e-2)
     out = tmp_path / "flow.csv"
@@ -364,6 +382,137 @@ def test_trajectory_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("t,F00_re")
     assert len(lines) == len(flow.times) + 1
+
+
+def _split_m_per_step(fs, gs, cond_limit):
+    # the per-step loop that the batched M replaces
+    ms = []
+    for f, g in zip(fs, gs):
+        if np.linalg.cond(g) > cond_limit:
+            raise FlowError("singular")
+        m = np.linalg.solve(g.T, f.T).T
+        ms.append(0.5 * (m + m.T))
+    return np.array(ms)
+
+
+def _riccati_residual_per_step(flow, path, stride=10):
+    # riccati_residual with M formed step by step
+    times = flow.times
+    ms = _split_m_per_step(flow.fs, flow.gs, 1e12)
+    worst = 0.0
+    for j in range(1, len(times) - 1, stride):
+        h1, h2 = times[j] - times[j - 1], times[j + 1] - times[j]
+        if abs(h1 - h2) > 1e-12 * max(h1, h2):
+            continue
+        dm = (ms[j + 1] - ms[j - 1]) / (h1 + h2)
+        gen = path(float(times[j]))
+        hpm, hpp, m = gen.hpm, gen.hpp, ms[j]
+        rhs = hpp + hpm @ m + m @ hpm.conj() + m @ np.conj(hpp) @ m
+        worst = max(worst, float(np.linalg.norm(1j * dm - rhs, 2)))
+    return worst
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda: rotation_path(),
+    lambda: squeeze_path(0.3),
+    lambda: random_path(3, np.random.default_rng(42), t_max=2.0),
+])
+def test_batched_m_equals_the_per_step_loop(make_path, tmp_path):
+    path = make_path()
+    flow = integrate_flow(path, t=1.0, dt=1e-2)
+    ms = _split_m_per_step(flow.fs, flow.gs, 1e12)
+    assert np.array_equal(_split_m(flow.fs, flow.gs, 1e12), ms)
+    assert np.array_equal(flow.m, ms[-1])
+    assert riccati_residual(flow, path) == _riccati_residual_per_step(flow, path)
+    out = tmp_path / "flow.csv"
+    trajectory_to_csv(flow, out)
+    d = flow.modes
+    first = 1 + 4 * d * d  # t, then F and G as (re, im) pairs, then M
+    for line, m in zip(out.read_text().splitlines()[1:], ms):
+        expect = [f"{x:.15g}" for v in m.reshape(-1) for x in (v.real, v.imag)]
+        assert line.split(",")[first:first + 2 * d * d] == expect
+
+
+def _stagewise_flow(path, t, dt, cond_limit=1e8):
+    """The stage-by-stage route: M = F G^-1 formed at every RK4 stage and
+    the phase stepped through dc/dt = -i (1/2 tr(conj(H++) M) + hbar) c."""
+    d = path.modes
+    n = d * d
+
+    def rhs(tau, y):
+        f, g, c = y[:n].reshape(d, d), y[n:2 * n].reshape(d, d), y[-1]
+        gen = path(tau)
+        hpm, hpp = gen.hpm, gen.hpp
+        df = -1j * (hpm @ f + hpp @ g)
+        dg = 1j * (np.conj(hpm) @ g + np.conj(hpp) @ f)
+        assert np.linalg.cond(g) <= cond_limit
+        m = np.linalg.solve(g.T, f.T).T
+        m = 0.5 * (m + m.T)
+        dc = -1j * (0.5 * np.trace(np.conj(hpp) @ m) + gen.hbar) * c
+        return np.concatenate([df.ravel(), dg.ravel(), [dc]])
+
+    y0 = np.concatenate([np.zeros(n), np.eye(d).ravel(), [1.0]]).astype(complex)
+    y = rk4(rhs, y0, t, dt)
+    return y[:n].reshape(d, d), y[n:2 * n].reshape(d, d), y[-1]
+
+
+def _su11_moving_point_path(t, n_steps):
+    # one_param_u's path at a point the classical flow moves
+    from semiclab.scenarios import su11_family
+
+    fam = su11_family()
+    b = np.array([0.3, 0.5, 0.0])
+    states = fam.system.trajectory(b, t, np.array([0.1, 0.6, 0.2]), t / n_steps)
+    half = t / n_steps / 2
+    return GeneratorPath(lambda tau: fam.generator(
+        b, states[min(int(round(tau / half)), len(states) - 1)]), t)
+
+
+@pytest.mark.parametrize("make_path, t, dt", [
+    (lambda: rotation_path(), 1.7, 1e-3),
+    (lambda: squeeze_path(0.3), 1.4, 1e-3),
+    (lambda: random_path(3, np.random.default_rng(42), t_max=2.0), 2.0, 1e-3),
+    (lambda: mixed_rotation_squeeze_path(), 2.0, 1e-3),
+    (lambda: _su11_moving_point_path(0.8, 800), 0.8, 1e-3),
+])
+def test_linear_stepper_matches_the_stagewise_oracle(make_path, t, dt):
+    path = make_path()
+    flow = integrate_flow(path, t, dt)
+    f, g, c = _stagewise_flow(path, t, dt)
+    assert np.abs(flow.f - f).max() <= 1e-10
+    assert np.abs(flow.g - g).max() <= 1e-10
+    assert abs(flow.c - c) <= 1e-12
+
+
+def test_static_path_builds_its_operators_once(monkeypatch):
+    from semiclab import bogoliubov
+
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.2]], hpm=[[0.7]], hbar=0.1)
+    static = GeneratorPath.constant(gen, 2.0)
+    per_stage = GeneratorPath(lambda t: gen, 2.0)
+    assert static.static and not per_stage.static
+    basis = ModeBasis(1, 10)
+    psi = vacuum_state(basis)
+    calls = []
+    assemble = bogoliubov.quadratic_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(bogoliubov, "quadratic_matrix", counted)
+    direct = propagate_direct(psi, static, 1.0, 1e-2).state.coeffs
+    assert len(calls) == 1
+    matrix = propagator_matrix(static, 1.0, 1e-2, basis)
+    assert len(calls) == 2
+    assert np.array_equal(direct,
+                          propagate_direct(psi, per_stage, 1.0, 1e-2).state.coeffs)
+    assert len(calls) == 2 + 4 * 100
+    assert np.array_equal(matrix, propagator_matrix(per_stage, 1.0, 1e-2, basis))
+    flow = integrate_flow(static, 1.0, 1e-2)
+    oracle = integrate_flow(per_stage, 1.0, 1e-2)
+    for name in ("f", "g", "m", "c", "fs", "gs", "cs"):
+        assert np.array_equal(getattr(flow, name), getattr(oracle, name)), name
 
 
 def _assert_flows_agree(exact, oracle, tol=1e-9):

@@ -383,10 +383,14 @@ def test_build_checks_computes_nothing(monkeypatch):
         assert checks, path.name
 
 
-def _count_calls(monkeypatch):
+_SHARED = ("integrate_flow", "propagate_direct", "word_product", "check_f3",
+           "check_x6")
+
+
+def _count_calls(monkeypatch, names=_SHARED):
     from collections import Counter
 
-    from semiclab import bogoliubov, constrained, symmetry
+    from semiclab import bogoliubov, constrained, scenarios, symmetry
 
     counts = Counter()
 
@@ -396,23 +400,27 @@ def _count_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (bogoliubov, symmetry, constrained):
-        for name in ("integrate_flow", "propagate_direct", "word_product",
-                     "check_f3", "check_x6"):
+    for module in (bogoliubov, symmetry, constrained, scenarios):
+        for name in names:
             if name in vars(module):
                 monkeypatch.setattr(module, name,
                                     counted(name, vars(module)[name]))
     return counts
 
 
+# quadratic_matrix: once per direct evolution on a constant path, and the
+# seven generators of check_x6
 @pytest.mark.parametrize("config, calls", [
-    ("rotation.yaml", {"integrate_flow": 1, "propagate_direct": 1}),
-    ("squeeze.yaml", {"integrate_flow": 1, "propagate_direct": 2}),
+    ("rotation.yaml", {"integrate_flow": 1, "propagate_direct": 1,
+                       "quadratic_matrix": 1}),
+    ("squeeze.yaml", {"integrate_flow": 1, "propagate_direct": 2,
+                      "quadratic_matrix": 2}),
     ("su11-metaplectic-loop.yaml", {"word_product": 1}),
-    ("anomaly-injection.yaml", {"check_f3": 1, "check_x6": 1}),
+    ("anomaly-injection.yaml", {"check_f3": 1, "check_x6": 1,
+                                "quadratic_matrix": 7}),
 ])
 def test_shared_artifacts_are_computed_once(config, calls, monkeypatch):
-    counts = _count_calls(monkeypatch)
+    counts = _count_calls(monkeypatch, _SHARED + ("quadratic_matrix",))
     run_scenario(load_config(CONFIG_DIR / config), workers=1)
     assert dict(counts) == calls
 
@@ -464,3 +472,34 @@ def test_wkb_reference_is_built_once_per_check(monkeypatch):
     assert dict(counts) == {"splitstep_evolve": 4, "rk4_step": 4096}
     monkeypatch.undo()
     assert fitted == [[scenarios.wkb_evolution_error(lam) for lam in lams]]
+
+
+def test_lambda_sweep_builds_one_wkb_reference(monkeypatch):
+    from semiclab import scenarios
+
+    lams = [0.1, 0.03, 0.01]
+    counts = _count_calls(monkeypatch, ("rk4_step",))
+    result = sweep(load_config(CONFIG_DIR / "packet-harmonic.yaml"), "lambda",
+                   lams)
+    assert dict(counts) == {"rk4_step": 4096}
+    monkeypatch.undo()
+    assert result["rows"] == [(lam, scenarios.wkb_evolution_error(lam))
+                              for lam in lams]
+
+
+def test_cutoff_sweep_integrates_one_flow(monkeypatch):
+    from semiclab import scenarios
+
+    cutoffs = [4.0, 6.0, 8.0]
+    counts = _count_calls(monkeypatch, ("integrate_flow",))
+    cfg = load_config(CONFIG_DIR / "squeeze.yaml")
+    result = sweep(cfg, "N", cutoffs)
+    assert dict(counts) == {"integrate_flow": 1}
+    model, run = SCENARIOS["squeeze"].settings(cfg["model"], cfg["run"])
+    per_value = []
+    for n in cutoffs:
+        checks = scenarios.build_checks("squeeze", {**model, "cutoff": int(n)},
+                                        run, 0)
+        [check] = [c for c in checks if c.name == "propagator-equivalence"]
+        per_value.append((n, check.fn()))
+    assert result["rows"] == per_value
