@@ -32,7 +32,6 @@ Runge-Kutta step ``rk4_step`` and one driver ``rk4`` with its step count
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,7 +74,6 @@ __all__ = [
     "propagator_matrix",
     "propagator_from_flow",
     "compose_flows",
-    "trajectory_to_csv",
 ]
 
 
@@ -179,6 +177,8 @@ class GeneratorPath:
             raise ValueError("need at least two strictly increasing sample times")
         gens = list(gens)
         l0 = gens[0].l_const
+        if not all(_allclose(g.l_const, l0) for g in gens[1:]):
+            raise ValueError("the constant block L must be time-independent")
 
         def interp(t: float) -> QuadraticGenerator:
             j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
@@ -632,31 +632,3 @@ def compose_flows(second: BogoliubovFlow, first: BogoliubovFlow) -> BogoliubovFl
     c = second.c * first.c * np.prod(1 / np.sqrt(np.linalg.eigvals(np.eye(d) + x)))
     return BogoliubovFlow(f=f, g=g, m=m, c=complex(c), t=first.t + second.t)
 
-
-def trajectory_to_csv(flow: BogoliubovFlow, path_out):
-    """Write the stored trajectory as CSV: t, vec(F), vec(G), vec(M), c, residuals."""
-    if flow.times is None:
-        raise ValueError("flow carries no trajectory")
-    d = flow.modes
-    ms = _split_m(flow.fs, flow.gs, 1e12)
-    with open(path_out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        head = ["t"]
-        for name in ("F", "G", "M"):
-            for i in range(d):
-                for j in range(d):
-                    head += [f"{name}{i}{j}_re", f"{name}{i}{j}_im"]
-        head += ["c_re", "c_im", "res_gram", "res_sym", "res_mg", "res_ginv"]
-        w.writerow(head)
-        for k, tk in enumerate(flow.times):
-            fk, gk, mk, ck = flow.fs[k], flow.gs[k], ms[k], flow.cs[k]
-            snap = BogoliubovFlow(f=fk, g=gk, m=mk, c=ck, t=float(tk))
-            res = flow_invariants(snap)
-            row = [f"{tk:.12g}"]
-            for mat in (fk, gk, mk):
-                for val in mat.reshape(-1):
-                    row += [f"{val.real:.15g}", f"{val.imag:.15g}"]
-            row += [f"{ck.real:.15g}", f"{ck.imag:.15g}",
-                    f"{res.gram:.3e}", f"{res.symmetry:.3e}",
-                    f"{res.riccati_consistency:.3e}", f"{res.g_inverse_excess:.3e}"]
-            w.writerow(row)

@@ -32,11 +32,9 @@ excluded from the determinism contract).  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -48,7 +46,8 @@ import yaml
 from . import __version__
 from .scenarios import INTEGER, SCENARIOS, Kind, build_checks
 
-__all__ = ["load_config", "validate_config", "run_scenario", "sweep", "main"]
+__all__ = ["load_config", "validate_config", "run_scenario", "report_body",
+           "sweep", "sweep_to_csv", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -111,22 +110,8 @@ def _environment() -> dict:
     }
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    """``workers``, or ``SEMICLAB_WORKERS`` (default 1) when it is None."""
-    if workers is None:
-        raw = os.environ.get("SEMICLAB_WORKERS", "1")
-        if not raw.strip().isdecimal() or int(raw) < 1:
-            raise ValueError(
-                f"SEMICLAB_WORKERS must be a whole number >= 1, got {raw!r}")
-        return int(raw)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def run_scenario(cfg: dict, seed: Optional[int] = None,
-                 workers: Optional[int] = None) -> dict:
-    """Execute the scenario's checks and assemble the report."""
+def run_scenario(cfg: dict, seed: Optional[int] = None) -> dict:
+    """Execute the scenario's checks in order and assemble the report."""
     errors = validate_config(cfg)
     if errors:
         raise ValueError("; ".join(errors))
@@ -135,7 +120,6 @@ def run_scenario(cfg: dict, seed: Optional[int] = None,
     run = cfg.get("run", {})
     if seed is None:
         seed = run.get("seed", 0)
-    workers = _worker_count(workers)
     checks = build_checks(scenario, model, run, seed)
 
     def execute(check):
@@ -162,11 +146,7 @@ def run_scenario(cfg: dict, seed: Optional[int] = None,
             }
         return record, time.perf_counter() - started
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, checks))
-    else:
-        outcomes = [execute(c) for c in checks]
+    outcomes = [execute(c) for c in checks]
     records = sorted((r for r, _ in outcomes), key=lambda r: r["name"])
     timings = {rec["name"]: round(t, 6) for rec, t in outcomes}
     report = {

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .quadrature import (QuadCertificate, gauss_hermite_nodes, integrate_box,
 
 __all__ = [
     "IsotropicPlane",
-    "ConstrainedVector",
     "QuadSpec",
     "ComposedFockState",
     "make_plane",
@@ -109,22 +108,6 @@ def make_plane(bs: Sequence[np.ndarray], a: float = 1.0,
     if sv.min() <= 1e-10 * max(1.0, sv.max()):
         raise ValueError("constraint vectors are linearly dependent over the reals")
     return plane
-
-
-@dataclass(frozen=True)
-class ConstrainedVector:
-    """A representative of a constrained-space class: a Fock vector plus its plane."""
-
-    representative: FockVector
-    plane: IsotropicPlane
-
-    def __post_init__(self):
-        if self.plane.modes != self.representative.basis.modes:
-            raise ValueError("plane and vector mode counts differ")
-        k = self.plane.k
-        required = k / 2 + 1
-        if not np.isfinite(weighted_norm(self.representative, required)):
-            raise ValueError("representative lacks the required weighted norm")
 
 
 @dataclass(frozen=True)
@@ -241,8 +224,9 @@ def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _Displacem
     fam = _FAMILY_CACHE.get(key)
     if fam is None:
         fam = _DisplacementFamily(plane, basis, pad)
-        # check workers share the cache; a family built twice is identical,
-        # so the first one stored wins
+        # the cache is module state, reachable from any caller's threads;
+        # a family built twice is identical, so the first one stored wins
+        # and the lock only keeps the eviction and the store atomic
         with _FAMILY_LOCK:
             if key not in _FAMILY_CACHE and len(_FAMILY_CACHE) >= 8:
                 _FAMILY_CACHE.pop(next(iter(_FAMILY_CACHE)))

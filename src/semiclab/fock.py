@@ -20,7 +20,6 @@ tests' oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +30,8 @@ import numpy as np
 __all__ = [
     "ModeBasis",
     "FockVector",
+    "LadderTable",
+    "ladder_table",
     "QuadraticGenerator",
     "WeightOperator",
     "GaussianData",
@@ -42,7 +43,6 @@ __all__ = [
     "apply_ladder",
     "apply_quadratic",
     "quadratic_matrix",
-    "number_matrix",
     "one_body_matrix",
     "displacement",
     "displacement_eig",
@@ -227,29 +227,6 @@ class FockVector:
         dropped = float(np.sum(np.abs(self.coeffs[basis.size:]) ** 2))
         return FockVector(basis, kept, self.leakage + dropped)
 
-    def to_json(self) -> str:
-        payload = {
-            "modes": self.basis.modes,
-            "cutoff": self.basis.cutoff,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
-            "leakage": self.leakage,
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "FockVector":
-        payload = json.loads(text)
-        basis = ModeBasis(payload["modes"], payload["cutoff"])
-        coeffs = np.array([complex(re, im) for re, im in payload["coeffs"]])
-        return FockVector(basis, coeffs, payload.get("leakage", 0.0))
-
-    def to_bytes(self) -> bytes:
-        """Coefficients as little-endian float64 (re, im) pairs."""
-        flat = np.empty(2 * self.basis.size, dtype="<f8")
-        flat[0::2] = self.coeffs.real
-        flat[1::2] = self.coeffs.imag
-        return flat.tobytes()
-
 
 def vacuum_state(basis: ModeBasis) -> FockVector:
     c = np.zeros(basis.size, dtype=complex)
@@ -407,10 +384,6 @@ def one_body_matrix(t: np.ndarray, basis: ModeBasis) -> np.ndarray:
         raise ValueError("matrix size does not match the mode count")
     z = np.zeros(t.size)
     return _dense(ladder_table(basis), np.concatenate([z, t.ravel(), z]))
-
-
-def number_matrix(basis: ModeBasis) -> np.ndarray:
-    return one_body_matrix(np.eye(basis.modes), basis)
 
 
 def apply_quadratic(gen: QuadraticGenerator, psi: FockVector) -> FockVector:

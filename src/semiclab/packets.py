@@ -23,7 +23,6 @@ once per evolution.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -42,14 +41,14 @@ __all__ = [
     "PacketManifold",
     "ComposedPacket",
     "gaussian_shape",
+    "norm_constant",
+    "packet_grid",
     "k_lambda",
     "derivative_identity_residual",
     "omega_commutator_residual",
     "compose_packet",
-    "inner_composed",
     "direct_inner",
     "asymptotic_inner",
-    "InnerComposedResult",
     "gauge_transform",
     "project_fiber",
     "expansion_check",
@@ -57,7 +56,6 @@ __all__ = [
     "SplitStepProblem",
     "splitstep_evolve",
     "wave_moments",
-    "wave_to_csv",
     "fit_loglog_slope",
 ]
 
@@ -145,8 +143,9 @@ class ShapeFunction:
         return vals
 
     def derivative(self) -> "ShapeFunction":
+        """Spectral derivative: one inverse FFT of the cached spectrum."""
         coeffs, freqs = self.spectrum
-        dvals = np.fft.ifft(1j * freqs * np.fft.fft(self.values))
+        dvals = np.fft.ifft(1j * freqs * coeffs, norm="forward")
         return ShapeFunction(self.grid, dvals)
 
     def times_xi(self) -> "ShapeFunction":
@@ -606,33 +605,6 @@ def direct_inner(
     return complex(total)
 
 
-@dataclass(frozen=True)
-class InnerComposedResult:
-    direct: complex
-    asymptotic: complex
-
-    @property
-    def relative_gap(self) -> float:
-        return abs(self.direct - self.asymptotic) / max(abs(self.asymptotic), 1e-300)
-
-
-def inner_composed(
-    cp1: ComposedPacket,
-    cp2: ComposedPacket,
-    lam: float,
-    n_u: int = 48,
-    u_span: float = 12.0,
-    beta_order: int = 96,
-    beta_span: Optional[float] = None,
-) -> InnerComposedResult:
-    """Direct (finite-lambda) and asymptotic (lambda-free) inner products."""
-    return InnerComposedResult(
-        direct=direct_inner(cp1, cp2, lam, n_u=n_u, u_span=u_span),
-        asymptotic=asymptotic_inner(cp1, cp2, beta_order=beta_order,
-                                    beta_span=beta_span),
-    )
-
-
 def gauge_transform(cp: ComposedPacket, chi) -> ComposedPacket:
     """Shift the fiber by the constraint operator:
 
@@ -854,10 +826,3 @@ def wave_moments(psi: GridWave) -> tuple[float, float]:
         np.imag(np.vdot(psi.values, dpsi)) / total)
     return q, p
 
-
-def wave_to_csv(psi: GridWave, path_out):
-    with open(path_out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re_psi", "im_psi"])
-        for xv, val in zip(psi.grid.points, psi.values):
-            w.writerow([f"{xv:.15g}", f"{val.real:.15g}", f"{val.imag:.15g}"])

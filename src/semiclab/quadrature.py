@@ -8,14 +8,15 @@ asked to certify itself by order doubling and box growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["QuadCertificate", "gauss_legendre", "tensor_legendre",
-           "integrate_box", "gauss_hermite_nodes", "trapezoid_weights"]
+__all__ = ["QuadratureError", "QuadCertificate", "gauss_legendre",
+           "tensor_legendre", "integrate_box", "gauss_hermite_nodes",
+           "trapezoid_weights"]
 
 
 class QuadratureError(RuntimeError):

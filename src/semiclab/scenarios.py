@@ -40,6 +40,14 @@ __all__ = [
     "su11_family",
     "heisenberg_family",
     "standard_phi",
+    "Kind",
+    "Check",
+    "harmonic_orbit_manifold",
+    "mixed_rotation_squeeze_path",
+    "wkb_reference",
+    "wkb_evolution_error",
+    "Scenario",
+    "build_checks",
 ]
 
 
@@ -190,8 +198,10 @@ def _once(fn: Callable) -> Callable:
     """``fn`` memoized per argument tuple.
 
     Checks of one suite share their artifacts through such closures: the
-    first check to ask computes an artifact, the others read it, also when
-    the worker pool asks from several threads at once.
+    first check to ask computes an artifact, the others read it.  The
+    runner calls checks one after another, but a built check list is a
+    plain object any caller may run from its own threads, so the lock
+    keeps an artifact computed at most once.
     """
     lock = threading.Lock()
     cached = functools.cache(fn)

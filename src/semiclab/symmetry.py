@@ -19,7 +19,6 @@ of the second kind, and report anomaly residuals as scalars.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,14 +30,12 @@ from .bogoliubov import (
     GeneratorPath,
     compose_flows,
     exponential_flow,
-    flow_invariants,
     integrate_flow,
     propagator_from_flow,
     rk4_step,
     step_count,
 )
 from .fock import (
-    FockVector,
     ModeBasis,
     QuadraticGenerator,
     ladder_table,
@@ -51,7 +48,6 @@ __all__ = [
     "ClassicalSystem",
     "GeneratorFamily",
     "GroupWord",
-    "classical_flow",
     "check_vector_field_algebra",
     "check_f3",
     "F3Report",
@@ -67,7 +63,6 @@ __all__ = [
     "group_element_action",
     "GroupAction",
     "omega_matrix",
-    "anomaly_record",
 ]
 
 
@@ -224,12 +219,6 @@ class ClassicalSystem:
         return (plus - minus) / (2 * eps)
 
 
-def classical_flow(system: ClassicalSystem, a: np.ndarray, t: float,
-                   x: np.ndarray, dt: float = 1e-3) -> np.ndarray:
-    """Transport X = (S, Q, P) along the flow of the algebra direction a."""
-    return system.flow(np.asarray(a, dtype=float), t, np.asarray(x, dtype=float), dt)
-
-
 @dataclass(frozen=True)
 class GeneratorFamily:
     """Quadratic generators and the fiber 1-form of a symmetry scenario.
@@ -368,10 +357,6 @@ class X6Report:
             "is_scalar_multiple_of_identity": self.is_scalar,
             "scalar_estimate": [self.scalar.real, self.scalar.imag],
         }
-
-
-def anomaly_record(report: X6Report) -> str:
-    return json.dumps(report.to_record())
 
 
 MARGIN = 4  # grades below the cutoff where truncated products are exact

@@ -21,7 +21,6 @@ from semiclab.bogoliubov import (
     riccati_residual,
     rk4,
     step_count,
-    trajectory_to_csv,
 )
 from semiclab.bogoliubov import _split_m
 from semiclab.fock import (
@@ -31,7 +30,6 @@ from semiclab.fock import (
     QuadraticGenerator,
     apply_ladder,
     gaussian_state,
-    inner,
     number_state,
     vacuum_state,
 )
@@ -176,6 +174,19 @@ def test_picard_interaction_picture_with_constant_l():
     res = picard_flow(path, t=1.0, n_terms=25)
     assert np.linalg.norm(res.f_lab - flow.f) < 1e-7
     assert np.linalg.norm(res.g_lab - flow.g) < 1e-7
+
+
+def test_from_samples_rejects_a_varying_l_block():
+    # L = 5 only on the middle sample: the interpolation keeps the first
+    # sample's L, so the path would read H+- = 0 at t = 1
+    def gen(l):
+        return QuadraticGenerator(hpp=np.zeros((1, 1)), l_const=[[l]],
+                                  hsmall=np.zeros((1, 1)), hbar=0.0)
+
+    with pytest.raises(ValueError, match="time-independent"):
+        GeneratorPath.from_samples([0.0, 1.0, 2.0], [gen(0.0), gen(5.0), gen(0.0)])
+    path = GeneratorPath.from_samples([0.0, 1.0, 2.0], [gen(5.0)] * 3)
+    assert path(1.0).hpm[0, 0] == 5.0
 
 
 def test_picard_term_norm_factorial_bound():
@@ -375,15 +386,6 @@ def test_flow_error_on_step_too_coarse_for_the_branch():
     integrate_flow(path, t=3.4, dt=1.7 / 2, residual_tol=None)
 
 
-def test_trajectory_csv(tmp_path):
-    flow = integrate_flow(squeeze_path(0.3), t=0.5, dt=1e-2)
-    out = tmp_path / "flow.csv"
-    trajectory_to_csv(flow, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("t,F00_re")
-    assert len(lines) == len(flow.times) + 1
-
-
 def _split_m_per_step(fs, gs, cond_limit):
     # the per-step loop that the batched M replaces
     ms = []
@@ -417,20 +419,13 @@ def _riccati_residual_per_step(flow, path, stride=10):
     lambda: squeeze_path(0.3),
     lambda: random_path(3, np.random.default_rng(42), t_max=2.0),
 ])
-def test_batched_m_equals_the_per_step_loop(make_path, tmp_path):
+def test_batched_m_equals_the_per_step_loop(make_path):
     path = make_path()
     flow = integrate_flow(path, t=1.0, dt=1e-2)
     ms = _split_m_per_step(flow.fs, flow.gs, 1e12)
     assert np.array_equal(_split_m(flow.fs, flow.gs, 1e12), ms)
     assert np.array_equal(flow.m, ms[-1])
     assert riccati_residual(flow, path) == _riccati_residual_per_step(flow, path)
-    out = tmp_path / "flow.csv"
-    trajectory_to_csv(flow, out)
-    d = flow.modes
-    first = 1 + 4 * d * d  # t, then F and G as (re, im) pairs, then M
-    for line, m in zip(out.read_text().splitlines()[1:], ms):
-        expect = [f"{x:.15g}" for v in m.reshape(-1) for x in (v.real, v.imag)]
-        assert line.split(",")[first:first + 2 * d * d] == expect
 
 
 def _stagewise_flow(path, t, dt, cond_limit=1e8):

@@ -106,12 +106,19 @@ def test_zero_counts_are_allowed():
         assert validate_config(cfg) == []
 
 
-def test_run_scenario_deterministic_body():
-    cfg = load_config(CONFIG_DIR / "rotation.yaml")
-    a = report_body(run_scenario(cfg))
+# rotation and squeeze checks share flows and propagations; the first
+# constrained-basics run builds its displacement families, the second one
+# reads them from the warm cache
+@pytest.mark.parametrize("config", ["rotation", "squeeze", "constrained-basics"])
+def test_run_scenario_deterministic_body(config, monkeypatch):
+    from semiclab import constrained
+
+    monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
+    cfg = load_config(CONFIG_DIR / f"{config}.yaml")
+    report = run_scenario(cfg)
+    a = report_body(report)
     b = report_body(run_scenario(cfg))
     assert a == b
-    report = run_scenario(cfg)
     assert "timings" in report
     assert "timings" not in json.loads(a)
 
@@ -280,54 +287,14 @@ def test_non_finite_residual_reported_as_null(monkeypatch, tmp_path):
     assert not _strict_loads(out.read_text())["passed"]
 
 
-def test_worker_pool_gives_identical_report_body(monkeypatch):
-    from semiclab import constrained
-
-    # rotation and squeeze checks share flows and propagations
-    for config in ("constrained-basics.yaml", "rotation.yaml", "squeeze.yaml"):
-        cfg = load_config(CONFIG_DIR / config)
-        bodies = []
-        for workers in (1, 2):
-            # an empty family cache, so both runs build their families
-            monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
-            bodies.append(report_body(run_scenario(cfg, workers=workers)))
-        assert bodies[0] == bodies[1], config
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
-def test_bad_semiclab_workers_is_a_config_error(value, monkeypatch, capsys):
-    monkeypatch.setenv("SEMICLAB_WORKERS", value)
-    config = CONFIG_DIR / "anomaly-injection.yaml"
-    with pytest.raises(ValueError, match="SEMICLAB_WORKERS"):
-        run_scenario(load_config(config))
-    assert main(["run", str(config)]) == 2
-    assert "error: SEMICLAB_WORKERS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_explicit_workers_below_one_is_rejected(workers):
-    cfg = load_config(CONFIG_DIR / "anomaly-injection.yaml")
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        run_scenario(cfg, workers=workers)
-
-
-def test_semiclab_workers_selects_the_pool(monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    cfg = load_config(CONFIG_DIR / "anomaly-injection.yaml")
-    serial = report_body(run_scenario(cfg, workers=1))
-    monkeypatch.setenv("SEMICLAB_WORKERS", "2")
-    assert report_body(run_scenario(cfg)) == serial
-    assert pools == [2]
-    assert main(["run", str(CONFIG_DIR / "anomaly-injection.yaml")]) == 0
+def test_semiclab_workers_is_ignored(monkeypatch, capsys):
+    # checks run one after another; the variable selects nothing
+    argv = ["run", str(CONFIG_DIR / "anomaly-injection.yaml")]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("SEMICLAB_WORKERS", "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
 
 
 class _RecordingDict(dict):
@@ -421,11 +388,14 @@ def _count_calls(monkeypatch, names=_SHARED):
 ])
 def test_shared_artifacts_are_computed_once(config, calls, monkeypatch):
     counts = _count_calls(monkeypatch, _SHARED + ("quadratic_matrix",))
-    run_scenario(load_config(CONFIG_DIR / config), workers=1)
+    run_scenario(load_config(CONFIG_DIR / config))
     assert dict(counts) == calls
 
 
 def test_shared_artifacts_are_computed_once_under_the_pool(monkeypatch):
+    # the runner calls checks in order, but a caller may run a built check
+    # list from its own threads; the lock in each shared artifact holds
+    import concurrent.futures
     import sys
 
     counts = _count_calls(monkeypatch)
@@ -433,10 +403,13 @@ def test_shared_artifacts_are_computed_once_under_the_pool(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            counts.clear()
-            run_scenario(cfg, workers=8)
-            assert dict(counts) == {"check_f3": 1, "check_x6": 1}
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(20):
+                counts.clear()
+                checks = build_checks(cfg["scenario"], cfg["model"],
+                                      cfg["run"], 0)
+                list(pool.map(lambda check: check.fn(), checks))
+                assert dict(counts) == {"check_f3": 1, "check_x6": 1}
     finally:
         sys.setswitchinterval(interval)
 

@@ -6,7 +6,6 @@ import pytest
 from semiclab.bogoliubov import GeneratorPath, integrate_flow
 from semiclab.constrained import (
     ComposedFockState,
-    IsotropicPlane,
     QuadSpec,
     composed_inner,
     decay_profile,
@@ -44,15 +43,17 @@ def random_low_state(basis, rng, max_total):
     return FockVector(basis, c)
 
 
-def test_constrained_vector_wrapper():
-    from semiclab.constrained import ConstrainedVector
-
-    basis = ModeBasis(1, 12)
+def test_inner_constrained_rejects_vectors_off_the_plane():
+    # the plane's mode count and the vectors' basis are checked at the
+    # API boundary, before any family is built
     plane = make_plane([np.array([1.0])])
-    cv = ConstrainedVector(vacuum_state(basis), plane)
-    assert cv.plane.k == 1
-    with pytest.raises(ValueError):
-        ConstrainedVector(vacuum_state(ModeBasis(2, 4)), plane)
+    one = vacuum_state(ModeBasis(1, 12))
+    assert np.isfinite(inner_constrained(one, one, plane))
+    two = vacuum_state(ModeBasis(2, 4))
+    with pytest.raises(ValueError, match="plane mode count"):
+        inner_constrained(two, two, plane)
+    with pytest.raises(ValueError, match="different bases"):
+        inner_constrained(one, vacuum_state(ModeBasis(1, 10)), plane)
 
 
 def test_displacement_vector_type():

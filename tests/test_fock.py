@@ -423,18 +423,6 @@ def test_perturb_series_term_bound():
             )
 
 
-def test_json_roundtrip():
-    rng = np.random.default_rng(37)
-    b = ModeBasis(2, 4)
-    psi = random_vector(b, rng).with_leakage(1e-4)
-    back = FockVector.from_json(psi.to_json())
-    assert back.basis == psi.basis
-    assert np.allclose(back.coeffs, psi.coeffs)
-    assert back.leakage == pytest.approx(psi.leakage)
-    raw = np.frombuffer(psi.to_bytes(), dtype="<f8")
-    assert np.allclose(raw[0::2] + 1j * raw[1::2], psi.coeffs)
-
-
 def test_leakage_monotone_under_operations():
     b = ModeBasis(1, 4)
     psi = number_state(b, (4,)).with_leakage(0.5)

@@ -7,7 +7,6 @@ import pytest
 from semiclab.bogoliubov import step_count
 from semiclab.packets import (
     ComposedPacket,
-    GridWave,
     PacketForms,
     PacketManifold,
     PacketPoint,
@@ -26,14 +25,12 @@ from semiclab.packets import (
     fit_loglog_slope,
     gauge_transform,
     gaussian_shape,
-    inner_composed,
     k_lambda,
     omega_commutator_residual,
     packet_grid,
     project_fiber,
     splitstep_evolve,
     wave_moments,
-    wave_to_csv,
 )
 from semiclab.quadrature import gauss_legendre
 from semiclab.scenarios import harmonic_orbit_manifold
@@ -183,20 +180,20 @@ def test_direct_norm_matches_fiber_norm_on_orbit():
     # closed form for vacuum-width fibers on the unit orbit:
     # per-alpha fiber value 2 sqrt(pi), total 2 pi * 2 sqrt(pi)
     cp = ComposedPacket(harmonic_orbit(64), gaussian_shape())
-    res = inner_composed(cp, cp, lam=0.01, n_u=48, u_span=12.0)
+    direct = direct_inner(cp, cp, lam=0.01, n_u=48, u_span=12.0)
+    asymptotic = asymptotic_inner(cp, cp)
     exact = 2 * math.pi * 2 * math.sqrt(math.pi)
-    assert res.asymptotic.real == pytest.approx(exact, rel=1e-8)
-    assert abs(res.asymptotic.imag) < 1e-10
-    assert abs(res.direct - res.asymptotic) < 0.05 * exact
+    assert asymptotic.real == pytest.approx(exact, rel=1e-8)
+    assert abs(asymptotic.imag) < 1e-10
+    assert abs(direct - asymptotic) < 0.05 * exact
 
 
 def test_inner_composed_convergence_slope():
     cp = ComposedPacket(harmonic_orbit(64), gaussian_shape())
     lams = [1e-1, 1e-2, 1e-3, 1e-4]
-    gaps = []
-    for lam in lams:
-        res = inner_composed(cp, cp, lam=lam)
-        gaps.append(res.relative_gap)
+    asymptotic = asymptotic_inner(cp, cp)
+    gaps = [abs(direct_inner(cp, cp, lam=lam) - asymptotic) / abs(asymptotic)
+            for lam in lams]
     assert gaps == sorted(gaps, reverse=True)
     slope = fit_loglog_slope(lams, gaps)
     assert slope >= 0.45
@@ -499,15 +496,19 @@ def test_splitstep_resolution_guard():
         splitstep_evolve(psi, SplitStepProblem.polynomial([0.0]), 0.1, 1e-3)
 
 
-def test_wave_csv(tmp_path):
-    f = gaussian_shape(n=64, half_width=7)
-    x = PacketPoint(0, 0, 0)
-    wave = k_lambda(x, f, 1.0, packet_grid(x, f, 1.0))
-    out = tmp_path / "wave.csv"
-    wave_to_csv(wave, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,re_psi,im_psi"
-    assert len(lines) == 65
+def test_derivative_reads_the_cached_spectrum(monkeypatch):
+    # 192 points, so the 1/n scaling is not exact and the forms differ
+    # at the rounding level
+    f = gaussian_shape(n=192, half_width=9, width=0.8, momentum=0.7)
+    _, freqs = f.spectrum
+    two_ffts = np.fft.ifft(1j * freqs * np.fft.fft(f.values))
+
+    def no_forward_fft(*args, **kwargs):
+        raise AssertionError("forward FFT of samples whose spectrum is cached")
+
+    monkeypatch.setattr(np.fft, "fft", no_forward_fft)
+    d = f.derivative().values
+    assert np.linalg.norm(d - two_ffts) <= 1e-13 * np.linalg.norm(two_ffts)
 
 
 @pytest.mark.parametrize("n", [128, 192, 255])
