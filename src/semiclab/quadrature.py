@@ -31,15 +31,6 @@ class QuadCertificate:
     order_doubling_delta: float
     envelope_at_edge: float
 
-    def to_record(self) -> dict:
-        return {
-            "box": list(self.radius),
-            "order": self.order,
-            "value": [self.value.real, self.value.imag],
-            "order_doubling_delta": self.order_doubling_delta,
-            "envelope_at_edge": self.envelope_at_edge,
-        }
-
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int):

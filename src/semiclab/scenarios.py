@@ -28,7 +28,6 @@ from .bogoliubov import rk4_step
 from .fock import QuadraticGenerator
 from .symmetry import (
     MARGIN,
-    AffineGenerator,
     ClassicalSystem,
     GeneratorFamily,
     LieAlgebra,
@@ -121,10 +120,11 @@ def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
         np.array([[0.5, 0.0], [0.0, -0.5]]),
     ]
     algebra = LieAlgebra(["rotation", "squeeze-x", "squeeze-xy"], structure, rep)
+    # forms on (q, p, 1); Hamilton's equations give back rep[i] as the field
     system = ClassicalSystem([
-        AffineGenerator(rep[0], np.zeros(2), lambda q, p: (q * q + p * p) / 4),
-        AffineGenerator(rep[1], np.zeros(2), lambda q, p: (q * q - p * p) / 4),
-        AffineGenerator(rep[2], np.zeros(2), lambda q, p: q * p / 2),
+        np.diag([0.25, 0.25, 0.0]),
+        np.diag([0.25, -0.25, 0.0]),
+        [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]],
     ])
     hbar0 = 0.25 + central_offset
 
@@ -161,12 +161,11 @@ def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
     # central flow shifts S by -t: the coordinate vector fields then
     # anti-represent the bracket, [delta_q, delta_p] = -delta_central,
     # exactly as the commutator word of translations requires
+    # classical h = p, -q and 1 as forms on (q, p, 1)
     system = ClassicalSystem([
-        AffineGenerator(np.zeros((2, 2)), np.array([1.0, 0.0]),
-                        lambda q, p: p),
-        AffineGenerator(np.zeros((2, 2)), np.array([0.0, 1.0]),
-                        lambda q, p: -q),
-        AffineGenerator(np.zeros((2, 2)), np.zeros(2), lambda q, p: 1.0),
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
+        [[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.0]],
+        np.diag([0.0, 0.0, 1.0]),
     ])
 
     def quad_gen(a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:

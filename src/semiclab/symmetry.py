@@ -4,9 +4,9 @@ A scenario supplies three coupled pieces:
 
 - a ``LieAlgebra``: structure constants plus a faithful matrix representation
   used for all group-side computations (words, canonical coordinates);
-- a ``ClassicalSystem``: flows on points X = (S, Q, P), here affine
-  symplectic maps on (Q, P) with the action coordinate transported by
-  integrating P dQ - h dt;
+- a ``ClassicalSystem``: flows on points X = (S, Q, P), one quadratic
+  Hamiltonian form per direction, so affine symplectic maps on (Q, P)
+  with the action P dQ - h dt carried along, all exact in closed form;
 - a ``GeneratorFamily``: the map (algebra element, X) -> quadratic Fock
   generator, together with the fiber 1-form phi that realizes the operator
   form Omega[dX] = -i (A+ phi - A- phi*).
@@ -32,7 +32,6 @@ from .bogoliubov import (
     exponential_flow,
     integrate_flow,
     propagator_from_flow,
-    rk4_step,
     step_count,
 )
 from .fock import (
@@ -44,7 +43,6 @@ from .fock import (
 
 __all__ = [
     "LieAlgebra",
-    "AffineGenerator",
     "ClassicalSystem",
     "GeneratorFamily",
     "GroupWord",
@@ -132,91 +130,110 @@ class LieAlgebra:
         return worst
 
 
-@dataclass(frozen=True)
-class AffineGenerator:
-    """Affine symplectic vector field dz/dt = lin z + off on (Q, P),
-    with the classical Hamiltonian used for the action transport."""
+def _coefficients(a, dim: int) -> np.ndarray:
+    """Algebra coefficients as a float vector of length dim, or ValueError."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (dim,):
+        raise ValueError(f"need {dim} algebra coefficients, got shape {a.shape}")
+    return a
 
-    lin: np.ndarray
-    off: np.ndarray
-    ham: Callable[[float, float], float]
 
-    def __init__(self, lin, off, ham):
-        object.__setattr__(self, "lin", np.asarray(lin, dtype=float).reshape(2, 2))
-        object.__setattr__(self, "off", np.asarray(off, dtype=float).reshape(2))
-        object.__setattr__(self, "ham", ham)
+def _checked_form(form) -> np.ndarray:
+    """A Hamiltonian form as a float 3x3 array, or ValueError."""
+    h = np.asarray(form, dtype=float)
+    if h.shape != (3, 3):
+        raise ValueError(f"a Hamiltonian form is 3x3 on (q, p, 1), got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("a Hamiltonian form must be finite")
+    if not np.array_equal(h, h.T):
+        raise ValueError("a Hamiltonian form must be symmetric")
+    return h
+
+
+def _hamilton_field(h: np.ndarray) -> np.ndarray:
+    """The matrix A of w' = A w, w = (Q, P, 1), from Hamilton's equations
+    Q' = dh/dP = 2 (H w)_P, P' = -dh/dQ = -2 (H w)_Q of h = w^T H w."""
+    return np.array([2 * h[1], -2 * h[0], np.zeros(3)])
 
 
 class ClassicalSystem:
-    """Flows on packed points X = (S, Q, P) generated per algebra direction."""
+    """Flows on packed points X = (S, Q, P), one per algebra direction.
 
-    def __init__(self, generators: Sequence[AffineGenerator]):
-        self.generators = tuple(generators)
+    Direction i is declared by a finite symmetric 3x3 form H_i, the
+    Hamiltonian h_i(q, p) = w^T H_i w on w = (q, p, 1).  Hamilton's
+    equations make the field affine, w' = A w, and the action follows
+    S' = P Q' - h = w^T R w with R = e_P A[0]^T - H.  Both are exact in
+    closed form:
+
+        exp(t [[-A^T, R], [0, A]]) = [[., E], [0, e^(A t)]],
+        w(t) = e^(A t) w,   S(t) = S + w(t) . (E w),
+
+    the action integral by Van Loan's block-triangular exponential.
+    """
+
+    def __init__(self, forms: Sequence[np.ndarray]):
+        self.forms = np.array([_checked_form(f) for f in forms]).reshape(-1, 3, 3)
 
     @staticmethod
     def trivial(m: int) -> "ClassicalSystem":
-        zero = AffineGenerator(np.zeros((2, 2)), np.zeros(2), lambda q, p: 0.0)
-        return ClassicalSystem([zero] * m)
+        return ClassicalSystem([np.zeros((3, 3))] * m)
 
     @property
     def dim(self) -> int:
-        return len(self.generators)
+        return len(self.forms)
 
-    def _field(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        s, q, p = x
-        z = np.array([q, p])
-        dz = np.zeros(2)
-        h = 0.0
-        for ai, gen in zip(a, self.generators):
-            if ai == 0.0:
-                continue
-            dz += ai * (gen.lin @ z + gen.off)
-            h += ai * gen.ham(q, p)
-        return np.array([p * dz[0] - h, dz[0], dz[1]])
+    def _form(self, a: np.ndarray) -> np.ndarray:
+        """The form sum_i a_i H_i of direction a."""
+        a = _coefficients(a, self.dim)
+        return (a @ self.forms.reshape(self.dim, 9)).reshape(3, 3)
+
+    def _states(self, a: np.ndarray, times: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+        """Exact states X(tau) for each tau of ``times``, one batched expm."""
+        h = self._form(a)
+        field = _hamilton_field(h)
+        gen = np.zeros((6, 6))
+        gen[:3, :3] = -field.T
+        gen[:3, 3:] = np.outer([0.0, 1.0, 0.0], field[0]) - h  # S' = P Q' - h
+        gen[3:, 3:] = field
+        blocks = expm(np.multiply.outer(times, gen))
+        x = np.asarray(x, dtype=float).reshape(3)
+        w = np.array([x[1], x[2], 1.0])
+        moved = blocks[:, 3:, 3:] @ w
+        action = np.sum(moved * (blocks[:, :3, 3:] @ w), axis=-1)
+        return np.column_stack([x[0] + action, moved[:, 0], moved[:, 1]])
 
     def is_fixed_point(self, a: np.ndarray, x: np.ndarray) -> bool:
-        """True when the field of direction a vanishes exactly at x.
+        """True when the field of direction a vanishes exactly at x, so
+        the flow of a stays at x: Q' = P' = 0 is (H w)[:2] = 0, and then
+        S' = -h = -(H w)[2]."""
+        x = np.asarray(x, dtype=float).reshape(3)
+        return not np.any(self._form(a) @ [x[1], x[2], 1.0])
 
-        Every stage of the integrator then returns x unchanged, so the flow
-        of a stays at x for all times.
-        """
-        a = np.asarray(a, dtype=float)
-        return not np.any(self._field(a, np.asarray(x, dtype=float).reshape(3)))
-
-    def flow(self, a: np.ndarray, t: float, x: np.ndarray,
-             dt: float = 1e-3) -> np.ndarray:
-        return self.trajectory(a, t, x, dt)[-1]
+    def flow(self, a: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
+        return self._states(a, np.array([float(t)]), x)[0]
 
     def trajectory(self, a: np.ndarray, t: float, x: np.ndarray,
                    dt: float = 1e-3) -> np.ndarray:
         """States at half-step resolution 0, h/2, h, ..., t.
 
-        ``step_count(|t|, dt)`` uniform ``rk4_step`` steps h of the sign of
-        t.  The half-step states let a fixed-step integrator look its stage
-        points up exactly.
+        ``step_count(|t|, dt)`` uniform steps h of the sign of t.  The
+        half-step states let a fixed-step integrator look its stage points
+        up exactly; each is the exact flow at its time.
         """
-        a = np.asarray(a, dtype=float)
-        cur = np.asarray(x, dtype=float).reshape(3).copy()
-        n_steps = step_count(abs(t), dt)
-        h = t / max(n_steps, 1)
+        halves = 2 * step_count(abs(t), dt)
+        return self._states(a, np.linspace(0.0, t, halves + 1), x)
 
-        def field(_, y):
-            return self._field(a, y)
+    def tangent(self, a: np.ndarray, t: float, x: np.ndarray,
+                dx: np.ndarray) -> np.ndarray:
+        """Exact pushforward of the tangent vector dx along the flow of a.
 
-        out = [cur.copy()]
-        for _ in range(n_steps):
-            out.append(rk4_step(field, 0.0, cur, h / 2))
-            cur = rk4_step(field, 0.0, cur, h)
-            out.append(cur.copy())
-        return np.array(out)
-
-    def tangent(self, a: np.ndarray, t: float, x: np.ndarray, dx: np.ndarray,
-                eps: float = 1e-6, dt: float = 1e-3) -> np.ndarray:
-        """Pushforward of a tangent vector along the flow, by differencing."""
+        The flow is quadratic in X, so its central difference at unit step
+        is its derivative exactly.
+        """
+        x = np.asarray(x, dtype=float).reshape(3)
         dx = np.asarray(dx, dtype=float).reshape(3)
-        plus = self.flow(a, t, x + eps * dx, dt)
-        minus = self.flow(a, t, x - eps * dx, dt)
-        return (plus - minus) / (2 * eps)
+        return (self.flow(a, t, x + dx) - self.flow(a, t, x - dx)) / 2
 
 
 @dataclass(frozen=True)
@@ -234,7 +251,8 @@ class GeneratorFamily:
     modes: int
 
     def generator(self, a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:
-        return self.quad_gen(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+        return self.quad_gen(_coefficients(a, self.algebra.dim),
+                             np.asarray(x, dtype=float))
 
 
 def _delta_matrix(fam: GeneratorFamily, a: np.ndarray, block: str,
@@ -349,14 +367,6 @@ class X6Report:
     is_scalar: bool
     scalar: complex
     off_scalar_norm: float
-
-    def to_record(self) -> dict:
-        return {
-            "relation": "commutator-consistency",
-            "residual": self.residual_norm,
-            "is_scalar_multiple_of_identity": self.is_scalar,
-            "scalar_estimate": [self.scalar.real, self.scalar.imag],
-        }
 
 
 MARGIN = 4  # grades below the cutoff where truncated products are exact
@@ -630,7 +640,6 @@ class GroupAction:
     alphas: np.ndarray
     word: GroupWord
     _fam: GeneratorFamily
-    _dt: float
 
     def map_point(self, x: np.ndarray) -> np.ndarray:
         x_cur = np.asarray(x, dtype=float).copy()
@@ -638,8 +647,7 @@ class GroupAction:
         for idx, duration in self.word.factors:
             direction = np.zeros(m)
             direction[idx] = 1.0
-            x_cur = self._fam.system.flow(direction, duration, x_cur,
-                                          self._dt)
+            x_cur = self._fam.system.flow(direction, duration, x_cur)
         return x_cur
 
 
@@ -659,7 +667,6 @@ def group_element_action(fam: GeneratorFamily, g: np.ndarray,
         alphas=alphas,
         word=word,
         _fam=fam,
-        _dt=dt,
     )
 
 
