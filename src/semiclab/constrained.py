@@ -34,8 +34,7 @@ import numpy as np
 
 from .bogoliubov import BogoliubovFlow, GeneratorPath, integrate_flow, propagate_direct
 from .fock import FockVector, ModeBasis, displacement_eig, weighted_norm
-from .quadrature import (QuadCertificate, gauss_hermite_nodes, integrate_box,
-                         trapezoid_weights)
+from .quadrature import QuadCertificate, integrate_box, trapezoid_weights
 
 __all__ = [
     "IsotropicPlane",
@@ -335,46 +334,26 @@ def regularized_inner(
     plane: IsotropicPlane,
     eps: float,
     quad: QuadSpec = QuadSpec(),
-    method: str = "legendre",
 ) -> float:
     """Gaussian-regularized self inner product; nonnegative on isotropic planes.
 
-    The default folds the weight e^(-eps |beta|^2) into the integrand on the
-    decay-sized Gauss-Legendre box, which is uniformly accurate in eps.  The
-    Gauss-Hermite route serves as a cross-check; its nodes spread like
-    1/sqrt(eps), so it is only offered while they stay inside the trust
-    radius of the truncated displacement family.
+    The weight e^(-eps |beta|^2) is folded into the integrand on the
+    decay-sized Gauss-Legendre box, which is uniformly accurate in eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     fam = _get_family(plane, y.basis, quad.pad)
-    if method == "legendre":
-        radius = quad.radius if quad.radius is not None else _auto_radius(
-            fam, y, y, quad)
-        radius = tuple(float(r) for r in np.atleast_1d(radius))
-        cert = integrate_box(
-            lambda nodes: np.exp(-eps * np.sum(np.atleast_2d(nodes) ** 2, axis=1))
-            * fam.pairings(y, y, nodes),
-            radius,
-            quad.order,
-            self_check_tol=quad.self_check,
-        )
-        value = plane.a * cert.value
-    elif method == "hermite":
-        nodes, weights = gauss_hermite_nodes(plane.k, eps, quad.order)
-        live = np.abs(weights) > 1e-16 * np.abs(weights).max()
-        nodes, weights = nodes[live], weights[live]
-        for s in range(plane.k):
-            reach = fam.trust_radius(s)
-            if np.abs(nodes[:, s]).max() > reach:
-                raise ValueError(
-                    f"eps = {eps:g} spreads Gauss-Hermite nodes past the trust "
-                    f"radius {reach:.2f}; use the legendre route"
-                )
-        vals = fam.pairings(y, y, nodes)
-        value = plane.a * complex(np.sum(weights * vals))
-    else:
-        raise ValueError("method must be 'legendre' or 'hermite'")
+    radius = quad.radius if quad.radius is not None else _auto_radius(
+        fam, y, y, quad)
+    radius = tuple(float(r) for r in np.atleast_1d(radius))
+    cert = integrate_box(
+        lambda nodes: np.exp(-eps * np.sum(np.atleast_2d(nodes) ** 2, axis=1))
+        * fam.pairings(y, y, nodes),
+        radius,
+        quad.order,
+        self_check_tol=quad.self_check,
+    )
+    value = plane.a * cert.value
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise RuntimeError(f"regularized inner product came out non-real: {value}")
     return float(value.real)
@@ -571,7 +550,6 @@ def transform_composed(
     fam,
     g,
     basis: ModeBasis,
-    dt: float = 1e-3,
     subspace_tol: float = 1e-6,
     point: Optional[Callable[[float], np.ndarray]] = None,
     phi: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
@@ -592,7 +570,7 @@ def transform_composed(
     new_constraints = np.empty_like(state.constraints)
     for j in range(n):
         x0 = point(state.alphas[j]) if point is not None else None
-        action = group_element_action(fam, g, x0, basis, dt=dt)
+        action = group_element_action(fam, g, x0, basis)
         psi = state.fibers[j]
         new_fibers.append(FockVector(basis, action.unitary @ psi.coeffs, psi.leakage))
         evolved = evolve_plane(state.plane(j), action.flow)

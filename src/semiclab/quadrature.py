@@ -15,8 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = ["QuadratureError", "QuadCertificate", "gauss_legendre",
-           "tensor_legendre", "integrate_box", "gauss_hermite_nodes",
-           "trapezoid_weights"]
+           "tensor_legendre", "integrate_box", "trapezoid_weights"]
 
 
 class QuadratureError(RuntimeError):
@@ -62,20 +61,6 @@ def trapezoid_weights(grid, periodic_span: Optional[float] = None) -> np.ndarray
     w[0] = (grid[1] - grid[0]) / 2
     w[-1] = (grid[-1] - grid[-2]) / 2
     return w
-
-
-def gauss_hermite_nodes(k: int, eps: float, order: int):
-    """Nodes/weights so that sum w f(beta) ~ int e^(-eps |beta|^2) f(beta) dbeta."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x, w = np.polynomial.hermite.hermgauss(order)
-    nodes_1d = x / np.sqrt(eps)
-    weights_1d = w / np.sqrt(eps)
-    grids = np.meshgrid(*([nodes_1d] * k), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([weights_1d] * k), indexing="ij")
-    weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
-    return nodes, weights
 
 
 def integrate_box(

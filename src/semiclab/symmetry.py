@@ -15,11 +15,15 @@ The checks in this module measure, at finite truncation, the infinitesimal
 consistency identities of such a family, integrate one-parameter evolutions
 into group words, reconstruct group elements through canonical coordinates
 of the second kind, and report anomaly residuals as scalars.
+
+Every one-parameter evolution is exact: a family's quadratic blocks do not
+depend on X, and its scalar hbar has degree at most 3 in tau along each
+classical flow (``GeneratorFamily``, ``one_param_u``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,12 +31,9 @@ from scipy.linalg import expm, logm
 
 from .bogoliubov import (
     BogoliubovFlow,
-    GeneratorPath,
     compose_flows,
     exponential_flow,
-    integrate_flow,
     propagator_from_flow,
-    step_count,
 )
 from .fock import (
     ModeBasis,
@@ -40,6 +41,7 @@ from .fock import (
     ladder_table,
     quadratic_matrix,
 )
+from .quadrature import gauss_legendre
 
 __all__ = [
     "LieAlgebra",
@@ -187,9 +189,11 @@ class ClassicalSystem:
         a = _coefficients(a, self.dim)
         return (a @ self.forms.reshape(self.dim, 9)).reshape(3, 3)
 
-    def _states(self, a: np.ndarray, times: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-        """Exact states X(tau) for each tau of ``times``, one batched expm."""
+    def trajectory(self, a: np.ndarray, times: Sequence[float],
+                   x: np.ndarray) -> np.ndarray:
+        """Exact states X(tau), one row per tau of ``times``, from one
+        batched matrix exponential."""
+        times = np.asarray(times, dtype=float)
         h = self._form(a)
         field = _hamilton_field(h)
         gen = np.zeros((6, 6))
@@ -211,18 +215,7 @@ class ClassicalSystem:
         return not np.any(self._form(a) @ [x[1], x[2], 1.0])
 
     def flow(self, a: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-        return self._states(a, np.array([float(t)]), x)[0]
-
-    def trajectory(self, a: np.ndarray, t: float, x: np.ndarray,
-                   dt: float = 1e-3) -> np.ndarray:
-        """States at half-step resolution 0, h/2, h, ..., t.
-
-        ``step_count(|t|, dt)`` uniform steps h of the sign of t.  The
-        half-step states let a fixed-step integrator look its stage points
-        up exactly; each is the exact flow at its time.
-        """
-        halves = 2 * step_count(abs(t), dt)
-        return self._states(a, np.linspace(0.0, t, halves + 1), x)
+        return self.trajectory(a, [t], x)[0]
 
     def tangent(self, a: np.ndarray, t: float, x: np.ndarray,
                 dx: np.ndarray) -> np.ndarray:
@@ -240,8 +233,14 @@ class ClassicalSystem:
 class GeneratorFamily:
     """Quadratic generators and the fiber 1-form of a symmetry scenario.
 
-    ``quad_gen(a, X)`` must be linear in the algebra coefficients a;
-    ``phi(X, dX)`` maps a tangent vector to the C^d constraint vector.
+    ``quad_gen(a, X)`` must be linear in the algebra coefficients a, and X
+    may enter it only through the scalar hbar: the blocks H++ and H+- are
+    the same at every X.  Along each classical flow, hbar(a: X(tau)) must
+    be a polynomial of degree at most 3 in tau, which the two-node
+    Gauss-Legendre rule of ``one_param_u`` integrates exactly.  The u2
+    and su11 generators ignore X; the heisenberg hbar is affine in (Q, P),
+    which its translations move linearly in tau.  ``phi(X, dX)`` maps a
+    tangent vector to the C^d constraint vector.
     """
 
     algebra: LieAlgebra
@@ -470,41 +469,51 @@ class OneParamResult:
     x_out: np.ndarray
 
 
-def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float, x: np.ndarray,
-                dt: float = 1e-3) -> OneParamResult:
+# two nodes integrate polynomials of degree <= 3 in tau exactly
+_PATH_RULE = gauss_legendre(2)
+
+
+def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
+                x: np.ndarray) -> OneParamResult:
     """Solve the one-parameter evolution along the classical flow of B.
 
-    The generator path tau -> H(B: u_(g_B(tau)) X) feeds the linear flow
-    solver.  Returns the Bogoliubov flow (F, G, M, c) and the transported
-    point; ``propagator_from_flow`` realizes the flow on a truncated basis.
+    The generator path is tau -> H(B: u_(g_B(tau)) X).  By the family
+    contract (``GeneratorFamily``) its blocks are those of H(B: X) and only
+    its scalar hbar moves; a scalar commutes with every operator, so the
+    evolution is ``exponential_flow`` of H(B: X) with hbar replaced by its
+    path mean.  The mean is the two-node Gauss-Legendre rule on the exact
+    classical states, exact while hbar(B: X(tau)) has degree <= 3 in tau.
+    A family whose blocks at a node differ from those at X raises
+    ``ValueError``.  At a fixed point of the flow of B
+    (``ClassicalSystem.is_fixed_point``) the path is constant and no node
+    is read.
 
-    When X is a fixed point of the classical flow of B
-    (``ClassicalSystem.is_fixed_point``) the path is the constant generator
-    H(B: X) and ``exponential_flow`` solves it exactly, so ``dt`` is not
-    used.  Points that move are integrated by ``integrate_flow`` with a
-    step of at most ``dt`` on the sampled trajectory.
+    Returns the Bogoliubov flow (F, G, M, c) and the transported point;
+    ``propagator_from_flow`` realizes the flow on a truncated basis.
     """
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"duration t = {t} is not finite")
     if t == 0.0:
         return OneParamResult(BogoliubovFlow.identity(fam.modes), x.copy())
+    gen = fam.generator(np.sign(t) * b, x)
     if fam.system.is_fixed_point(b, x):
-        flow = exponential_flow(fam.generator(np.sign(t) * b, x), abs(t))
-        return OneParamResult(flow, x.copy())
-    n_steps = step_count(abs(t), dt)
-    dt_eff = abs(t) / n_steps
-    states = fam.system.trajectory(b, t, x, dt_eff)
-    half = (t / n_steps) / 2
-
-    def path_gen(tau: float) -> QuadraticGenerator:
-        j = int(round(tau / abs(half)))
-        if abs(tau - j * abs(half)) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("generator path sampled off the stage grid")
-        j = min(j, len(states) - 1)
-        return fam.generator(np.sign(t) * b, states[j])
-
-    path = GeneratorPath(path_gen, abs(t))
-    return OneParamResult(integrate_flow(path, abs(t), dt_eff), states[-1])
+        return OneParamResult(exponential_flow(gen, abs(t)), x.copy())
+    nodes, weights = _PATH_RULE
+    states = fam.system.trajectory(b, t * (nodes + 1) / 2, x)
+    hbar = 0.0
+    for state, weight in zip(states, weights):
+        node = fam.generator(np.sign(t) * b, state)
+        if not (np.array_equal(node.hpp, gen.hpp)
+                and np.array_equal(node.hpm, gen.hpm)):
+            raise ValueError(
+                f"the quadratic blocks of H(b: X) move with X along the flow "
+                f"of b = {b}; one_param_u needs blocks that do not depend on X")
+        hbar += weight / 2 * node.hbar
+    flow = exponential_flow(replace(gen, hbar=hbar), abs(t))
+    return OneParamResult(flow, fam.system.flow(b, t, x))
 
 
 @dataclass(frozen=True)
@@ -539,17 +548,27 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
     is realized once, by ``propagator_from_flow``.  When the word's
     classical product is the identity (in the matrix representation and on
     the transported point), the result reports the distance of the operator
-    to a global phase, and that phase.
+    to a global phase, and that phase.  A factor whose index is outside
+    ``range(algebra.dim)`` or whose duration is not finite raises
+    ``ValueError``.  ``dt`` is accepted and unused: every factor is exact
+    (``one_param_u``); it stays while scenario configs pass ``run.dt``.
     """
     x = np.asarray(x, dtype=float)
     m = fam.algebra.dim
+    for k, (idx, duration) in enumerate(word.factors):
+        if not 0 <= idx < m:
+            raise ValueError(f"factor {k} of the word, {(idx, duration)}: "
+                             f"index {idx} is outside range({m})")
+        if not np.isfinite(duration):
+            raise ValueError(f"factor {k} of the word, {(idx, duration)}: "
+                             f"duration {duration} is not finite")
     flow_total = BogoliubovFlow.identity(fam.modes)
     rep = np.eye(fam.algebra.rep[0].shape[0], dtype=complex)
     x_cur = x.copy()
     for k, (idx, duration) in enumerate(word.factors):
         direction = np.zeros(m)
         direction[idx] = 1.0
-        step = one_param_u(fam, direction, duration, x_cur, dt)
+        step = one_param_u(fam, direction, duration, x_cur)
         flow_total = compose_flows(step.flow, flow_total) if k else step.flow
         rep = expm(duration * fam.algebra.rep[idx]) @ rep
         x_cur = step.x_out
@@ -652,14 +671,13 @@ class GroupAction:
 
 
 def group_element_action(fam: GeneratorFamily, g: np.ndarray,
-                         x: Optional[np.ndarray], basis: ModeBasis,
-                         dt: float = 1e-3) -> GroupAction:
+                         x: Optional[np.ndarray], basis: ModeBasis) -> GroupAction:
     """Build U_g(u_g X <- X) through canonical coordinates of the second kind."""
     if x is None:
         x = np.zeros(3)
     alphas = second_kind_coords(np.asarray(g, dtype=complex), fam.algebra)
     word = _theorem_word(alphas)
-    res = word_product(fam, word, np.asarray(x, dtype=float), basis, dt)
+    res = word_product(fam, word, np.asarray(x, dtype=float), basis)
     return GroupAction(
         unitary=res.matrix,
         flow=res.flow,
@@ -674,11 +692,13 @@ def check_group_law(fam: GeneratorFamily, g1: np.ndarray, g2: np.ndarray,
                     x: np.ndarray, basis: ModeBasis, dt: float = 1e-3,
                     margin: int = MARGIN) -> float:
     """|| U_(g1)(u_(g1 g2) X <- u_(g2) X) U_(g2)(u_(g2) X <- X)
-        - U_(g1 g2)(u_(g1 g2) X <- X) ||, margin-restricted."""
+        - U_(g1 g2)(u_(g1 g2) X <- X) ||, margin-restricted.
+
+    ``dt`` is accepted and unused, as in ``word_product``."""
     x = np.asarray(x, dtype=float)
-    act2 = group_element_action(fam, g2, x, basis, dt)
-    act1 = group_element_action(fam, g1, act2.x_out, basis, dt)
-    act12 = group_element_action(fam, np.asarray(g1) @ np.asarray(g2), x, basis, dt)
+    act2 = group_element_action(fam, g2, x, basis)
+    act1 = group_element_action(fam, g1, act2.x_out, basis)
+    act12 = group_element_action(fam, np.asarray(g1) @ np.asarray(g2), x, basis)
     lhs = act1.unitary @ act2.unitary
     diff = _restrict(lhs - act12.unitary, basis, margin)
     return float(np.linalg.norm(diff, 2))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sampled_path_rk4
 from hypothesis import given, strategies as st
 
 from semiclab.bogoliubov import (
@@ -452,15 +453,13 @@ def _stagewise_flow(path, t, dt, cond_limit=1e8):
 
 
 def _su11_moving_point_path(t, n_steps):
-    # one_param_u's path at a point the classical flow moves
+    # the sampled path of a one-parameter evolution at a point the
+    # classical flow moves
     from semiclab.scenarios import su11_family
 
-    fam = su11_family()
-    b = np.array([0.3, 0.5, 0.0])
-    states = fam.system.trajectory(b, t, np.array([0.1, 0.6, 0.2]), t / n_steps)
-    half = t / n_steps / 2
-    return GeneratorPath(lambda tau: fam.generator(
-        b, states[min(int(round(tau / half)), len(states) - 1)]), t)
+    path, _, _ = sampled_path_rk4.path(
+        su11_family(), [0.3, 0.5, 0.0], t, [0.1, 0.6, 0.2], t / n_steps)
+    return path
 
 
 @pytest.mark.parametrize("make_path, t, dt", [
