@@ -753,3 +753,19 @@ def test_map_point_is_the_actions_transported_point():
              - 0.1 * fam.algebra.rep[2])
     act = group_element_action(fam, g, x, ModeBasis(1, 6))
     assert np.array_equal(act.map_point(x), act.x_out)
+
+
+@pytest.mark.parametrize("dt", [2e-3, 5e-3])
+def test_map_point_flows_at_the_action_step(dt):
+    fam = su11_family()
+    x = np.array([0.1, 0.5, -0.3])
+    g = expm(0.3 * fam.algebra.rep[0] + 0.2 * fam.algebra.rep[1]
+             - 0.1 * fam.algebra.rep[2])
+    act = group_element_action(fam, g, x, ModeBasis(1, 6))
+    oracle = x
+    for idx, duration in act.word.factors:
+        direction = np.zeros(fam.algebra.dim)
+        direction[idx] = 1.0
+        oracle = classical_rk4.flow(fam.system.forms, direction, duration,
+                                    oracle, dt)
+    assert np.abs(act.map_point(x) - oracle).max() < 1e-9
