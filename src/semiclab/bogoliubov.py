@@ -10,7 +10,7 @@ against each other:
   exponential of the same 2d x 2d system matrix K; ``integrate_flow`` is
   its oracle in the tests;
 - ``picard_flow``: the iterated-integral (Picard) series for the same system
-  in the interaction picture of the constant single-particle part L;
+  in the lab frame;
 - ``propagate_direct``: fourth-order integration of the truncated
   Schroedinger equation itself, which serves as the oracle for the
   Gaussian-ansatz propagator ``propagate_gaussian``.
@@ -47,7 +47,6 @@ from .fock import (
     GaussianData,
     ModeBasis,
     QuadraticGenerator,
-    _allclose,
     apply_ladder,
     gaussian_state,
     quadratic_matrix,
@@ -75,6 +74,16 @@ __all__ = [
     "propagator_from_flow",
     "compose_flows",
 ]
+
+
+# cond(G) guard and invariant gate: defaults of ``integrate_flow``, fixed
+# in ``exponential_flow``
+_COND_LIMIT = 1e8
+_RESIDUAL_TOL = 1e-5
+_PICARD_GRID = 801  # Simpson nodes of each Picard iterate (odd)
+_INVARIANT_GATE = 1e-6
+_NORM_GATE = 1e-6
+_RICCATI_STRIDE = 10
 
 
 class FlowError(RuntimeError):
@@ -132,10 +141,9 @@ def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray
 class GeneratorPath:
     """Time-dependent quadratic generator t -> H_t on [0, t_max].
 
-    The constant single-particle block L must not vary along the path (it
-    is the interaction-picture pivot).  ``static`` declares that the
-    generator ignores t; only ``constant`` sets it, and ``integrate_flow``
-    and the direct propagators then assemble their operators once.
+    ``static`` declares that the generator ignores t; only ``constant`` sets
+    it, and ``integrate_flow`` and the direct propagators then assemble
+    their operators once.
     """
 
     generator: Callable[[float], QuadraticGenerator]
@@ -145,11 +153,6 @@ class GeneratorPath:
     def __post_init__(self):
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
-        probes = [self.generator(s * self.t_max) for s in (0.0, 0.5, 1.0)]
-        l0 = probes[0].l_const
-        for g in probes[1:]:
-            if not _allclose(g.l_const, l0):
-                raise ValueError("the constant block L must be time-independent")
 
     @property
     def modes(self) -> int:
@@ -176,9 +179,6 @@ class GeneratorPath:
         if len(times) < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("need at least two strictly increasing sample times")
         gens = list(gens)
-        l0 = gens[0].l_const
-        if not all(_allclose(g.l_const, l0) for g in gens[1:]):
-            raise ValueError("the constant block L must be time-independent")
 
         def interp(t: float) -> QuadraticGenerator:
             j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
@@ -187,8 +187,7 @@ class GeneratorPath:
             a, b = gens[j], gens[j + 1]
             return QuadraticGenerator(
                 hpp=(1 - w) * a.hpp + w * b.hpp,
-                l_const=l0,
-                hsmall=(1 - w) * a.hsmall + w * b.hsmall,
+                hpm=(1 - w) * a.hpm + w * b.hpm,
                 hbar=(1 - w) * a.hbar + w * b.hbar,
             )
 
@@ -199,8 +198,8 @@ class GeneratorPath:
 class BogoliubovFlow:
     """State of the (F, G) flow at time t, with Riccati M and phase c.
 
-    ``times`` / ``fs`` / ``gs`` / ``cs`` hold the stored trajectory when the
-    flow came out of the integrator (used for residual diagnostics).
+    ``times`` / ``fs`` / ``gs`` hold the stored trajectory when the flow
+    came out of the integrator (used for residual diagnostics).
     """
 
     f: np.ndarray
@@ -211,7 +210,6 @@ class BogoliubovFlow:
     times: Optional[np.ndarray] = None
     fs: Optional[np.ndarray] = None
     gs: Optional[np.ndarray] = None
-    cs: Optional[np.ndarray] = None
 
     @property
     def modes(self) -> int:
@@ -276,8 +274,8 @@ def integrate_flow(
     path: GeneratorPath,
     t: float,
     dt: float,
-    cond_limit: float = 1e8,
-    residual_tol: Optional[float] = 1e-5,
+    cond_limit: float = _COND_LIMIT,
+    residual_tol: Optional[float] = _RESIDUAL_TOL,
 ) -> BogoliubovFlow:
     """Integrate the linear flow equations from (F, G) = (0, 1) to time t.
 
@@ -308,11 +306,11 @@ def integrate_flow(
         raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
     fgs = ys[:, :n].reshape(-1, 2 * d, d)
     fs, gs = fgs[:, :d], fgs[:, d:]
-    cs = _metaplectic_phase(gs, ys[:, -1].real)
+    c = _metaplectic_phase(gs, ys[:, -1].real)[-1]
     f, g = fs[-1], gs[-1]
     flow = BogoliubovFlow(
-        f=f, g=g, m=_split_m(f, g, cond_limit), c=cs[-1], t=float(times[-1]),
-        times=times, fs=fs, gs=gs, cs=cs,
+        f=f, g=g, m=_split_m(f, g, cond_limit), c=c, t=float(times[-1]),
+        times=times, fs=fs, gs=gs,
     )
     if residual_tol is not None:
         res = flow_invariants(flow)
@@ -351,10 +349,10 @@ def exponential_flow(gen: QuadraticGenerator, t: float) -> BogoliubovFlow:
     ys = np.array([expm(k * s)[:, d:] for s in grid])
     f, g = ys[-1, :d], ys[-1, d:]
     c = complex(_metaplectic_phase(ys[:, d:], rate * grid)[-1])
-    flow = BogoliubovFlow(f=f, g=g, m=_split_m(f, g, 1e8), c=c, t=float(t))
+    flow = BogoliubovFlow(f=f, g=g, m=_split_m(f, g, _COND_LIMIT), c=c, t=float(t))
     res = flow_invariants(flow)
-    if res.max > 1e-5:
-        raise FlowError(f"flow invariants off by {res.max:.3e} > 1.0e-05")
+    if res.max > _RESIDUAL_TOL:
+        raise FlowError(f"flow invariants off by {res.max:.3e} > {_RESIDUAL_TOL:.1e}")
     return flow
 
 
@@ -369,18 +367,18 @@ def flow_invariants(flow: BogoliubovFlow) -> FlowResiduals:
     return FlowResiduals(float(gram), float(sym), float(mg), ginv)
 
 
-def riccati_residual(flow: BogoliubovFlow, path: GeneratorPath, stride: int = 10) -> float:
+def riccati_residual(flow: BogoliubovFlow, path: GeneratorPath) -> float:
     """Max residual of i dM/dt = H++ + H+- M + M H-+ + M H-- M.
 
-    dM/dt is taken by central differences on the stored trajectory.
+    dM/dt is taken by central differences on the stored trajectory, at
+    every tenth step.
     """
     if flow.times is None or len(flow.times) < 3:
         raise ValueError("flow carries no trajectory (or it is too short)")
     times = flow.times
     ms = _split_m(flow.fs, flow.gs, 1e12)
     worst = 0.0
-    idx = range(1, len(times) - 1, max(1, stride))
-    for j in idx:
+    for j in range(1, len(times) - 1, _RICCATI_STRIDE):
         h1, h2 = times[j] - times[j - 1], times[j + 1] - times[j]
         if abs(h1 - h2) > 1e-12 * max(h1, h2):
             continue
@@ -395,55 +393,39 @@ def riccati_residual(flow: BogoliubovFlow, path: GeneratorPath, stride: int = 10
 
 @dataclass(frozen=True)
 class PicardResult:
-    f: np.ndarray             # interaction-picture series sum
+    f: np.ndarray             # series sums at t
     g: np.ndarray
-    f_lab: np.ndarray         # converted back: F = e^(-iLt) f, G = e^(iL*t) g
-    g_lab: np.ndarray
     term_norms: tuple
-    last_term_norm: float
 
 
 def picard_flow(
     path: GeneratorPath,
     t: float,
     n_terms: int,
-    n_grid: int = 801,
     tol: Optional[float] = 1e-6,
 ) -> PicardResult:
     """Partial sums of the iterated-integral series for the (F, G) system.
 
-    Works in the interaction picture of the constant block L:
-    Y_tau = e^(iL tau) Hsmall_tau e^(-iL tau),
-    Z_tau = e^(iL tau) H++_tau e^(iL* tau),
+    Works in the lab frame: Y_tau = H+-_tau, Z_tau = H++_tau,
     f/g accumulate the Picard iterates; the last-term norm is returned as a
     convergence certificate (and checked against ``tol`` unless None).
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
-    if n_grid < 5 or n_grid % 2 == 0:
-        raise ValueError("n_grid must be odd and >= 5")
     d = path.modes
-    taus = np.linspace(0.0, t, n_grid)
-    gen0 = path(0.0)
-    lw, lv = np.linalg.eigh(gen0.l_const)
-
-    def e_il(tau):  # e^{i L tau}
-        return (lv * np.exp(1j * lw * tau)) @ lv.conj().T
-
-    ys = np.empty((n_grid, d, d), dtype=complex)
-    zs = np.empty((n_grid, d, d), dtype=complex)
+    taus = np.linspace(0.0, t, _PICARD_GRID)
+    ys = np.empty((_PICARD_GRID, d, d), dtype=complex)
+    zs = np.empty((_PICARD_GRID, d, d), dtype=complex)
     for j, tau in enumerate(taus):
         gen = path(float(tau))
-        e_plus = e_il(tau)
-        e_minus = e_plus.conj().T
-        ys[j] = e_plus @ gen.hsmall @ e_minus
-        zs[j] = e_plus @ gen.hpp @ e_plus.T  # e^{iL* tau} = (e^{iL tau})^T
-    f_n = np.zeros((n_grid, d, d), dtype=complex)
-    g_n = np.tile(np.eye(d, dtype=complex), (n_grid, 1, 1))
+        ys[j] = gen.hpm
+        zs[j] = gen.hpp
+    f_n = np.zeros((_PICARD_GRID, d, d), dtype=complex)
+    g_n = np.tile(np.eye(d, dtype=complex), (_PICARD_GRID, 1, 1))
     f_sum = f_n.copy()
     g_sum = g_n.copy()
     term_norms = [1.0]
-    dx = taus[1] - taus[0] if n_grid > 1 else 0.0
+    dx = taus[1] - taus[0]
     for _ in range(1, n_terms):
         integrand_f = np.einsum("tij,tjk->tik", ys, f_n) + np.einsum(
             "tij,tjk->tik", zs, g_n)
@@ -461,14 +443,7 @@ def picard_flow(
         raise ConvergenceError(
             f"Picard series not converged: last term norm {last:.3e} > {tol:.1e}"
         )
-    f_i, g_i = f_sum[-1], g_sum[-1]
-    e_plus = e_il(t)
-    f_lab = e_plus.conj().T @ f_i
-    g_lab = e_plus.T @ g_i  # e^{iL* t} = (e^{iL t})^T
-    return PicardResult(
-        f=f_i, g=g_i, f_lab=f_lab, g_lab=g_lab,
-        term_norms=tuple(term_norms), last_term_norm=last,
-    )
+    return PicardResult(f=f_sum[-1], g=g_sum[-1], term_norms=tuple(term_norms))
 
 
 @dataclass(frozen=True)
@@ -501,18 +476,19 @@ def propagate_gaussian(
     init: CreatedState,
     flow: BogoliubovFlow,
     basis: ModeBasis,
-    invariant_tol: float = 1e-6,
 ) -> FockVector:
     """Evolve a created state through the flow by the Gaussian ansatz:
 
         Psi_t = Pi_j A_t+[f_j] |0>_t,
         A_t+[f] = A+[conj(G) f] - A-[F conj(f)],
         |0>_t   = c exp(1/2 A+ M A+)|0>.
+
+    A flow whose invariants are off by more than 1e-6 is rejected.
     """
     if init.n_created > basis.cutoff:
         raise ValueError("more created quanta than the cutoff")
     res = flow_invariants(flow)
-    if res.max > invariant_tol:
+    if res.max > _INVARIANT_GATE:
         raise FlowError(f"flow invariants off by {res.max:.3e}")
     state = gaussian_state(GaussianData(flow.m, c=flow.c), basis)
     for vec in reversed(init.vectors):
@@ -544,20 +520,20 @@ def propagate_direct(
     path: GeneratorPath,
     t: float,
     dt: float,
-    norm_tol: Optional[float] = 1e-6,
 ) -> DirectResult:
     """Fourth-order integration of i dPsi/dt = H_t Psi on the truncated basis.
 
     The compressed H_t is Hermitian, so the exact truncated flow is unitary;
-    the reported norm drift isolates pure integrator error.
+    the reported norm drift isolates pure integrator error, and a drift
+    above 1e-6 raises ``FlowError``.
     """
     path.check_time(t)
     basis = psi0.basis
     n0 = np.linalg.norm(psi0.coeffs)
     v = rk4(_schroedinger_rhs(path, basis), psi0.coeffs.copy(), t, dt)
     drift = abs(np.linalg.norm(v) - n0)
-    if norm_tol is not None and drift > norm_tol:
-        raise FlowError(f"norm drift {drift:.3e} > {norm_tol:.1e}")
+    if drift > _NORM_GATE:
+        raise FlowError(f"norm drift {drift:.3e} > {_NORM_GATE:.1e}")
     return DirectResult(FockVector(basis, v, psi0.leakage), float(drift))
 
 

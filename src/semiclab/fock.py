@@ -295,34 +295,28 @@ def apply_ladder(
 class QuadraticGenerator:
     """Quadratic Fock-space Hamiltonian
 
-        H = 1/2 A+ Hpp A+ + A+ (L + Hsmall) A- + 1/2 A- Hmm A- + hbar,
+        H = 1/2 A+ Hpp A+ + A+ Hpm A- + 1/2 A- Hmm A- + hbar,
 
-    with Hmm = conj(Hpp).  L is the constant Hermitian part of the
-    particle-conserving block, Hsmall the variable Hermitian part.
+    with Hpp symmetric, Hpm Hermitian and Hmm = conj(Hpp).
     """
 
     hpp: np.ndarray
-    l_const: np.ndarray
-    hsmall: np.ndarray
+    hpm: np.ndarray
     hbar: float = 0.0
 
     def __post_init__(self):
         hpp = np.atleast_2d(np.asarray(self.hpp, dtype=complex))
-        l_const = np.atleast_2d(np.asarray(self.l_const, dtype=complex))
-        hsmall = np.atleast_2d(np.asarray(self.hsmall, dtype=complex))
+        hpm = np.atleast_2d(np.asarray(self.hpm, dtype=complex))
         d = hpp.shape[0]
-        for name, m in (("hpp", hpp), ("l_const", l_const), ("hsmall", hsmall)):
+        for name, m in (("hpp", hpp), ("hpm", hpm)):
             if m.shape != (d, d):
                 raise ValueError(f"{name} must be {d}x{d}")
         if not _allclose(hpp, hpp.T):
             raise ValueError("hpp must be symmetric")
-        if not _allclose(l_const, l_const.conj().T):
-            raise ValueError("l_const must be Hermitian")
-        if not _allclose(hsmall, hsmall.conj().T):
-            raise ValueError("hsmall must be Hermitian")
+        if not _allclose(hpm, hpm.conj().T):
+            raise ValueError("hpm must be Hermitian")
         object.__setattr__(self, "hpp", hpp)
-        object.__setattr__(self, "l_const", l_const)
-        object.__setattr__(self, "hsmall", hsmall)
+        object.__setattr__(self, "hpm", hpm)
         object.__setattr__(self, "hbar", float(self.hbar))
 
     @property
@@ -330,17 +324,12 @@ class QuadraticGenerator:
         return self.hpp.shape[0]
 
     @property
-    def hpm(self) -> np.ndarray:
-        """Full particle-conserving block L + Hsmall."""
-        return self.l_const + self.hsmall
-
-    @property
     def hmm(self) -> np.ndarray:
         return self.hpp.conj()
 
     @staticmethod
     def from_blocks(hpp=None, hpm=None, hbar: float = 0.0, modes: Optional[int] = None):
-        """Build with the whole particle-conserving block in hsmall, L = 0."""
+        """Build from the blocks given; a block not given is zero."""
         if hpp is None and hpm is None and modes is None:
             raise ValueError("cannot infer the number of modes")
         if modes is None:
@@ -349,7 +338,7 @@ class QuadraticGenerator:
         z = np.zeros((modes, modes), dtype=complex)
         hpp = z if hpp is None else np.atleast_2d(np.asarray(hpp, dtype=complex))
         hpm = z if hpm is None else np.atleast_2d(np.asarray(hpm, dtype=complex))
-        return QuadraticGenerator(hpp=hpp, l_const=z, hsmall=hpm, hbar=hbar)
+        return QuadraticGenerator(hpp=hpp, hpm=hpm, hbar=hbar)
 
 
 def _dense(table: LadderTable, coeffs: np.ndarray) -> np.ndarray:
@@ -529,11 +518,11 @@ def gaussian_state(gd: GaussianData, basis: ModeBasis) -> FockVector:
         raise ValueError(f"||M|| = {q:.6f} >= 1: state is not normalizable")
     acc, norms = _exp_raise(gd.m, vacuum_state(basis).coeffs, basis.cutoff // 2 + 1,
                             basis)
-    tail = gaussian_tail_bound(q, basis.cutoff, last_term_norm=norms[-1])
+    tail = gaussian_tail_bound(q, basis.cutoff, last_term=norms[-1])
     return FockVector(basis, gd.c * acc, leakage=abs(gd.c) ** 2 * tail**2)
 
 
-def gaussian_tail_bound(m_norm: float, cutoff: int, last_term_norm: float = 1.0) -> float:
+def gaussian_tail_bound(m_norm: float, cutoff: int, last_term: float = 1.0) -> float:
     """Geometric estimate of the norm dropped past the cutoff.
 
     Successive grade components of exp(1/2 A+ M A+)|0> shrink at least
@@ -545,7 +534,7 @@ def gaussian_tail_bound(m_norm: float, cutoff: int, last_term_norm: float = 1.0)
     if m_norm == 0.0:
         return 0.0
     r = m_norm
-    return last_term_norm * r / math.sqrt(max(1e-300, 1.0 - r * r))
+    return last_term * r / math.sqrt(max(1e-300, 1.0 - r * r))
 
 
 def gaussian_perturb_series(

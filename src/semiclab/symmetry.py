@@ -332,8 +332,8 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
         + hpm_a @ hpm_b - hpm_b @ hpm_a
     )
     rhs_pm = rhs_pm + (
-        _delta_matrix(fam, b, "hsmall", a, x, h)
-        - _delta_matrix(fam, a, "hsmall", b, x, h)
+        _delta_matrix(fam, b, "hpm", a, x, h)
+        - _delta_matrix(fam, a, "hpm", b, x, h)
     )
     hpm_res = float(np.linalg.norm(gc.hpm - rhs_pm, 2))
 

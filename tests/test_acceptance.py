@@ -113,12 +113,12 @@ def test_criterion_3_picard_oracle():
     t = 1.0
     flow = integrate_flow(path, t, dt=5e-4)
     res = picard_flow(path, t, n_terms=25)
-    gap = float(np.linalg.norm(res.f_lab - flow.f)
-                + np.linalg.norm(res.g_lab - flow.g))
+    gap = float(np.linalg.norm(res.f - flow.f)
+                + np.linalg.norm(res.g - flow.g))
     k_const = 0.0
     for tau in np.linspace(0, t, 101):
         gen = path(float(tau))
-        k_const = max(k_const, np.linalg.norm(gen.hsmall, 2),
+        k_const = max(k_const, np.linalg.norm(gen.hpm, 2),
                       np.linalg.norm(gen.hpp, 2))
     d = path.modes
     bound_ok = all(

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from semiclab.bogoliubov import (
     CreatedState,
     FlowError,
     GeneratorPath,
+    PicardResult,
     compose_flows,
     exponential_flow,
     flow_invariants,
@@ -140,15 +143,15 @@ def test_picard_zero_generator():
     path = GeneratorPath.constant(
         QuadraticGenerator.from_blocks(modes=1), t_max=2.0)
     res = picard_flow(path, t=1.0, n_terms=5)
-    assert np.allclose(res.f_lab, 0)
-    assert np.allclose(res.g_lab, np.eye(1))
+    assert np.allclose(res.f, 0)
+    assert np.allclose(res.g, np.eye(1))
 
 
 def test_picard_matches_squeeze_closed_form():
     kappa, t = 0.3, 1.0
     res = picard_flow(squeeze_path(kappa), t=t, n_terms=25)
-    assert abs(res.f_lab[0, 0] - (-1j * math.sinh(kappa * t))) < 1e-8
-    assert abs(res.g_lab[0, 0] - math.cosh(kappa * t)) < 1e-8
+    assert abs(res.f[0, 0] - (-1j * math.sinh(kappa * t))) < 1e-8
+    assert abs(res.g[0, 0] - math.cosh(kappa * t)) < 1e-8
 
 
 def test_picard_matches_integrator():
@@ -156,38 +159,35 @@ def test_picard_matches_integrator():
     path = random_path(2, rng, t_max=1.0)
     flow = integrate_flow(path, t=1.0, dt=5e-4)
     res = picard_flow(path, t=1.0, n_terms=25)
-    assert np.linalg.norm(res.f_lab - flow.f) < 1e-6
-    assert np.linalg.norm(res.g_lab - flow.g) < 1e-6
+    assert np.linalg.norm(res.f - flow.f) < 1e-6
+    assert np.linalg.norm(res.g - flow.g) < 1e-6
 
 
-def test_picard_interaction_picture_with_constant_l():
-    # split the particle-conserving block into L + Hsmall and make sure the
-    # interaction-picture series still reproduces the lab-frame flow
-    omega = 1.3
-    gen = QuadraticGenerator(
-        hpp=np.array([[0.25]]),
-        l_const=np.array([[omega]]),
-        hsmall=np.array([[0.1]]),
-        hbar=0.0,
-    )
+def test_picard_lab_frame_with_a_large_conserving_block():
+    # a particle-conserving block well above the pairing block, so the
+    # lab-frame series must carry a fast rotation through 25 terms
+    gen = QuadraticGenerator(hpp=np.array([[0.25]]), hpm=np.array([[1.4]]))
     path = GeneratorPath.constant(gen, t_max=2.0)
     flow = integrate_flow(path, t=1.0, dt=5e-4)
     res = picard_flow(path, t=1.0, n_terms=25)
-    assert np.linalg.norm(res.f_lab - flow.f) < 1e-7
-    assert np.linalg.norm(res.g_lab - flow.g) < 1e-7
+    assert np.linalg.norm(res.f - flow.f) < 1e-7
+    assert np.linalg.norm(res.g - flow.g) < 1e-7
 
 
-def test_from_samples_rejects_a_varying_l_block():
-    # L = 5 only on the middle sample: the interpolation keeps the first
-    # sample's L, so the path would read H+- = 0 at t = 1
-    def gen(l):
-        return QuadraticGenerator(hpp=np.zeros((1, 1)), l_const=[[l]],
-                                  hsmall=np.zeros((1, 1)), hbar=0.0)
+def test_one_generator_representation_and_no_unset_flow_settings():
+    # (H++, H+-, hbar) is the one generator representation, Picard works
+    # in the lab frame, and the flow layer takes no setting no caller sets
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
 
-    with pytest.raises(ValueError, match="time-independent"):
-        GeneratorPath.from_samples([0.0, 1.0, 2.0], [gen(0.0), gen(5.0), gen(0.0)])
-    path = GeneratorPath.from_samples([0.0, 1.0, 2.0], [gen(5.0)] * 3)
-    assert path(1.0).hpm[0, 0] == 5.0
+    assert fields(QuadraticGenerator) == ["hpp", "hpm", "hbar"]
+    assert fields(PicardResult) == ["f", "g", "term_norms"]
+    assert "cs" not in fields(BogoliubovFlow)
+    for fn in (picard_flow, propagate_gaussian, propagate_direct,
+               riccati_residual):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"n_grid", "invariant_tol", "norm_tol", "stride"}, \
+            fn.__name__
 
 
 def test_picard_term_norm_factorial_bound():
@@ -204,7 +204,7 @@ def test_picard_term_norm_factorial_bound():
         gen = path(float(tau))
         k_const = max(
             k_const,
-            np.linalg.norm(gen.hsmall, 2),
+            np.linalg.norm(gen.hpm, 2),
             np.linalg.norm(gen.hpp, 2),
         )
     for n, tn in enumerate(res.term_norms):
@@ -505,7 +505,7 @@ def test_static_path_builds_its_operators_once(monkeypatch):
     assert np.array_equal(matrix, propagator_matrix(per_stage, 1.0, 1e-2, basis))
     flow = integrate_flow(static, 1.0, 1e-2)
     oracle = integrate_flow(per_stage, 1.0, 1e-2)
-    for name in ("f", "g", "m", "c", "fs", "gs", "cs"):
+    for name in ("f", "g", "m", "c", "fs", "gs"):
         assert np.array_equal(getattr(flow, name), getattr(oracle, name)), name
 
 

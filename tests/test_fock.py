@@ -124,6 +124,13 @@ def test_quadratic_pure_squeeze_on_vacuum():
     assert np.allclose(out.coeffs, expect)
 
 
+def test_generator_validation_names_the_block_passed():
+    with pytest.raises(ValueError, match="^hpm must be Hermitian$"):
+        QuadraticGenerator.from_blocks(hpm=[[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="^hpp must be symmetric$"):
+        QuadraticGenerator.from_blocks(hpp=[[0, 1], [0, 0]])
+
+
 def test_quadratic_hermitian_on_margin():
     rng = np.random.default_rng(11)
     b = ModeBasis(2, 8)
@@ -474,7 +481,7 @@ def test_ladder_table_against_dense_oracle(modes, cutoff, monkeypatch):
         return m + m.conj().T
 
     z = rng.normal(size=(3, modes, modes)) + 1j * rng.normal(size=(3, modes, modes))
-    gen = QuadraticGenerator(z[0] + z[0].T, herm(z[1]), herm(z[2]), hbar=0.37)
+    gen = QuadraticGenerator(z[0] + z[0].T, herm(z[1]) + herm(z[2]), hbar=0.37)
     h = _dense_quadratic(gen, basis)
     assert np.array_equal(fock.quadratic_matrix(gen, basis), h)
     dense = sum(z[1, i, j] * (ad[i] @ a[j]) for i, j in pairs)
