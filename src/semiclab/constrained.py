@@ -21,6 +21,9 @@ one table, E1 W E2^T with W = V1+ V2 cached per family and the vectors
 folded into the exponential rows E1, E2; it is multiplied in the order that
 keeps the intermediate smallest, so a scan along one axis costs
 matrix-vector products.
+
+Every plane integral runs through one body: the pairing is checked at the
+boundary, and the box is always sized from the integrand's decay.
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ __all__ = [
 ]
 
 
+# the box: each axis ends where the envelope stays below _TAIL_TARGET
+# times |Y1| |Y2|, and no scan reaches past _RADIUS_CAP
+_TAIL_TARGET, _RADIUS_CAP = 1e-12, 40.0
+_DECAY_SAMPLES = 160  # radii per ray on which decay_profile samples
+# largest |Im(B_i, B_j)| of a caller's plane, and of a transported one
+_ISOTROPY_TOL, _TRANSPORTED_ISOTROPY_TOL = 1e-12, 1e-10
+_SUBSPACE_TOL = 1e-6  # projector gap between transported and recomputed planes
+
+
 @dataclass(frozen=True)
 class IsotropicPlane:
     """Real span of constraint vectors B_1..B_k with Im(B_i, B_j) = 0.
@@ -82,49 +94,62 @@ class IsotropicPlane:
         return mat
 
 
-def make_plane(bs: Sequence[np.ndarray], a: float = 1.0,
-               isotropy_tol: float = 1e-12) -> IsotropicPlane:
+def _isotropy_defect(plane: IsotropicPlane, tol: float) -> Optional[str]:
+    """Why the constraint vectors do not span an isotropic k-plane, or None."""
+    for j, b in enumerate(plane.bs):
+        if not np.all(np.isfinite(b)):
+            return f"constraint vector {j} has a non-finite entry: {b}"
+    worst = float(np.max(np.abs(plane.gram().imag)))
+    if worst > tol:
+        return f"plane is not isotropic: max |Im(B_i, B_j)| = {worst:.3e}"
+    sv = np.linalg.svd(
+        np.array([np.concatenate([b.real, b.imag]) for b in plane.bs]),
+        compute_uv=False,
+    )
+    if sv.min() <= 1e-10 * max(1.0, sv.max()):
+        return "constraint vectors are linearly dependent over the reals"
+    return None
+
+
+def make_plane(bs: Sequence[np.ndarray], a: float = 1.0) -> IsotropicPlane:
     """Validate and build an isotropic plane.
 
-    Rejects vectors whose pairwise inner products have nonzero imaginary
-    part, and real-linearly dependent families.
+    Rejects a measure constant that is not finite and positive, vectors
+    with non-finite entries or whose pairwise inner products have nonzero
+    imaginary part, and real-linearly dependent families.
     """
-    if a <= 0:
-        raise ValueError("measure constant must be positive")
     plane = IsotropicPlane(bs, a)
+    if not (math.isfinite(plane.a) and plane.a > 0):
+        raise ValueError(f"measure constant must be finite and positive, got {plane.a}")
     if plane.k == 0:
         raise ValueError("need at least one constraint vector")
-    g = plane.gram()
-    worst = float(np.max(np.abs(g.imag)))
-    if worst > isotropy_tol:
-        raise ValueError(
-            f"plane is not isotropic: max |Im(B_i, B_j)| = {worst:.3e}"
-        )
-    real_stack = np.array(
-        [np.concatenate([b.real, b.imag]) for b in plane.bs]
-    )
-    sv = np.linalg.svd(real_stack, compute_uv=False)
-    if sv.min() <= 1e-10 * max(1.0, sv.max()):
-        raise ValueError("constraint vectors are linearly dependent over the reals")
+    defect = _isotropy_defect(plane, _ISOTROPY_TOL)
+    if defect is not None:
+        raise ValueError(defect)
     return plane
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature controls for plane integrals.
+    """Quadrature controls for plane integrals, whose box is always sized
+    from the integrand's decay.
 
-    ``radius``: per-axis half-width, or None to scan it from the integrand's
-    decay; ``pad``: extra quanta for the displacement family so the integrand
-    stays accurate out to the box edge; ``self_check``: order-doubling
-    agreement requirement (None disables).
+    ``order``: Gauss-Legendre nodes per axis (the certificate doubles it);
+    ``pad``: extra quanta for the displacement family so the integrand
+    stays accurate out to the box edge; ``self_check``: the order-doubling
+    change allowed, relative to max(1, |value|).
     """
 
-    radius: Optional[Sequence[float]] = None
     order: int = 48
     pad: int = 12
-    self_check: Optional[float] = 1e-8
-    tail_target: float = 1e-12
-    radius_cap: float = 40.0
+    self_check: float = 1e-8
+
+    def __post_init__(self):
+        # a NaN or infinite tolerance would pass every order doubling
+        if not (self.order >= 1 and self.pad >= 0
+                and math.isfinite(self.self_check) and self.self_check > 0):
+            raise ValueError(f"need order >= 1, pad >= 0 and a finite positive "
+                             f"self_check, got {self}")
 
 
 class _DisplacementFamily:
@@ -133,7 +158,6 @@ class _DisplacementFamily:
     def __init__(self, plane: IsotropicPlane, basis: ModeBasis, pad: int):
         self.plane = plane
         self.big = basis.padded(pad)
-        self.small = basis
         self.eigs = [displacement_eig(b, self.big) for b in plane.bs]
         self._w12 = None
 
@@ -233,8 +257,8 @@ def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _Displacem
     return fam
 
 
-def _auto_radius(fam: _DisplacementFamily, y1: FockVector, y2: FockVector,
-                 spec: QuadSpec) -> tuple:
+def _auto_radius(fam: _DisplacementFamily, y1: FockVector,
+                 y2: FockVector) -> tuple:
     """Smallest per-axis radius past which the sampled envelope stays tiny.
 
     The truncated integrand is only faithful while it decays; past its
@@ -243,12 +267,12 @@ def _auto_radius(fam: _DisplacementFamily, y1: FockVector, y2: FockVector,
     which the envelope stays below target up to that point.
     """
     scale = max(y1.norm() * y2.norm(), 1e-30)
-    target = spec.tail_target * scale
+    target = _TAIL_TARGET * scale
     level_in = 1e-6 * scale
     level_rev = 1e-3 * scale
     radii = []
     for s in range(fam.plane.k):
-        reach = min(spec.radius_cap, fam.trust_radius(s))
+        reach = min(_RADIUS_CAP, fam.trust_radius(s))
         grid = np.linspace(0.05, reach, 320)
         env = fam.axis_envelope(y1, y2, s, grid)
         # locate the first decay basin: entry point, then its floor before
@@ -290,6 +314,36 @@ def _auto_radius(fam: _DisplacementFamily, y1: FockVector, y2: FockVector,
     return tuple(radii)
 
 
+def _checked_family(y1: FockVector, y2: FockVector, plane: IsotropicPlane,
+                    pad: int) -> _DisplacementFamily:
+    """The pairing's family, after the checks every plane integral makes:
+    one basis, the plane's mode count, finite weighted norms of order k/2 + 1."""
+    if y1.basis != y2.basis:
+        raise ValueError(f"vectors live on different bases: {y1.basis} and {y2.basis}")
+    if plane.modes != y1.basis.modes:
+        raise ValueError(f"plane mode count {plane.modes} does not match the "
+                         f"vectors' {y1.basis.modes}")
+    required = plane.k / 2 + 1
+    for y in (y1, y2):
+        if not np.isfinite(weighted_norm(y, required)):
+            raise ValueError("weighted-norm precondition failed")
+    return _get_family(plane, y1.basis, pad)
+
+
+def _plane_integral(y1: FockVector, y2: FockVector, plane: IsotropicPlane,
+                    quad: QuadSpec, weight: Optional[Callable] = None) -> QuadCertificate:
+    """Certified int dbeta weight(beta) (Y1, U[sum_s beta_s B_s] Y2) over
+    the decay-sized box, without the measure constant."""
+    fam = _checked_family(y1, y2, plane, quad.pad)
+
+    def integrand(nodes):
+        vals = fam.pairings(y1, y2, nodes)
+        return vals if weight is None else weight(nodes) * vals
+
+    return integrate_box(integrand, _auto_radius(fam, y1, y2), quad.order,
+                         self_check_tol=quad.self_check)
+
+
 def inner_constrained_detailed(
     y1: FockVector,
     y2: FockVector,
@@ -297,25 +351,7 @@ def inner_constrained_detailed(
     quad: QuadSpec = QuadSpec(),
 ) -> tuple[complex, QuadCertificate]:
     """Constrained inner product with its quadrature certificate."""
-    if y1.basis != y2.basis:
-        raise ValueError("vectors live on different bases")
-    if plane.modes != y1.basis.modes:
-        raise ValueError("plane mode count does not match the vectors")
-    required = plane.k / 2 + 1
-    for y in (y1, y2):
-        if not np.isfinite(weighted_norm(y, required)):
-            raise ValueError("weighted-norm precondition failed")
-    fam = _get_family(plane, y1.basis, quad.pad)
-    radius = quad.radius if quad.radius is not None else _auto_radius(fam, y1, y2, quad)
-    radius = tuple(float(r) for r in np.atleast_1d(radius))
-    if len(radius) != plane.k:
-        raise ValueError("radius must give one half-width per plane direction")
-    cert = integrate_box(
-        lambda nodes: fam.pairings(y1, y2, nodes),
-        radius,
-        quad.order,
-        self_check_tol=quad.self_check,
-    )
+    cert = _plane_integral(y1, y2, plane, quad)
     return plane.a * cert.value, cert
 
 
@@ -340,19 +376,11 @@ def regularized_inner(
     The weight e^(-eps |beta|^2) is folded into the integrand on the
     decay-sized Gauss-Legendre box, which is uniformly accurate in eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    fam = _get_family(plane, y.basis, quad.pad)
-    radius = quad.radius if quad.radius is not None else _auto_radius(
-        fam, y, y, quad)
-    radius = tuple(float(r) for r in np.atleast_1d(radius))
-    cert = integrate_box(
-        lambda nodes: np.exp(-eps * np.sum(np.atleast_2d(nodes) ** 2, axis=1))
-        * fam.pairings(y, y, nodes),
-        radius,
-        quad.order,
-        self_check_tol=quad.self_check,
-    )
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    cert = _plane_integral(
+        y, y, plane, quad,
+        weight=lambda nodes: np.exp(-eps * np.sum(np.atleast_2d(nodes) ** 2, axis=1)))
     value = plane.a * cert.value
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise RuntimeError(f"regularized inner product came out non-real: {value}")
@@ -362,12 +390,7 @@ def regularized_inner(
 @dataclass(frozen=True)
 class DecayProfile:
     constant: float
-    exponent: float
-    suggested_radius: tuple
     worst_ratio: float
-
-    def bound(self, beta_norm: float) -> float:
-        return self.constant / max(beta_norm, 1e-30) ** self.exponent
 
 
 def decay_profile(
@@ -375,15 +398,15 @@ def decay_profile(
     y2: FockVector,
     plane: IsotropicPlane,
     m: int,
-    quad: QuadSpec = QuadSpec(),
-    n_samples: int = 160,
 ) -> DecayProfile:
     """Certify |(Y1, U[sum beta_s B_s] Y2)| <= C / |beta|^m on sampled rays.
 
     C combines the binomial weighted-norm bound with the smallest eigenvalue
     of the plane's real Gram matrix; a sampled violation signals a
-    weighted-norm miscomputation and raises.
+    weighted-norm miscomputation and raises.  The axes (and the diagonal
+    when k > 1) are sampled on the family of the default padding.
     """
+    fam = _checked_family(y1, y2, plane, QuadSpec().pad)
     g_min = float(np.linalg.eigvalsh(plane.gram().real).min())
     if g_min <= 0:
         raise ValueError("degenerate plane")
@@ -392,59 +415,36 @@ def decay_profile(
         for j in range(m + 1)
     )
     c *= g_min ** (-m / 2)
-    fam = _get_family(plane, y1.basis, quad.pad)
     k = plane.k
     rays = [np.eye(k)[s] for s in range(k)]
     if k > 1:
         rays.append(np.ones(k) / math.sqrt(k))
     worst = 0.0
-    reach = min([quad.radius_cap] + [fam.trust_radius(s) for s in range(k)])
-    radii = np.linspace(0.3, reach, n_samples)
-    scale = max(y1.norm() * y2.norm(), 1e-30)
-    target = quad.tail_target * scale
-    suggested = [0.0] * k
+    reach = min([_RADIUS_CAP] + [fam.trust_radius(s) for s in range(k)])
+    radii = np.linspace(0.3, reach, _DECAY_SAMPLES)
     for ray in rays:
         nodes = radii[:, None] * ray[None, :]
-        vals = np.abs(fam.pairings(y1, y2, nodes))
-        ratios = vals * radii**m / c
+        ratios = np.abs(fam.pairings(y1, y2, nodes)) * radii**m / c
         worst = max(worst, float(ratios.max()))
         if worst > 1 + 1e-9:
             raise RuntimeError(
                 f"sampled decay violates the certified bound (ratio {worst:.3f}); "
                 "weighted norms are inconsistent with the integrand"
             )
-        for s in range(k):
-            if ray[s] > 0:
-                below = vals <= target
-                good = next((radii[j] for j in range(len(radii)) if below[j:].all()),
-                            radii[-1])
-                suggested[s] = max(suggested[s], 1.15 * float(good) * ray[s])
-    return DecayProfile(
-        constant=float(c),
-        exponent=float(m),
-        suggested_radius=tuple(suggested),
-        worst_ratio=worst,
-    )
+    return DecayProfile(constant=float(c), worst_ratio=worst)
 
 
-def evolve_plane(plane: IsotropicPlane, flow: BogoliubovFlow,
-                 isotropy_tol: float = 1e-10) -> IsotropicPlane:
+def evolve_plane(plane: IsotropicPlane, flow: BogoliubovFlow) -> IsotropicPlane:
     """Transport the plane through a flow: B -> F conj(B) + conj(G) B.
 
-    The measure constant rides along unchanged.
+    The measure constant rides along unchanged.  A transported plane that
+    is no longer an isotropic k-plane raises ``RuntimeError``.
     """
     new_bs = [flow.f @ np.conj(b) + np.conj(flow.g) @ b for b in plane.bs]
     out = IsotropicPlane(new_bs, plane.a)
-    g = out.gram()
-    worst = float(np.max(np.abs(g.imag)))
-    if worst > isotropy_tol:
-        raise RuntimeError(f"evolved plane lost isotropy: {worst:.3e}")
-    sv = np.linalg.svd(
-        np.array([np.concatenate([b.real, b.imag]) for b in new_bs]),
-        compute_uv=False,
-    )
-    if sv.min() <= 1e-10 * max(1.0, sv.max()):
-        raise RuntimeError("evolved plane is numerically degenerate")
+    defect = _isotropy_defect(out, _TRANSPORTED_ISOTROPY_TOL)
+    if defect is not None:
+        raise RuntimeError(f"evolved plane: {defect}")
     return out
 
 
@@ -550,7 +550,6 @@ def transform_composed(
     fam,
     g,
     basis: ModeBasis,
-    subspace_tol: float = 1e-6,
     point: Optional[Callable[[float], np.ndarray]] = None,
     phi: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> ComposedFockState:
@@ -561,7 +560,7 @@ def transform_composed(
     element's Bogoliubov flow.  When ``point``/``phi`` callables describing
     the manifold are supplied, the constraints are also recomputed from the
     transformed manifold and the two plane families are compared as real
-    subspaces; a mismatch beyond ``subspace_tol`` signals an anomalous family.
+    subspaces; a projector gap beyond 1e-6 signals an anomalous family.
     """
     from .symmetry import group_element_action
 
@@ -583,7 +582,7 @@ def transform_composed(
             dx = (np.asarray(x_plus) - np.asarray(x_minus)) / (2 * h)
             recomputed = np.atleast_2d(phi(action.map_point(x0), dx))
             dist = _real_span_distance(recomputed, np.atleast_2d(evolved.bs))
-            if dist > subspace_tol:
+            if dist > _SUBSPACE_TOL:
                 raise RuntimeError(
                     f"transported plane disagrees with the transformed manifold "
                     f"(subspace distance {dist:.3e}); the family is anomalous"

@@ -518,11 +518,11 @@ def gaussian_state(gd: GaussianData, basis: ModeBasis) -> FockVector:
         raise ValueError(f"||M|| = {q:.6f} >= 1: state is not normalizable")
     acc, norms = _exp_raise(gd.m, vacuum_state(basis).coeffs, basis.cutoff // 2 + 1,
                             basis)
-    tail = gaussian_tail_bound(q, basis.cutoff, last_term=norms[-1])
+    tail = gaussian_tail_bound(q, last_term=norms[-1])
     return FockVector(basis, gd.c * acc, leakage=abs(gd.c) ** 2 * tail**2)
 
 
-def gaussian_tail_bound(m_norm: float, cutoff: int, last_term: float = 1.0) -> float:
+def gaussian_tail_bound(m_norm: float, last_term: float) -> float:
     """Geometric estimate of the norm dropped past the cutoff.
 
     Successive grade components of exp(1/2 A+ M A+)|0> shrink at least

@@ -59,6 +59,12 @@ __all__ = [
     "fit_loglog_slope",
 ]
 
+# project_fiber: largest displaced shape at the beta box edge, relative to
+# the shape's peak; splitstep_evolve: largest share of spectral power above
+# 0.8 of the Nyquist wavenumber
+_PROJECTION_EDGE_DECAY = 1e-6
+_NYQUIST_POWER_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class UniformGrid:
@@ -633,7 +639,6 @@ def project_fiber(
     alpha: float,
     order: Optional[int] = None,
     span: Optional[float] = None,
-    decay_check: float = 1e-6,
 ) -> ShapeFunction:
     """f(alpha, xi) = int dbeta e^(i beta (dP xi - dQ (1/i) d/dxi)) g(alpha, xi).
 
@@ -661,7 +666,7 @@ def project_fiber(
         )
     edge = fiber_displacement(g, dp, dq, span)
     edge_sup = np.abs(edge.values).max()
-    if edge_sup > decay_check * np.abs(g.values).max():
+    if edge_sup > _PROJECTION_EDGE_DECAY * np.abs(g.values).max():
         raise ValueError(
             f"projection integrand has not decayed at the box edge "
             f"({edge_sup:.3e}); germ condition violated"
@@ -768,7 +773,6 @@ def splitstep_evolve(
     problem: SplitStepProblem,
     t: float,
     dt: float,
-    spectral_tail_tol: float = 1e-8,
 ) -> GridWave:
     """Strang-split evolution: half potential, full kinetic, half potential.
 
@@ -786,7 +790,7 @@ def splitstep_evolve(
     spec = np.fft.fft(psi0.values)
     power = np.abs(spec) ** 2
     cut = np.abs(k) > 0.8 * np.abs(k).max()
-    if power[cut].sum() > spectral_tail_tol * power.sum():
+    if power[cut].sum() > _NYQUIST_POWER_TOL * power.sum():
         raise ValueError(
             "grid cannot resolve the wave's oscillation "
             "(spectral mass near the Nyquist frequency)"

@@ -369,6 +369,10 @@ class X6Report:
 
 
 MARGIN = 4  # grades below the cutoff where truncated products are exact
+_X6_SCALAR_TOL = 1e-6  # off-scalar norm of an x6 residual read as a scalar
+# a word is a loop when its matrix returns to 1 and its point to the start
+_LOOP_REP_TOL, _LOOP_POINT_TOL = 1e-8, 1e-7
+_NEWTON_TOL, _NEWTON_ITERATIONS = 1e-12, 50  # second-kind coordinates
 
 
 def _restrict(mat: np.ndarray, basis: ModeBasis, margin: int = MARGIN) -> np.ndarray:
@@ -382,7 +386,7 @@ def _restrict(mat: np.ndarray, basis: ModeBasis, margin: int = MARGIN) -> np.nda
 
 def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
              x: np.ndarray, basis: ModeBasis, h: float = 1e-4,
-             margin: int = MARGIN, scalar_tol: float = 1e-6) -> X6Report:
+             margin: int = MARGIN) -> X6Report:
     """Operator residual of the commutator consistency identity:
 
         R = -[H(A:X), H(B:X)] - i delta[B] H(A:X) + i delta[A] H(B:X)
@@ -414,7 +418,7 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     off_norm = float(np.linalg.norm(off, 2))
     return X6Report(
         residual_norm=float(np.linalg.norm(sub, 2)),
-        is_scalar=off_norm <= scalar_tol,
+        is_scalar=off_norm <= _X6_SCALAR_TOL,
         scalar=scalar,
         off_scalar_norm=off_norm,
     )
@@ -540,8 +544,8 @@ class WordResult:
 
 
 def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
-                 basis: ModeBasis, dt: float = 1e-3, margin: int = MARGIN,
-                 loop_tol: float = 1e-8) -> WordResult:
+                 basis: ModeBasis, dt: float = 1e-3,
+                 margin: int = MARGIN) -> WordResult:
     """Compose one-parameter evolutions along a word of basis directions.
 
     The factor flows are composed (``compose_flows``) and the word's flow
@@ -575,8 +579,8 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
     u_total, leak = propagator_from_flow(flow_total, basis)
     eye = np.eye(rep.shape[0])
     is_loop = (
-        float(np.linalg.norm(rep - eye, 2)) <= loop_tol
-        and float(np.abs(x_cur - x).max()) <= max(1e-7, loop_tol)
+        float(np.linalg.norm(rep - eye, 2)) <= _LOOP_REP_TOL
+        and float(np.abs(x_cur - x).max()) <= _LOOP_POINT_TOL
     )
     loop_phase = None
     loop_distance = None
@@ -599,8 +603,7 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
     )
 
 
-def second_kind_coords(g: np.ndarray, alg: LieAlgebra, tol: float = 1e-12,
-                       max_iter: int = 50) -> np.ndarray:
+def second_kind_coords(g: np.ndarray, alg: LieAlgebra) -> np.ndarray:
     """Solve g = g_(B_1)(a_1) ... g_(B_m)(a_m) in the matrix representation.
 
     Newton iteration seeded by the first-kind coordinates (matrix
@@ -616,7 +619,7 @@ def second_kind_coords(g: np.ndarray, alg: LieAlgebra, tol: float = 1e-12,
     def factors(vals):
         return [expm(vals[k] * alg.rep[k]) for k in range(m)]
 
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         fs = factors(alphas)
         prod = np.eye(g.shape[0], dtype=complex)
         prefixes = [prod]
@@ -625,7 +628,7 @@ def second_kind_coords(g: np.ndarray, alg: LieAlgebra, tol: float = 1e-12,
             prefixes.append(prod)
         err = prod - g
         err_norm = float(np.linalg.norm(err))
-        if err_norm <= tol:
+        if err_norm <= _NEWTON_TOL:
             return alphas
         suffixes = [np.eye(g.shape[0], dtype=complex)]
         for f in reversed(fs):

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from semiclab.bogoliubov import GeneratorPath, integrate_flow
 from semiclab.constrained import (
     ComposedFockState,
+    DecayProfile,
     QuadSpec,
     composed_inner,
     decay_profile,
@@ -15,16 +18,20 @@ from semiclab.constrained import (
     invariance_check,
     make_plane,
     regularized_inner,
+    transform_composed,
 )
 from semiclab.constrained import _get_family
 from semiclab.fock import (
     FockVector,
     ModeBasis,
     QuadraticGenerator,
+    gaussian_tail_bound,
     number_state,
     vacuum_state,
 )
-from semiclab.quadrature import gauss_legendre
+from semiclab.packets import project_fiber, splitstep_evolve
+from semiclab.quadrature import QuadCertificate, gauss_legendre
+from semiclab.symmetry import check_x6, second_kind_coords, word_product
 
 
 def squeeze_path(kappa=0.3, t_max=4.0):
@@ -55,6 +62,62 @@ def test_inner_constrained_rejects_vectors_off_the_plane():
         inner_constrained(two, two, plane)
     with pytest.raises(ValueError, match="different bases"):
         inner_constrained(one, vacuum_state(ModeBasis(1, 10)), plane)
+
+
+_UNIT = make_plane([np.array([1.0])])
+_VAC = vacuum_state(ModeBasis(1, 12))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_plane([np.array([1.0])], a=float("nan")), "got nan"),
+    (lambda: make_plane([np.array([1.0])], a=float("inf")), "got inf"),
+    (lambda: make_plane([np.array([float("nan")])]), r"non-finite entry: \[nan"),
+    (lambda: make_plane([np.array([float("inf")])]), r"non-finite entry: \[inf"),
+    (lambda: regularized_inner(_VAC, _UNIT, float("nan")), "got nan"),
+    (lambda: regularized_inner(_VAC, _UNIT, float("inf")), "got inf"),
+    (lambda: QuadSpec(self_check=float("nan")), "self_check=nan"),
+    (lambda: regularized_inner(vacuum_state(ModeBasis(2, 4)), _UNIT, 1.0),
+     "plane mode count 1 does not match the vectors' 2"),
+    (lambda: decay_profile(vacuum_state(ModeBasis(2, 4)),
+                           vacuum_state(ModeBasis(2, 4)), _UNIT, m=2),
+     "plane mode count 1 does not match the vectors' 2"),
+    (lambda: decay_profile(vacuum_state(ModeBasis(1, 24)),
+                           vacuum_state(ModeBasis(1, 20)), _UNIT, m=2),
+     r"different bases: ModeBasis\(modes=1, cutoff=24\) and "
+     r"ModeBasis\(modes=1, cutoff=20\)"),
+], ids=["a-nan", "a-inf", "b-nan", "b-inf", "eps-nan", "eps-inf", "quad-nan",
+        "regularized-modes", "decay-modes", "decay-bases"])
+def test_bad_plane_input_is_rejected_at_the_boundary(call, message):
+    # every plane integral and the plane builder name the bad value,
+    # instead of returning nan, inf or 0.0, or failing deep in an SVD
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_plane_integral_layer_takes_no_setting_nothing_sets():
+    # the box always comes from the decay, and no field or parameter of
+    # the plane-integral layer is one that no caller sets or reads
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert fields(QuadSpec) == ["order", "pad", "self_check"]
+    assert fields(QuadCertificate) == ["radius", "order", "value",
+                                       "order_doubling_delta"]
+    assert fields(DecayProfile) == ["constant", "worst_ratio"]
+    assert params(decay_profile) == ["y1", "y2", "plane", "m"]
+    assert params(gaussian_tail_bound) == ["m_norm", "last_term"]
+    removed = {"radius", "tail_target", "radius_cap", "quad", "n_samples",
+               "isotropy_tol", "subspace_tol", "scalar_tol", "loop_tol", "tol",
+               "max_iter", "spectral_tail_tol", "decay_check", "cutoff"}
+    for fn in (make_plane, evolve_plane, transform_composed, decay_profile,
+               check_x6, word_product, second_kind_coords, splitstep_evolve,
+               project_fiber, gaussian_tail_bound):
+        assert not set(params(fn)) & removed, fn.__name__
+    assert params(word_product)[4:6] == ["dt", "margin"]
+    assert params(splitstep_evolve)[2:4] == ["t", "dt"]
 
 
 def test_displacement_vector_type():
@@ -109,7 +172,6 @@ def test_integrand_decay_bound():
     y2 = random_low_state(basis, rng, 6)
     prof = decay_profile(y1, y2, plane, m=4)
     assert prof.worst_ratio <= 1.0 + 1e-9
-    assert prof.suggested_radius[0] > 0
 
 
 def test_decay_profile_vacuum_any_exponent():
@@ -433,7 +495,6 @@ def test_composed_inner_orbit_matches_packet_fiber_value():
 def test_transform_composed_rotation_preserves_inner():
     from scipy.linalg import expm
 
-    from semiclab.constrained import transform_composed
     from semiclab.scenarios import standard_phi, su11_family
 
     fam = su11_family()
@@ -452,7 +513,6 @@ def test_transform_composed_anomalous_family_still_isometric():
     # a constant scalar offset only shifts phases: norms and planes survive
     from scipy.linalg import expm
 
-    from semiclab.constrained import transform_composed
     from semiclab.scenarios import standard_phi, su11_family
 
     fam = su11_family(central_offset=0.05)
@@ -468,7 +528,6 @@ def test_transform_composed_anomalous_family_still_isometric():
 
 
 def test_transform_composed_identity():
-    from semiclab.constrained import transform_composed
     from semiclab.scenarios import su11_family
 
     fam = su11_family()
