@@ -104,6 +104,8 @@ def step_count(t: float, dt: float) -> int:
 
     The slack is relative, so step_count(t, t / n) == n for all n < 1e12.
     """
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ValueError(f"t and dt must be finite, got t={t}, dt={dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:

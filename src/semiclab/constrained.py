@@ -17,13 +17,16 @@ integrand trustworthy out to the box edge; the vectors themselves stay at
 their own cutoff.
 
 On a two-axis plane the integrand at the tensor nodes (beta_1i, beta_2j) is
-one table, E1 W E2^T with W = V1+ V2 cached per family and the vectors
+one table, E1 W E2^T with W = V1+ V2 built with the family and the vectors
 folded into the exponential rows E1, E2; it is multiplied in the order that
-keeps the intermediate smallest, so a scan along one axis costs
-matrix-vector products.
+keeps the intermediate smallest.
 
 Every plane integral runs through one body: the pairing is checked at the
-boundary, and the box is always sized from the integrand's decay.
+boundary, and the box is always sized from the integrand's decay.  That
+decay is scanned on a fixed grid per axis, whose phase table the family
+builds once, so an envelope costs two matrix-vector products per axis.  A
+family is complete when it is built and never changes afterwards; the
+family cache holds the newest families up to a byte budget.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ __all__ = [
 # times |Y1| |Y2|, and no scan reaches past _RADIUS_CAP
 _TAIL_TARGET, _RADIUS_CAP = 1e-12, 40.0
 _DECAY_SAMPLES = 160  # radii per ray on which decay_profile samples
+_ENVELOPE_SAMPLES = 320  # radii per axis on which _auto_radius scans
+# bytes of cached displacement families; one dim-630 two-axis family
+# holds about 25.5 MB, so two of them fit
+_FAMILY_BUDGET = 64e6
 # largest |Im(B_i, B_j)| of a caller's plane, and of a transported one
 _ISOTROPY_TOL, _TRANSPORTED_ISOTROPY_TOL = 1e-12, 1e-10
 _SUBSPACE_TOL = 1e-6  # projector gap between transported and recomputed planes
@@ -153,19 +160,30 @@ class QuadSpec:
 
 
 class _DisplacementFamily:
-    """Per-axis diagonalized displacements U[beta] = prod_s V_s e^(b_s lam_s) V_s+."""
+    """Per-axis diagonalized displacements U[beta] = prod_s V_s e^(b_s lam_s) V_s+.
+
+    Everything is built here and never changed afterwards, so one family
+    serves any number of threads: each axis's eigenpairs (lam_s, V_s), its
+    envelope grid and phase table e^(r lam_s) on that grid, and on two axes
+    the overlap W = V1+ V2.  ``nbytes`` is the size of those arrays.
+    """
 
     def __init__(self, plane: IsotropicPlane, basis: ModeBasis, pad: int):
         self.plane = plane
         self.big = basis.padded(pad)
         self.eigs = [displacement_eig(b, self.big) for b in plane.bs]
-        self._w12 = None
-
-    def axis_overlap(self) -> np.ndarray:
-        """Cached V1+ V2 for the two-axis table path."""
-        if self._w12 is None:
-            self._w12 = self.eigs[0][1].conj().T @ self.eigs[1][1]
-        return self._w12
+        self.grids = [
+            np.linspace(0.05, min(_RADIUS_CAP, self.trust_radius(s)), _ENVELOPE_SAMPLES)
+            for s in range(plane.k)
+        ]
+        self.tables = [np.exp(np.outer(grid, lam))
+                       for grid, (lam, _) in zip(self.grids, self.eigs)]
+        arrays = [a for pair in self.eigs for a in pair] + self.grids + self.tables
+        self.overlap = None
+        if plane.k == 2:
+            self.overlap = self.eigs[0][1].conj().T @ self.eigs[1][1]
+            arrays.append(self.overlap)
+        self.nbytes = sum(a.nbytes for a in arrays)
 
     def pairings(self, y1: FockVector, y2: FockVector, nodes: np.ndarray) -> np.ndarray:
         """(Y1, U[sum beta_s B_s] Y2) for each node row of beta values.
@@ -191,11 +209,10 @@ class _DisplacementFamily:
             b2 = np.unique(nodes[:, 1])
             e1 = np.exp(np.outer(b1, lam1)) * (v1.T @ c1)
             e2 = np.exp(np.outer(b2, lam2)) * np.conj(v2.T @ c2)
-            w = self.axis_overlap()
             if len(b1) < len(b2):
-                table = (e1 @ w) @ e2.T
+                table = (e1 @ self.overlap) @ e2.T
             else:
-                table = e1 @ (w @ e2.T)
+                table = e1 @ (self.overlap @ e2.T)
             i1 = np.searchsorted(b1, nodes[:, 0])
             i2 = np.searchsorted(b2, nodes[:, 1])
             return table[i1, i2]
@@ -208,14 +225,18 @@ class _DisplacementFamily:
             vals[idx] = np.dot(c1, vec)
         return vals
 
-    def axis_envelope(self, y1: FockVector, y2: FockVector, axis: int,
-                      radii: np.ndarray) -> np.ndarray:
-        nodes = np.zeros((len(radii), self.plane.k))
-        nodes[:, axis] = radii
-        plus = np.abs(self.pairings(y1, y2, nodes))
-        nodes[:, axis] = -radii
-        minus = np.abs(self.pairings(y1, y2, nodes))
-        return np.maximum(plus, minus)
+    def axis_envelope(self, y1: FockVector, y2: FockVector, axis: int) -> np.ndarray:
+        """max(|pairing at +r B_s|, |pairing at -r B_s|) on the axis's grid r.
+
+        U[r B_s] involves axis s alone, so with u = (V_s^T c1) conj(V_s^T c2)
+        the +r pairings are T_s u.  lam_s is purely imaginary, so the -r
+        table is conj(T_s), and |conj(T_s) u| = |T_s conj(u)|.
+        """
+        c1, c2 = (np.conj(y.embed(self.big).coeffs) for y in (y1, y2))
+        v = self.eigs[axis][1]
+        u = (v.T @ c1) * np.conj(v.T @ c2)
+        table = self.tables[axis]
+        return np.maximum(np.abs(table @ u), np.abs(table @ np.conj(u)))
 
     def trust_radius(self, axis: int) -> float:
         """Displacement reach the padded cutoff can still represent.
@@ -236,7 +257,9 @@ def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _Displacem
     """Cache keyed on (constraint vectors, basis, pad).
 
     The family never looks at the measure constant, so planes differing
-    only in ``a`` share an entry.
+    only in ``a`` share an entry.  The oldest families are evicted while
+    the cached ``nbytes`` exceed ``_FAMILY_BUDGET``; the newest one always
+    stays, however large.
     """
     key = (
         tuple(b.tobytes() for b in plane.bs),
@@ -249,11 +272,12 @@ def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _Displacem
         fam = _DisplacementFamily(plane, basis, pad)
         # the cache is module state, reachable from any caller's threads;
         # a family built twice is identical, so the first one stored wins
-        # and the lock only keeps the eviction and the store atomic
+        # and the lock only keeps the store and the eviction atomic
         with _FAMILY_LOCK:
-            if key not in _FAMILY_CACHE and len(_FAMILY_CACHE) >= 8:
-                _FAMILY_CACHE.pop(next(iter(_FAMILY_CACHE)))
             fam = _FAMILY_CACHE.setdefault(key, fam)
+            total = sum(f.nbytes for f in _FAMILY_CACHE.values())
+            while total > _FAMILY_BUDGET and len(_FAMILY_CACHE) > 1:
+                total -= _FAMILY_CACHE.pop(next(iter(_FAMILY_CACHE))).nbytes
     return fam
 
 
@@ -272,9 +296,8 @@ def _auto_radius(fam: _DisplacementFamily, y1: FockVector,
     level_rev = 1e-3 * scale
     radii = []
     for s in range(fam.plane.k):
-        reach = min(_RADIUS_CAP, fam.trust_radius(s))
-        grid = np.linspace(0.05, reach, 320)
-        env = fam.axis_envelope(y1, y2, s, grid)
+        grid = fam.grids[s]
+        env = fam.axis_envelope(y1, y2, s)
         # locate the first decay basin: entry point, then its floor before
         # the envelope revives into cutoff artifacts
         j_enter = None

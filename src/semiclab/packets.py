@@ -17,8 +17,9 @@ never wrap around.  Shifted grids are inverse FFTs of the phase-shifted
 spectrum, and one batched kernel forms every fiber displacement.  The beta
 box of the fiber pairing is bracketed on a coarse subset of its probes and
 bisected.  Split-step evolution fuses the half kicks that meet between
-kinetic steps, and a time-independent potential kicks from phases built
-once per evolution.
+kinetic steps, a time-independent potential kicks from phases built once
+per evolution, and the loop transforms and multiplies in place.  Every
+transform is ``scipy.fft``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy import fft
 
 from .bogoliubov import step_count
 from .quadrature import gauss_legendre, trapezoid_weights
@@ -104,8 +106,8 @@ class ShapeFunction:
     @property
     def spectrum(self):
         if self._spectrum is None:
-            coeffs = np.fft.fft(self.values) / self.grid.n
-            freqs = 2 * np.pi * np.fft.fftfreq(self.grid.n, d=self.grid.spacing)
+            coeffs = fft.fft(self.values) / self.grid.n
+            freqs = 2 * np.pi * fft.fftfreq(self.grid.n, d=self.grid.spacing)
             self._spectrum = (coeffs, freqs)
         return self._spectrum
 
@@ -141,8 +143,8 @@ class ShapeFunction:
         """
         shifts = np.asarray(shifts, dtype=float).reshape(-1)
         coeffs, freqs = self.spectrum
-        vals = np.fft.ifft(coeffs * np.exp(1j * np.outer(shifts, freqs)),
-                           axis=1, norm="forward")
+        vals = fft.ifft(coeffs * np.exp(1j * np.outer(shifts, freqs)),
+                        axis=1, norm="forward")
         pts = self.grid.points[None, :] + shifts[:, None]
         outside = (pts < self.grid.lo) | (pts > self.grid.hi)
         vals[outside] = 0.0
@@ -151,7 +153,7 @@ class ShapeFunction:
     def derivative(self) -> "ShapeFunction":
         """Spectral derivative: one inverse FFT of the cached spectrum."""
         coeffs, freqs = self.spectrum
-        dvals = np.fft.ifft(1j * freqs * coeffs, norm="forward")
+        dvals = fft.ifft(1j * freqs * coeffs, norm="forward")
         return ShapeFunction(self.grid, dvals)
 
     def times_xi(self) -> "ShapeFunction":
@@ -779,15 +781,17 @@ def splitstep_evolve(
     ``step_count(t, dt)`` uniform steps cover [0, t]; the two half kicks
     that meet between steps act at one time and are applied as one full
     kick.  A static problem evaluates V and the half and full kick phases
-    once; otherwise each kick evaluates V at its time.  Raises when the
-    grid cannot resolve the packet's oscillation (spectral mass too close
-    to the Nyquist frequency).
+    once; otherwise each kick evaluates V at its time.  Each step
+    transforms in place (``overwrite_x``) and multiplies into its operand;
+    ``psi0`` is never written.  Raises when the grid cannot resolve the
+    packet's oscillation (spectral mass too close to the Nyquist
+    frequency), and, through ``step_count``, when t or dt is not finite.
     """
     n_steps = step_count(t, dt)
     lam = psi0.lam
     grid = psi0.grid
-    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    spec = np.fft.fft(psi0.values)
+    k = 2 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
+    spec = fft.fft(psi0.values)
     power = np.abs(spec) ** 2
     cut = np.abs(k) > 0.8 * np.abs(k).max()
     if power[cut].sum() > _NYQUIST_POWER_TOL * power.sum():
@@ -808,12 +812,16 @@ def splitstep_evolve(
             return phases[scale]
         return np.exp(scale * problem.potential(x, now) / lam)
 
+    # the first kick makes vals a fresh array, so the transforms may
+    # overwrite it and never reach psi0.values
     vals = psi0.values * kick(half, 0.0)
     now = 0.0
     for step in range(n_steps):
-        vals = np.fft.ifft(kinetic * np.fft.fft(vals))
+        spec = fft.fft(vals, overwrite_x=True)
+        np.multiply(kinetic, spec, out=spec)
+        vals = fft.ifft(spec, overwrite_x=True)
         now += h
-        vals = vals * kick(full if step < n_steps - 1 else half, now)
+        np.multiply(vals, kick(full if step < n_steps - 1 else half, now), out=vals)
     return GridWave(grid, vals, lam)
 
 
@@ -823,9 +831,9 @@ def wave_moments(psi: GridWave) -> tuple[float, float]:
     dens = np.abs(psi.values) ** 2
     total = dens.sum()
     q = float((x * dens).sum() / total)
-    k = 2 * np.pi * np.fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
-    spec = np.fft.fft(psi.values)
-    dpsi = np.fft.ifft(1j * k * spec)
+    k = 2 * np.pi * fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
+    spec = fft.fft(psi.values)
+    dpsi = fft.ifft(1j * k * spec)
     p = psi.lam * float(
         np.imag(np.vdot(psi.values, dpsi)) / total)
     return q, p

@@ -653,6 +653,18 @@ def test_step_count_edges():
         step_count(-1.0, 1e-3)
 
 
+@pytest.mark.parametrize("t, dt, named", [
+    (math.nan, 0.1, "t=nan"),
+    (math.inf, 0.1, "t=inf"),
+    (1.0, math.nan, "dt=nan"),
+    (1.0, math.inf, "dt=inf"),
+])
+def test_step_count_rejects_non_finite_input(t, dt, named):
+    # a NaN t took 0 steps and an infinite dt took one, silently
+    with pytest.raises(ValueError, match=f"must be finite.*{named}"):
+        step_count(t, dt)
+
+
 @pytest.mark.parametrize("t", [-0.1, 4.5])
 def test_direct_propagators_reject_times_outside_the_path(t):
     path = rotation_path(t_max=4.0)

@@ -108,7 +108,7 @@ def test_zero_counts_are_allowed():
 
 # rotation and squeeze checks share flows and propagations; the first
 # constrained-basics run builds its displacement families, the second one
-# reads them from the warm cache
+# reads them from the warm cache and builds none
 @pytest.mark.parametrize("config", ["rotation", "squeeze", "constrained-basics"])
 def test_run_scenario_deterministic_body(config, monkeypatch):
     from semiclab import constrained
@@ -117,8 +117,13 @@ def test_run_scenario_deterministic_body(config, monkeypatch):
     cfg = load_config(CONFIG_DIR / f"{config}.yaml")
     report = run_scenario(cfg)
     a = report_body(report)
+    builds = []
+    eig = constrained.displacement_eig
+    monkeypatch.setattr(constrained, "displacement_eig",
+                        lambda *args: builds.append(args) or eig(*args))
     b = report_body(run_scenario(cfg))
     assert a == b
+    assert builds == []
     assert "timings" in report
     assert "timings" not in json.loads(a)
 

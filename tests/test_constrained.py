@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 
+import envelope_oracle
 import numpy as np
 import pytest
 
@@ -548,6 +549,9 @@ def test_family_cache_is_safe_under_threads(monkeypatch):
     monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
     basis = ModeBasis(1, 1)
     planes = [make_plane([np.array([0.5 + 0.1 * j])]) for j in range(12)]
+    # a budget of five families, so the threads evict while they store
+    size = constrained._DisplacementFamily(planes[0], basis, 1).nbytes
+    monkeypatch.setattr(constrained, "_FAMILY_BUDGET", 5 * size)
     errors = []
 
     def hammer(offset):
@@ -572,4 +576,115 @@ def test_family_cache_is_safe_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors, errors[0]
-    assert len(constrained._FAMILY_CACHE) <= 8
+    cached = list(constrained._FAMILY_CACHE.values())
+    assert (sum(fam.nbytes for fam in cached) <= constrained._FAMILY_BUDGET
+            or len(cached) == 1)
+
+
+def test_family_cache_keeps_a_family_larger_than_its_budget(monkeypatch):
+    from semiclab import constrained
+
+    monkeypatch.setattr(constrained, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(constrained, "_FAMILY_BUDGET", 1.0)
+    basis = ModeBasis(1, 4)
+    for b in (0.7, 1.3):
+        fam = constrained._get_family(make_plane([np.array([b])]), basis, 2)
+        assert fam.nbytes > constrained._FAMILY_BUDGET
+        assert list(constrained._FAMILY_CACHE.values()) == [fam]
+
+
+def _frozen(value):
+    """Contents of arrays (also inside lists and tuples), identity of the rest."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return id(value)
+
+
+@pytest.mark.parametrize("bs", [
+    ([0.8],),
+    ([1.0, 0.3], [-0.2, 0.9]),
+    ([1.0, 0.2, 0.0], [0.0, 0.3, 1.0], [0.2, -1.0, 0.4]),
+])
+def test_family_is_complete_when_built(bs):
+    # every table is built in __init__, so pairings, envelopes and box
+    # sizing change nothing a concurrent reader could see
+    from semiclab.constrained import _DisplacementFamily, _auto_radius
+
+    rng = np.random.default_rng(5)
+    plane = make_plane([np.array(b) for b in bs])
+    basis = ModeBasis(plane.modes, 2)
+    fam = _DisplacementFamily(plane, basis, pad=2)
+    before = {name: (id(v), _frozen(v)) for name, v in vars(fam).items()}
+    y1 = random_low_state(basis, rng, basis.cutoff)
+    y2 = random_low_state(basis, rng, basis.cutoff)
+    fam.pairings(y1, y2, rng.uniform(-1, 1, size=(5, plane.k)))
+    for s in range(plane.k):
+        fam.axis_envelope(y1, y2, s)
+    _auto_radius(fam, y1, y2)
+    assert {name: (id(v), _frozen(v)) for name, v in vars(fam).items()} == before
+
+
+def _plane_family_cases():
+    """Two-axis planes of this file, and seeded planes shaped like the
+    plane-families benchmark's: ModeBasis(2, 4) at pad 30, a base plane
+    near the mixing test's and one rotated and scaled copy of it."""
+    th = 0.6
+    t = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]]) @ np.diag(
+        [1.1, 0.9])
+    mixing = [np.array([1.0, 0.3]), np.array([-0.2, 0.9])]
+    cases = [
+        ([[1.0, 0.5], [0.0, 2.0]], ModeBasis(2, 3), 6),
+        ([[1.0, 0.2], [0.1, -0.8]], ModeBasis(2, 3), 6),
+        ([[1.0, 0.5j], [0.4 + 0.2j, 0.4]], ModeBasis(2, 3), 6),
+        (mixing, ModeBasis(2, 4), 30),
+        (list(t @ np.array(mixing)), ModeBasis(2, 4), 30),
+    ]
+    for seed in (3, 4):
+        rng = np.random.default_rng(seed)
+        b1 = np.array([1.0, 0.3]) + 0.05 * rng.normal(size=2)
+        b2 = np.array([-0.2, 0.9]) + 0.05 * rng.normal(size=2)
+        th = rng.uniform(-math.pi, math.pi)
+        rot = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
+        t = rot @ np.diag(rng.uniform(0.9, 1.1, size=2))
+        cases.append(([b1, b2], ModeBasis(2, 4), 30))
+        cases.append((list(t @ np.array([b1, b2])), ModeBasis(2, 4), 30))
+    return cases
+
+
+def test_axis_envelope_tables_against_pairings_oracle(monkeypatch):
+    # one-axis families: bitwise; two-axis families: the oracle routes
+    # through W = V1+ V2, so it agrees to rounding, and the box is the same
+    from semiclab import constrained
+
+    rng = np.random.default_rng(17)
+    for b, cutoff, pad in ((1.0, 24, 12), (0.6 - 0.8j, 16, 12), (2.5, 30, 40)):
+        plane = make_plane([np.array([b])])
+        basis = ModeBasis(1, cutoff)
+        fam = constrained._DisplacementFamily(plane, basis, pad)
+        for max_total in (0, 3, cutoff):
+            y1 = random_low_state(basis, rng, max_total)
+            y2 = random_low_state(basis, rng, max_total)
+            assert np.array_equal(
+                fam.axis_envelope(y1, y2, 0),
+                envelope_oracle.axis_envelope(fam, y1, y2, 0, fam.grids[0]))
+    boxes = []
+    for bs, basis, pad in _plane_family_cases():
+        plane = make_plane([np.asarray(b) for b in bs])
+        fam = constrained._DisplacementFamily(plane, basis, pad)
+        states = [vacuum_state(basis)] + [
+            random_low_state(basis, rng, 1) for _ in range(2)]
+        for y1, y2 in zip(states, states[:1] + states[1:][::-1]):
+            scale = y1.norm() * y2.norm()
+            for s in range(2):
+                env = fam.axis_envelope(y1, y2, s)
+                ref = envelope_oracle.axis_envelope(fam, y1, y2, s, fam.grids[s])
+                assert np.abs(env - ref).max() <= 1e-14 * scale
+            boxes.append((fam, y1, y2, constrained._auto_radius(fam, y1, y2)))
+    monkeypatch.setattr(
+        constrained._DisplacementFamily, "axis_envelope",
+        lambda fam, y1, y2, s: envelope_oracle.axis_envelope(
+            fam, y1, y2, s, fam.grids[s]))
+    for fam, y1, y2, box in boxes:
+        assert constrained._auto_radius(fam, y1, y2) == box

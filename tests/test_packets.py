@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import splitstep_numpy
 
+from semiclab import packets
 from semiclab.bogoliubov import step_count
 from semiclab.packets import (
     ComposedPacket,
@@ -420,6 +422,10 @@ def test_splitstep_zero_time_returns_initial_wave():
     assert out.lam == psi.lam
 
 
+def _driven(x, now):
+    return 0.5 * x**2 + 0.3 * math.sin(3.0 * now) * x + 0.1 * now * x**3
+
+
 def _unfused_splitstep(psi, problem, t, dt):
     # the textbook Strang loop: two half kicks around every kinetic step
     n_steps = step_count(t, dt)
@@ -440,11 +446,8 @@ def _unfused_splitstep(psi, problem, t, dt):
 @pytest.mark.parametrize("t, dt", [(0.5, 1e-3), (0.25, 0.1), (0.01, 0.01)])
 def test_splitstep_fused_kicks_match_unfused_loop(t, dt):
     # a driven oscillator: the fused full kick must use the same times
-    def driven(x, now):
-        return 0.5 * x**2 + 0.3 * math.sin(3.0 * now) * x + 0.1 * now * x**3
-
     psi = _harmonic_wave()
-    problem = SplitStepProblem(potential=driven)
+    problem = SplitStepProblem(potential=_driven)
     out = splitstep_evolve(psi, problem, t, dt)
     assert np.abs(out.values - _unfused_splitstep(psi, problem, t, dt)).max() < 1e-12
 
@@ -460,6 +463,34 @@ def test_splitstep_static_kicks_match_time_dependent_loop(t, dt):
     assert static.static and not loop.static
     out = splitstep_evolve(psi, static, t, dt)
     assert np.array_equal(out.values, splitstep_evolve(psi, loop, t, dt).values)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("problem", [
+    SplitStepProblem.polynomial([0.1, -0.2, 0.5, 0.2, 0.05], mass=1.3),
+    SplitStepProblem(potential=_driven),
+], ids=["static", "time-dependent"])
+def test_splitstep_matches_the_numpy_loop(n, problem):
+    # the in-place scipy.fft loop against the allocating numpy.fft one
+    f = gaussian_shape(n=128, half_width=6)
+    psi = k_lambda(PacketPoint(0.0, 1.0, 0.3), f, 0.1,
+                   UniformGrid.centered(4.5, n))
+    before = psi.values.copy()
+    out = splitstep_evolve(psi, problem, 0.2, 1e-3)
+    ref = splitstep_numpy.evolve(psi, problem, 0.2, 1e-3)
+    assert np.abs(out.values - ref).max() <= 1e-14 * np.linalg.norm(ref)
+    # overwrite_x never reaches the caller's samples
+    assert np.array_equal(psi.values, before)
+    assert not np.shares_memory(out.values, psi.values)
+
+
+@pytest.mark.parametrize("t, dt", [(math.nan, 1e-3), (0.1, math.nan),
+                                   (0.1, math.inf)])
+def test_splitstep_rejects_non_finite_times(t, dt):
+    # a NaN t returned an all-NaN wave without a word
+    with pytest.raises(ValueError, match="must be finite"):
+        splitstep_evolve(_harmonic_wave(), SplitStepProblem.polynomial([0, 0, 0.5]),
+                         t, dt)
 
 
 def test_splitstep_static_kicks_evaluate_the_potential_once(monkeypatch):
@@ -506,7 +537,7 @@ def test_derivative_reads_the_cached_spectrum(monkeypatch):
     def no_forward_fft(*args, **kwargs):
         raise AssertionError("forward FFT of samples whose spectrum is cached")
 
-    monkeypatch.setattr(np.fft, "fft", no_forward_fft)
+    monkeypatch.setattr(packets.fft, "fft", no_forward_fft)
     d = f.derivative().values
     assert np.linalg.norm(d - two_ffts) <= 1e-13 * np.linalg.norm(two_ffts)
 
