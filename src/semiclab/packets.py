@@ -15,11 +15,11 @@ interpolation with zero extension: the samples decay below 1e-10 at the
 grid edge, so the periodization error is negligible and shifted copies
 never wrap around.  Shifted grids are inverse FFTs of the phase-shifted
 spectrum, and one batched kernel forms every fiber displacement.  The beta
-box of the fiber pairing is bracketed on a coarse subset of its probes and
-bisected.  Split-step evolution fuses the half kicks that meet between
-kinetic steps, a time-independent potential kicks from phases built once
-per evolution, and the loop transforms and multiplies in place.  Every
-transform is ``scipy.fft``.
+box of a fiber integral and its node count come from the fibers' supports
+and spectral bands, with no probe scan.  Split-step evolution fuses the
+half kicks that meet between kinetic steps, a time-independent potential
+kicks from phases built once per evolution, and the loop transforms and
+multiplies in place.  Every transform is ``scipy.fft``.
 """
 
 from __future__ import annotations
@@ -61,10 +61,18 @@ __all__ = [
     "fit_loglog_slope",
 ]
 
-# project_fiber: largest displaced shape at the beta box edge, relative to
-# the shape's peak; splitstep_evolve: largest share of spectral power above
-# 0.8 of the Nyquist wavenumber
-_PROJECTION_EDGE_DECAY = 1e-6
+# fiber samples and spectral coefficients below this fraction of their
+# peak lie outside the fiber's support and band
+_SUPPORT_TARGET = 1e-13
+# a displacement component c counts as zero when |c| times the grid
+# extent is below this
+_FLAT_SHIFT = 1e-10
+# beta rules: _RULE_BASE nodes plus _RULE_PER_RADIAN per radian of phase
+# the integrand's bandwidth sweeps over the half-box, rounded up to a
+# multiple of _RULE_STEP so that the gauss_legendre cache hits
+_RULE_BASE, _RULE_PER_RADIAN, _RULE_STEP = 16, 0.5, 32
+# splitstep_evolve: largest share of spectral power above 0.8 of the
+# Nyquist wavenumber
 _NYQUIST_POWER_TOL = 1e-8
 
 
@@ -443,68 +451,72 @@ def _displacement_pairings(g1: ShapeFunction, g2: ShapeFunction, a: float,
     return _displaced_rows(g2, a, b, betas) @ np.conj(g1.values) * g1.grid.spacing
 
 
-def _pairing_span(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
-                  target: float = 1e-13, cap: float = 200.0) -> float:
-    """Half-width beyond which the pairing stays below target (bracketed).
+def _beta_box(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
+              reach: Optional[float] = None) -> tuple[float, int]:
+    """Half-width R and Gauss-Legendre order of a beta integral of fibers
+    displaced by e^(i beta (a xi - b (1/i) d/dxi)).
 
-    Of 400 probes in (0, cap], the last one where max |pairing(+-beta)|
-    exceeds target sets the span: 1.1 times the next probe.  Every fourth
-    probe and the last bracket it, and bisection between two bracketing
-    probes finds it, so a revival narrower than four probe spacings past
-    the last bracketing hit would go unseen.  The probes never cross the
-    grid's alias limit: past beta with |beta a| ~ pi / spacing the sampled
-    modulation e^(i beta a xi) folds back and fakes spurious revivals.
+    ``reach`` defaults to where the supports stop meeting, max |xi1 - xi2|
+    / |b|, capped at the alias limit |beta a| = pi / (2 spacing), past which
+    e^(i beta a xi) folds back: a pairing not decayed there raises, as does
+    a = b = 0.  The order follows the integrand's beta bandwidth, at most
+    |a| X + |b| K + |a b| R, with X and K the largest |xi| and |k| of the
+    supports and bands.  A zero fiber's support is its whole grid.
     """
-    if abs(a) > 1e-12:
-        cap = min(cap, 0.5 * math.pi / (g1.grid.spacing * abs(a)))
-    limit = target * max(g1.norm() * g2.norm(), 1e-30)
-    probe = np.linspace(0.05, cap, 400)
+    supports, bands = [], []
+    for g in (g1, g2):
+        coeffs, freqs = g.spectrum
+        mag, spec = np.abs(g.values), np.abs(coeffs)
+        supports.append(g.grid.points[mag >= _SUPPORT_TARGET * mag.max()])
+        bands.append(np.abs(freqs[spec >= _SUPPORT_TARGET * spec.max()]))
+    s1, s2 = supports
+    if reach is None:
+        extent = g1.grid.hi - g1.grid.lo
+        if max(abs(a), abs(b)) * extent < _FLAT_SHIFT:
+            raise ValueError("degenerate tangent: the displacement direction "
+                             "(a, b) vanishes, so the beta integral has no box")
+        alias = 0.5 * math.pi / (g1.grid.spacing * abs(a)) if a else math.inf
+        meet = max(s1[-1] - s2[0], s2[-1] - s1[0])
+        reach = min(meet / abs(b) if b else math.inf, alias)
+        if reach == alias:
+            edge = _displacement_pairings(g1, g2, a, b, [reach, -reach])
+            if np.abs(edge).max() > _SUPPORT_TARGET * g1.norm() * g2.norm():
+                raise ValueError(
+                    "xi-grid cannot resolve the fiber: the pairing has not "
+                    f"decayed at the alias limit |beta| = {reach:.4g}; refine "
+                    "the xi-grid")
+    x = max(abs(s1[0]), abs(s1[-1]), abs(s2[0]), abs(s2[-1]))
+    k = max(bands[0].max(), bands[1].max())
+    rate = abs(a) * x + abs(b) * k + abs(a * b) * reach
+    order = _RULE_BASE + math.ceil(_RULE_PER_RADIAN * reach * rate)
+    return float(reach), _RULE_STEP * math.ceil(order / _RULE_STEP)
 
-    def above(idx):
-        betas = probe[idx]
-        both = _displacement_pairings(g1, g2, a, b, np.concatenate([betas, -betas]))
-        return ~(np.abs(both).reshape(2, -1).max(axis=0) <= limit)
 
-    coarse = np.append(np.arange(0, len(probe) - 1, 4), len(probe) - 1)
-    hits = np.flatnonzero(above(coarse))
-    if not len(hits):
-        return float(min(1.1 * probe[0], cap))
-    if hits[-1] == len(coarse) - 1:
-        return cap
-    lo, hi = coarse[hits[-1]], coarse[hits[-1] + 1]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above([mid])[0]:
-            lo = mid
-        else:
-            hi = mid
-    return float(min(1.1 * probe[hi], cap))
-
-
-def asymptotic_inner(
-    cp1: ComposedPacket,
-    cp2: ComposedPacket,
-    beta_order: int = 96,
-    beta_span: Optional[float] = None,
-) -> complex:
+def asymptotic_inner(cp1: ComposedPacket, cp2: ComposedPacket) -> complex:
     """The lambda-free fiber inner product
 
         int dalpha rho1 rho2 (g1, int dbeta e^(i beta Omega[X'(alpha)]) g2),
 
-    with the beta box bracketed from the pairing's decay per grid point.
+    with the beta box and its rule sized from the fibers at each grid point
+    (``_beta_box``).  A degenerate tangent, or fibers the xi-grid cannot
+    resolve, raise ``ValueError`` naming alpha.
     """
     m1, m2 = cp1.manifold, cp2.manifold
     if not np.allclose(m1.alphas, m2.alphas):
         raise ValueError("composed packets must share the manifold grid")
     weights = m1.quad_weights()
-    nodes, wq = gauss_legendre(beta_order)
     total = 0.0 + 0.0j
     for j, alpha in enumerate(m1.alphas):
         alpha = float(alpha)
         _, dq, dp = m1.tangent(alpha)
         g1 = cp1.fiber_at(alpha)
         g2 = cp2.fiber_at(alpha)
-        span = beta_span if beta_span is not None else _pairing_span(g1, g2, dp, dq)
+        _require_same_grid(g1, g2)
+        try:
+            span, order = _beta_box(g1, g2, dp, dq)
+        except ValueError as exc:
+            raise ValueError(f"at alpha = {alpha:.6g}: {exc}") from None
+        nodes, wq = gauss_legendre(order)
         vals = _displacement_pairings(g1, g2, dp, dq, nodes * span)
         total += (weights[j] * m1.density_at(alpha) * m2.density_at(alpha)
                   * span * np.sum(wq * vals))
@@ -636,47 +648,31 @@ def gauge_transform(cp: ComposedPacket, chi) -> ComposedPacket:
     return ComposedPacket(manifold=cp.manifold, fiber=new_fiber)
 
 
-def project_fiber(
-    cp: ComposedPacket,
-    alpha: float,
-    order: Optional[int] = None,
-    span: Optional[float] = None,
-) -> ShapeFunction:
+def project_fiber(cp: ComposedPacket, alpha: float) -> ShapeFunction:
     """f(alpha, xi) = int dbeta e^(i beta (dP xi - dQ (1/i) d/dxi)) g(alpha, xi).
 
     Requires the integrand to decay along beta, which happens exactly when
     the shift component dQ/dalpha moves the window off the shape's support
     (the germ condition); a flat direction raises instead of silently
-    producing a divergent integral.  Unlike the paired integrals, the
-    pointwise integrand keeps its quadratic phase, so the node count scales
-    with the total phase swept over the box.
+    producing a divergent integral.  The box reaches to where the shifted
+    shape has left the grid, grid extent / |dQ|, so the integrand vanishes
+    at its edge, and the rule comes from ``_beta_box``.
     """
     g = cp.fiber_at(alpha)
     _, dq, dp = cp.manifold.tangent(alpha)
     extent = g.grid.hi - g.grid.lo
-    if span is None:
-        if abs(dq) * extent < 1e-10:
-            raise ValueError(
-                "projection integrand does not decay (flat shift direction); "
-                "germ condition violated"
-            )
-        span = 1.1 * extent / abs(dq)
-    if abs(dp) > 1e-12 and span * abs(dp) > 0.5 * math.pi / g.grid.spacing:
+    if abs(dq) * extent < _FLAT_SHIFT:
+        raise ValueError(
+            "projection integrand does not decay (flat shift direction); "
+            "germ condition violated"
+        )
+    reach = extent / abs(dq)
+    if reach * abs(dp) > 0.5 * math.pi / g.grid.spacing:
         raise ValueError(
             "shape grid too coarse to resolve the projection phases over the "
             "beta box; refine the xi-grid"
         )
-    edge = fiber_displacement(g, dp, dq, span)
-    edge_sup = np.abs(edge.values).max()
-    if edge_sup > _PROJECTION_EDGE_DECAY * np.abs(g.values).max():
-        raise ValueError(
-            f"projection integrand has not decayed at the box edge "
-            f"({edge_sup:.3e}); germ condition violated"
-        )
-    if order is None:
-        xi_max = max(abs(g.grid.lo), abs(g.grid.hi))
-        total_phase = abs(dp) * xi_max * 2 * span + 0.5 * abs(dp * dq) * span**2
-        order = min(2048, 64 + int(0.8 * total_phase))
+    span, order = _beta_box(g, g, dp, dq, reach)
     nodes, weights = gauss_legendre(order)
     total = (span * weights) @ _displaced_rows(g, dp, dq, nodes * span)
     return ShapeFunction(g.grid, total)

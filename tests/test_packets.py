@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from semiclab.packets import (
     ShapeFunction,
     SplitStepProblem,
     UniformGrid,
+    _beta_box,
     _displaced_rows,
     _displacement_pairings,
-    _pairing_span,
     asymptotic_inner,
     compose_packet,
     derivative_identity_residual,
@@ -289,11 +290,41 @@ def test_gauge_invariance_of_projection_and_inner():
     f0 = project_fiber(cp, 0.7)
     f1 = project_fiber(gauged, 0.7)
     assert np.abs(f0.values - f1.values).max() < 1e-8 * np.abs(f0.values).max()
-    # a shared wide beta box keeps the gauge boundary terms below the target
-    # at every grid point, including the nearly flat-dq ones
-    base = asymptotic_inner(cp, cp, beta_span=20.0, beta_order=192)
-    moved = asymptotic_inner(gauged, gauged, beta_span=20.0, beta_order=192)
+    base = asymptotic_inner(cp, cp)
+    moved = asymptotic_inner(gauged, gauged)
     assert abs(base - moved) < 1e-8 * abs(base)
+
+
+def test_fiber_integrals_take_no_box_setting():
+    # the beta box and its rule always come from the fibers
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(asymptotic_inner) == ["cp1", "cp2"]
+    assert params(project_fiber) == ["cp", "alpha"]
+
+
+def test_asymptotic_inner_rejects_degenerate_tangent():
+    # Q = cos(alpha) with P = 0 stalls at alpha = 0, where (dQ, dP) = (0, 0):
+    # the displacement is the identity, so the beta integral of a constant
+    # pairing has no box
+    stalled = PacketManifold(
+        s_of=lambda a: 0.0, q_of=math.cos, p_of=lambda a: 0.0,
+        alphas=np.array([-0.5, 0.0, 0.5]))
+    cp = ComposedPacket(stalled, gaussian_shape())
+    with pytest.raises(ValueError, match="alpha = 0: degenerate tangent"):
+        asymptotic_inner(cp, cp)
+
+
+def test_asymptotic_inner_rejects_unresolved_alias_limit():
+    # at dQ = 0 the pairing of a width-0.3 Gaussian on 64 samples is its
+    # squared modulus's Fourier transform, still 0.57 at the alias limit
+    manifold = PacketManifold(
+        s_of=lambda a: 0.0, q_of=lambda a: 0.0, p_of=lambda a: a,
+        alphas=np.linspace(-1, 1, 5))
+    cp = ComposedPacket(manifold, gaussian_shape(n=64, width=0.3))
+    with pytest.raises(ValueError, match="xi-grid cannot resolve the fiber"):
+        asymptotic_inner(cp, cp)
 
 
 def test_project_fiber_zero():
@@ -595,17 +626,38 @@ def _scanned_span(g1, g2, a, b, target=1e-13, cap=200.0):
     return cap
 
 
-def test_pairing_span_matches_scan_on_harmonic_orbit():
+def _boxed_integral(g1, g2, a, b):
+    span, order = _beta_box(g1, g2, a, b)
+    nodes, weights = gauss_legendre(order)
+    return span * np.sum(weights * _displacement_pairings(g1, g2, a, b,
+                                                          nodes * span))
+
+
+def _resolved_scan_integral(g1, g2, a, b):
+    # the reference: 2000 nodes on the full scan's span
+    span = _scanned_span(g1, g2, a, b)
+    nodes, weights = gauss_legendre(2000)
+    return span * np.sum(weights * _displacement_pairings(g1, g2, a, b,
+                                                          nodes * span))
+
+
+def test_beta_box_integral_matches_scan_on_harmonic_orbit():
+    # every other grid point: 32 tangent directions round the circle,
+    # both axes included
     g = gaussian_shape()
     manifold = harmonic_orbit_manifold()
-    for alpha in manifold.alphas:
+    for alpha in manifold.alphas[::2]:
         _, dq, dp = manifold.tangent(float(alpha))
-        assert _pairing_span(g, g, dp, dq) == _scanned_span(g, g, dp, dq)
+        new = _boxed_integral(g, g, dp, dq)
+        ref = _resolved_scan_integral(g, g, dp, dq)
+        assert abs(new - ref) <= 1e-12 * g.norm() ** 2
 
 
-def test_pairing_span_integral_matches_scan_on_revival_set():
+def test_beta_box_integral_matches_scan_on_revival_set():
     # two-bump fibers revive where the shift maps one bump onto the other;
-    # off-centre and momentum-carrying fibers decay off-axis
+    # off-centre and momentum-carrying fibers decay off-axis.  The narrow
+    # bumps at +-6 revive at |beta| = 3 only, far past where they first
+    # stop overlapping
     gauss = gaussian_shape()
     two_bump = (gaussian_shape(width=0.6, center=-3.0)
                 + gaussian_shape(width=0.6, center=3.0, momentum=-0.8))
@@ -617,15 +669,12 @@ def test_pairing_span_integral_matches_scan_on_revival_set():
     angles = np.concatenate([np.linspace(0, 2 * np.pi, 8, endpoint=False),
                              rng.uniform(0, 2 * np.pi, 4)])
     radii = np.concatenate([np.ones(8), rng.uniform(0.3, 3.0, 4)])
-    nodes, weights = gauss_legendre(96)
-
-    def integral(g1, g2, a, b, span):
-        return span * np.sum(weights * _displacement_pairings(g1, g2, a, b,
-                                                              nodes * span))
-
-    for g1, g2 in pairs:
-        for angle, r in zip(angles, radii):
-            a, b = r * math.cos(angle), r * math.sin(angle)
-            new = integral(g1, g2, a, b, _pairing_span(g1, g2, a, b))
-            old = integral(g1, g2, a, b, _scanned_span(g1, g2, a, b))
-            assert abs(new - old) <= 1e-12 * g1.norm() * g2.norm()
+    cases = [(g1, g2, r * math.cos(angle), r * math.sin(angle))
+             for g1, g2 in pairs for angle, r in zip(angles, radii)]
+    narrow = (gaussian_shape(width=0.3, center=-6.0)
+              + gaussian_shape(width=0.3, center=6.0))
+    cases.append((narrow, narrow, 0.0, 4.0))
+    for g1, g2, a, b in cases:
+        new = _boxed_integral(g1, g2, a, b)
+        ref = _resolved_scan_integral(g1, g2, a, b)
+        assert abs(new - ref) <= 1e-12 * g1.norm() * g2.norm()
