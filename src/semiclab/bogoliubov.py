@@ -22,6 +22,10 @@ c = det(G)^(-1/2) e^(i theta), the square root continued from det G(0) = 1
 along the samples of the flow.  The Riccati matrix M = F G^-1 is formed
 only where it is read.
 
+A ``GeneratorPath`` declares H_t = sum_j f_j(t) H_j: fixed generators,
+validated once when built, times real scalar profiles.  Every route builds
+each term's operator once, so no stepping loop builds a generator.
+
 ``compose_flows`` composes flows exactly, metaplectic phase included, so a
 product of evolutions stays one flow until ``propagator_from_flow``.
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -141,27 +145,51 @@ def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray
 
 @dataclass(frozen=True)
 class GeneratorPath:
-    """Time-dependent quadratic generator t -> H_t on [0, t_max].
+    """The generator path H_t = sum_j f_j(t) H_j on [0, t_max].
 
-    ``static`` declares that the generator ignores t; only ``constant`` sets
-    it, and ``integrate_flow`` and the direct propagators then assemble
-    their operators once.
+    ``terms`` holds pairs (f_j, H_j) of a real profile f_j of t, or None for
+    the constant 1, and a fixed ``QuadraticGenerator`` H_j, validated once
+    when it was built.  The integrators build each term's operator once and
+    combine the operators with the profile values at every stage.
     """
 
-    generator: Callable[[float], QuadraticGenerator]
+    terms: Sequence[tuple[Optional[Callable[[float], float]], QuadraticGenerator]]
     t_max: float
-    static: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not self.terms:
+            raise ValueError("a generator path needs at least one term")
+        if len({gen.modes for _, gen in self.terms}) != 1:
+            raise ValueError("the terms of a path act on different mode counts")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
     @property
     def modes(self) -> int:
-        return self.generator(0.0).modes
+        return self.terms[0][1].modes
 
     def __call__(self, t: float) -> QuadraticGenerator:
-        return self.generator(t)
+        return QuadraticGenerator(*self._blocks(t))
+
+    def _blocks(self, t: float) -> tuple:
+        """(H++, H+-, hbar) of H_t, with no generator built."""
+        gens = [gen for _, gen in self.terms]
+        return self._combine(t, [g.hpp for g in gens], [g.hpm for g in gens],
+                             [g.hbar for g in gens])
+
+    def _combine(self, t: float, *per_term: Sequence) -> tuple:
+        """sum_j f_j(t) parts[j] for each list ``parts`` of per-term operators;
+        a constant term's part is added unscaled."""
+        weights = [None if f is None else float(f(t)) for f, _ in self.terms]
+        for j, w in enumerate(weights):
+            if not (w is None or math.isfinite(w)):
+                raise ValueError(f"the profile of term {j} is {w} at t={t}")
+
+        def total(parts: Sequence):
+            scaled = [part if w is None else w * part for w, part in zip(weights, parts)]
+            return sum(scaled[1:], scaled[0])
+
+        return tuple(total(parts) for parts in per_term)
 
     def check_time(self, t: float) -> None:
         """Reject an end time outside [0, t_max]."""
@@ -170,30 +198,19 @@ class GeneratorPath:
 
     @staticmethod
     def constant(gen: QuadraticGenerator, t_max: float) -> "GeneratorPath":
-        path = GeneratorPath(lambda t: gen, t_max)
-        object.__setattr__(path, "static", True)
-        return path
+        return GeneratorPath([(None, gen)], t_max)
 
     @staticmethod
     def from_samples(times: Sequence[float], gens: Sequence[QuadraticGenerator]):
-        """Piecewise-linear interpolation of sampled generators."""
+        """Piecewise-linear interpolation of sampled generators: one hat
+        profile per sample, constant beyond the first and last."""
         times = np.asarray(times, dtype=float)
-        if len(times) < 2 or np.any(np.diff(times) <= 0):
-            raise ValueError("need at least two strictly increasing sample times")
-        gens = list(gens)
-
-        def interp(t: float) -> QuadraticGenerator:
-            j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-            w = (t - times[j]) / (times[j + 1] - times[j])
-            w = float(np.clip(w, 0.0, 1.0))
-            a, b = gens[j], gens[j + 1]
-            return QuadraticGenerator(
-                hpp=(1 - w) * a.hpp + w * b.hpp,
-                hpm=(1 - w) * a.hpm + w * b.hpm,
-                hbar=(1 - w) * a.hbar + w * b.hbar,
-            )
-
-        return GeneratorPath(interp, float(times[-1]))
+        if len(times) < 2 or np.any(np.diff(times) <= 0) or len(gens) != len(times):
+            raise ValueError("need one generator at each of at least two strictly "
+                             "increasing sample times")
+        hats = np.eye(len(times))
+        return GeneratorPath([(lambda t, hat=hat: np.interp(t, times, hat), gen)
+                              for hat, gen in zip(hats, gens)], float(times[-1]))
 
 
 @dataclass(frozen=True)
@@ -239,7 +256,7 @@ class FlowResiduals:
 
 def _split_m(f: np.ndarray, g: np.ndarray, cond_limit: float) -> np.ndarray:
     """Symmetrized M = F G^-1 of one flow or of a stack of them."""
-    if np.any(np.linalg.cond(g) > cond_limit):
+    if not np.all(np.linalg.cond(g) <= cond_limit):
         raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
     m = np.swapaxes(np.linalg.solve(np.swapaxes(g, -1, -2),
                                     np.swapaxes(f, -1, -2)), -1, -2)
@@ -287,24 +304,25 @@ def integrate_flow(
     as the trajectory.  The phase c = det(G)^(-1/2) e^(i theta) is formed
     at every kept step, its root continued over them, and M = F G^-1 only
     at the end point.  Every stage's G is checked against ``cond_limit`` in
-    one batched cond after the loop.  A static path builds K once.
+    one batched cond after the loop.  Each term's K_j and theta'_j are built
+    once; a stage combines them with the profile values.
     """
     path.check_time(t)
     d = path.modes
     n = 2 * d * d
     stage_g = np.empty((4 * step_count(t, dt), d, d), dtype=complex)
     stages = itertools.count()
-    fixed = _linear_system(path(0.0)) if path.static else None
+    ks, rates = zip(*(_linear_system(gen) for _, gen in path.terms))
 
     def rhs(tau, y):
         fg = y[:n].reshape(2 * d, d)
         stage_g[next(stages)] = fg[d:]
-        k, rate = fixed if path.static else _linear_system(path(tau))
+        k, rate = path._combine(tau, ks, rates)
         return np.concatenate([(k @ fg).ravel(), [rate]])
 
     y0 = np.concatenate([np.zeros(d * d), np.eye(d).ravel(), [0.0]]).astype(complex)
     times, ys = rk4(rhs, y0, t, dt, keep=True)
-    if np.any(np.linalg.cond(stage_g) > cond_limit):
+    if not np.all(np.linalg.cond(stage_g) <= cond_limit):
         raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
     fgs = ys[:, :n].reshape(-1, 2 * d, d)
     fs, gs = fgs[:, :d], fgs[:, d:]
@@ -316,7 +334,7 @@ def integrate_flow(
     )
     if residual_tol is not None:
         res = flow_invariants(flow)
-        if res.max > residual_tol:
+        if not res.max <= residual_tol:
             raise FlowError(
                 f"flow invariants off by {res.max:.3e} > {residual_tol:.1e}; "
                 "the integration step is too coarse"
@@ -353,7 +371,7 @@ def exponential_flow(gen: QuadraticGenerator, t: float) -> BogoliubovFlow:
     c = complex(_metaplectic_phase(ys[:, d:], rate * grid)[-1])
     flow = BogoliubovFlow(f=f, g=g, m=_split_m(f, g, _COND_LIMIT), c=c, t=float(t))
     res = flow_invariants(flow)
-    if res.max > _RESIDUAL_TOL:
+    if not res.max <= _RESIDUAL_TOL:
         raise FlowError(f"flow invariants off by {res.max:.3e} > {_RESIDUAL_TOL:.1e}")
     return flow
 
@@ -385,8 +403,7 @@ def riccati_residual(flow: BogoliubovFlow, path: GeneratorPath) -> float:
         if abs(h1 - h2) > 1e-12 * max(h1, h2):
             continue
         dm = (ms[j + 1] - ms[j - 1]) / (h1 + h2)
-        gen = path(float(times[j]))
-        hpm, hpp = gen.hpm, gen.hpp
+        hpp, hpm, _ = path._blocks(float(times[j]))
         m = ms[j]
         rhs = hpp + hpm @ m + m @ hpm.conj() + m @ np.conj(hpp) @ m
         worst = max(worst, float(np.linalg.norm(1j * dm - rhs, 2)))
@@ -419,9 +436,7 @@ def picard_flow(
     ys = np.empty((_PICARD_GRID, d, d), dtype=complex)
     zs = np.empty((_PICARD_GRID, d, d), dtype=complex)
     for j, tau in enumerate(taus):
-        gen = path(float(tau))
-        ys[j] = gen.hpm
-        zs[j] = gen.hpp
+        zs[j], ys[j], _ = path._blocks(float(tau))
     f_n = np.zeros((_PICARD_GRID, d, d), dtype=complex)
     g_n = np.tile(np.eye(d, dtype=complex), (_PICARD_GRID, 1, 1))
     f_sum = f_n.copy()
@@ -441,7 +456,7 @@ def picard_flow(
             float(max(np.linalg.norm(f_n[-1]), np.linalg.norm(g_n[-1])))
         )
     last = term_norms[-1]
-    if tol is not None and last > tol:
+    if tol is not None and not last <= tol:
         raise ConvergenceError(
             f"Picard series not converged: last term norm {last:.3e} > {tol:.1e}"
         )
@@ -490,7 +505,7 @@ def propagate_gaussian(
     if init.n_created > basis.cutoff:
         raise ValueError("more created quanta than the cutoff")
     res = flow_invariants(flow)
-    if res.max > _INVARIANT_GATE:
+    if not res.max <= _INVARIANT_GATE:
         raise FlowError(f"flow invariants off by {res.max:.3e}")
     state = gaussian_state(GaussianData(flow.m, c=flow.c), basis)
     for vec in reversed(init.vectors):
@@ -501,14 +516,9 @@ def propagate_gaussian(
 
 
 def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis) -> Callable:
-    """The right-hand side -i H_t psi of the truncated Schroedinger equation.
-
-    A static path assembles H once.
-    """
-    if path.static:
-        h = quadratic_matrix(path(0.0), basis)
-        return lambda tau, psi: -1j * (h @ psi)
-    return lambda tau, psi: -1j * (quadratic_matrix(path(tau), basis) @ psi)
+    """-i H_t psi, with each term's matrix of H_t assembled once."""
+    hs = [quadratic_matrix(gen, basis) for _, gen in path.terms]
+    return lambda tau, psi: -1j * (path._combine(tau, hs)[0] @ psi)
 
 
 @dataclass(frozen=True)
@@ -534,7 +544,7 @@ def propagate_direct(
     n0 = np.linalg.norm(psi0.coeffs)
     v = rk4(_schroedinger_rhs(path, basis), psi0.coeffs.copy(), t, dt)
     drift = abs(np.linalg.norm(v) - n0)
-    if drift > _NORM_GATE:
+    if not drift <= _NORM_GATE:
         raise FlowError(f"norm drift {drift:.3e} > {_NORM_GATE:.1e}")
     return DirectResult(FockVector(basis, v, psi0.leakage), float(drift))
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bogoliubov import rk4_step
-from .fock import QuadraticGenerator
+from .fock import ConvergenceError, QuadraticGenerator
 from .symmetry import (
     MARGIN,
     ClassicalSystem,
@@ -328,7 +328,8 @@ def wkb_evolution_error(
 
 
 def mixed_rotation_squeeze_path(t_max: float = 8.0):
-    """Time-dependent two-mode generator mixing rotation and squeezing.
+    """Time-dependent two-mode generator mixing rotation and squeezing:
+    cos(0.7 t) H++ + (1 + 0.3 sin t) H+- + 0.1 t hbar.
 
     Serves as the reference path for integrator-order sweeps and the
     canonical-relation checks: rich enough that a fixed-step scheme
@@ -338,15 +339,11 @@ def mixed_rotation_squeeze_path(t_max: float = 8.0):
 
     hpm0 = np.array([[0.8, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
     hpp0 = np.array([[0.15, 0.05], [0.05, 0.10]])
-
-    def gen(t: float) -> QuadraticGenerator:
-        return QuadraticGenerator.from_blocks(
-            hpp=hpp0 * math.cos(0.7 * t),
-            hpm=hpm0 * (1.0 + 0.3 * math.sin(t)),
-            hbar=0.1 * t,
-        )
-
-    return GeneratorPath(gen, t_max)
+    return GeneratorPath([
+        (lambda t: math.cos(0.7 * t), QuadraticGenerator.from_blocks(hpp=hpp0)),
+        (lambda t: 1.0 + 0.3 * math.sin(t), QuadraticGenerator.from_blocks(hpm=hpm0)),
+        (lambda t: 0.1 * t, QuadraticGenerator.from_blocks(modes=2, hbar=1.0)),
+    ], t_max)
 
 
 def _rotation_checks(model: dict, run: dict, seed: int):
@@ -444,6 +441,8 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
     path, flow, direct, equivalence = _squeeze_artifacts(model, run)
     kappa, cutoff = model["kappa"], model["cutoff"]
     t = run["t"]
+    horizon = min(t, 1.0)
+    series = _once(lambda: picard_flow(path, horizon, n_terms=25, tol=None))
 
     def closed_form():
         fl = flow(t)
@@ -455,17 +454,18 @@ def _squeeze_checks(model: dict, run: dict, seed: int):
             + abs(fl.c - math.cosh(r) ** -0.5))
 
     def picard_agreement():
-        fl = flow(min(t, 1.0))
-        res = picard_flow(path, min(t, 1.0), n_terms=25)
+        res = series()
+        if not res.term_norms[-1] <= 1e-6:
+            raise ConvergenceError(f"Picard series not converged: last term norm "
+                                   f"{res.term_norms[-1]:.3e} > 1.0e-06")
+        fl = flow(horizon)
         return float(np.linalg.norm(res.f - fl.f)
                      + np.linalg.norm(res.g - fl.g))
 
     def picard_factorial():
-        horizon = min(t, 1.0)
-        res = picard_flow(path, horizon, n_terms=20, tol=None)
         k_const = max(kappa, 1e-12)
         worst = 0.0
-        for n, tn in enumerate(res.term_norms):
+        for n, tn in enumerate(series().term_norms[:20]):
             bound = (2 * k_const * horizon) ** n / math.factorial(n)
             worst = max(worst, tn / bound)
         return worst

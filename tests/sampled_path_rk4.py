@@ -4,13 +4,44 @@ path, the tests' oracle for the exact route of ``symmetry.one_param_u``.
 The path tau -> H(sign(t) b: X(sign(t) tau)) on [0, |t|] reads the exact
 classical states at every half step, so each RK4 stage looks its state up
 exactly, and ``bogoliubov.integrate_flow`` steps the linear system over it.
-Nothing here assumes that the blocks of H are independent of X.
+The path is declared over a real basis of the quadratic generators on d
+modes (4 on one mode, 11 on two): each basis generator's profile is its
+coordinate in the generator sampled at the stage's half step.  Every
+coordinate has a profile, so nothing here assumes that the blocks of H are
+independent of X.
 """
+
+import itertools
 
 import numpy as np
 
 from semiclab.bogoliubov import GeneratorPath, integrate_flow, step_count
+from semiclab.fock import QuadraticGenerator
 from semiclab.symmetry import OneParamResult
+
+
+def real_basis(d):
+    """(coordinate, generator) pairs of a real basis of the quadratic
+    generators on d modes: H = sum coordinate(H) * generator."""
+    out = []
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        sym = np.zeros((d, d), dtype=complex)
+        sym[i, j] = sym[j, i] = 1.0
+        out += [
+            (lambda g, i=i, j=j: g.hpp[i, j].real,
+             QuadraticGenerator.from_blocks(hpp=sym)),
+            (lambda g, i=i, j=j: g.hpp[i, j].imag,
+             QuadraticGenerator.from_blocks(hpp=1j * sym)),
+            (lambda g, i=i, j=j: g.hpm[i, j].real,
+             QuadraticGenerator.from_blocks(hpm=sym)),
+        ]
+        if i < j:
+            skew = np.zeros((d, d), dtype=complex)
+            skew[i, j], skew[j, i] = 1j, -1j
+            out.append((lambda g, i=i, j=j: g.hpm[i, j].imag,
+                        QuadraticGenerator.from_blocks(hpm=skew)))
+    out.append((lambda g: g.hbar, QuadraticGenerator.from_blocks(modes=d, hbar=1.0)))
+    return out
 
 
 def path(fam, b, t, x, dt):
@@ -21,14 +52,20 @@ def path(fam, b, t, x, dt):
     n_steps = step_count(abs(t), dt)
     states = fam.system.trajectory(b, np.linspace(0.0, t, 2 * n_steps + 1), x)
     half = abs(t) / n_steps / 2
+    basis = real_basis(fam.modes)
+    coords = np.array([[coord(gen) for coord, _ in basis] for gen in
+                       (fam.generator(np.sign(t) * b, state) for state in states)])
 
-    def gen(tau):
-        j = int(round(tau / half))
-        if abs(tau - j * half) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("generator path sampled off the stage grid")
-        return fam.generator(np.sign(t) * b, states[min(j, len(states) - 1)])
+    def profile(k):
+        def at(tau):
+            j = int(round(tau / half))
+            if abs(tau - j * half) > 1e-9 * max(1.0, abs(t)):
+                raise ValueError("generator path sampled off the stage grid")
+            return coords[min(j, len(coords) - 1), k]
+        return at
 
-    return GeneratorPath(gen, abs(t)), abs(t) / n_steps, states
+    terms = [(profile(k), gen) for k, (_, gen) in enumerate(basis)]
+    return GeneratorPath(terms, abs(t)), abs(t) / n_steps, states
 
 
 def one_param_u(fam, b, t, x, dt):

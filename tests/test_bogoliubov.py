@@ -28,6 +28,7 @@ from semiclab.bogoliubov import (
 )
 from semiclab.bogoliubov import _split_m
 from semiclab.fock import (
+    ConvergenceError,
     FockVector,
     GaussianData,
     ModeBasis,
@@ -478,35 +479,139 @@ def test_linear_stepper_matches_the_stagewise_oracle(make_path, t, dt):
     assert abs(flow.c - c) <= 1e-12
 
 
-def test_static_path_builds_its_operators_once(monkeypatch):
+def _constant_path():
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.2]], hpm=[[0.7]], hbar=0.1)
+    return GeneratorPath.constant(gen, 2.0)
+
+
+@pytest.mark.parametrize("make_path", [_constant_path, mixed_rotation_squeeze_path])
+def test_each_term_builds_its_operators_once(make_path, monkeypatch):
+    # K_j, theta'_j and quadratic_matrix(H_j) once per term and call, not
+    # per stage; the direct routes equal per-stage assembly of H_t
+    from collections import Counter
+
     from semiclab import bogoliubov
 
-    gen = QuadraticGenerator.from_blocks(hpp=[[0.2]], hpm=[[0.7]], hbar=0.1)
-    static = GeneratorPath.constant(gen, 2.0)
-    per_stage = GeneratorPath(lambda t: gen, 2.0)
-    assert static.static and not per_stage.static
-    basis = ModeBasis(1, 10)
+    path = make_path()
+    basis = ModeBasis(path.modes, 6)
     psi = vacuum_state(basis)
-    calls = []
     assemble = bogoliubov.quadratic_matrix
+    per_stage = lambda tau, y: -1j * (assemble(path(tau), basis) @ y)
+    direct_oracle = rk4(per_stage, psi.coeffs, 1.0, 1e-2)
+    matrix_oracle = rk4(per_stage, np.eye(basis.size, dtype=complex), 1.0, 1e-2)
+    counts = Counter()
+    for name in ("quadratic_matrix", "_linear_system"):
+        def counted(*args, name=name, fn=getattr(bogoliubov, name)):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bogoliubov, name, counted)
+    direct = propagate_direct(psi, path, 1.0, 1e-2).state.coeffs
+    matrix = propagator_matrix(path, 1.0, 1e-2, basis)
+    integrate_flow(path, 1.0, 1e-2)
+    n_terms = len(path.terms)
+    assert counts == {"quadratic_matrix": 2 * n_terms, "_linear_system": n_terms}
+    assert np.abs(direct - direct_oracle).max() <= 1e-13
+    assert np.abs(matrix - matrix_oracle).max() <= 1e-13
 
-    def counted(*args):
-        calls.append(1)
-        return assemble(*args)
 
-    monkeypatch.setattr(bogoliubov, "quadratic_matrix", counted)
-    direct = propagate_direct(psi, static, 1.0, 1e-2).state.coeffs
-    assert len(calls) == 1
-    matrix = propagator_matrix(static, 1.0, 1e-2, basis)
-    assert len(calls) == 2
-    assert np.array_equal(direct,
-                          propagate_direct(psi, per_stage, 1.0, 1e-2).state.coeffs)
-    assert len(calls) == 2 + 4 * 100
-    assert np.array_equal(matrix, propagator_matrix(per_stage, 1.0, 1e-2, basis))
-    flow = integrate_flow(static, 1.0, 1e-2)
-    oracle = integrate_flow(per_stage, 1.0, 1e-2)
-    for name in ("f", "g", "m", "c", "fs", "gs"):
-        assert np.array_equal(getattr(flow, name), getattr(oracle, name)), name
+def test_stepping_loops_build_no_generator(monkeypatch):
+    # every generator of a path is built and validated once, with the path
+    path = mixed_rotation_squeeze_path()
+    psi = vacuum_state(ModeBasis(2, 4))
+    built = []
+    validate = QuadraticGenerator.__post_init__
+    monkeypatch.setattr(QuadraticGenerator, "__post_init__",
+                        lambda gen: built.append(gen) or validate(gen))
+    flow = integrate_flow(path, 1.0, 1e-2)
+    propagate_direct(psi, path, 1.0, 1e-2)
+    picard_flow(path, 1.0, n_terms=25)
+    riccati_residual(flow, path)
+    assert built == []
+    path(0.5)  # the oracle's H_t is a validated generator
+    assert len(built) == 1
+
+
+def _interpolated_blocks(times, gens, t):
+    # the sample interpolation that from_samples computed before it
+    # declared one hat profile per sample
+    j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
+    w = float(np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0))
+    a, b = gens[j], gens[j + 1]
+    return ((1 - w) * a.hpp + w * b.hpp, (1 - w) * a.hpm + w * b.hpm,
+            (1 - w) * a.hbar + w * b.hbar)
+
+
+def test_from_samples_interpolates_the_samples():
+    rng = np.random.default_rng(9)
+    times = np.array([0.0, 0.4, 1.1, 2.5])
+    gens = [_random_generator(2, rng) for _ in times]
+    path = GeneratorPath.from_samples(times, gens)
+    assert path.t_max == 2.5 and len(path.terms) == 4
+    mids = 0.5 * (times[1:] + times[:-1])
+    for t in [*times, *mids, 2.5 + 1e-12]:
+        gen = path(float(t))
+        hpp, hpm, hbar = _interpolated_blocks(times, gens, t)
+        assert np.abs(gen.hpp - hpp).max() <= 1e-15, t
+        assert np.abs(gen.hpm - hpm).max() <= 1e-15, t
+        assert abs(gen.hbar - hbar) <= 1e-15, t
+    for t, sample in zip(times, gens):
+        gen = path(float(t))
+        assert np.array_equal(gen.hpp, sample.hpp) and gen.hbar == sample.hbar
+    with pytest.raises(ValueError, match="one generator at each"):
+        GeneratorPath.from_samples(times, gens[:3])
+
+
+def test_paths_reject_bad_terms_and_horizons():
+    one = QuadraticGenerator.from_blocks(hpm=[[1.0]])
+    two = QuadraticGenerator.from_blocks(hpm=np.eye(2))
+    with pytest.raises(ValueError, match="at least one term"):
+        GeneratorPath([], 1.0)
+    with pytest.raises(ValueError, match="different mode counts"):
+        GeneratorPath([(None, one), (math.cos, two)], 1.0)
+    for t_max in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
+            GeneratorPath.constant(one, t_max)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_profile_that_is_not_finite_names_its_term_and_time(bad):
+    # H_t = H + f(t) H with f non-finite from t = 0.5 on
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.2]], hpm=[[0.7]])
+    path = GeneratorPath([(None, gen), (lambda t: bad if t >= 0.5 else 1.0, gen)],
+                         2.0)
+    named = f"the profile of term 1 is {bad} at t=0.5"
+    with pytest.raises(ValueError, match=named):
+        integrate_flow(path, 1.0, 0.25)
+    with pytest.raises(ValueError, match=named):
+        propagate_direct(vacuum_state(ModeBasis(1, 4)), path, 1.0, 0.25)
+    with pytest.raises(ValueError, match=named):
+        path(0.5)
+    with pytest.raises(ValueError, match="the profile of term 1"):
+        picard_flow(path, 1.0, n_terms=3)
+
+
+def test_gates_reject_an_overflowing_evolution():
+    # an overflowing generator leaves NaN states, and a gate written as
+    # value > limit lets a NaN drift or term norm through
+    path = GeneratorPath.constant(
+        QuadraticGenerator.from_blocks(hpp=[[1e200]]), 1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FlowError, match="norm drift nan"):
+            propagate_direct(vacuum_state(ModeBasis(1, 6)), path, 1.0, 1e-2)
+        with pytest.raises(ConvergenceError, match="not converged"):
+            picard_flow(path, 1.0, n_terms=5)
+
+
+@pytest.mark.parametrize("d, size", [(1, 4), (2, 11)])
+def test_sampled_path_basis_spans_the_generators(d, size):
+    # the oracle path's real basis gives back every generator exactly
+    basis = sampled_path_rk4.real_basis(d)
+    assert len(basis) == size
+    gen = _random_generator(d, np.random.default_rng(d))
+    path = GeneratorPath([(lambda t, c=coord(gen): c, g) for coord, g in basis], 1.0)
+    back = path(0.0)
+    assert np.array_equal(back.hpp, gen.hpp) and np.array_equal(back.hpm, gen.hpm)
+    assert back.hbar == gen.hbar
 
 
 def _assert_flows_agree(exact, oracle, tol=1e-9):

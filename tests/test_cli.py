@@ -381,20 +381,33 @@ def _count_calls(monkeypatch, names=_SHARED):
 
 
 # quadratic_matrix: once per direct evolution on a constant path, and the
-# seven generators of check_x6
+# seven generators of check_x6; squeeze's two Picard checks read one series
 @pytest.mark.parametrize("config, calls", [
     ("rotation.yaml", {"integrate_flow": 1, "propagate_direct": 1,
                        "quadratic_matrix": 1}),
     ("squeeze.yaml", {"integrate_flow": 1, "propagate_direct": 2,
-                      "quadratic_matrix": 2}),
+                      "quadratic_matrix": 2, "picard_flow": 1}),
     ("su11-metaplectic-loop.yaml", {"word_product": 1}),
     ("anomaly-injection.yaml", {"check_f3": 1, "check_x6": 1,
                                 "quadratic_matrix": 7}),
 ])
 def test_shared_artifacts_are_computed_once(config, calls, monkeypatch):
-    counts = _count_calls(monkeypatch, _SHARED + ("quadratic_matrix",))
+    counts = _count_calls(monkeypatch,
+                          _SHARED + ("quadratic_matrix", "picard_flow"))
     run_scenario(load_config(CONFIG_DIR / config))
     assert dict(counts) == calls
+
+
+def test_picard_term_bound_reports_on_a_series_that_has_not_converged():
+    # 25 terms of (kappa t)^n / n! at kappa t = 12 stay far above 1e-6: the
+    # agreement check raises, the term bound still reports its ratio
+    from semiclab.fock import ConvergenceError
+
+    checks = {c.name: c for c in build_checks("squeeze", {"kappa": 12.0},
+                                              {"t": 1.0}, 0)}
+    with pytest.raises(ConvergenceError, match="not converged"):
+        checks["picard-agreement"].fn()
+    assert 0.0 < checks["picard-term-bound"].fn() <= 1.0
 
 
 def test_shared_artifacts_are_computed_once_under_the_pool(monkeypatch):
