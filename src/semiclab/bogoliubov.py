@@ -24,7 +24,10 @@ only where it is read.
 
 A ``GeneratorPath`` declares H_t = sum_j f_j(t) H_j: fixed generators,
 validated once when built, times real scalar profiles.  Every route builds
-each term's operator once, so no stepping loop builds a generator.
+each term's operator once, so no stepping loop builds a generator.  One
+rule, ``profile_sum``, forms every profiled sum, here and in the split-step
+potential of ``packets``: it names a profile value that is not finite by
+its term and time.
 
 ``compose_flows`` composes flows exactly, metaplectic phase included, so a
 product of evolutions stays one flow until ``propagator_from_flow``.
@@ -60,6 +63,7 @@ __all__ = [
     "rk4_step",
     "rk4",
     "step_count",
+    "profile_sum",
     "GeneratorPath",
     "BogoliubovFlow",
     "FlowResiduals",
@@ -143,6 +147,27 @@ def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray
     return re + 1j * im
 
 
+def profile_sum(terms: Sequence[tuple], t: float, *per_term: Sequence) -> tuple:
+    """The profile values and the profiled sums of a declared sum of terms.
+
+    ``terms`` are pairs whose first entries are the real profiles f_j of t,
+    None for the constant 1.  Returns (w, sums): w_j = f_j(t), None for a
+    constant term, and for each list ``parts`` of per-term values the sum
+    sum_j w_j parts[j], a constant term's part added unscaled.  A profile
+    value that is not finite raises, naming its term and t.
+    """
+    weights = tuple(None if f is None else float(f(t)) for f, _ in terms)
+    for j, w in enumerate(weights):
+        if not (w is None or math.isfinite(w)):
+            raise ValueError(f"the profile of term {j} is {w} at t={t}")
+
+    def total(parts: Sequence):
+        scaled = [part if w is None else w * part for w, part in zip(weights, parts)]
+        return sum(scaled[1:], scaled[0])
+
+    return weights, tuple(total(parts) for parts in per_term)
+
+
 @dataclass(frozen=True)
 class GeneratorPath:
     """The generator path H_t = sum_j f_j(t) H_j on [0, t_max].
@@ -174,22 +199,8 @@ class GeneratorPath:
     def _blocks(self, t: float) -> tuple:
         """(H++, H+-, hbar) of H_t, with no generator built."""
         gens = [gen for _, gen in self.terms]
-        return self._combine(t, [g.hpp for g in gens], [g.hpm for g in gens],
-                             [g.hbar for g in gens])
-
-    def _combine(self, t: float, *per_term: Sequence) -> tuple:
-        """sum_j f_j(t) parts[j] for each list ``parts`` of per-term operators;
-        a constant term's part is added unscaled."""
-        weights = [None if f is None else float(f(t)) for f, _ in self.terms]
-        for j, w in enumerate(weights):
-            if not (w is None or math.isfinite(w)):
-                raise ValueError(f"the profile of term {j} is {w} at t={t}")
-
-        def total(parts: Sequence):
-            scaled = [part if w is None else w * part for w, part in zip(weights, parts)]
-            return sum(scaled[1:], scaled[0])
-
-        return tuple(total(parts) for parts in per_term)
+        return profile_sum(self.terms, t, [g.hpp for g in gens],
+                           [g.hpm for g in gens], [g.hbar for g in gens])[1]
 
     def check_time(self, t: float) -> None:
         """Reject an end time outside [0, t_max]."""
@@ -317,7 +328,7 @@ def integrate_flow(
     def rhs(tau, y):
         fg = y[:n].reshape(2 * d, d)
         stage_g[next(stages)] = fg[d:]
-        k, rate = path._combine(tau, ks, rates)
+        _, (k, rate) = profile_sum(path.terms, tau, ks, rates)
         return np.concatenate([(k @ fg).ravel(), [rate]])
 
     y0 = np.concatenate([np.zeros(d * d), np.eye(d).ravel(), [0.0]]).astype(complex)
@@ -518,7 +529,7 @@ def propagate_gaussian(
 def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis) -> Callable:
     """-i H_t psi, with each term's matrix of H_t assembled once."""
     hs = [quadratic_matrix(gen, basis) for _, gen in path.terms]
-    return lambda tau, psi: -1j * (path._combine(tau, hs)[0] @ psi)
+    return lambda tau, psi: -1j * (profile_sum(path.terms, tau, hs)[1][0] @ psi)
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,24 @@ grid edge, so the periodization error is negligible and shifted copies
 never wrap around.  Shifted grids are inverse FFTs of the phase-shifted
 spectrum, and one batched kernel forms every fiber displacement.  The beta
 box of a fiber integral and its node count come from the fibers' supports
-and spectral bands, with no probe scan.  Split-step evolution fuses the
-half kicks that meet between kinetic steps, a time-independent potential
-kicks from phases built once per evolution, and the loop transforms and
-multiplies in place.  Every transform is ``scipy.fft``.
+and spectral bands, with no probe scan.  Split-step evolution runs on a
+declared potential, polynomials of degree <= 4 times real scalar profiles,
+validated once when the problem is built: it fuses the half kicks that meet
+between kinetic steps, evaluates each polynomial once per evolution and
+rebuilds a kick's phase only when the profile values change, and the loop
+transforms and multiplies in place.  Every transform is ``scipy.fft``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import fft
 
-from .bogoliubov import step_count
+from .bogoliubov import profile_sum, step_count
 from .quadrature import gauss_legendre, trapezoid_weights
 
 __all__ = [
@@ -330,7 +332,6 @@ def derivative_identity_residual(
     lam: float,
     component: str,
     h: float = 1e-4,
-    forms: Optional[PacketForms] = None,
 ) -> float:
     """Residual of i lam d_X K = K (omega[dX] - sqrt(lam) Omega[dX]) f.
 
@@ -338,7 +339,7 @@ def derivative_identity_residual(
     scale), which makes the central-difference residual O(h^2) uniformly in
     lambda.
     """
-    forms = forms or PacketForms()
+    forms = PacketForms()
     step = h * lam
     if step < 1e-13:
         raise ValueError("differencing step too small; cancellation would dominate")
@@ -735,35 +736,34 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float],
 
 @dataclass(frozen=True)
 class SplitStepProblem:
-    """i lam psi_t = (-lam^2/(2 m) d_xx + V(x, t)) psi.
+    """i lam psi_t = (-lam^2/(2 m) d_xx + V(x, t)) psi, with the declared
+    potential V(x, t) = sum_j f_j(t) V_j(x).
 
-    ``static`` declares that V ignores t; only ``polynomial`` sets it, and
-    ``splitstep_evolve`` then builds its kick phases once.
+    ``terms`` pairs a real profile f_j of t, or None for the constant 1,
+    with the coefficients (c_0, ..., c_n), n <= 4, of the polynomial
+    V_j(x) = sum_i c_i x^i; they are validated once, when the problem is
+    built.
     """
 
-    potential: Callable[[np.ndarray, float], np.ndarray]
+    terms: Sequence[tuple[Optional[Callable[[float], float]], Sequence[float]]]
     mass: float = 1.0
-    static: bool = field(default=False, init=False)
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("a split-step problem needs at least one potential term")
+        for j, (_, coeffs) in enumerate(self.terms):
+            arr = np.asarray(coeffs, dtype=float)
+            if arr.ndim != 1 or len(arr) > 5:
+                raise ValueError(f"the potential of term {j} must have degree at most 4")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"the potential coefficients of term {j} must be finite")
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     @staticmethod
     def polynomial(coeffs: Sequence[float], mass: float = 1.0) -> "SplitStepProblem":
         """Time-independent potential sum_j coeffs[j] x^j (degree <= 4)."""
-        if len(coeffs) > 5:
-            raise ValueError("potential degree must be at most 4")
-        arr = np.asarray(coeffs, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ValueError("potential coefficients must be finite")
-
-        def v(x, t):
-            return np.polyval(arr[::-1], x)
-
-        problem = SplitStepProblem(potential=v, mass=mass)
-        object.__setattr__(problem, "static", True)
-        return problem
+        return SplitStepProblem([(None, coeffs)], mass)
 
 
 def splitstep_evolve(
@@ -776,10 +776,13 @@ def splitstep_evolve(
 
     ``step_count(t, dt)`` uniform steps cover [0, t]; the two half kicks
     that meet between steps act at one time and are applied as one full
-    kick.  A static problem evaluates V and the half and full kick phases
-    once; otherwise each kick evaluates V at its time.  Each step
-    transforms in place (``overwrite_x``) and multiplies into its operand;
-    ``psi0`` is never written.  Raises when the grid cannot resolve the
+    kick.  Each term's V_j is evaluated on the grid once per evolution, and
+    a kick sums them by ``profile_sum``.  A kick's phase depends only on
+    its scale and the profile values, so it is rebuilt only when those
+    change: with no profiled term the half and full phases are built once.
+    Each step transforms in place (``overwrite_x``) and multiplies into its
+    operand; ``psi0`` is never written.  Raises when a profile value is not
+    finite (naming the term and time), when the grid cannot resolve the
     packet's oscillation (spectral mass too close to the Nyquist
     frequency), and, through ``step_count``, when t or dt is not finite.
     """
@@ -799,14 +802,15 @@ def splitstep_evolve(
     h = t / max(n_steps, 1)
     kinetic = np.exp(-0.5j * h * lam * k**2 / problem.mass)
     half, full = -0.5j * h, -1j * h
-    if problem.static:
-        v = problem.potential(x, 0.0)
-        phases = {scale: np.exp(scale * v / lam) for scale in (half, full)}
+    potentials = [np.polyval(np.asarray(coeffs, dtype=float)[::-1], x)
+                  for _, coeffs in problem.terms]
+    built = {}  # scale -> (profile values, phase)
 
     def kick(scale, now):
-        if problem.static:
-            return phases[scale]
-        return np.exp(scale * problem.potential(x, now) / lam)
+        weights, (v,) = profile_sum(problem.terms, now, potentials)
+        if scale not in built or built[scale][0] != weights:
+            built[scale] = weights, np.exp(scale * v / lam)
+        return built[scale][1]
 
     # the first kick makes vals a fresh array, so the transforms may
     # overwrite it and never reach psi0.values

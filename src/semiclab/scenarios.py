@@ -224,19 +224,19 @@ def harmonic_orbit_manifold(n_alpha: int = 64):
     )
 
 
-def wkb_reference(
-    t: float = 0.1,
-    q0: float = 1.0,
-    p0: float = 0.0,
-    cubic: float = 0.2,
-    n_xi: int = 256,
-    xi_half_width: float = 8.0,
-) -> Callable[[float], float]:
+# the WKB evolution check: end time, initial point, cubic coefficient of
+# V(x) = x^2/2 + cubic x^3, and the fiber shape's grid
+_WKB_T, _WKB_Q0, _WKB_P0, _WKB_CUBIC = 0.1, 1.0, 0.0, 0.2
+_WKB_N_XI, _WKB_XI_HALF_WIDTH = 256, 8.0
+
+
+def wkb_reference() -> Callable[[float], float]:
     """The lambda-free half of the WKB oracle, and lam -> error against it.
 
     Integrates the classical trajectory with its action and the fiber
     shape under the quadratic fiber Hamiltonian p^2/2 + V''(Q_t) xi^2/2
-    once; the returned function runs the full split-step evolution at one
+    once, the fiber potential declared as the profile 1/2 V''(Q_t) times
+    xi^2; the returned function runs the full split-step evolution at one
     lambda and measures its distance to the predicted packet.
     """
     from .packets import (
@@ -249,6 +249,9 @@ def wkb_reference(
         k_lambda,
         splitstep_evolve,
     )
+
+    t, q0, p0, cubic = _WKB_T, _WKB_Q0, _WKB_P0, _WKB_CUBIC
+    xi_half_width = _WKB_XI_HALF_WIDTH
 
     def v(x):
         return 0.5 * x**2 + cubic * x**3
@@ -271,15 +274,14 @@ def wkb_reference(
     s_t, q_t, p_t = zs[-1]
 
     # fiber shape under the quadratic fiber Hamiltonian (lambda-free)
-    f0 = gaussian_shape(half_width=xi_half_width, n=n_xi)
+    f0 = gaussian_shape(half_width=xi_half_width, n=_WKB_N_XI)
     fiber_wave = GridWave(f0.grid, f0.values, 1.0)
 
-    def fiber_potential(xi, tau):
-        j = min(n_cl, max(0, int(round(tau / hcl))))
-        return 0.5 * v2(zs[j, 1]) * xi**2
+    def half_curvature(tau):
+        return 0.5 * v2(zs[min(n_cl, max(0, int(round(tau / hcl)))), 1])
 
-    fiber_t = splitstep_evolve(
-        fiber_wave, SplitStepProblem(potential=fiber_potential), t, hcl)
+    fiber_t = splitstep_evolve(fiber_wave, SplitStepProblem(
+        [(half_curvature, [0.0, 0.0, 1.0])]), t, hcl)
     f_t = ShapeFunction(f0.grid, fiber_t.values)
     q_span = max(abs(zs[:, 1].max()), abs(zs[:, 1].min()))
     p_max = np.abs(zs[:, 2]).max()
@@ -305,15 +307,7 @@ def wkb_reference(
     return error_at
 
 
-def wkb_evolution_error(
-    lam: float,
-    t: float = 0.1,
-    q0: float = 1.0,
-    p0: float = 0.0,
-    cubic: float = 0.2,
-    n_xi: int = 256,
-    xi_half_width: float = 8.0,
-) -> float:
+def wkb_evolution_error(lam: float) -> float:
     """Distance of the split-step evolution to the packet-form prediction.
 
     The oracle assembles the predicted state from three independent
@@ -323,8 +317,7 @@ def wkb_evolution_error(
     closes like sqrt(lambda) because the cubic Taylor remainder of the
     potential enters at that order.
     """
-    return wkb_reference(t=t, q0=q0, p0=p0, cubic=cubic, n_xi=n_xi,
-                         xi_half_width=xi_half_width)(lam)
+    return wkb_reference()(lam)
 
 
 def mixed_rotation_squeeze_path(t_max: float = 8.0):

@@ -254,14 +254,21 @@ class GeneratorFamily:
                              np.asarray(x, dtype=float))
 
 
+def _delta(system: ClassicalSystem, a: np.ndarray, x: np.ndarray, h: float,
+           func: Callable, dx: Optional[np.ndarray] = None):
+    """delta[A] func at x by the central difference (func(+h) - func(-h)) / (2 h)
+    along the flow of a; with a tangent dx, func also takes its pushforward."""
+    def at(s):
+        point = system.flow(a, s, x)
+        return func(point) if dx is None else func(point, system.tangent(a, s, x, dx))
+
+    return (at(h) - at(-h)) / (2 * h)
+
+
 def _delta_matrix(fam: GeneratorFamily, a: np.ndarray, block: str,
                   b: np.ndarray, x: np.ndarray, h: float):
     """delta[A] of a generator block of H(B: X) by central differences."""
-    xp = fam.system.flow(a, h, x)
-    xm = fam.system.flow(a, -h, x)
-    gp = fam.generator(b, xp)
-    gm = fam.generator(b, xm)
-    return (getattr(gp, block) - getattr(gm, block)) / (2 * h)
+    return _delta(fam.system, a, x, h, lambda pt: getattr(fam.generator(b, pt), block))
 
 
 def check_vector_field_algebra(system: ClassicalSystem, alg: LieAlgebra,
@@ -272,16 +279,12 @@ def check_vector_field_algebra(system: ClassicalSystem, alg: LieAlgebra,
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
 
-    def delta(direction, func, point):
-        return (func(system.flow(direction, h, point))
-                - func(system.flow(direction, -h, point))) / (2 * h)
-
     worst = 0.0
     for comp in range(3):
         func = lambda pt, c=comp: pt[c]
-        ab = delta(a, lambda pt: delta(b, func, pt), x)
-        ba = delta(b, lambda pt: delta(a, func, pt), x)
-        cc = delta(alg.bracket(a, b), func, x)
+        ab = _delta(system, a, x, h, lambda pt: _delta(system, b, pt, h, func))
+        ba = _delta(system, b, x, h, lambda pt: _delta(system, a, pt, h, func))
+        cc = _delta(system, alg.bracket(a, b), x, h, func)
         worst = max(worst, abs(ab - ba + cc))
     return worst
 
@@ -349,11 +352,7 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     # i (delta[A] phi)[dX] = H+-(A) phi[dX] + H++(A) conj(phi[dX])
     if dx is None:
         dx = np.array([0.3, 1.0, -0.7])
-    xp = fam.system.flow(a, h, x)
-    xm = fam.system.flow(a, -h, x)
-    dxp = fam.system.tangent(a, h, x, dx)
-    dxm = fam.system.tangent(a, -h, x, dx)
-    dphi = (fam.phi(xp, dxp) - fam.phi(xm, dxm)) / (2 * h)
+    dphi = _delta(fam.system, a, x, h, fam.phi, dx)
     phi0 = fam.phi(x, dx)
     phi_res = float(np.linalg.norm(
         1j * dphi - (hpm_a @ phi0 + hpp_a @ np.conj(phi0))))
@@ -403,11 +402,8 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     hc = quadratic_matrix(fam.generator(fam.algebra.bracket(a, b), x), basis)
 
     def delta_gen_matrix(direction, other):
-        xp = fam.system.flow(direction, h, x)
-        xm = fam.system.flow(direction, -h, x)
-        gp = quadratic_matrix(fam.generator(other, xp), basis)
-        gm = quadratic_matrix(fam.generator(other, xm), basis)
-        return (gp - gm) / (2 * h)
+        return _delta(fam.system, direction, x, h,
+                      lambda pt: quadratic_matrix(fam.generator(other, pt), basis))
 
     r = -(ha @ hb - hb @ ha)
     r = r - 1j * delta_gen_matrix(b, a) + 1j * delta_gen_matrix(a, b) + 1j * hc
@@ -450,16 +446,9 @@ def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
     def omega_scalar(point, tangent):
         return point[2] * tangent[1] - tangent[0]
 
-    xp = fam.system.flow(a, h, x)
-    xm = fam.system.flow(a, -h, x)
-    dxp = fam.system.tangent(a, h, x, dx)
-    dxm = fam.system.tangent(a, -h, x, dx)
-    omega_res = abs(
-        (omega_scalar(xp, dxp) - omega_scalar(xm, dxm)) / (2 * h))
-
-    om_p = omega_matrix(fam, xp, dxp, basis)
-    om_m = omega_matrix(fam, xm, dxm, basis)
-    d_om = (om_p - om_m) / (2 * h)
+    omega_res = abs(_delta(fam.system, a, x, h, omega_scalar, dx))
+    d_om = _delta(fam.system, a, x, h,
+                  lambda point, tangent: omega_matrix(fam, point, tangent, basis), dx)
     om0 = omega_matrix(fam, x, dx, basis)
     hmat = quadratic_matrix(fam.generator(a, x), basis)
     target = 1j * (om0 @ hmat - hmat @ om0)

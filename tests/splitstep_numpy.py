@@ -4,7 +4,9 @@ the tests' oracle for the in-place ``scipy.fft`` loop of
 
 Same fused Strang steps (half kick, then kinetic step and full kick, the
 last kick a half one), same step count and same operand order, so on one
-FFT backend the two agree to the last bit.
+FFT backend the two agree to the last bit.  The potential is a callable of
+(x, t), evaluated afresh at every kick, where ``splitstep_evolve`` sums
+declared terms and reuses a kick's phase while the profile values stay.
 """
 
 import numpy as np
@@ -12,17 +14,18 @@ import numpy as np
 from semiclab.bogoliubov import step_count
 
 
-def evolve(psi0, problem, t, dt):
-    """Samples of psi(t) from the GridWave psi0 under the SplitStepProblem."""
+def evolve(psi0, potential, mass, t, dt):
+    """Samples of psi(t) from the GridWave psi0 under the potential V(x, t),
+    a callable evaluated at every kick, and the mass."""
     n_steps = step_count(t, dt)
     lam, grid = psi0.lam, psi0.grid
     k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
     x = grid.points
     h = t / max(n_steps, 1)
-    kinetic = np.exp(-0.5j * h * lam * k**2 / problem.mass)
+    kinetic = np.exp(-0.5j * h * lam * k**2 / mass)
 
     def kick(scale, now):
-        return np.exp(scale * problem.potential(x, now) / lam)
+        return np.exp(scale * potential(x, now) / lam)
 
     half, full = -0.5j * h, -1j * h
     vals = psi0.values * kick(half, 0.0)

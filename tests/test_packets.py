@@ -453,23 +453,31 @@ def test_splitstep_zero_time_returns_initial_wave():
     assert out.lam == psi.lam
 
 
-def _driven(x, now):
+def _driven_potential(x, now):
     return 0.5 * x**2 + 0.3 * math.sin(3.0 * now) * x + 0.1 * now * x**3
 
 
-def _unfused_splitstep(psi, problem, t, dt):
+# the driven oscillator above, declared as three terms
+_driven = SplitStepProblem([
+    (None, [0.0, 0.0, 0.5]),
+    (lambda now: 0.3 * math.sin(3.0 * now), [0.0, 1.0]),
+    (lambda now: 0.1 * now, [0.0, 0.0, 0.0, 1.0]),
+])
+
+
+def _unfused_splitstep(psi, potential, mass, t, dt):
     # the textbook Strang loop: two half kicks around every kinetic step
     n_steps = step_count(t, dt)
     h = t / n_steps
     x = psi.grid.points
     k = 2 * np.pi * np.fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
-    kinetic = np.exp(-0.5j * h * psi.lam * k**2 / problem.mass)
+    kinetic = np.exp(-0.5j * h * psi.lam * k**2 / mass)
     vals = psi.values.copy()
     now = 0.0
     for _ in range(n_steps):
-        vals = vals * np.exp(-0.5j * h * problem.potential(x, now) / psi.lam)
+        vals = vals * np.exp(-0.5j * h * potential(x, now) / psi.lam)
         vals = np.fft.ifft(kinetic * np.fft.fft(vals))
-        vals = vals * np.exp(-0.5j * h * problem.potential(x, now + h) / psi.lam)
+        vals = vals * np.exp(-0.5j * h * potential(x, now + h) / psi.lam)
         now += h
     return vals
 
@@ -478,37 +486,39 @@ def _unfused_splitstep(psi, problem, t, dt):
 def test_splitstep_fused_kicks_match_unfused_loop(t, dt):
     # a driven oscillator: the fused full kick must use the same times
     psi = _harmonic_wave()
-    problem = SplitStepProblem(potential=_driven)
-    out = splitstep_evolve(psi, problem, t, dt)
-    assert np.abs(out.values - _unfused_splitstep(psi, problem, t, dt)).max() < 1e-12
+    out = splitstep_evolve(psi, _driven, t, dt)
+    ref = _unfused_splitstep(psi, _driven_potential, 1.0, t, dt)
+    assert np.abs(out.values - ref).max() < 1e-12
+
+
+_QUARTIC = [0.1, -0.2, 0.5, 0.2, 0.05]
 
 
 @pytest.mark.parametrize("t, dt", [(0.5, 1e-3), (0.25, 0.1), (0.0, 1e-3)])
 def test_splitstep_static_kicks_match_time_dependent_loop(t, dt):
-    # the same potential as an opaque callable of (x, t) takes the per-step
-    # loop, which is the oracle of the cached phases
+    # an unprofiled term kicks as the same term under the profile 1.0
     psi = _harmonic_wave()
-    static = SplitStepProblem.polynomial([0.1, -0.2, 0.5, 0.2, 0.05], mass=1.3)
-    loop = SplitStepProblem(potential=lambda x, now: static.potential(x, now),
-                            mass=1.3)
-    assert static.static and not loop.static
-    out = splitstep_evolve(psi, static, t, dt)
-    assert np.array_equal(out.values, splitstep_evolve(psi, loop, t, dt).values)
+    constant = SplitStepProblem.polynomial(_QUARTIC, mass=1.3)
+    profiled = SplitStepProblem([(lambda now: 1.0, _QUARTIC)], mass=1.3)
+    out = splitstep_evolve(psi, constant, t, dt)
+    assert np.array_equal(out.values, splitstep_evolve(psi, profiled, t, dt).values)
 
 
 @pytest.mark.parametrize("n", [256, 1024, 4096])
-@pytest.mark.parametrize("problem", [
-    SplitStepProblem.polynomial([0.1, -0.2, 0.5, 0.2, 0.05], mass=1.3),
-    SplitStepProblem(potential=_driven),
+@pytest.mark.parametrize("problem, potential", [
+    (SplitStepProblem.polynomial(_QUARTIC, mass=1.3),
+     lambda x, now: np.polyval(_QUARTIC[::-1], x)),
+    (_driven, _driven_potential),
 ], ids=["static", "time-dependent"])
-def test_splitstep_matches_the_numpy_loop(n, problem):
-    # the in-place scipy.fft loop against the allocating numpy.fft one
+def test_splitstep_matches_the_numpy_loop(n, problem, potential):
+    # the in-place scipy.fft loop against the allocating numpy.fft one,
+    # which evaluates the potential as a callable of (x, t) at every kick
     f = gaussian_shape(n=128, half_width=6)
     psi = k_lambda(PacketPoint(0.0, 1.0, 0.3), f, 0.1,
                    UniformGrid.centered(4.5, n))
     before = psi.values.copy()
     out = splitstep_evolve(psi, problem, 0.2, 1e-3)
-    ref = splitstep_numpy.evolve(psi, problem, 0.2, 1e-3)
+    ref = splitstep_numpy.evolve(psi, potential, problem.mass, 0.2, 1e-3)
     assert np.abs(out.values - ref).max() <= 1e-14 * np.linalg.norm(ref)
     # overwrite_x never reaches the caller's samples
     assert np.array_equal(psi.values, before)
@@ -525,19 +535,21 @@ def test_splitstep_rejects_non_finite_times(t, dt):
 
 
 def test_splitstep_static_kicks_evaluate_the_potential_once(monkeypatch):
+    # one np.polyval per term and evolution, with or without profiles
     calls = []
     polyval = np.polyval
     monkeypatch.setattr(np, "polyval",
                         lambda c, x: calls.append(1) or polyval(c, x))
-    splitstep_evolve(_harmonic_wave(), SplitStepProblem.polynomial([0, 0, 0.5]),
-                     0.1, 1e-3)
-    assert len(calls) == 1
+    for problem in (SplitStepProblem.polynomial([0, 0, 0.5]), _driven):
+        calls.clear()
+        splitstep_evolve(_harmonic_wave(), problem, 0.1, 1e-3)
+        assert len(calls) == len(problem.terms)
 
 
 @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
 def test_splitstep_problem_rejects_bad_mass(mass):
     with pytest.raises(ValueError, match="mass"):
-        SplitStepProblem(potential=lambda x, t: 0 * x, mass=mass)
+        SplitStepProblem([(lambda t: t, [0.0, 1.0])], mass=mass)
     with pytest.raises(ValueError, match="mass"):
         SplitStepProblem.polynomial([0, 0, 0.5], mass=mass)
 
@@ -546,6 +558,73 @@ def test_splitstep_problem_rejects_bad_mass(mass):
 def test_splitstep_problem_rejects_nonfinite_coefficients(bad):
     with pytest.raises(ValueError, match="finite"):
         SplitStepProblem.polynomial([0, bad, 0.5])
+    with pytest.raises(ValueError, match="term 1 must be finite"):
+        SplitStepProblem([(None, [0.5]), (math.cos, [0, bad])])
+
+
+def test_splitstep_problem_rejects_bad_terms():
+    with pytest.raises(ValueError, match="at least one potential term"):
+        SplitStepProblem([])
+    with pytest.raises(ValueError, match="term 0 must have degree at most 4"):
+        SplitStepProblem.polynomial([0, 0, 0, 0, 0, 1.0])
+    with pytest.raises(ValueError, match="term 1 must have degree at most 4"):
+        SplitStepProblem([(None, [0.5]), (math.cos, [[0.0, 1.0]])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_splitstep_profile_that_is_not_finite_names_its_term_and_time(bad):
+    # a NaN potential returned an all-NaN wave without a word
+    problem = SplitStepProblem([(None, [0, 0, 0.5]),
+                                (lambda t: bad if t > 0.05 else 1.0, [0, 1])])
+    with pytest.raises(ValueError, match=f"profile of term 1 is {bad} at t=0.05"):
+        splitstep_evolve(_harmonic_wave(), problem, 0.1, 1e-3)
+
+
+def test_splitstep_problem_is_declared_terms_and_mass():
+    from semiclab.bogoliubov import GeneratorPath
+    from semiclab.fock import QuadraticGenerator
+
+    assert [f.name for f in dataclasses.fields(SplitStepProblem)] == ["terms", "mass"]
+    declared = [SplitStepProblem.polynomial([0, 0, 0.5]), _driven,
+                GeneratorPath.constant(QuadraticGenerator.from_blocks(modes=1), 1.0)]
+    assert not any(hasattr(obj, "static") for obj in declared)
+
+
+def test_wkb_fiber_term_evolves_as_the_callable_it_replaced(monkeypatch):
+    # the fiber potential 1/2 V''(Q(tau)) xi^2 of the WKB reference, declared
+    # as one profiled term, evolves bitwise as the callable of (xi, tau)
+    # under the numpy loop; Q comes from an RK4 loop written out here
+    from semiclab import scenarios
+    from semiclab.bogoliubov import rk4_step
+
+    runs = []
+    evolve = packets.splitstep_evolve
+    monkeypatch.setattr(packets, "splitstep_evolve",
+                        lambda *args: runs.append((args, evolve(*args))) or runs[-1][1])
+    scenarios.wkb_reference()
+    monkeypatch.undo()
+    [((wave, problem, t, dt), out)] = runs
+    [(profile, coeffs)] = problem.terms
+    assert profile is not None and list(coeffs) == [0.0, 0.0, 1.0]
+
+    cubic, n_cl = 0.2, 4096
+    assert (t, dt) == (0.1, 0.1 / n_cl)
+    def field(_, z):
+        q, p = z
+        return np.array([p, -q - 3 * cubic * q * q])
+
+    qs = [np.array([1.0, 0.0])]
+    for _ in range(n_cl):
+        qs.append(rk4_step(field, 0.0, qs[-1], dt))
+
+    def v2(x):
+        return 1.0 + 6.0 * cubic * x
+
+    def fiber_potential(xi, tau):
+        return 0.5 * v2(qs[min(n_cl, max(0, int(round(tau / dt))))][0]) * xi**2
+
+    ref = splitstep_numpy.evolve(wave, fiber_potential, 1.0, t, dt)
+    assert np.array_equal(out.values, ref)
 
 
 def test_splitstep_resolution_guard():
