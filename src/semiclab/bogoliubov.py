@@ -211,18 +211,6 @@ class GeneratorPath:
     def constant(gen: QuadraticGenerator, t_max: float) -> "GeneratorPath":
         return GeneratorPath([(None, gen)], t_max)
 
-    @staticmethod
-    def from_samples(times: Sequence[float], gens: Sequence[QuadraticGenerator]):
-        """Piecewise-linear interpolation of sampled generators: one hat
-        profile per sample, constant beyond the first and last."""
-        times = np.asarray(times, dtype=float)
-        if len(times) < 2 or np.any(np.diff(times) <= 0) or len(gens) != len(times):
-            raise ValueError("need one generator at each of at least two strictly "
-                             "increasing sample times")
-        hats = np.eye(len(times))
-        return GeneratorPath([(lambda t, hat=hat: np.interp(t, times, hat), gen)
-                              for hat, gen in zip(hats, gens)], float(times[-1]))
-
 
 @dataclass(frozen=True)
 class BogoliubovFlow:

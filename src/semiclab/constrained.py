@@ -16,10 +16,13 @@ occupation state times a real orthogonal matrix).  The padding keeps the
 integrand trustworthy out to the box edge; the vectors themselves stay at
 their own cutoff.
 
-On a two-axis plane the integrand at the tensor nodes (beta_1i, beta_2j) is
-one table, E1 W E2^T with W = V1+ V2 built with the family and the vectors
-folded into the exponential rows E1, E2; it is multiplied in the order that
-keeps the intermediate smallest.
+The integrand is evaluated on the tensor grid of the per-axis quadrature
+nodes, (Y1, U_1(beta_1) ... U_k(beta_k) Y2) at every node combination, by
+one walk along the family's k - 1 adjacent overlaps W_s = V_s+ V_(s+1),
+built with the family.  The vectors are folded into the exponential rows
+of the first and last axes (on one axis, into the vector the rows act on),
+and the last overlap is multiplied in the order that keeps the
+intermediate smallest.  No node list is flattened or rebuilt.
 
 Every plane integral runs through one body: the pairing is checked at the
 boundary, and the box is always sized from the integrand's decay.  That
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -164,8 +168,9 @@ class _DisplacementFamily:
 
     Everything is built here and never changed afterwards, so one family
     serves any number of threads: each axis's eigenpairs (lam_s, V_s), its
-    envelope grid and phase table e^(r lam_s) on that grid, and on two axes
-    the overlap W = V1+ V2.  ``nbytes`` is the size of those arrays.
+    envelope grid and phase table e^(r lam_s) on that grid, and the k - 1
+    adjacent overlaps W_s = V_s+ V_(s+1).  ``nbytes`` is the size of those
+    arrays.
     """
 
     def __init__(self, plane: IsotropicPlane, basis: ModeBasis, pad: int):
@@ -178,52 +183,37 @@ class _DisplacementFamily:
         ]
         self.tables = [np.exp(np.outer(grid, lam))
                        for grid, (lam, _) in zip(self.grids, self.eigs)]
-        arrays = [a for pair in self.eigs for a in pair] + self.grids + self.tables
-        self.overlap = None
-        if plane.k == 2:
-            self.overlap = self.eigs[0][1].conj().T @ self.eigs[1][1]
-            arrays.append(self.overlap)
+        self.overlaps = [left.conj().T @ right
+                         for (_, left), (_, right) in zip(self.eigs, self.eigs[1:])]
+        arrays = ([a for pair in self.eigs for a in pair] + self.grids + self.tables
+                  + self.overlaps)
         self.nbytes = sum(a.nbytes for a in arrays)
 
-    def pairings(self, y1: FockVector, y2: FockVector, nodes: np.ndarray) -> np.ndarray:
-        """(Y1, U[sum beta_s B_s] Y2) for each node row of beta values.
+    def pairings(self, y1: FockVector, y2: FockVector, axes: Sequence) -> np.ndarray:
+        """(Y1, U_1(b_1) ... U_k(b_k) Y2) on the tensor grid of the per-axis
+        node arrays ``axes``, one array of beta_s values per axis.
 
-        V+ y is formed as conj(V^T conj(y)), which copies no dim x dim matrix.
+        The factorized product is exact because isotropy makes the axis
+        generators commute.  With head = V_1^T conj(y1) and tail = V_k+ y2
+        (V+ y formed as conj(V^T conj(y)), which copies no dim x dim matrix),
+        the pairing is head^T e^(b_1 lam_1) W_1 ... W_(k-1) e^(b_k lam_k) tail.
         """
-        k = self.plane.k
-        nodes = np.atleast_2d(nodes)
         c1, c2 = (np.conj(y.embed(self.big).coeffs) for y in (y1, y2))
-        if k == 1:
-            lam, v = self.eigs[0]
-            phases = np.exp(np.outer(nodes[:, 0], lam))
-            return phases @ ((v.T @ c1) * np.conj(v.T @ c2))
-        # factorized product U_1(beta_1) ... U_k(beta_k); exact for commuting
-        # axis generators, which isotropy guarantees
-        if k == 2:
-            # table[i, j] = sum_mn conj(V1+ y1)_m e^(b1_i lam1_m) W_mn
-            #                      e^(b2_j lam2_n) (V2+ y2)_n,  W = V1+ V2,
-            # with the vectors folded into the exponential rows
-            lam1, v1 = self.eigs[0]
-            lam2, v2 = self.eigs[1]
-            b1 = np.unique(nodes[:, 0])
-            b2 = np.unique(nodes[:, 1])
-            e1 = np.exp(np.outer(b1, lam1)) * (v1.T @ c1)
-            e2 = np.exp(np.outer(b2, lam2)) * np.conj(v2.T @ c2)
-            if len(b1) < len(b2):
-                table = (e1 @ self.overlap) @ e2.T
-            else:
-                table = e1 @ (self.overlap @ e2.T)
-            i1 = np.searchsorted(b1, nodes[:, 0])
-            i2 = np.searchsorted(b2, nodes[:, 1])
-            return table[i1, i2]
-        vals = np.empty(len(nodes), dtype=complex)
-        for idx, beta in enumerate(nodes):
-            vec = np.conj(c2)
-            for s in range(k - 1, -1, -1):
-                lam, v = self.eigs[s]
-                vec = v @ (np.exp(beta[s] * lam) * np.conj(v.T @ np.conj(vec)))
-            vals[idx] = np.dot(c1, vec)
-        return vals
+        rows = [np.exp(np.outer(b, lam)) for b, (lam, _) in zip(axes, self.eigs)]
+        head = self.eigs[0][1].T @ c1
+        tail = np.conj(self.eigs[-1][1].T @ c2)
+        if not self.overlaps:
+            return rows[0] @ (head * tail)
+        # left[i_1 ... i_s, m]: the row vector after axis s, grid axes flattened
+        left = rows[0] * head
+        for w, phases in zip(self.overlaps[:-1], rows[1:-1]):
+            left = ((left @ w)[:, None, :] * phases).reshape(-1, len(head))
+        right = rows[-1] * tail
+        if len(left) < len(right):
+            table = (left @ self.overlaps[-1]) @ right.T
+        else:
+            table = left @ (self.overlaps[-1] @ right.T)
+        return table.reshape([len(b) for b in axes])
 
     def axis_envelope(self, y1: FockVector, y2: FockVector, axis: int) -> np.ndarray:
         """max(|pairing at +r B_s|, |pairing at -r B_s|) on the axis's grid r.
@@ -359,9 +349,9 @@ def _plane_integral(y1: FockVector, y2: FockVector, plane: IsotropicPlane,
     the decay-sized box, without the measure constant."""
     fam = _checked_family(y1, y2, plane, quad.pad)
 
-    def integrand(nodes):
-        vals = fam.pairings(y1, y2, nodes)
-        return vals if weight is None else weight(nodes) * vals
+    def integrand(axes):
+        vals = fam.pairings(y1, y2, axes)
+        return vals if weight is None else weight(axes) * vals
 
     return integrate_box(integrand, _auto_radius(fam, y1, y2), quad.order,
                          self_check_tol=quad.self_check)
@@ -403,7 +393,7 @@ def regularized_inner(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     cert = _plane_integral(
         y, y, plane, quad,
-        weight=lambda nodes: np.exp(-eps * np.sum(np.atleast_2d(nodes) ** 2, axis=1)))
+        weight=lambda axes: np.exp(-eps * reduce(np.add.outer, [b**2 for b in axes])))
     value = plane.a * cert.value
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise RuntimeError(f"regularized inner product came out non-real: {value}")
@@ -439,15 +429,19 @@ def decay_profile(
     )
     c *= g_min ** (-m / 2)
     k = plane.k
-    rays = [np.eye(k)[s] for s in range(k)]
-    if k > 1:
-        rays.append(np.ones(k) / math.sqrt(k))
-    worst = 0.0
     reach = min([_RADIUS_CAP] + [fam.trust_radius(s) for s in range(k)])
     radii = np.linspace(0.3, reach, _DECAY_SAMPLES)
-    for ray in rays:
-        nodes = radii[:, None] * ray[None, :]
-        ratios = np.abs(fam.pairings(y1, y2, nodes)) * radii**m / c
+    # an axis ray puts [0.0] on every other axis; the diagonal ray is the
+    # tensor's diagonal on radii / sqrt(k) per axis
+    rays = [[radii if t == s else np.zeros(1) for t in range(k)] for s in range(k)]
+    if k > 1:
+        rays.append([radii * (1 / math.sqrt(k))] * k)
+    worst = 0.0
+    for axes in rays:
+        # the ray's samples: index i on every full axis, 0 on a singleton
+        vals = fam.pairings(y1, y2, axes)[
+            tuple(np.arange(len(radii)) % len(b) for b in axes)]
+        ratios = np.abs(vals) * radii**m / c
         worst = max(worst, float(ratios.max()))
         if worst > 1 + 1e-9:
             raise RuntimeError(

@@ -35,7 +35,6 @@ __all__ = [
     "QuadraticGenerator",
     "WeightOperator",
     "GaussianData",
-    "DisplacementVector",
     "LeakageError",
     "ConvergenceError",
     "vacuum_state",
@@ -419,10 +418,12 @@ def displacement(
     """Apply the unitary U[B] = exp(A+[B] - A-[B*]).
 
     Computed by exact exponentiation on a basis padded by ``pad`` quanta,
-    then projected back; the projected-away mass is the leakage.
+    then projected back; the projected-away mass is the leakage.  Amplitudes
+    that are not finite raise ``ValueError``.
     """
-    if isinstance(b, DisplacementVector):
-        b = b.b
+    b = _check_mode_vector(b, psi.basis)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"displacement amplitudes must be finite, got {b}")
     big = psi.basis.padded(pad)
     lam, v = displacement_eig(b, big)
     src = psi.embed(big).coeffs
@@ -434,26 +435,6 @@ def displacement(
             "the cutoff is too small for this displacement"
         )
     return moved.with_leakage(psi.leakage + moved.leakage)
-
-
-@dataclass(frozen=True)
-class DisplacementVector:
-    """Amplitude vector B of the displacement U[B] = exp(A+[B] - A-[B*])."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(b.view(float))):
-            raise ValueError("displacement amplitudes must be finite")
-        object.__setattr__(self, "b", b)
-
-    @property
-    def modes(self) -> int:
-        return self.b.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.b))
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,21 @@
 Integrands here decay rapidly away from the origin (Gaussian-like profiles
 with polynomial guarantees), so a finite box with a certified tail plus
 Gauss-Legendre nodes converges superalgebraically.  Every integration
-certifies itself by order doubling.
+certifies itself by order doubling.  An integrand sees the box as its
+per-axis node arrays and returns its values on their tensor grid; nothing
+flattens the grid into node rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["QuadratureError", "QuadCertificate", "gauss_legendre",
-           "tensor_legendre", "integrate_box", "trapezoid_weights"]
+           "integrate_box", "trapezoid_weights"]
 
 
 class QuadratureError(RuntimeError):
@@ -38,19 +40,6 @@ def gauss_legendre(order: int):
     return x, w
 
 
-def tensor_legendre(radius: Sequence[float], order: int):
-    """Nodes (n^k, k) and weights (n^k,) for the box prod_s [-r_s, r_s]."""
-    radius = np.atleast_1d(np.asarray(radius, dtype=float))
-    x, w = gauss_legendre(order)
-    axes_nodes = [r * x for r in radius]
-    axes_weights = [r * w for r in radius]
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
-    weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
-    return nodes, weights
-
-
 def trapezoid_weights(grid, periodic_span: Optional[float] = None) -> np.ndarray:
     """Trapezoid weights on a sorted grid, or equal weights span/n on a closed one."""
     if periodic_span is not None:
@@ -63,20 +52,25 @@ def trapezoid_weights(grid, periodic_span: Optional[float] = None) -> np.ndarray
 
 
 def integrate_box(
-    f_batch: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[list], np.ndarray],
     radius: Sequence[float],
     order: int,
     self_check_tol: float = 1e-8,
 ) -> QuadCertificate:
-    """Integrate a vectorized integrand over the box, certifying by order doubling.
+    """Integrate a tensor-grid integrand over the box, certifying by order doubling.
 
-    ``f_batch`` maps an (n, k) node array to n complex values.
+    ``f`` maps the per-axis node arrays [x_1, ..., x_k] to the k-dimensional
+    tensor of its values at (x_1[i_1], ..., x_k[i_k]).  That tensor is summed
+    against the outer product of the per-axis weights, flattened in C order.
     """
     radius = tuple(float(r) for r in np.atleast_1d(radius))
-    nodes, weights = tensor_legendre(radius, order)
-    value = complex(np.sum(weights * f_batch(nodes)))
-    nodes2, weights2 = tensor_legendre(radius, 2 * order)
-    value2 = complex(np.sum(weights2 * f_batch(nodes2)))
+
+    def rule(n):
+        x, w = gauss_legendre(n)
+        weights = reduce(np.multiply.outer, [r * w for r in radius])
+        return complex(np.sum((weights * f([r * x for r in radius])).ravel()))
+
+    value, value2 = rule(order), rule(2 * order)
     delta = abs(value2 - value)
     scale = max(1.0, abs(value2))
     if delta > self_check_tol * scale:

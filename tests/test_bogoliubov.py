@@ -52,7 +52,8 @@ def squeeze_path(kappa=0.3, t_max=4.0):
 
 
 def random_path(d, rng, t_max=2.5):
-    # three interpolated Hermitian/symmetric snapshots
+    # three Hermitian/symmetric snapshots, interpolated piecewise linearly
+    # by one hat profile per snapshot
     gens = []
     for _ in range(3):
         hpp = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -60,7 +61,9 @@ def random_path(d, rng, t_max=2.5):
         hpm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         hpm = 0.5 * (hpm + hpm.conj().T)
         gens.append(QuadraticGenerator.from_blocks(hpp=hpp, hpm=hpm, hbar=rng.normal()))
-    return GeneratorPath.from_samples([0.0, t_max / 2, t_max], gens)
+    times = np.array([0.0, t_max / 2, t_max])
+    return GeneratorPath([(lambda t, hat=hat: np.interp(t, times, hat), gen)
+                          for hat, gen in zip(np.eye(3), gens)], t_max)
 
 
 def test_initial_condition():
@@ -529,36 +532,6 @@ def test_stepping_loops_build_no_generator(monkeypatch):
     assert built == []
     path(0.5)  # the oracle's H_t is a validated generator
     assert len(built) == 1
-
-
-def _interpolated_blocks(times, gens, t):
-    # the sample interpolation that from_samples computed before it
-    # declared one hat profile per sample
-    j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-    w = float(np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0))
-    a, b = gens[j], gens[j + 1]
-    return ((1 - w) * a.hpp + w * b.hpp, (1 - w) * a.hpm + w * b.hpm,
-            (1 - w) * a.hbar + w * b.hbar)
-
-
-def test_from_samples_interpolates_the_samples():
-    rng = np.random.default_rng(9)
-    times = np.array([0.0, 0.4, 1.1, 2.5])
-    gens = [_random_generator(2, rng) for _ in times]
-    path = GeneratorPath.from_samples(times, gens)
-    assert path.t_max == 2.5 and len(path.terms) == 4
-    mids = 0.5 * (times[1:] + times[:-1])
-    for t in [*times, *mids, 2.5 + 1e-12]:
-        gen = path(float(t))
-        hpp, hpm, hbar = _interpolated_blocks(times, gens, t)
-        assert np.abs(gen.hpp - hpp).max() <= 1e-15, t
-        assert np.abs(gen.hpm - hpm).max() <= 1e-15, t
-        assert abs(gen.hbar - hbar) <= 1e-15, t
-    for t, sample in zip(times, gens):
-        gen = path(float(t))
-        assert np.array_equal(gen.hpp, sample.hpp) and gen.hbar == sample.hbar
-    with pytest.raises(ValueError, match="one generator at each"):
-        GeneratorPath.from_samples(times, gens[:3])
 
 
 def test_paths_reject_bad_terms_and_horizons():

@@ -1,9 +1,11 @@
 import dataclasses
 import inspect
 import math
+from functools import reduce
 
 import envelope_oracle
 import numpy as np
+import pairing_oracle
 import pytest
 
 from semiclab.bogoliubov import GeneratorPath, integrate_flow
@@ -121,16 +123,6 @@ def test_plane_integral_layer_takes_no_setting_nothing_sets():
     assert params(splitstep_evolve)[2:4] == ["t", "dt"]
 
 
-def test_displacement_vector_type():
-    from semiclab.fock import DisplacementVector
-
-    dv = DisplacementVector([0.3 + 0.1j])
-    assert dv.modes == 1
-    assert dv.norm() == pytest.approx(abs(0.3 + 0.1j))
-    with pytest.raises(ValueError):
-        DisplacementVector([float("inf")])
-
-
 def test_make_plane_accepts_real_vectors():
     plane = make_plane([np.array([1.0, 0.5]), np.array([0.0, 2.0])])
     assert plane.k == 2
@@ -216,16 +208,13 @@ def _hermite_regularized_inner(y, plane, eps, quad):
     1/sqrt(eps), so it is only faithful while they stay inside the trust
     radius of the truncated displacement family."""
     x, w = np.polynomial.hermite.hermgauss(quad.order)
-    grids = np.meshgrid(*([x / math.sqrt(eps)] * plane.k), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w / math.sqrt(eps)] * plane.k), indexing="ij")
-    weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
-    live = np.abs(weights) > 1e-16 * np.abs(weights).max()
-    nodes, weights = nodes[live], weights[live]
+    live = np.abs(w) > 1e-16 * np.abs(w).max()
+    x, w = x[live] / math.sqrt(eps), w[live] / math.sqrt(eps)
     fam = _get_family(plane, y.basis, quad.pad)
     for s in range(plane.k):
-        assert np.abs(nodes[:, s]).max() <= fam.trust_radius(s)
-    return float((plane.a * np.sum(weights * fam.pairings(y, y, nodes))).real)
+        assert np.abs(x).max() <= fam.trust_radius(s)
+    weights = reduce(np.multiply.outer, [w] * plane.k)
+    return float((plane.a * np.sum(weights * fam.pairings(y, y, [x] * plane.k))).real)
 
 
 def test_regularized_hermite_cross_check():
@@ -312,11 +301,6 @@ def test_basis_change_invariance_mixing():
     assert abs(base - changed) < 1e-6 * max(1, abs(base))
 
 
-def _grid_nodes(b1, b2):
-    g1, g2 = np.meshgrid(b1, b2, indexing="ij")
-    return np.stack([g1.reshape(-1), g2.reshape(-1)], axis=-1)
-
-
 @pytest.mark.parametrize("bs", [
     ([1.0, 0.3], [-0.2, 0.9]),
     # complex, and isotropic: (B1, B2) = 0.4; V1+ V2 is not real here
@@ -331,28 +315,43 @@ def test_two_axis_pairing_table_against_per_node_products(bs):
     fam = _DisplacementFamily(plane, basis, pad=6)
     y1 = random_low_state(basis, rng, basis.cutoff)
     y2 = random_low_state(basis, rng, basis.cutoff)
-    (lam1, v1), (lam2, v2) = fam.eigs
-
-    z1, z2 = y1.embed(fam.big).coeffs, y2.embed(fam.big).coeffs
-
-    def explicit(beta):
-        vec = v2 @ (np.exp(beta[1] * lam2) * (v2.conj().T @ z2))
-        vec = v1 @ (np.exp(beta[0] * lam1) * (v1.conj().T @ vec))
-        return np.vdot(z1, vec)
 
     radii = np.linspace(0.05, 3.0, 320)
-    zeros = np.zeros_like(radii)
-    node_sets = {
-        "n1 < n2": _grid_nodes([-0.4, 0.1, 1.3], np.linspace(-2, 2, 7)),
-        "n1 > n2": _grid_nodes(np.linspace(-2, 2, 7), [-0.4, 0.1, 1.3]),
-        "n1 = n2": rng.uniform(-2.5, 2.5, size=(9, 2)),
-        "(320, 1)": np.stack([radii, zeros], axis=-1),
-        "(1, 320)": np.stack([zeros, -radii], axis=-1),
+    layouts = {
+        "n1 < n2": ([-0.4, 0.1, 1.3], np.linspace(-2, 2, 7)),
+        "n1 > n2": (np.linspace(-2, 2, 7), [-0.4, 0.1, 1.3]),
+        "n1 = n2": tuple(rng.uniform(-2.5, 2.5, size=(9, 2)).T),
+        "(320, 1)": (radii, [0.0]),
+        "(1, 320)": ([0.0], -radii),
     }
-    for name, nodes in node_sets.items():
-        table = fam.pairings(y1, y2, nodes)
-        oracle = np.array([explicit(beta) for beta in nodes])
+    for name, axes in layouts.items():
+        axes = [np.asarray(b, dtype=float) for b in axes]
+        table = fam.pairings(y1, y2, axes)
+        oracle = pairing_oracle.pairings(fam, y1, y2, axes)
+        assert table.shape == oracle.shape == tuple(len(b) for b in axes), name
         assert np.max(np.abs(table - oracle)) < 1e-12, name
+
+
+def test_three_axis_pairing_tensor_against_per_node_products():
+    # three modes, three mutually isotropic real axes, so two overlaps are
+    # walked; singleton axes put one axis or two at a single node
+    from semiclab.constrained import _DisplacementFamily
+
+    rng = np.random.default_rng(73)
+    basis = ModeBasis(3, 2)
+    plane = make_plane([np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.3, 1.0]),
+                        np.array([0.2, -1.0, 0.4])])
+    fam = _DisplacementFamily(plane, basis, pad=2)
+    assert len(fam.overlaps) == 2
+    y1 = random_low_state(basis, rng, basis.cutoff)
+    y2 = random_low_state(basis, rng, basis.cutoff)
+    scale = y1.norm() * y2.norm()
+    for shape in ((3, 4, 2), (1, 5, 1), (4, 1, 3), (1, 1, 6), (2, 2, 2)):
+        axes = [rng.uniform(-1.2, 1.2, size=n) for n in shape]
+        table = fam.pairings(y1, y2, axes)
+        oracle = pairing_oracle.pairings(fam, y1, y2, axes)
+        assert table.shape == shape
+        assert np.max(np.abs(table - oracle)) <= 1e-12 * scale, shape
 
 
 def test_evolve_plane_identity_and_rotation():
@@ -619,7 +618,7 @@ def test_family_is_complete_when_built(bs):
     before = {name: (id(v), _frozen(v)) for name, v in vars(fam).items()}
     y1 = random_low_state(basis, rng, basis.cutoff)
     y2 = random_low_state(basis, rng, basis.cutoff)
-    fam.pairings(y1, y2, rng.uniform(-1, 1, size=(5, plane.k)))
+    fam.pairings(y1, y2, list(rng.uniform(-1, 1, size=(5, plane.k)).T))
     for s in range(plane.k):
         fam.axis_envelope(y1, y2, s)
     _auto_radius(fam, y1, y2)

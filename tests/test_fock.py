@@ -237,6 +237,14 @@ def test_displacement_leak_threshold():
         displacement([3.0], vacuum_state(b), pad=2, leak_threshold=1e-10)
 
 
+def test_displacement_rejects_nonfinite_amplitudes():
+    # checked before the eigensolve, which would otherwise fail to converge
+    one, two = vacuum_state(ModeBasis(1, 4)), vacuum_state(ModeBasis(2, 3))
+    for bad, psi in (([float("inf")], one), ([0.3, complex(0.0, float("nan"))], two)):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            displacement(bad, psi)
+
+
 def test_gaussian_state_trivial():
     b = ModeBasis(2, 8)
     out = gaussian_state(GaussianData(np.zeros((2, 2))), b)
