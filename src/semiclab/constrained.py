@@ -431,17 +431,17 @@ def decay_profile(
     k = plane.k
     reach = min([_RADIUS_CAP] + [fam.trust_radius(s) for s in range(k)])
     radii = np.linspace(0.3, reach, _DECAY_SAMPLES)
-    # an axis ray puts [0.0] on every other axis; the diagonal ray is the
-    # tensor's diagonal on radii / sqrt(k) per axis
-    rays = [[radii if t == s else np.zeros(1) for t in range(k)] for s in range(k)]
+    # an axis ray puts [0.0] on every other axis, so its pairing tensor is
+    # the ray; the diagonal is walked radius by radius on singleton axes,
+    # so no walk holds more than a few vectors at any k
+    rays = [fam.pairings(y1, y2, [radii if t == s else np.zeros(1) for t in range(k)])
+            for s in range(k)]
     if k > 1:
-        rays.append([radii * (1 / math.sqrt(k))] * k)
+        rays.append(np.array([fam.pairings(y1, y2, [np.array([r])] * k)
+                              for r in radii * (1 / math.sqrt(k))]))
     worst = 0.0
-    for axes in rays:
-        # the ray's samples: index i on every full axis, 0 on a singleton
-        vals = fam.pairings(y1, y2, axes)[
-            tuple(np.arange(len(radii)) % len(b) for b in axes)]
-        ratios = np.abs(vals) * radii**m / c
+    for vals in rays:
+        ratios = np.abs(vals.reshape(-1)) * radii**m / c
         worst = max(worst, float(ratios.max()))
         if worst > 1 + 1e-9:
             raise RuntimeError(

@@ -84,15 +84,13 @@ def u2_family() -> GeneratorFamily:
     algebra = LieAlgebra([f"b{k}" for k in range(m)], structure, rep)
     system = ClassicalSystem.trivial(m)
 
-    def quad_gen(a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:
-        h = sum(float(ai) * hi for ai, hi in zip(a, hs))
-        return QuadraticGenerator.from_blocks(hpm=h, modes=2)
-
     def phi(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
         return np.zeros(2, dtype=complex)
 
-    return GeneratorFamily(algebra=algebra, system=system, quad_gen=quad_gen,
-                           phi=phi, modes=2)
+    return GeneratorFamily(
+        algebra=algebra, system=system,
+        generators=[QuadraticGenerator.from_blocks(hpm=h) for h in hs],
+        scalars=lambda x: np.zeros(m), phi=phi)
 
 
 def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
@@ -126,16 +124,15 @@ def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
         np.diag([0.25, -0.25, 0.0]),
         [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]],
     ])
-    hbar0 = 0.25 + central_offset
-
-    def quad_gen(a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:
-        hpm = np.array([[0.5 * a[0]]], dtype=complex)
-        hpp = np.array([[0.5 * a[1] + 0.5j * a[2]]], dtype=complex)
-        return QuadraticGenerator.from_blocks(hpp=hpp, hpm=hpm,
-                                              hbar=hbar0 * a[0])
-
-    return GeneratorFamily(algebra=algebra, system=system, quad_gen=quad_gen,
-                           phi=standard_phi, modes=1)
+    generators = [
+        QuadraticGenerator.from_blocks(hpm=[[0.5]]),
+        QuadraticGenerator.from_blocks(hpp=[[0.5]]),
+        QuadraticGenerator.from_blocks(hpp=[[0.5j]]),
+    ]
+    return GeneratorFamily(
+        algebra=algebra, system=system, generators=generators,
+        scalars=lambda x: np.array([0.25 + central_offset, 0.0, 0.0]),
+        phi=standard_phi)
 
 
 def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
@@ -168,13 +165,13 @@ def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
         np.diag([0.0, 0.0, 1.0]),
     ])
 
-    def quad_gen(a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:
-        hbar = (a[0] * x[2] / 2 - a[1] * x[1] / 2
-                + a[2] * (1.0 + central_offset))
-        return QuadraticGenerator.from_blocks(hbar=float(hbar), modes=1)
+    def scalars(x: np.ndarray) -> np.ndarray:
+        return np.array([x[2] / 2, -x[1] / 2, 1.0 + central_offset])
 
-    return GeneratorFamily(algebra=algebra, system=system, quad_gen=quad_gen,
-                           phi=standard_phi, modes=1)
+    return GeneratorFamily(
+        algebra=algebra, system=system,
+        generators=[QuadraticGenerator.from_blocks(modes=1)] * 3,
+        scalars=scalars, phi=standard_phi)
 
 # ---------------------------------------------------------------------------
 # scenario check suites
@@ -583,7 +580,7 @@ def _metaplectic_checks(model: dict, run: dict, seed: int):
 
 
 def _anomaly_checks(model: dict, run: dict, seed: int):
-    from .fock import ModeBasis, quadratic_matrix
+    from .fock import ModeBasis
     from .symmetry import check_f3, check_x6, omega_matrix
 
     eps, cutoff = model["offset"], model["cutoff"]
@@ -596,11 +593,7 @@ def _anomaly_checks(model: dict, run: dict, seed: int):
     x6 = _once(lambda: check_x6(fam, a, b, x0, basis))
 
     def omega_commutant():
-        ha = quadratic_matrix(fam.generator(a, x0), basis)
-        hb = quadratic_matrix(fam.generator(b, x0), basis)
-        r = -(ha @ hb - hb @ ha)
-        r += 1j * quadratic_matrix(
-            fam.generator(fam.algebra.bracket(a, b), x0), basis)
+        r = x6().residual
         worst = 0.0
         for dx in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.3, -0.8])):
             om = omega_matrix(fam, x0, dx, basis)

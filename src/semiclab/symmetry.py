@@ -7,8 +7,9 @@ A scenario supplies three coupled pieces:
 - a ``ClassicalSystem``: flows on points X = (S, Q, P), one quadratic
   Hamiltonian form per direction, so affine symplectic maps on (Q, P)
   with the action P dQ - h dt carried along, all exact in closed form;
-- a ``GeneratorFamily``: the map (algebra element, X) -> quadratic Fock
-  generator, together with the fiber 1-form phi that realizes the operator
+- a ``GeneratorFamily``: one fixed quadratic Fock generator per direction
+  and the per-direction scalars hbar_i(X), so H(a: X) = sum_i a_i G_i +
+  a . hbar(X), together with the fiber 1-form phi that realizes the operator
   form Omega[dX] = -i (A+ phi - A- phi*).
 
 The checks in this module measure, at finite truncation, the infinitesimal
@@ -16,14 +17,14 @@ consistency identities of such a family, integrate one-parameter evolutions
 into group words, reconstruct group elements through canonical coordinates
 of the second kind, and report anomaly residuals as scalars.
 
-Every one-parameter evolution is exact: a family's quadratic blocks do not
-depend on X, and its scalar hbar has degree at most 3 in tau along each
-classical flow (``GeneratorFamily``, ``one_param_u``).
+Every one-parameter evolution is exact: only a family's scalar moves with
+X, and it has degree at most 3 in tau along each classical flow
+(``GeneratorFamily``, ``one_param_u``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -233,25 +234,53 @@ class ClassicalSystem:
 class GeneratorFamily:
     """Quadratic generators and the fiber 1-form of a symmetry scenario.
 
-    ``quad_gen(a, X)`` must be linear in the algebra coefficients a, and X
-    may enter it only through the scalar hbar: the blocks H++ and H+- are
-    the same at every X.  Along each classical flow, hbar(a: X(tau)) must
-    be a polynomial of degree at most 3 in tau, which the two-node
-    Gauss-Legendre rule of ``one_param_u`` integrates exactly.  The u2
-    and su11 generators ignore X; the heisenberg hbar is affine in (Q, P),
-    which its translations move linearly in tau.  ``phi(X, dX)`` maps a
-    tangent vector to the C^d constraint vector.
+    H(a: X) = sum_i a_i G_i + a . scalars(X), with one fixed
+    ``QuadraticGenerator`` G_i per basis direction (zero hbar) and the
+    per-direction scalars hbar_i(X).  So H is linear in a and its blocks do
+    not move with X, by construction; the family is validated once, when
+    built.  Along each classical flow a . scalars(X(tau)) must have degree
+    <= 3 in tau, which ``one_param_u``'s two-node rule integrates exactly:
+    the u2 and su11 scalars are constant, the heisenberg scalars affine in
+    (Q, P).  ``phi(X, dX)`` maps a tangent vector to the C^d constraint
+    vector.
     """
 
     algebra: LieAlgebra
     system: ClassicalSystem
-    quad_gen: Callable[[np.ndarray, np.ndarray], QuadraticGenerator]
+    generators: Sequence[QuadraticGenerator]
+    scalars: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    modes: int
+
+    def __post_init__(self):
+        m, gens = self.algebra.dim, self.generators
+        if len(gens) != m:
+            raise ValueError(f"need one generator per algebra direction ({m}), "
+                             f"got {len(gens)}")
+        if self.system.dim != m:
+            raise ValueError(f"the classical system has {self.system.dim} "
+                             f"directions, the algebra {m}")
+        if len({gen.modes for gen in gens}) != 1:
+            raise ValueError("the generators act on different mode counts")
+        if any(gen.hbar != 0.0 for gen in gens):
+            raise ValueError("a generator has nonzero hbar; a direction's scalar "
+                             "belongs in scalars(X)")
+
+    @property
+    def modes(self) -> int:
+        return self.generators[0].modes
 
     def generator(self, a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:
-        return self.quad_gen(_coefficients(a, self.algebra.dim),
-                             np.asarray(x, dtype=float))
+        a = _coefficients(a, self.algebra.dim)
+        return self._generator(a, self._scalar(a, x))
+
+    def _scalar(self, a: np.ndarray, x: np.ndarray) -> float:
+        """The scalar a . scalars(X) of H(a: X)."""
+        return float(a @ self.scalars(np.asarray(x, dtype=float)))
+
+    def _generator(self, a: np.ndarray, hbar: float) -> QuadraticGenerator:
+        """H(a: .) with the scalar hbar: one contraction over the blocks."""
+        hpp, hpm = np.tensordot(a, [[g.hpp, g.hpm] for g in self.generators], 1)
+        return QuadraticGenerator(hpp, hpm, hbar)
 
 
 def _delta(system: ClassicalSystem, a: np.ndarray, x: np.ndarray, h: float,
@@ -265,10 +294,12 @@ def _delta(system: ClassicalSystem, a: np.ndarray, x: np.ndarray, h: float,
     return (at(h) - at(-h)) / (2 * h)
 
 
-def _delta_matrix(fam: GeneratorFamily, a: np.ndarray, block: str,
-                  b: np.ndarray, x: np.ndarray, h: float):
-    """delta[A] of a generator block of H(B: X) by central differences."""
-    return _delta(fam.system, a, x, h, lambda pt: getattr(fam.generator(b, pt), block))
+def _delta_scalars(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
+                   x: np.ndarray, h: float) -> float:
+    """delta[B] hbar(A: X) - delta[A] hbar(B: X) by central differences, the
+    delta-terms of the consistency identities: a family's blocks do not move."""
+    return (_delta(fam.system, b, x, h, lambda pt: fam._scalar(a, pt))
+            - _delta(fam.system, a, x, h, lambda pt: fam._scalar(b, pt)))
 
 
 def check_vector_field_algebra(system: ClassicalSystem, alg: LieAlgebra,
@@ -306,45 +337,36 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
              dx: Optional[np.ndarray] = None) -> F3Report:
     """Residuals of the infinitesimal consistency relations of the family.
 
-    The scalar relation's discrepancy is returned signed: a constant offset
-    here is the anomaly candidate that the operator-level check should see
-    as a multiple of the identity.
+    The quadratic relations carry no delta-terms: a family's blocks do not
+    move with X.  The scalar relation's discrepancy is returned signed: a
+    constant offset here is the anomaly candidate that the operator-level
+    check should see as a multiple of the identity.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     ga = fam.generator(a, x)
     gb = fam.generator(b, x)
     gc = fam.generator(fam.algebra.bracket(a, b), x)
     hpp_a, hpp_b = ga.hpp, gb.hpp
     hpm_a, hpm_b = ga.hpm, gb.hpm
 
-    # the delta-terms enter as delta[B] M(A) - delta[A] M(B), the order the
-    # operator identity itself produces; the closed Weyl commutator word of
-    # the translation family pins this orientation
     rhs_pp = -1j * (
         hpm_a @ hpp_b + hpp_b @ np.conj(hpm_a)
         - hpm_b @ hpp_a - hpp_a @ np.conj(hpm_b)
     )
-    rhs_pp = rhs_pp + _delta_matrix(fam, b, "hpp", a, x, h) \
-        - _delta_matrix(fam, a, "hpp", b, x, h)
     hpp_res = float(np.linalg.norm(gc.hpp - rhs_pp, 2))
 
     rhs_pm = -1j * (
         hpp_b @ np.conj(hpp_a) - hpp_a @ np.conj(hpp_b)
         + hpm_a @ hpm_b - hpm_b @ hpm_a
     )
-    rhs_pm = rhs_pm + (
-        _delta_matrix(fam, b, "hpm", a, x, h)
-        - _delta_matrix(fam, a, "hpm", b, x, h)
-    )
     hpm_res = float(np.linalg.norm(gc.hpm - rhs_pm, 2))
 
+    # the delta-term enters as delta[B] hbar(A) - delta[A] hbar(B), the order
+    # the operator identity itself produces; the closed Weyl commutator word
+    # of the translation family pins this orientation
     rhs_bar = -0.5j * np.trace(
         hpp_b @ np.conj(hpp_a) - hpp_a @ np.conj(hpp_b))
-    rhs_bar = complex(rhs_bar) \
-        + _delta_matrix(fam, b, "hbar", a, x, h) \
-        - _delta_matrix(fam, a, "hbar", b, x, h)
+    rhs_bar = complex(rhs_bar) + _delta_scalars(fam, a, b, x, h)
     hbar_res = float((gc.hbar - rhs_bar).real)
     if abs((gc.hbar - rhs_bar).imag) > 1e-9:
         raise RuntimeError("scalar relation produced an imaginary residual")
@@ -365,6 +387,7 @@ class X6Report:
     is_scalar: bool
     scalar: complex
     off_scalar_norm: float
+    residual: np.ndarray  # R on the whole truncated basis, unrestricted
 
 
 MARGIN = 4  # grades below the cutoff where truncated products are exact
@@ -393,20 +416,15 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
 
     margin-restricted so truncation cannot masquerade as an anomaly.  An
     anomalous family leaves R equal to a scalar multiple of the identity.
+    Only a family's scalars move with X, so the delta-terms are a scalar.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     ha = quadratic_matrix(fam.generator(a, x), basis)
     hb = quadratic_matrix(fam.generator(b, x), basis)
     hc = quadratic_matrix(fam.generator(fam.algebra.bracket(a, b), x), basis)
 
-    def delta_gen_matrix(direction, other):
-        return _delta(fam.system, direction, x, h,
-                      lambda pt: quadratic_matrix(fam.generator(other, pt), basis))
-
-    r = -(ha @ hb - hb @ ha)
-    r = r - 1j * delta_gen_matrix(b, a) + 1j * delta_gen_matrix(a, b) + 1j * hc
+    r = -(ha @ hb - hb @ ha) + 1j * hc
+    r.flat[:: basis.size + 1] -= 1j * _delta_scalars(fam, a, b, x, h)
     sub = _restrict(r, basis, margin)
     dim = sub.shape[0]
     scalar = complex(np.trace(sub) / dim)
@@ -417,6 +435,7 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
         is_scalar=off_norm <= _X6_SCALAR_TOL,
         scalar=scalar,
         off_scalar_norm=off_norm,
+        residual=r,
     )
 
 
@@ -470,43 +489,34 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
                 x: np.ndarray) -> OneParamResult:
     """Solve the one-parameter evolution along the classical flow of B.
 
-    The generator path is tau -> H(B: u_(g_B(tau)) X).  By the family
-    contract (``GeneratorFamily``) its blocks are those of H(B: X) and only
-    its scalar hbar moves; a scalar commutes with every operator, so the
-    evolution is ``exponential_flow`` of H(B: X) with hbar replaced by its
-    path mean.  The mean is the two-node Gauss-Legendre rule on the exact
-    classical states, exact while hbar(B: X(tau)) has degree <= 3 in tau.
-    A family whose blocks at a node differ from those at X raises
-    ``ValueError``.  At a fixed point of the flow of B
-    (``ClassicalSystem.is_fixed_point``) the path is constant and no node
-    is read.
+    The generator path is tau -> H(B: u_(g_B(tau)) X); only its scalar
+    b . scalars(X(tau)) moves (``GeneratorFamily``), and a scalar commutes
+    with every operator, so the evolution is ``exponential_flow`` of the
+    blocks of H(B) with the scalar's path mean: the two-node Gauss-Legendre
+    rule on the exact classical states, exact while the scalar has degree
+    <= 3 in tau.  At a fixed point of the flow of B
+    (``ClassicalSystem.is_fixed_point``) no node is read.
 
     Returns the Bogoliubov flow (F, G, M, c) and the transported point;
     ``propagator_from_flow`` realizes the flow on a truncated basis.
     """
-    b = np.asarray(b, dtype=float)
+    b = _coefficients(b, fam.algebra.dim)
     x = np.asarray(x, dtype=float)
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"duration t = {t} is not finite")
     if t == 0.0:
         return OneParamResult(BogoliubovFlow.identity(fam.modes), x.copy())
-    gen = fam.generator(np.sign(t) * b, x)
+    signed = np.sign(t) * b
     if fam.system.is_fixed_point(b, x):
-        return OneParamResult(exponential_flow(gen, abs(t)), x.copy())
-    nodes, weights = _PATH_RULE
-    states = fam.system.trajectory(b, t * (nodes + 1) / 2, x)
-    hbar = 0.0
-    for state, weight in zip(states, weights):
-        node = fam.generator(np.sign(t) * b, state)
-        if not (np.array_equal(node.hpp, gen.hpp)
-                and np.array_equal(node.hpm, gen.hpm)):
-            raise ValueError(
-                f"the quadratic blocks of H(b: X) move with X along the flow "
-                f"of b = {b}; one_param_u needs blocks that do not depend on X")
-        hbar += weight / 2 * node.hbar
-    flow = exponential_flow(replace(gen, hbar=hbar), abs(t))
-    return OneParamResult(flow, fam.system.flow(b, t, x))
+        hbar, x_out = fam._scalar(signed, x), x.copy()
+    else:
+        nodes, weights = _PATH_RULE
+        states = fam.system.trajectory(b, t * (nodes + 1) / 2, x)
+        hbar = sum(weight / 2 * fam._scalar(signed, state)
+                   for state, weight in zip(states, weights))
+        x_out = fam.system.flow(b, t, x)
+    return OneParamResult(exponential_flow(fam._generator(signed, hbar), abs(t)), x_out)
 
 
 @dataclass(frozen=True)
@@ -559,9 +569,7 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
     rep = np.eye(fam.algebra.rep[0].shape[0], dtype=complex)
     x_cur = x.copy()
     for k, (idx, duration) in enumerate(word.factors):
-        direction = np.zeros(m)
-        direction[idx] = 1.0
-        step = one_param_u(fam, direction, duration, x_cur)
+        step = one_param_u(fam, np.eye(m)[idx], duration, x_cur)
         flow_total = compose_flows(step.flow, flow_total) if k else step.flow
         rep = expm(duration * fam.algebra.rep[idx]) @ rep
         x_cur = step.x_out
@@ -656,9 +664,7 @@ class GroupAction:
         x_cur = np.asarray(x, dtype=float).copy()
         m = self._fam.algebra.dim
         for idx, duration in self.word.factors:
-            direction = np.zeros(m)
-            direction[idx] = 1.0
-            x_cur = self._fam.system.flow(direction, duration, x_cur)
+            x_cur = self._fam.system.flow(np.eye(m)[idx], duration, x_cur)
         return x_cur
 
 

@@ -381,7 +381,8 @@ def _count_calls(monkeypatch, names=_SHARED):
 
 
 # quadratic_matrix: once per direct evolution on a constant path, and the
-# seven generators of check_x6; squeeze's two Picard checks read one series
+# three generators of check_x6, whose delta-terms are scalars; squeeze's two
+# Picard checks read one series
 @pytest.mark.parametrize("config, calls", [
     ("rotation.yaml", {"integrate_flow": 1, "propagate_direct": 1,
                        "quadratic_matrix": 1}),
@@ -389,7 +390,7 @@ def _count_calls(monkeypatch, names=_SHARED):
                       "quadratic_matrix": 2, "picard_flow": 1}),
     ("su11-metaplectic-loop.yaml", {"word_product": 1}),
     ("anomaly-injection.yaml", {"check_f3": 1, "check_x6": 1,
-                                "quadratic_matrix": 7}),
+                                "quadratic_matrix": 3}),
 ])
 def test_shared_artifacts_are_computed_once(config, calls, monkeypatch):
     counts = _count_calls(monkeypatch,

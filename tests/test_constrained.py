@@ -354,6 +354,27 @@ def test_three_axis_pairing_tensor_against_per_node_products():
         assert np.max(np.abs(table - oracle)) <= 1e-12 * scale, shape
 
 
+def test_three_axis_decay_profile_walks_its_diagonal_in_small_memory():
+    # the diagonal ray is walked radius by radius on singleton axes; read
+    # off the pairing tensor of the whole ray it held 160^2 rows of the
+    # padded dimension 560, a 302 MB peak
+    import tracemalloc
+
+    basis = ModeBasis(3, 1)
+    plane = make_plane([np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.3, 1.0]),
+                        np.array([0.2, -1.0, 0.4])])
+    y1, y2 = vacuum_state(basis), number_state(basis, [0, 1, 0])
+    _get_family(plane, basis, QuadSpec().pad)  # the family is built beforehand
+    tracemalloc.start()
+    try:
+        prof = decay_profile(y1, y2, plane, m=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+    assert 0.0 < prof.worst_ratio <= 1.0
+
+
 def test_evolve_plane_identity_and_rotation():
     from semiclab.bogoliubov import BogoliubovFlow
 

@@ -1,6 +1,8 @@
 import importlib
 import inspect
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 MODULES = ["fock", "bogoliubov", "packets", "symmetry", "constrained",
@@ -28,3 +30,23 @@ def test_all_lists_exactly_the_public_definitions(name):
     assert len(listed) == len(set(listed))
     assert all(hasattr(module, entry) for entry in listed)
     assert set(listed) == _public_definitions(module)
+
+
+def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
+    # perfbench/tracer.py looks each traced name up by vars(owner)[attr], so
+    # a renamed or deleted name fails here, not only in a traced benchmark
+    # run; the tracer is imported as the benchmark imports it, and not edited
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    from semiclab import scenarios, symmetry
+
+    bound = [(owner, attr, vars(owner)[attr])
+             for owner, attr, _, _ in tracer._targets()]
+    traced = tracer.Tracer()
+    with tracer.installed(traced):
+        symmetry.one_param_u(scenarios.su11_family(), [1.0, 0.0, 0.0], 0.5,
+                             np.zeros(3))
+    assert traced.calls["symmetry.one_param_u"] == 1
+    assert traced.calls["fock.QuadraticGenerator"] >= 1
+    for owner, attr, original in bound:
+        assert vars(owner)[attr] is original, attr

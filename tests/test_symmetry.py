@@ -12,6 +12,7 @@ from semiclab.fock import ModeBasis, QuadraticGenerator
 from semiclab.scenarios import heisenberg_family, su11_family, u2_family
 from semiclab.symmetry import (
     ClassicalSystem,
+    GeneratorFamily,
     GroupWord,
     LieAlgebra,
     check_f3,
@@ -450,10 +451,8 @@ def test_one_param_u_step_grid_at_many_steps():
     # absolute slack put the trajectory on a finer grid than the flow and
     # the phase read the wrong states (error 3.5e-6).  The exact route's
     # two-node rule integrates the quadratic scalar path exactly.
-    fam = dataclasses.replace(
-        heisenberg_family(),
-        quad_gen=lambda a, x: QuadraticGenerator.from_blocks(
-            hbar=float(a[0] * x[1] ** 2), modes=1))
+    fam = dataclasses.replace(heisenberg_family(),
+                              scalars=lambda x: np.array([x[1] ** 2, 0.0, 0.0]))
     b = np.array([1.0, 0.0, 0.0])
     x = np.array([0.0, 0.5, 0.2])
     t = 0.3
@@ -465,14 +464,53 @@ def test_one_param_u_step_grid_at_many_steps():
         assert np.allclose(res.x_out, [0.0, x[1] + t, x[2]], atol=1e-12)
 
 
-def test_one_param_u_rejects_blocks_that_move_with_x():
-    # H+- = a0 Q breaks the family contract; the exact route refuses it
-    fam = dataclasses.replace(
-        heisenberg_family(),
-        quad_gen=lambda a, x: QuadraticGenerator.from_blocks(
-            hpm=[[a[0] * x[1]]], modes=1))
-    with pytest.raises(ValueError, match="blocks"):
-        one_param_u(fam, np.array([1.0, 0.0, 0.0]), 0.5, np.array([0.0, 0.5, 0.2]))
+def test_generator_family_is_declared_data():
+    # fixed generators per direction plus declared scalars: no callable
+    # returns a generator, and the mode count is derived
+    assert [f.name for f in dataclasses.fields(GeneratorFamily)] == [
+        "algebra", "system", "generators", "scalars", "phi"]
+    fam = heisenberg_family(central_offset=0.05)
+    x = np.array([0.3, -0.4, 0.9])
+    a = np.array([0.7, -1.1, 0.2])
+    gen = fam.generator(a, x)
+    assert fam.modes == gen.modes == 1
+    assert gen.hbar == pytest.approx(a @ [x[2] / 2, -x[1] / 2, 1.05], abs=1e-15)
+
+
+def _declared(fam, **change):
+    return lambda: dataclasses.replace(fam, **change)
+
+
+@pytest.mark.parametrize("build, match", [
+    (_declared(su11_family(), generators=su11_family().generators[:2]),
+     r"need one generator per algebra direction \(3\), got 2"),
+    (_declared(su11_family(), system=ClassicalSystem.trivial(4)),
+     "the classical system has 4 directions, the algebra 3"),
+    (_declared(su11_family(), generators=[*su11_family().generators[:2],
+                                          QuadraticGenerator.from_blocks(modes=2)]),
+     "different mode counts"),
+    (_declared(heisenberg_family(), generators=[
+        *heisenberg_family().generators[:2],
+        QuadraticGenerator.from_blocks(modes=1, hbar=1.0)]),
+     "a generator has nonzero hbar"),
+], ids=["generator-count", "system-dim", "mixed-modes", "generator-scalar"])
+def test_generator_family_rejects_bad_declarations(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_one_param_u_builds_no_generator_at_its_nodes(monkeypatch):
+    # at a moving X only the scalar is averaged along the path: the blocks
+    # are contracted once and the generator with the mean scalar is built
+    fam = heisenberg_family()
+    b, x = np.array([0.4, -0.7, 0.3]), np.array([0.1, 0.5, -0.2])
+    assert not fam.system.is_fixed_point(b, x)
+    builds = []
+    post_init = QuadraticGenerator.__post_init__
+    monkeypatch.setattr(QuadraticGenerator, "__post_init__",
+                        lambda gen: builds.append(gen) or post_init(gen))
+    one_param_u(fam, b, 0.8, x)
+    assert 1 <= len(builds) <= 2
 
 
 @pytest.mark.parametrize("fam", [
