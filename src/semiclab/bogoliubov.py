@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
 
 from .fock import (
@@ -142,6 +141,8 @@ def rk4(rhs: Callable, y0, t: float, dt: float, keep: bool = False):
 
 def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
     """Complex-valued cumulative Simpson (scipy's handles only real input)."""
+    # imported here: it costs every package import ~0.25 s, and only Picard needs it
+    from scipy.integrate import cumulative_simpson
     re = cumulative_simpson(y.real, dx=dx, axis=axis, initial=0.0)
     im = cumulative_simpson(y.imag, dx=dx, axis=axis, initial=0.0)
     return re + 1j * im

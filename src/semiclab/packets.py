@@ -11,11 +11,12 @@ on the curve and admits a lambda-free fiber expression that this module
 evaluates independently of the grid.
 
 Shapes are sampled on uniform grids and evaluated off-grid by trigonometric
-interpolation with zero extension: the samples decay below 1e-10 at the
-grid edge, so the periodization error is negligible and shifted copies
-never wrap around.  Shifted grids are inverse FFTs of the phase-shifted
-spectrum, and one batched kernel forms every fiber displacement.  The beta
-box of a fiber integral and its node count come from the fibers' supports
+interpolation with zero extension: the samples decay below 1e-10 of their
+peak at the grid edge (``_EDGE_DECAY``, checked by fiber integrals), so the
+periodization error is negligible and shifted copies never wrap around.
+Shifted grids are inverse FFTs of the phase-shifted spectrum, and one
+batched kernel forms every fiber displacement.  The beta box of a fiber
+integral and its node count come from the fibers' supports
 and spectral bands, with no probe scan.  Split-step evolution runs on a
 declared potential, polynomials of degree <= 4 times real scalar profiles,
 validated once when the problem is built: it fuses the half kicks that meet
@@ -66,6 +67,7 @@ __all__ = [
 # fiber samples and spectral coefficients below this fraction of their
 # peak lie outside the fiber's support and band
 _SUPPORT_TARGET = 1e-13
+_EDGE_DECAY = 1e-10  # largest edge sample of a fiber integral's fibers, per peak
 # a displacement component c counts as zero when |c| times the grid
 # extent is below this
 _FLAT_SHIFT = 1e-10
@@ -87,10 +89,6 @@ class UniformGrid:
     @property
     def points(self) -> np.ndarray:
         return self.lo + self.spacing * np.arange(self.n)
-
-    @property
-    def length(self) -> float:
-        return self.n * self.spacing
 
     @property
     def hi(self) -> float:
@@ -459,13 +457,17 @@ def _beta_box(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
 
     ``reach`` defaults to where the supports stop meeting, max |xi1 - xi2|
     / |b|, capped at the alias limit |beta a| = pi / (2 spacing), past which
-    e^(i beta a xi) folds back: a pairing not decayed there raises, as does
-    a = b = 0.  The order follows the integrand's beta bandwidth, at most
-    |a| X + |b| K + |a b| R, with X and K the largest |xi| and |k| of the
-    supports and bands.  A zero fiber's support is its whole grid.
+    e^(i beta a xi) folds back: a pairing not decayed there raises, as do
+    a = b = 0 and an edge sample above ``_EDGE_DECAY`` of a fiber's peak.
+    The order follows the integrand's beta bandwidth, at most |a| X + |b| K
+    + |a b| R, with X and K the largest |xi| and |k| of the supports and
+    bands.  A zero fiber's support is its whole grid.
     """
     supports, bands = [], []
     for g in (g1, g2):
+        if g.tail_fraction() > _EDGE_DECAY:
+            raise ValueError(f"fiber does not decay at its grid edge: edge "
+                             f"{g.tail_fraction():.3g} of the peak > {_EDGE_DECAY:g}")
         coeffs, freqs = g.spectrum
         mag, spec = np.abs(g.values), np.abs(coeffs)
         supports.append(g.grid.points[mag >= _SUPPORT_TARGET * mag.max()])
@@ -500,7 +502,7 @@ def asymptotic_inner(cp1: ComposedPacket, cp2: ComposedPacket) -> complex:
 
     with the beta box and its rule sized from the fibers at each grid point
     (``_beta_box``).  A degenerate tangent, or fibers the xi-grid cannot
-    resolve, raise ``ValueError`` naming alpha.
+    resolve or that do not decay at its edge, raise ``ValueError`` naming alpha.
     """
     m1, m2 = cp1.manifold, cp2.manifold
     if not np.allclose(m1.alphas, m2.alphas):

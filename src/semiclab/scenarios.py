@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bogoliubov import rk4_step
+from .bogoliubov import rk4
 from .fock import ConvergenceError, QuadraticGenerator
 from .symmetry import (
     MARGIN,
@@ -72,16 +72,7 @@ def u2_family() -> GeneratorFamily:
         sy,
     ]
     m = len(hs)
-    structure = np.zeros((m, m, m))
-    # brackets [B_i, B_j] from -i [h_i, h_j] expanded over the basis
-    flat = np.stack([h.reshape(-1) for h in hs], axis=1)
-    for i in range(m):
-        for j in range(m):
-            comm = -1j * (hs[i] @ hs[j] - hs[j] @ hs[i])
-            coeff, *_ = np.linalg.lstsq(flat, comm.reshape(-1), rcond=None)
-            structure[:, i, j] = coeff.real
-    rep = [-1j * h for h in hs]
-    algebra = LieAlgebra([f"b{k}" for k in range(m)], structure, rep)
+    algebra = LieAlgebra(tuple(-1j * h for h in hs))
     system = ClassicalSystem.trivial(m)
 
     def phi(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -105,19 +96,11 @@ def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
     part of H(B0) is pinned by the central term of the consistency
     identity; ``central_offset`` shifts it to inject an anomaly.
     """
-    structure = np.zeros((3, 3, 3))
-    structure[0, 1, 2] = 1.0
-    structure[0, 2, 1] = -1.0
-    structure[2, 0, 1] = -1.0
-    structure[2, 1, 0] = 1.0
-    structure[1, 0, 2] = 1.0
-    structure[1, 2, 0] = -1.0
-    rep = [
+    algebra = LieAlgebra((
         np.array([[0.0, 0.5], [-0.5, 0.0]]),
         np.array([[0.0, -0.5], [-0.5, 0.0]]),
         np.array([[0.5, 0.0], [0.0, -0.5]]),
-    ]
-    algebra = LieAlgebra(["rotation", "squeeze-x", "squeeze-xy"], structure, rep)
+    ))
     # forms on (q, p, 1); Hamilton's equations give back rep[i] as the field
     system = ClassicalSystem([
         np.diag([0.25, 0.25, 0.0]),
@@ -144,17 +127,13 @@ def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
     H(B_c) = 1 close the identity.  ``central_offset`` perturbs the
     central scalar to inject an anomaly.
     """
-    structure = np.zeros((3, 3, 3))
-    structure[2, 0, 1] = 1.0
-    structure[2, 1, 0] = -1.0
     e12 = np.zeros((3, 3))
     e12[0, 1] = 1.0
     e23 = np.zeros((3, 3))
     e23[1, 2] = 1.0
     e13 = np.zeros((3, 3))
     e13[0, 2] = 1.0
-    algebra = LieAlgebra(["shift-q", "shift-p", "central"], structure,
-                         [e12, e23, e13])
+    algebra = LieAlgebra((e12, e23, e13))
     # central flow shifts S by -t: the coordinate vector fields then
     # anti-represent the bracket, [delta_q, delta_p] = -delta_central,
     # exactly as the commutator word of translations requires
@@ -259,15 +238,12 @@ def wkb_reference() -> Callable[[float], float]:
     # classical trajectory with action, fixed fine step
     n_cl = 4096
     hcl = t / n_cl
-    zs = np.empty((n_cl + 1, 3))
-    zs[0] = (0.0, q0, p0)
 
     def cl_field(_, z):
         s, q, p = z
         return np.array([p * p - (p * p / 2 + v(q)), p, -q - 3 * cubic * q * q])
 
-    for j in range(n_cl):
-        zs[j + 1] = rk4_step(cl_field, 0.0, zs[j], hcl)
+    _, zs = rk4(cl_field, np.array([0.0, q0, p0]), t, hcl, keep=True)
     s_t, q_t, p_t = zs[-1]
 
     # fiber shape under the quadratic fiber Hamiltonian (lambda-free)
@@ -499,6 +475,7 @@ def _u2_checks(model: dict, run: dict, seed: int):
     from .fock import ModeBasis
     from .symmetry import (
         GroupWord,
+        _theorem_word,
         check_group_law,
         second_kind_coords,
         word_product,
@@ -537,9 +514,8 @@ def _u2_checks(model: dict, run: dict, seed: int):
         g2 = expm(t * fam.algebra.rep[3])
         residue = np.linalg.inv(g2) @ np.linalg.inv(g1) @ g2 @ g1
         alphas = second_kind_coords(np.linalg.inv(residue), fam.algebra)
-        word = GroupWord(
-            [(2, s), (3, t), (2, -s), (3, -t)]
-            + [(k, float(alphas[k])) for k in range(len(alphas) - 1, -1, -1)])
+        word = GroupWord([(2, s), (3, t), (2, -s), (3, -t)]
+                         + list(_theorem_word(alphas).factors))
         return closed_word_distance(word)
 
     return [

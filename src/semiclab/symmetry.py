@@ -2,8 +2,9 @@
 
 A scenario supplies three coupled pieces:
 
-- a ``LieAlgebra``: structure constants plus a faithful matrix representation
-  used for all group-side computations (words, canonical coordinates);
+- a ``LieAlgebra``: declared by a faithful matrix representation alone,
+  used for all group-side computations (words, canonical coordinates); its
+  structure constants are derived from the representation once, when built;
 - a ``ClassicalSystem``: flows on points X = (S, Q, P), one quadratic
   Hamiltonian form per direction, so affine symplectic maps on (Q, P)
   with the action P dQ - h dt carried along, all exact in closed form;
@@ -66,71 +67,52 @@ __all__ = [
     "omega_matrix",
 ]
 
+_CLOSURE_TOL = 1e-12  # residual and imaginary part allowed in a derived bracket
+
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure constants c[k, i, j] with [B_i, B_j] = sum_k c[k,i,j] B_k,
-    plus a faithful matrix representation of the basis."""
+    """A Lie algebra declared by a faithful matrix representation, the basis
+    matrices B_i of ``rep``.  Its structure constants c = ``structure``, of
+    [B_i, B_j] = sum_k c[k, i, j] B_k, are derived once, when built, by
+    projecting each commutator on the basis through the Gram matrix,
+    (F^H F) c = F^H [B_i, B_j] with F the flattened basis: antisymmetric and
+    Jacobi by construction.  A linearly dependent basis, a commutator outside
+    its span, or complex coefficients raise ``ValueError``."""
 
-    labels: tuple
-    structure: np.ndarray
     rep: tuple
 
-    def __init__(self, labels: Sequence[str], structure: np.ndarray,
-                 rep: Sequence[np.ndarray]):
-        labels = tuple(labels)
-        structure = np.asarray(structure, dtype=float)
-        rep = tuple(np.asarray(r, dtype=complex) for r in rep)
-        m = len(labels)
-        if structure.shape != (m, m, m):
-            raise ValueError("structure constants must have shape (m, m, m)")
-        if len(rep) != m:
-            raise ValueError("need one representation matrix per basis element")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "structure", structure)
+    def __post_init__(self):
+        rep = tuple(np.asarray(r, dtype=complex) for r in self.rep)
         object.__setattr__(self, "rep", rep)
-        anti = structure + structure.transpose(0, 2, 1)
-        if np.abs(anti).max() > 1e-12:
-            raise ValueError("structure constants are not antisymmetric")
-        if self.jacobi_residual() > 1e-12:
-            raise ValueError("structure constants violate the Jacobi identity")
-        if self.rep_residual() > 1e-12:
-            raise ValueError("matrix representation does not match the brackets")
+        m = len(rep)
+        flat = np.stack([r.reshape(-1) for r in rep], axis=1)
+        if np.linalg.matrix_rank(flat) < m:
+            raise ValueError("the basis matrices are linearly dependent")
+        comms = np.array([(ri @ rj - rj @ ri).reshape(-1) for ri in rep for rj in rep]).T
+        coeffs = np.linalg.solve(flat.conj().T @ flat, flat.conj().T @ comms)
+        residual = float(np.abs(flat @ coeffs - comms).max())
+        if residual > _CLOSURE_TOL:
+            raise ValueError("the basis does not close under commutators: "
+                             f"residual {residual:.3e} outside its span")
+        imag = float(np.abs(coeffs.imag).max())
+        if imag > _CLOSURE_TOL:
+            raise ValueError("the basis closes only with complex structure "
+                             f"constants (imaginary part {imag:.3e})")
+        object.__setattr__(self, "structure", coeffs.real.reshape(m, m, m))
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return len(self.rep)
+
+    @property
+    def labels(self) -> tuple:
+        """Names b0, b1, ... of the basis directions, a key of perfbench's tracer."""
+        return tuple(f"b{k}" for k in range(self.dim))
 
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficients of [A, B] for A = sum a_i B_i, B = sum b_j B_j."""
         return np.einsum("kij,i,j->k", self.structure, a, b)
-
-    def jacobi_residual(self) -> float:
-        m = self.dim
-        worst = 0.0
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    e = np.zeros(m)
-                    ei, ej, ek = e.copy(), e.copy(), e.copy()
-                    ei[i] = ej[j] = ek[k] = 1.0
-                    total = (
-                        self.bracket(ei, self.bracket(ej, ek))
-                        + self.bracket(ej, self.bracket(ek, ei))
-                        + self.bracket(ek, self.bracket(ei, ej))
-                    )
-                    worst = max(worst, float(np.abs(total).max()))
-        return worst
-
-    def rep_residual(self) -> float:
-        worst = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                comm = self.rep[i] @ self.rep[j] - self.rep[j] @ self.rep[i]
-                expect = sum(self.structure[k, i, j] * self.rep[k]
-                             for k in range(self.dim))
-                worst = max(worst, float(np.abs(comm - expect).max()))
-        return worst
 
 
 def _coefficients(a, dim: int) -> np.ndarray:

@@ -439,7 +439,7 @@ def test_wkb_reference_is_built_once_per_check(monkeypatch):
     # those of wkb_evolution_error
     from collections import Counter
 
-    from semiclab import packets, scenarios
+    from semiclab import bogoliubov, packets, scenarios
 
     counts, fitted = Counter(), []
 
@@ -452,8 +452,8 @@ def test_wkb_reference_is_built_once_per_check(monkeypatch):
     fit = packets.fit_loglog_slope
     monkeypatch.setattr(packets, "splitstep_evolve",
                         counted("splitstep_evolve", packets.splitstep_evolve))
-    monkeypatch.setattr(scenarios, "rk4_step",
-                        counted("rk4_step", scenarios.rk4_step))
+    monkeypatch.setattr(bogoliubov, "rk4_step",
+                        counted("rk4_step", bogoliubov.rk4_step))
     monkeypatch.setattr(packets, "fit_loglog_slope",
                         lambda xs, ys: fitted.append(list(ys)) or fit(xs, ys))
     lams = [0.1, 0.01, 0.001]

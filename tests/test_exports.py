@@ -1,5 +1,8 @@
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,3 +53,13 @@ def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
     assert traced.calls["fock.QuadraticGenerator"] >= 1
     for owner, attr, original in bound:
         assert vars(owner)[attr] is original, attr
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # only picard_flow integrates; every other caller skips the import cost
+    code = ("import sys, semiclab.cli, semiclab.constrained, semiclab.scenarios; "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(importlib.import_module("semiclab").__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

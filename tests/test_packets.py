@@ -283,9 +283,9 @@ def test_gauge_invariance_of_projection_and_inner():
     # fine xi-grid: the projection box must stay under the alias limit
     from semiclab.packets import asymptotic_inner
 
-    shape = gaussian_shape(half_width=6, n=512)
+    shape = gaussian_shape(half_width=8, n=512)
     cp = ComposedPacket(harmonic_orbit(32), shape)
-    chi = gaussian_shape(half_width=6, n=512, width=0.8, center=0.4)
+    chi = gaussian_shape(half_width=8, n=512, width=0.8, center=0.4)
     gauged = gauge_transform(cp, chi.scaled(0.3))
     f0 = project_fiber(cp, 0.7)
     f1 = project_fiber(gauged, 0.7)
@@ -293,6 +293,18 @@ def test_gauge_invariance_of_projection_and_inner():
     base = asymptotic_inner(cp, cp)
     moved = asymptotic_inner(gauged, gauged)
     assert abs(base - moved) < 1e-8 * abs(base)
+
+
+def test_fiber_integrals_reject_fibers_that_do_not_decay_at_the_edge():
+    # a width-1 Gaussian on half-width 6 ends at 1.5e-8 of its peak
+    from semiclab.packets import asymptotic_inner
+
+    cp = ComposedPacket(harmonic_orbit(8), gaussian_shape(half_width=6, n=512))
+    with pytest.raises(ValueError, match="at alpha = 0: fiber does not decay "
+                       "at its grid edge"):
+        asymptotic_inner(cp, cp)
+    with pytest.raises(ValueError, match="does not decay at its grid edge"):
+        project_fiber(cp, 0.7)
 
 
 def test_fiber_integrals_take_no_box_setting():
@@ -352,8 +364,10 @@ def test_project_fiber_invariance():
     # the projection is invariant under the displacement it integrates; on
     # a grid the residual floors at the edge ringing of the projected
     # fiber, whose modulus does not decay (round Gaussians project to pure
-    # chirps, so no rapidly decaying invariant shape exists)
-    cp = ComposedPacket(harmonic_orbit(16), gaussian_shape(half_width=6, n=512))
+    # chirps, so no rapidly decaying invariant shape exists); the ringing
+    # grows with the spacing, so the grid wide enough for the shape to decay
+    # at its edge, as fiber integrals require, takes twice the samples
+    cp = ComposedPacket(harmonic_orbit(16), gaussian_shape(half_width=8, n=1024))
     alpha = 0.9
     f = project_fiber(cp, alpha)
     _, dq, dp = cp.manifold.tangent(alpha)
@@ -593,9 +607,9 @@ def test_splitstep_problem_is_declared_terms_and_mass():
 def test_wkb_fiber_term_evolves_as_the_callable_it_replaced(monkeypatch):
     # the fiber potential 1/2 V''(Q(tau)) xi^2 of the WKB reference, declared
     # as one profiled term, evolves bitwise as the callable of (xi, tau)
-    # under the numpy loop; Q comes from an RK4 loop written out here
+    # under the numpy loop; Q comes from the rk4 driver on (q, p) alone
     from semiclab import scenarios
-    from semiclab.bogoliubov import rk4_step
+    from semiclab.bogoliubov import rk4
 
     runs = []
     evolve = packets.splitstep_evolve
@@ -613,9 +627,7 @@ def test_wkb_fiber_term_evolves_as_the_callable_it_replaced(monkeypatch):
         q, p = z
         return np.array([p, -q - 3 * cubic * q * q])
 
-    qs = [np.array([1.0, 0.0])]
-    for _ in range(n_cl):
-        qs.append(rk4_step(field, 0.0, qs[-1], dt))
+    _, qs = rk4(field, np.array([1.0, 0.0]), t, dt, keep=True)
 
     def v2(x):
         return 1.0 + 6.0 * cubic * x

@@ -29,18 +29,69 @@ from semiclab.symmetry import (
 from semiclab.symmetry import _hamilton_field, _restrict
 
 
-def test_algebra_validation():
+# the structure constants the families declared by hand before they were
+# derived from the representation: su11's brackets [B1, B2] = B0,
+# [B0, B1] = -B2, [B0, B2] = B1 and heisenberg's [B_q, B_p] = B_c
+def _hand_table(*brackets):
+    table = np.zeros((3, 3, 3))
+    for k, i, j, c in brackets:
+        table[k, i, j], table[k, j, i] = c, -c
+    return table
+
+
+SU11_TABLE = _hand_table((0, 1, 2, 1.0), (2, 0, 1, -1.0), (1, 0, 2, 1.0))
+HEISENBERG_TABLE = _hand_table((2, 0, 1, 1.0))
+
+
+def _u2_lstsq_table(rep):
+    """u2's constants as its family once solved them: -i [h_i, h_j] expanded
+    over the h_i = i B_i by one lstsq per pair."""
+    hs = [1j * r for r in rep]
+    m = len(hs)
+    flat = np.stack([h.reshape(-1) for h in hs], axis=1)
+    table = np.zeros((m, m, m))
+    for i in range(m):
+        for j in range(m):
+            comm = -1j * (hs[i] @ hs[j] - hs[j] @ hs[i])
+            coeff, *_ = np.linalg.lstsq(flat, comm.reshape(-1), rcond=None)
+            table[:, i, j] = coeff.real
+    return table
+
+
+def test_lie_algebra_is_declared_by_its_representation():
+    assert [f.name for f in dataclasses.fields(LieAlgebra)] == ["rep"]
+    alg = LieAlgebra([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    assert alg.dim == 1 and alg.rep[0].dtype == complex
+    assert np.array_equal(alg.structure, np.zeros((1, 1, 1)))
+
+
+def test_derived_structure_constants_match_the_hand_tables():
+    assert np.array_equal(su11_family().algebra.structure, SU11_TABLE)
+    assert np.array_equal(heisenberg_family().algebra.structure, HEISENBERG_TABLE)
+    u2 = u2_family().algebra
+    assert np.abs(u2.structure - _u2_lstsq_table(u2.rep)).max() <= 1e-15
     for fam in (u2_family(), su11_family(), heisenberg_family()):
-        assert fam.algebra.jacobi_residual() <= 1e-12
-        assert fam.algebra.rep_residual() <= 1e-12
+        alg = fam.algebra
+        c, eye = alg.structure, np.eye(alg.dim)
+        assert np.array_equal(c, -c.transpose(0, 2, 1))
+        for i, j, k in np.ndindex(c.shape):
+            jacobi = sum(alg.bracket(eye[p], alg.bracket(eye[q], eye[r]))
+                         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)))
+            assert np.abs(jacobi).max() <= 1e-12
+            comm = alg.rep[i] @ alg.rep[j] - alg.rep[j] @ alg.rep[i]
+            assert np.abs(comm - np.tensordot(c[:, i, j], alg.rep, 1)).max() <= 1e-12
 
 
-def test_algebra_rejects_bad_structure():
-    bad = np.zeros((2, 2, 2))
-    bad[0, 0, 1] = 1.0
-    bad[0, 1, 0] = 1.0  # not antisymmetric
-    with pytest.raises(ValueError):
-        LieAlgebra(["a", "b"], bad, [np.zeros((2, 2))] * 2)
+@pytest.mark.parametrize("rep, message", [
+    # [e12, e21] = diag(1, -1) lies outside their span
+    ([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], "does not close"),
+    ([[[0, 1], [0, 0]], [[0, 2], [0, 0]]], "linearly dependent"),
+    # the Pauli matrices close as [s_x, s_y] = 2i s_z
+    ([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], "complex"),
+])
+def test_algebra_rejects_bad_representations(rep, message):
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra([np.array(r) for r in rep])
 
 
 def test_classical_flow_rotation_closed_form():
