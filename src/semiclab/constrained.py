@@ -11,18 +11,19 @@ whenever the plane is isotropic, Im(B_i, B_j) = 0.
 Displacements along one plane direction commute with those along another on
 an isotropic plane, so the quadrature engine factorizes U[beta] into
 per-axis one-parameter unitary groups, each diagonalized once on a padded
-basis by ``displacement_eig`` (a real symmetric eigensolve; V is a phase per
-occupation state times a real orthogonal matrix).  The padding keeps the
-integrand trustworthy out to the box edge; the vectors themselves stay at
-their own cutoff.
+basis by ``displacement_eig`` (factored into grade blocks and Hermite
+Jacobi blocks; V is a phase per occupation state times a real orthogonal
+matrix).  The padding keeps the integrand trustworthy out to the box edge;
+the vectors themselves stay at their own cutoff.
 
 The integrand is evaluated on the tensor grid of the per-axis quadrature
 nodes, (Y1, U_1(beta_1) ... U_k(beta_k) Y2) at every node combination, by
 one walk along the family's k - 1 adjacent overlaps W_s = V_s+ V_(s+1),
-built with the family.  The vectors are folded into the exponential rows
-of the first and last axes (on one axis, into the vector the rows act on),
-and the last overlap is multiplied in the order that keeps the
-intermediate smallest.  No node list is flattened or rebuilt.
+built with the family from the real factors of V_s and V_(s+1), and real
+on a real plane.  The vectors are folded into the exponential rows of the
+first and last axes (on one axis, into the vector the rows act on), and
+the last overlap is multiplied in the order that keeps the intermediate
+smallest.  No node list is flattened or rebuilt.
 
 Every plane integral runs through one body: the pairing is checked at the
 boundary, and the box is always sized from the integrand's decay.  That
@@ -43,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bogoliubov import BogoliubovFlow, GeneratorPath, integrate_flow, propagate_direct
-from .fock import FockVector, ModeBasis, displacement_eig, weighted_norm
+from .fock import FockVector, ModeBasis, _state_phases, displacement_eig, weighted_norm
 from .quadrature import QuadCertificate, integrate_box, trapezoid_weights
 
 __all__ = [
@@ -69,8 +70,9 @@ __all__ = [
 _TAIL_TARGET, _RADIUS_CAP = 1e-12, 40.0
 _DECAY_SAMPLES = 160  # radii per ray on which decay_profile samples
 _ENVELOPE_SAMPLES = 320  # radii per axis on which _auto_radius scans
-# bytes of cached displacement families; one dim-630 two-axis family
-# holds about 25.5 MB, so two of them fit
+# bytes of cached displacement families; one dim-630 two-axis family on a
+# real plane holds about 22.3 MB (25.5 MB with a complex overlap), so two
+# of them fit and three do not
 _FAMILY_BUDGET = 64e6
 # largest |Im(B_i, B_j)| of a caller's plane, and of a transported one
 _ISOTROPY_TOL, _TRANSPORTED_ISOTROPY_TOL = 1e-12, 1e-10
@@ -171,6 +173,10 @@ class _DisplacementFamily:
     envelope grid and phase table e^(r lam_s) on that grid, and the k - 1
     adjacent overlaps W_s = V_s+ V_(s+1).  ``nbytes`` is the size of those
     arrays.
+
+    Each V_s is a phase p_s per occupation state times a real orthogonal
+    R_s, so W_s = R_s^T diag(conj(p_s) p_(s+1)) R_(s+1).  On a real plane
+    the phase ratio is +-1 and W_s is a real array.
     """
 
     def __init__(self, plane: IsotropicPlane, basis: ModeBasis, pad: int):
@@ -183,36 +189,53 @@ class _DisplacementFamily:
         ]
         self.tables = [np.exp(np.outer(grid, lam))
                        for grid, (lam, _) in zip(self.grids, self.eigs)]
-        self.overlaps = [left.conj().T @ right
-                         for (_, left), (_, right) in zip(self.eigs, self.eigs[1:])]
+        phases = [_state_phases(b, self.big) for b in plane.bs]
+        # R_s = Re(conj(p_s) V_s), with no complex copy of V_s
+        real = [p.real[:, None] * v.real + p.imag[:, None] * v.imag
+                for p, (_, v) in zip(phases, self.eigs)]
+        self.overlaps = []
+        for s in range(plane.k - 1):
+            ratio = np.conj(phases[s]) * phases[s + 1]
+            if not ratio.imag.any():
+                ratio = ratio.real
+            self.overlaps.append(real[s].T @ (ratio[:, None] * real[s + 1]))
         arrays = ([a for pair in self.eigs for a in pair] + self.grids + self.tables
                   + self.overlaps)
         self.nbytes = sum(a.nbytes for a in arrays)
 
     def pairings(self, y1: FockVector, y2: FockVector, axes: Sequence) -> np.ndarray:
         """(Y1, U_1(b_1) ... U_k(b_k) Y2) on the tensor grid of the per-axis
-        node arrays ``axes``, one array of beta_s values per axis.
+        node arrays ``axes``, one array of beta_s values per axis."""
+        return self._walk(*self._ends(y1, y2), axes)
 
-        The factorized product is exact because isotropy makes the axis
-        generators commute.  With head = V_1^T conj(y1) and tail = V_k+ y2
-        (V+ y formed as conj(V^T conj(y)), which copies no dim x dim matrix),
-        the pairing is head^T e^(b_1 lam_1) W_1 ... W_(k-1) e^(b_k lam_k) tail.
-        """
+    def _ends(self, y1: FockVector, y2: FockVector) -> tuple:
+        """head = V_1^T conj(y1) and tail = V_k+ y2 (V+ y formed as
+        conj(V^T conj(y)), which copies no dim x dim matrix)."""
         c1, c2 = (np.conj(y.embed(self.big).coeffs) for y in (y1, y2))
-        rows = [np.exp(np.outer(b, lam)) for b, (lam, _) in zip(axes, self.eigs)]
-        head = self.eigs[0][1].T @ c1
-        tail = np.conj(self.eigs[-1][1].T @ c2)
+        return self.eigs[0][1].T @ c1, np.conj(self.eigs[-1][1].T @ c2)
+
+    def _walk(self, head: np.ndarray, tail: np.ndarray, axes: Sequence) -> np.ndarray:
+        """The pairing tensor from the ends of ``_ends``:
+
+            head^T e^(b_1 lam_1) W_1 ... W_(k-1) e^(b_k lam_k) tail,
+
+        exact because isotropy makes the axis generators commute.  The
+        walk carries transposed rows, eigen-index first, so a real W
+        multiplies their real and imaginary parts in one real product.
+        """
         if not self.overlaps:
-            return rows[0] @ (head * tail)
-        # left[i_1 ... i_s, m]: the row vector after axis s, grid axes flattened
-        left = rows[0] * head
-        for w, phases in zip(self.overlaps[:-1], rows[1:-1]):
-            left = ((left @ w)[:, None, :] * phases).reshape(-1, len(head))
-        right = rows[-1] * tail
-        if len(left) < len(right):
-            table = (left @ self.overlaps[-1]) @ right.T
+            return np.exp(np.outer(axes[0], self.eigs[0][0])) @ (head * tail)
+        cols = [np.exp(np.outer(lam, b)) for b, (lam, _) in zip(axes, self.eigs)]
+        dim = len(head)
+        # left[m, i_1 ... i_s]: the column after axis s, grid axes flattened
+        left = head[:, None] * cols[0]
+        for w, phases in zip(self.overlaps[:-1], cols[1:-1]):
+            left = (_times(w.T, left)[:, :, None] * phases[:, None, :]).reshape(dim, -1)
+        right = tail[:, None] * cols[-1]
+        if left.shape[1] < right.shape[1]:
+            table = _times(self.overlaps[-1].T, left).T @ right
         else:
-            table = left @ (self.overlaps[-1] @ right.T)
+            table = left.T @ _times(self.overlaps[-1], right)
         return table.reshape([len(b) for b in axes])
 
     def axis_envelope(self, y1: FockVector, y2: FockVector, axis: int) -> np.ndarray:
@@ -237,6 +260,14 @@ class _DisplacementFamily:
         """
         return 0.8 * math.sqrt(2.0 * self.big.cutoff) / np.linalg.norm(
             self.plane.bs[axis])
+
+
+def _times(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """w @ z for a complex C-ordered z; a real w acts on z's real and
+    imaginary parts, interleaved in memory, in one real product."""
+    if np.iscomplexobj(w):
+        return w @ z
+    return (w @ z.view(float)).view(complex)
 
 
 _FAMILY_CACHE: dict = {}
@@ -433,11 +464,13 @@ def decay_profile(
     radii = np.linspace(0.3, reach, _DECAY_SAMPLES)
     # an axis ray puts [0.0] on every other axis, so its pairing tensor is
     # the ray; the diagonal is walked radius by radius on singleton axes,
-    # so no walk holds more than a few vectors at any k
-    rays = [fam.pairings(y1, y2, [radii if t == s else np.zeros(1) for t in range(k)])
+    # so no walk holds more than a few vectors at any k; the vectors are
+    # embedded and their ends formed once for every ray
+    ends = fam._ends(y1, y2)
+    rays = [fam._walk(*ends, [radii if t == s else np.zeros(1) for t in range(k)])
             for s in range(k)]
     if k > 1:
-        rays.append(np.array([fam.pairings(y1, y2, [np.array([r])] * k)
+        rays.append(np.array([fam._walk(*ends, [np.array([r])] * k)
                               for r in radii * (1 / math.sqrt(k))]))
     worst = 0.0
     for vals in rays:

@@ -13,9 +13,10 @@ error observable instead of fatal; ``FockVector.truncate`` is the one
 place it is counted.  Every operator reads one representation, the cached
 ``LadderTable`` of its basis: a_i as index maps and the pair products as
 maps composed from them.  Dense matrices appear only as outputs
-(``quadratic_matrix``, ``one_body_matrix``, ``symmetry.omega_matrix``), in
-``displacement_eig``'s eigensolve, in margin-restricted norms and in the
-tests' oracle.
+(``quadratic_matrix``, ``one_body_matrix``, ``symmetry.omega_matrix`` and
+``displacement_eig``'s eigenvectors), in margin-restricted norms and in the
+tests' oracle; ``displacement_eig`` factors its eigensolve into grade
+blocks and Hermite Jacobi blocks and forms no operator matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import lru_cache
 from typing import Literal, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, expm
 
 __all__ = [
     "ModeBasis",
@@ -384,9 +386,9 @@ def apply_quadratic(gen: QuadraticGenerator, psi: FockVector) -> FockVector:
 def displacement_eig(b: np.ndarray, basis: ModeBasis):
     """Eigendecomposition of K = A+[B] - A-[B*] so exp(beta K) = V e^(beta lam) V+.
 
-    Returns (lam, v) with lam purely imaginary (K is anti-Hermitian on the
-    truncated space, so every exp(beta K) is exactly unitary), sorted by
-    ascending Im(lam), and v unitary.
+    Returns (lam, v) with lam = -i w purely imaginary (K is anti-Hermitian
+    on the truncated space, so every exp(beta K) is exactly unitary), w
+    ascending, and v unitary.
 
     The eigensolve is real.  Write b_j = |b_j| e^(i phi_j) and take the
     diagonal unitaries D = diag(e^(i n.phi)) and S = diag(i^|n|) over the
@@ -395,18 +397,107 @@ def displacement_eig(b: np.ndarray, basis: ModeBasis):
 
         i K = (D S) X (D S)+,   X = sum_j |b_j| (a_j + a_j^T),
 
-    with X real symmetric: on one mode it is the Jacobi matrix of the
-    Hermite polynomials.  So eigh(X) = (w, Q) gives lam = -i w and
-    v = D S Q, a phase per occupation state times a real orthogonal Q.
+    with X real symmetric, and v = D S Q for X = Q diag(w) Q^T: a phase
+    per occupation state times a real orthogonal Q.
+
+    X is never formed.  With r = |(|b_1|, ..., |b_d|)| and R the rotation
+    in one plane that takes e_1 to |b| / r, X = r Gamma(R) (a_1 + a_1^T)
+    Gamma(R)^T, where Gamma(R) is the real orthogonal Fock-space image of
+    R.  Gamma(R) keeps the total quanta, so on the graded basis it is one
+    block per grade, exp(theta L_n) with L_n the grade block of the
+    one-body generator of R.  The middle factor keeps the occupations n'
+    of modes 2..d, and on each n' it is r times the Jacobi matrix of the
+    Hermite polynomials on n_1 = 0..N - |n'|; blocks of one size share one
+    tridiagonal eigensolve.  V is formed grade by grade, Gamma_n times the
+    grade-n rows of the block eigenvectors.
     """
     b = _check_mode_vector(b, basis)
-    x = np.zeros((basis.size, basis.size))
-    for bi, (rows, cols, vals) in zip(b, ladder_table(basis).lower):
-        x[rows, cols] = abs(bi) * vals
-    w, q = np.linalg.eigh(x + x.T)
-    phase = np.array([1, 1j, -1, -1j])[basis.totals % 4]
-    phase *= np.exp(1j * (np.array(basis.states) @ np.angle(b)))
-    return -1j * w, phase[:, None] * q
+    amp = np.abs(b)
+    r = float(np.linalg.norm(amp))
+    # eigenvector k of the block of n' is labelled by the state (k, n')
+    w, blocks = np.empty(basis.size), []
+    for rows in _jacobi_blocks(basis):
+        m = rows.shape[1]
+        z, zv = eigh_tridiagonal(np.zeros(m), r * np.sqrt(np.arange(1.0, m)))
+        w[rows] = z
+        blocks.append((rows, zv))
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(basis.size)
+    q = np.zeros((basis.size, basis.size))
+    for rows, zv in blocks:
+        q[rows[:, :, None], column[rows][:, None, :]] = zv
+    for grade, gamma in _rotation_blocks(amp / r if r else amp, basis):
+        q[grade] = gamma @ q[grade]
+    return -1j * w[order], _state_phases(b, basis)[:, None] * q
+
+
+@lru_cache(maxsize=32)
+def _jacobi_blocks(basis: ModeBasis) -> tuple:
+    """Basis indices of the Hermite Jacobi blocks of a_1 + a_1^T, one
+    (blocks, size) array per block size: row t lists the states
+    (0, n'), (1, n'), ... of one occupation n' of modes 2..d."""
+    by_tail: dict = {}
+    for i, s in enumerate(basis.states):
+        by_tail.setdefault(s[1:], []).append(i)
+    by_size: dict = {}
+    for rows in by_tail.values():
+        by_size.setdefault(len(rows), []).append(rows)
+    out = tuple(np.array(rows) for rows in by_size.values())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _rotation_blocks(u: np.ndarray, basis: ModeBasis) -> list:
+    """(grade slice, block) pairs of Gamma(R), R the rotation in the plane
+    of e_1 and the real unit vector u that takes e_1 to u; no pairs when u
+    is e_1 (or zero), where Gamma(R) is the identity.
+
+    With e the unit vector of u - u_1 e_1 and theta = atan2(|u - u_1 e_1|,
+    u_1), R = exp(theta A) for A = e e_1^T - e_1 e^T, and Gamma(R) =
+    exp(theta L) for the one-body generator L = sum_ij A_ij a+_i a_j, which
+    maps each grade to itself.
+    """
+    d, dim = basis.modes, basis.size
+    perp = u.copy()
+    perp[0] = 0.0
+    sin = float(np.linalg.norm(perp))
+    if sin == 0.0:
+        return []
+    gen = np.zeros((d, d))
+    gen[:, 0], gen[0, :] = perp / sin, -perp / sin
+    theta = math.atan2(sin, float(u[0]))
+    # the a+_i a_j entries of the ladder table, placed in one flat array
+    # that holds the grade blocks one after another
+    table = ladder_table(basis)
+    one_body = (table.pair_slot >= d * d) & (table.pair_slot < 2 * d * d)
+    rows, cols = np.divmod(table.pair_at[one_body], dim)
+    coef = gen.ravel()[table.pair_slot[one_body] - d * d] * table.pair_vals[one_body]
+    starts = np.array([basis.grade_size(n - 1) for n in range(basis.cutoff + 2)])
+    sizes = np.diff(starts)
+    offsets = np.concatenate([[0], np.cumsum(sizes**2)])
+    grade = basis.totals[rows]
+    at = offsets[grade] + (rows - starts[grade]) * sizes[grade] + cols - starts[grade]
+    flat = np.bincount(at, coef, minlength=offsets[-1])
+    return [(slice(starts[n], starts[n + 1]),
+             expm(theta * flat[offsets[n]: offsets[n + 1]].reshape(m, m)))
+            for n, m in enumerate(sizes)]
+
+
+def _state_phases(b: np.ndarray, basis: ModeBasis) -> np.ndarray:
+    """i^|n| prod_j (b_j / |b_j|)^(n_j) for each occupation state n, the
+    phase of row n of displacement_eig's v (a b_j of 0 counts as phase 1).
+    The powers are running products of the unit phases, so on a real b
+    every phase is exactly a power of i, up to sign."""
+    amp = np.abs(b)
+    unit = np.ones(b.size, dtype=complex)
+    unit[amp > 0] = b[amp > 0] / amp[amp > 0]
+    powers = np.ones((basis.cutoff + 1, b.size), dtype=complex)
+    powers[1:] = unit
+    powers = np.cumprod(powers, axis=0)  # powers[k, j] = unit_j^k
+    return (np.array([1, 1j, -1, -1j])[basis.totals % 4]
+            * np.prod(powers[np.array(basis.states), np.arange(b.size)], axis=1))
 
 
 def displacement(

@@ -3,6 +3,7 @@ import inspect
 import math
 from functools import reduce
 
+import dense_fock
 import envelope_oracle
 import numpy as np
 import pairing_oracle
@@ -352,6 +353,81 @@ def test_three_axis_pairing_tensor_against_per_node_products():
         oracle = pairing_oracle.pairings(fam, y1, y2, axes)
         assert table.shape == shape
         assert np.max(np.abs(table - oracle)) <= 1e-12 * scale, shape
+
+
+@pytest.mark.parametrize("bs", [
+    ([1.0, 0.3], [-0.2, 0.9]),
+    # complex and isotropic, so the overlap W = V1+ V2 is a complex array
+    ([1.0, 0.5j], [0.4 + 0.2j, 0.4]),
+])
+def test_pairing_tensor_at_the_benchmark_size_against_a_dense_family(bs, monkeypatch):
+    # the plane-families benchmark's size: the factored family's pairing
+    # tensor on the order-48 box against the per-node products of a family
+    # whose eigenpairs come from the dense eigh
+    from semiclab import constrained
+
+    rng = np.random.default_rng(29)
+    basis = ModeBasis(2, 4)
+    plane = make_plane([np.array(b) for b in bs])
+    fam = constrained._DisplacementFamily(plane, basis, pad=30)
+    real_plane = not any(b.imag.any() for b in plane.bs)
+    assert np.iscomplexobj(fam.overlaps[0]) != real_plane
+    monkeypatch.setattr(constrained, "displacement_eig", dense_fock.displacement_eig)
+    dense = constrained._DisplacementFamily(plane, basis, pad=30)
+    y1, y2 = (random_low_state(basis, rng, 1) for _ in range(2))
+    x, _ = gauss_legendre(48)
+    axes = [r * x for r in constrained._auto_radius(fam, y1, y2)]
+    table = fam.pairings(y1, y2, axes)
+    oracle = pairing_oracle.pairings(dense, y1, y2, axes)
+    assert table.shape == (48, 48)
+    assert np.max(np.abs(table - oracle)) <= 1e-12 * y1.norm() * y2.norm()
+
+
+def test_building_a_family_calls_displacement_eig_per_axis_and_no_dense_eigh(
+        monkeypatch):
+    from semiclab import constrained
+
+    eighs, eigs = [], []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: eighs.append(args))
+    eig = constrained.displacement_eig
+    monkeypatch.setattr(constrained, "displacement_eig",
+                        lambda *args: eigs.append(args) or eig(*args))
+    for bs, basis, pad in [(([1.0, 0.3], [-0.2, 0.9]), ModeBasis(2, 4), 30),
+                           (([1.0, 0.5j], [0.4 + 0.2j, 0.4]), ModeBasis(2, 3), 6),
+                           (([1.0, 0.2, 0.0], [0.0, 0.3, 1.0], [0.2, -1.0, 0.4]),
+                            ModeBasis(3, 2), 2)]:
+        eigs.clear()
+        plane = make_plane([np.array(b) for b in bs])
+        constrained._DisplacementFamily(plane, basis, pad)
+        assert len(eigs) == plane.k
+    assert eighs == []
+
+
+def test_decay_profile_forms_the_ends_of_its_walks_once(monkeypatch):
+    # every ray and every diagonal radius walks from one head and one tail,
+    # so each vector is embedded once; forming them again per walk, as a
+    # pairings call does, gives the same worst ratio
+    from semiclab import constrained
+
+    basis = ModeBasis(3, 1)
+    plane = make_plane([np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.3, 1.0]),
+                        np.array([0.2, -1.0, 0.4])])
+    y1, y2 = vacuum_state(basis), number_state(basis, [0, 1, 0])
+    _get_family(plane, basis, QuadSpec().pad)
+    embeds = []
+    embed = FockVector.embed
+    monkeypatch.setattr(FockVector, "embed",
+                        lambda y, big: embeds.append(y) or embed(y, big))
+    prof = decay_profile(y1, y2, plane, m=2)
+    assert len(embeds) == 2
+    walk = constrained._DisplacementFamily._walk
+    monkeypatch.setattr(
+        constrained._DisplacementFamily, "_walk",
+        lambda fam, head, tail, axes: walk(fam, *fam._ends(y1, y2), axes))
+    embeds.clear()
+    per_walk = decay_profile(y1, y2, plane, m=2)
+    assert len(embeds) == 2 + 2 * (plane.k + constrained._DECAY_SAMPLES)
+    assert per_walk == prof
 
 
 def test_three_axis_decay_profile_walks_its_diagonal_in_small_memory():

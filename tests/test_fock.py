@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import dense_fock
 from dense_fock import ladder_matrix, lowering_matrices
 
 from semiclab import fock
@@ -213,19 +214,37 @@ _DISPLACEMENT_AMPLITUDES = {
 
 
 @pytest.mark.parametrize("kind", sorted(_DISPLACEMENT_AMPLITUDES))
-@pytest.mark.parametrize("modes, cutoff", [(1, 20), (2, 12), (3, 6)])
+@pytest.mark.parametrize("modes, cutoff", [(1, 20), (2, 12), (3, 6), (1, 160),
+                                           (2, 34), (2, 50), (3, 10)])
 def test_displacement_eig_against_dense_oracles(kind, modes, cutoff):
     from scipy.linalg import expm
 
     basis = ModeBasis(modes, cutoff)
     b = np.array(_DISPLACEMENT_AMPLITUDES[kind][:modes], dtype=complex)
-    k = ladder_matrix(b, basis)
     lam, v = fock.displacement_eig(b, basis)
     assert np.max(np.abs(lam.real)) == 0.0
+    assert np.all(np.diff(lam.imag) <= 0)  # lam = -i w, w ascending
     assert np.max(np.abs(v.conj().T @ v - np.eye(basis.size))) < 1e-12
-    # the complex-Hermitian eigensolve the real one replaces
-    w_hermitian = np.linalg.eigvalsh(1j * k)
-    assert np.max(np.abs(lam - (-1j * w_hermitian))) < 1e-12
+    if not b.imag.any():
+        # the phase of each state is exactly a power of i, up to sign, at
+        # every occupation, so a real plane's overlaps are real arrays
+        assert not np.any(v.real * v.imag)
+    # the dense eigh of X; eigenvalues repeat exactly across Jacobi blocks
+    # of one size, so the spectrum and the action of exp(beta K) are
+    # compared, not the eigenvector columns
+    lam_dense, v_dense = dense_fock.displacement_eig(b, basis)
+    assert np.max(np.abs(lam - lam_dense)) < 1e-12
+    y = np.random.default_rng(modes * 1000 + cutoff).normal(size=(basis.size, 4))
+    y /= np.linalg.norm(y, axis=0)
+    for beta in (-2.0, 0.3, 3.0):
+        act = v @ (np.exp(beta * lam)[:, None] * (v.conj().T @ y))
+        ref = v_dense @ (np.exp(beta * lam_dense)[:, None] * (v_dense.conj().T @ y))
+        assert np.max(np.abs(act - ref)) < 1e-12, beta
+    if basis.size > 100:
+        return
+    # on small bases, the complex-Hermitian eigensolve and expm of K itself
+    k = ladder_matrix(b, basis)
+    assert np.max(np.abs(lam - (-1j * np.linalg.eigvalsh(1j * k)))) < 1e-12
     for beta in (-2.0, 0.3, 3.0):
         u = (v * np.exp(beta * lam)) @ v.conj().T
         assert np.max(np.abs(u - expm(beta * k))) < 1e-11, beta
@@ -455,7 +474,7 @@ def _dense_quadratic(gen, basis):
 
 
 @pytest.mark.parametrize("modes, cutoff", [(1, 14), (2, 12), (3, 6)])
-def test_ladder_table_against_dense_oracle(modes, cutoff, monkeypatch):
+def test_ladder_table_against_dense_oracle(modes, cutoff):
     # every operator that reads the ladder table, against products of the
     # dense a_i built state by state: bitwise, since the table adds the
     # nonzero terms of the dense products in the same order
@@ -515,13 +534,16 @@ def test_ladder_table_against_dense_oracle(modes, cutoff, monkeypatch):
     assert np.array_equal(omega_matrix(fam, None, None, basis),
                           -1j * ladder_matrix(phi, basis))
 
-    # the real symmetric matrix that displacement_eig hands to eigh
-    seen = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda x: seen.append(x) or eigh(x))
-    fock.displacement_eig(f, basis)
-    x = sum(abs(fi) * ai.real for fi, ai in zip(f, a))
-    assert np.array_equal(seen[0], x + x.T)
+    # displacement_eig's v is a phase per state times a real orthogonal Q,
+    # and Q diag(w) Q^T is the real symmetric X built from the table
+    x = np.zeros((basis.size, basis.size))
+    for fi, (rows, cols, vals) in zip(f, fock.ladder_table(basis).lower):
+        x[rows, cols] = abs(fi) * vals
+    lam, v = fock.displacement_eig(f, basis)
+    q = np.conj(dense_fock.state_phases(f, basis))[:, None] * v
+    w = (1j * lam).real
+    assert np.max(np.abs(q.imag)) < 1e-15
+    assert np.max(np.abs((q.real * w) @ q.real.T - (x + x.T))) < 1e-12
 
 
 def test_quadratic_matrix_memory_is_a_few_outputs():
