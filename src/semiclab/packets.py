@@ -5,17 +5,22 @@ An elementary packet is the wave
     psi(x) = lam^(-1/4) e^(i S / lam) e^(i P (x - Q) / lam) f((x - Q) / sqrt(lam))
 
 built from a point X = (S, Q, P) of the extended phase space and a rapidly
-decaying shape f.  Composed packets superpose elementary ones over a curve
-X(alpha) carrying an isotropy condition dS = P dQ; their norm concentrates
-on the curve and admits a lambda-free fiber expression that this module
-evaluates independently of the grid.
+decaying shape f.  A point is the float array (S, Q, P) that ``symmetry``'s
+flows produce, checked at each entry that takes one; the action form
+omega[dX] = P dQ - dS is ``symmetry.action_form`` and the fiber operator
+form Omega[dX] = dP xi - dQ (1/i) d/dxi is ``fiber_form``, each written
+once.  Composed packets superpose elementary ones over a curve X(alpha), one
+map alpha -> X, carrying an isotropy condition omega[X'] = 0; their norm
+concentrates on the curve and admits a lambda-free fiber expression that
+this module evaluates independently of the grid.
 
 Shapes are sampled on uniform grids and evaluated off-grid by trigonometric
 interpolation with zero extension: the samples decay below 1e-10 of their
-peak at the grid edge (``_EDGE_DECAY``, checked by fiber integrals), so the
-periodization error is negligible and shifted copies never wrap around.
-Shifted grids are inverse FFTs of the phase-shifted spectrum, and one
-batched kernel forms every fiber displacement.  The beta box of a fiber
+peak at the grid edge (``_EDGE_DECAY``, checked by fiber integrals and
+``fiber_displacement``), so the periodization error is negligible and
+shifted copies never wrap around.  Shifted grids are inverse FFTs of the
+phase-shifted spectrum, and one batched kernel forms every fiber
+displacement exp(i beta Omega[dX]).  The beta box of a fiber
 integral and its node count come from the fibers' supports
 and spectral bands, with no probe scan.  Split-step evolution runs on a
 declared potential, polynomials of degree <= 4 times real scalar profiles,
@@ -36,19 +41,18 @@ from scipy import fft
 
 from .bogoliubov import profile_sum, step_count
 from .quadrature import gauss_legendre, trapezoid_weights
+from .symmetry import _point, action_form
 
 __all__ = [
     "UniformGrid",
     "ShapeFunction",
     "GridWave",
-    "PacketPoint",
-    "PacketForms",
     "PacketManifold",
     "ComposedPacket",
     "gaussian_shape",
-    "norm_constant",
     "packet_grid",
     "k_lambda",
+    "fiber_form",
     "derivative_identity_residual",
     "omega_commutator_residual",
     "compose_packet",
@@ -216,141 +220,107 @@ class GridWave:
         return complex(np.vdot(self.values, other.values) * self.grid.spacing)
 
 
-@dataclass(frozen=True)
-class PacketPoint:
-    """(action, position, momentum) labels of an elementary packet."""
-
-    s: float
-    q: float
-    p: float
-
-    def shifted(self, component: str, delta: float) -> "PacketPoint":
-        if component == "s":
-            return PacketPoint(self.s + delta, self.q, self.p)
-        if component == "q":
-            return PacketPoint(self.s, self.q + delta, self.p)
-        if component == "p":
-            return PacketPoint(self.s, self.q, self.p + delta)
-        raise ValueError("component must be 's', 'q' or 'p'")
-
-
-def k_lambda(x: PacketPoint, f: ShapeFunction, lam: float,
+def k_lambda(x: np.ndarray, f: ShapeFunction, lam: float,
              xgrid: UniformGrid, tail_tol: float = 1e-6) -> GridWave:
-    """Sample the elementary packet on the x-grid.
+    """Sample the elementary packet at the point X = (S, Q, P) on the x-grid.
 
     Requires the grid to contain the mapped support of the shape.
     """
+    s, q, p = _point(x)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if f.tail_fraction() > tail_tol:
         raise ValueError("shape does not decay at its grid boundary")
     root = math.sqrt(lam)
-    lo_need = x.q + f.grid.lo * root
-    hi_need = x.q + f.grid.hi * root
+    lo_need = q + f.grid.lo * root
+    hi_need = q + f.grid.hi * root
     if lo_need < xgrid.lo - 1e-12 or hi_need > xgrid.hi + 1e-12:
         raise ValueError(
             f"x-grid [{xgrid.lo:.3g}, {xgrid.hi:.3g}] does not contain the "
             f"packet support [{lo_need:.3g}, {hi_need:.3g}]"
         )
     pts = xgrid.points
-    xi = (pts - x.q) / root
+    xi = (pts - q) / root
     vals = (
         lam ** -0.25
-        * np.exp(1j * x.s / lam)
-        * np.exp(1j * x.p * (pts - x.q) / lam)
+        * np.exp(1j * s / lam)
+        * np.exp(1j * p * (pts - q) / lam)
         * f.at(xi)
     )
     return GridWave(xgrid, vals, lam)
 
 
-def packet_grid(x: PacketPoint, f: ShapeFunction, lam: float,
+def packet_grid(x: np.ndarray, f: ShapeFunction, lam: float,
                 margin: float = 0.0) -> UniformGrid:
     """The x-grid aligned with the shape grid under xi = (x - Q)/sqrt(lam).
 
     With zero margin the packet samples are exactly the shape samples times
     phases, which makes norm preservation exact.
     """
+    q = _point(x)[1]
     root = math.sqrt(lam)
     extra = int(math.ceil(margin / (f.grid.spacing * root)))
-    lo = x.q + (f.grid.lo - extra * f.grid.spacing) * root
+    lo = q + (f.grid.lo - extra * f.grid.spacing) * root
     return UniformGrid(lo, f.grid.n + 2 * extra, f.grid.spacing * root)
 
 
-class PacketForms:
-    """The action form and the fiber-operator form of packet mechanics.
-
-    Components are indexed 's', 'q', 'p'; the action form at X reads
-    omega[dX] = P dQ - dS and the operator form acts on shapes as
-    Omega[dX] f = (dP xi - dQ (1/i) d/dxi) f.
-
-    The commutator convention [Omega_i, Omega_j] = -i (d_i omega_j -
-    d_j omega_i) is fixed numerically by the (p, q) pair on the grid
-    ([xi, d/dxi] = -1) and applied consistently.
-    """
-
-    components = ("s", "q", "p")
-    commutator_sign = -1.0
-
-    def omega_apply(self, x: PacketPoint, dx: Sequence[float]) -> float:
-        ds, dq, dp = dx
-        return x.p * dq - ds
-
-    def apply_operator(self, component: str, f: ShapeFunction) -> ShapeFunction:
-        if component == "s":
-            return ShapeFunction(f.grid, np.zeros(f.grid.n, dtype=complex))
-        if component == "q":
-            return f.derivative().scaled(1j)  # -(1/i) d/dxi
-        if component == "p":
-            return f.times_xi()
-        raise ValueError("component must be 's', 'q' or 'p'")
-
-    def curl(self, i: str, j: str) -> float:
-        """d_i omega_j - d_j omega_i for unit component directions."""
-        if (i, j) == ("p", "q"):
-            return 1.0
-        if (i, j) == ("q", "p"):
-            return -1.0
-        return 0.0
+def fiber_form(dx: np.ndarray, f: ShapeFunction) -> ShapeFunction:
+    """The fiber operator form Omega[dX] f = (dP xi - dQ (1/i) d/dxi) f."""
+    _, dq, dp = dx
+    return f.times_xi().scaled(dp) + f.derivative().scaled(1j * dq)
 
 
-def omega_commutator_residual(forms: PacketForms, i: str, j: str,
+# the commutator convention [Omega[u], Omega[v]] = -i (d_u omega[v] -
+# d_v omega[u]), fixed numerically by the (p, q) pair on the grid
+# ([xi, d/dxi] = -1) and applied consistently
+_COMMUTATOR_SIGN = -1.0
+
+
+def omega_commutator_residual(u: np.ndarray, v: np.ndarray,
                               g: ShapeFunction) -> float:
-    """|| ([Omega_i, Omega_j] - sign * i * curl) g || / || g ||."""
-    left = forms.apply_operator(i, forms.apply_operator(j, g))
-    right = forms.apply_operator(j, forms.apply_operator(i, g))
+    """|| ([Omega[u], Omega[v]] - sign * i * curl) g || / || g || for
+    tangent vectors u and v.
+
+    The curl d_u omega[v] - d_v omega[u] is the central difference of the
+    action form in X at unit step, exact because omega is affine in X.
+    """
+    left = fiber_form(u, fiber_form(v, g))
+    right = fiber_form(v, fiber_form(u, g))
     comm = left + right.scaled(-1.0)
-    expected = g.scaled(forms.commutator_sign * 1j * forms.curl(i, j))
+    origin = np.zeros(3)
+    curl = ((action_form(origin + u, v) - action_form(origin - u, v)) / 2
+            - (action_form(origin + v, u) - action_form(origin - v, u)) / 2)
+    expected = g.scaled(_COMMUTATOR_SIGN * 1j * curl)
     diff = comm + expected.scaled(-1.0)
     return diff.norm() / g.norm()
 
 
 def derivative_identity_residual(
-    x: PacketPoint,
+    x: np.ndarray,
     f: ShapeFunction,
     lam: float,
-    component: str,
+    dx: np.ndarray,
     h: float = 1e-4,
 ) -> float:
-    """Residual of i lam d_X K = K (omega[dX] - sqrt(lam) Omega[dX]) f.
+    """Residual of i lam d_X K = K (omega[dX] - sqrt(lam) Omega[dX]) f along
+    the tangent vector dX at the point X.
 
     The parameter step scales with lambda (the phase S/lam varies on that
     scale), which makes the central-difference residual O(h^2) uniformly in
     lambda.
     """
-    forms = PacketForms()
+    x = _point(x)
+    dx = np.asarray(dx, dtype=float)
     step = h * lam
     if step < 1e-13:
         raise ValueError("differencing step too small; cancellation would dominate")
     grid = packet_grid(x, f, lam, margin=2 * step + 4 * math.sqrt(lam))
-    plus = k_lambda(x.shifted(component, step), f, lam, grid)
-    minus = k_lambda(x.shifted(component, -step), f, lam, grid)
+    plus = k_lambda(x + step * dx, f, lam, grid)
+    minus = k_lambda(x - step * dx, f, lam, grid)
     lhs = 1j * lam * (plus.values - minus.values) / (2 * step)
     if np.abs(plus.values - minus.values).max() < 1e-12 * np.abs(plus.values).max():
         raise ValueError("differencing step too small; cancellation detected")
-    unit = {"s": (1.0, 0.0, 0.0), "q": (0.0, 1.0, 0.0), "p": (0.0, 0.0, 1.0)}[component]
-    omega_val = forms.omega_apply(x, unit)
-    inner = f.scaled(omega_val) + forms.apply_operator(component, f).scaled(
-        -math.sqrt(lam))
+    inner = f.scaled(action_form(x, dx)) + fiber_form(dx, f).scaled(-math.sqrt(lam))
     rhs = k_lambda(x, inner, lam, grid, tail_tol=1e-4)
     diff = lhs - rhs.values
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
@@ -358,36 +328,29 @@ def derivative_identity_residual(
 
 @dataclass(frozen=True)
 class PacketManifold:
-    """A curve alpha -> (S, Q, P) in the extended phase space (k = 1).
+    """A curve alpha -> X = (S, Q, P) in the extended phase space.
 
-    Callables must accept any real alpha; for closed manifolds
-    ``periodic_span`` gives the parameter circumference (S itself need not
-    close: on a harmonic orbit it gains the enclosed action per turn).
+    ``point`` maps any real alpha to X as an array of shape (3,); for closed
+    manifolds ``periodic_span`` gives the parameter circumference (S itself
+    need not close: on a harmonic orbit it gains the enclosed action per
+    turn).
     """
 
-    s_of: Callable[[float], float]
-    q_of: Callable[[float], float]
-    p_of: Callable[[float], float]
+    point: Callable[[float], np.ndarray]
     alphas: np.ndarray
     periodic_span: Optional[float] = None
     density: Optional[Callable[[float], float]] = None
 
-    def point(self, alpha: float) -> PacketPoint:
-        return PacketPoint(float(self.s_of(alpha)), float(self.q_of(alpha)),
-                           float(self.p_of(alpha)))
-
-    def tangent(self, alpha: float, h: float = 1e-6):
-        ds = (self.s_of(alpha + h) - self.s_of(alpha - h)) / (2 * h)
-        dq = (self.q_of(alpha + h) - self.q_of(alpha - h)) / (2 * h)
-        dp = (self.p_of(alpha + h) - self.p_of(alpha - h)) / (2 * h)
-        return float(ds), float(dq), float(dp)
+    def tangent(self, alpha: float) -> np.ndarray:
+        """dX/dalpha by one central difference of ``point``."""
+        h = 1e-6
+        return (np.asarray(self.point(alpha + h), dtype=float)
+                - np.asarray(self.point(alpha - h), dtype=float)) / (2 * h)
 
     def isotropy_residual(self) -> float:
-        worst = 0.0
-        for alpha in self.alphas:
-            ds, dq, dp = self.tangent(float(alpha))
-            worst = max(worst, abs(self.p_of(float(alpha)) * dq - ds))
-        return worst
+        """Largest |omega[dX/dalpha]| over the grid."""
+        return max(abs(action_form(self.point(a), self.tangent(a)))
+                   for a in map(float, self.alphas))
 
     def quad_weights(self) -> np.ndarray:
         return trapezoid_weights(self.alphas, self.periodic_span)
@@ -401,9 +364,8 @@ class ComposedPacket:
     """Manifold plus fiber shapes g(alpha, .).
 
     The fiber may be a single shape (alpha-independent) or a callable.
-    The superposition constant is lambda^(-k/4), which normalizes the
-    composed L2 norm to the lambda-free fiber expression; this convention
-    is recorded in reports.
+    The superposition constant is lambda^(-1/4), which normalizes the
+    composed L2 norm to the lambda-free fiber expression.
     """
 
     manifold: PacketManifold
@@ -414,46 +376,48 @@ class ComposedPacket:
             return self.fiber(alpha)
         return self.fiber
 
-    @property
-    def k(self) -> int:
-        return 1
 
-
-def norm_constant(lam: float, k: int = 1) -> float:
-    return lam ** (-k / 4)
-
-
-def _displaced_rows(g: ShapeFunction, a: float, b: float,
+def _displaced_rows(g: ShapeFunction, dx: np.ndarray,
                     betas: np.ndarray) -> np.ndarray:
-    """Samples of exp(i beta (a xi - b (1/i) d/dxi)) g, one row per beta.
+    """Samples of exp(i beta Omega[dX]) g, one row per beta.
 
     Splitting the exponent gives the exact one-dimensional formula
-    e^(-i beta^2 a b / 2) e^(i beta a xi) g(xi - beta b); the shift is
+    e^(-i beta^2 dP dQ / 2) e^(i beta dP xi) g(xi - beta dQ); the shift is
     evaluated spectrally with zero extension, so nothing wraps around.
     """
+    _, dq, dp = dx
     betas = np.asarray(betas, dtype=float).reshape(-1)
-    phases = np.exp(-0.5j * betas**2 * a * b)[:, None] * np.exp(
-        1j * np.outer(betas, a * g.grid.points))
-    return phases * g.at_shifted_grid(-betas * b)
+    phases = np.exp(-0.5j * betas**2 * dp * dq)[:, None] * np.exp(
+        1j * np.outer(betas, dp * g.grid.points))
+    return phases * g.at_shifted_grid(-betas * dq)
 
 
-def fiber_displacement(g: ShapeFunction, a: float, b: float,
+def _require_edge_decay(g: ShapeFunction) -> None:
+    """Reject a fiber whose edge sample exceeds ``_EDGE_DECAY`` of its peak:
+    its displacements would ring over the whole grid."""
+    if g.tail_fraction() > _EDGE_DECAY:
+        raise ValueError(f"fiber does not decay at its grid edge: edge "
+                         f"{g.tail_fraction():.3g} of the peak > {_EDGE_DECAY:g}")
+
+
+def fiber_displacement(g: ShapeFunction, dx: np.ndarray,
                        beta: float) -> ShapeFunction:
-    """Apply exp(i beta (a xi - b (1/i) d/dxi)) to a shape."""
-    return ShapeFunction(g.grid, _displaced_rows(g, a, b, beta)[0])
+    """Apply exp(i beta Omega[dX]) to a shape that decays at its grid edge."""
+    _require_edge_decay(g)
+    return ShapeFunction(g.grid, _displaced_rows(g, dx, beta)[0])
 
 
-def _displacement_pairings(g1: ShapeFunction, g2: ShapeFunction, a: float,
-                           b: float, betas: np.ndarray) -> np.ndarray:
-    """(g1, e^(i beta (a xi - b (1/i) d/dxi)) g2) for a batch of betas."""
+def _displacement_pairings(g1: ShapeFunction, g2: ShapeFunction,
+                           dx: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """(g1, e^(i beta Omega[dX]) g2) for a batch of betas."""
     _require_same_grid(g1, g2)
-    return _displaced_rows(g2, a, b, betas) @ np.conj(g1.values) * g1.grid.spacing
+    return _displaced_rows(g2, dx, betas) @ np.conj(g1.values) * g1.grid.spacing
 
 
-def _beta_box(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
+def _beta_box(g1: ShapeFunction, g2: ShapeFunction, dx: np.ndarray,
               reach: Optional[float] = None) -> tuple[float, int]:
     """Half-width R and Gauss-Legendre order of a beta integral of fibers
-    displaced by e^(i beta (a xi - b (1/i) d/dxi)).
+    displaced by e^(i beta Omega[dX]), with a = dP and b = dQ.
 
     ``reach`` defaults to where the supports stop meeting, max |xi1 - xi2|
     / |b|, capped at the alias limit |beta a| = pi / (2 spacing), past which
@@ -463,11 +427,10 @@ def _beta_box(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
     + |a b| R, with X and K the largest |xi| and |k| of the supports and
     bands.  A zero fiber's support is its whole grid.
     """
+    _, b, a = dx
     supports, bands = [], []
     for g in (g1, g2):
-        if g.tail_fraction() > _EDGE_DECAY:
-            raise ValueError(f"fiber does not decay at its grid edge: edge "
-                             f"{g.tail_fraction():.3g} of the peak > {_EDGE_DECAY:g}")
+        _require_edge_decay(g)
         coeffs, freqs = g.spectrum
         mag, spec = np.abs(g.values), np.abs(coeffs)
         supports.append(g.grid.points[mag >= _SUPPORT_TARGET * mag.max()])
@@ -482,7 +445,7 @@ def _beta_box(g1: ShapeFunction, g2: ShapeFunction, a: float, b: float,
         meet = max(s1[-1] - s2[0], s2[-1] - s1[0])
         reach = min(meet / abs(b) if b else math.inf, alias)
         if reach == alias:
-            edge = _displacement_pairings(g1, g2, a, b, [reach, -reach])
+            edge = _displacement_pairings(g1, g2, dx, [reach, -reach])
             if np.abs(edge).max() > _SUPPORT_TARGET * g1.norm() * g2.norm():
                 raise ValueError(
                     "xi-grid cannot resolve the fiber: the pairing has not "
@@ -511,16 +474,16 @@ def asymptotic_inner(cp1: ComposedPacket, cp2: ComposedPacket) -> complex:
     total = 0.0 + 0.0j
     for j, alpha in enumerate(m1.alphas):
         alpha = float(alpha)
-        _, dq, dp = m1.tangent(alpha)
+        dx = m1.tangent(alpha)
         g1 = cp1.fiber_at(alpha)
         g2 = cp2.fiber_at(alpha)
         _require_same_grid(g1, g2)
         try:
-            span, order = _beta_box(g1, g2, dp, dq)
+            span, order = _beta_box(g1, g2, dx)
         except ValueError as exc:
             raise ValueError(f"at alpha = {alpha:.6g}: {exc}") from None
         nodes, wq = gauss_legendre(order)
-        vals = _displacement_pairings(g1, g2, dp, dq, nodes * span)
+        vals = _displacement_pairings(g1, g2, dx, nodes * span)
         total += (weights[j] * m1.density_at(alpha) * m2.density_at(alpha)
                   * span * np.sum(wq * vals))
     return complex(total)
@@ -554,7 +517,7 @@ def compose_packet(
             g = cp.fiber_at(alpha)
             wave = k_lambda(x, g, lam, xgrid)
             total += weights[j] * cp.manifold.density_at(alpha) * wave.values
-        return norm_constant(lam, cp.k) * total
+        return lam ** -0.25 * total
 
     full = assemble(range(len(alphas)))
     if self_check is not None:
@@ -570,12 +533,15 @@ def compose_packet(
     return GridWave(xgrid, full, lam)
 
 
+# direct_inner integrates u = (alpha' - alpha)/sqrt(lam) over [-_U_SPAN, _U_SPAN]
+_U_SPAN = 12.0
+
+
 def direct_inner(
     cp1: ComposedPacket,
     cp2: ComposedPacket,
     lam: float,
     n_u: int = 48,
-    u_span: float = 12.0,
 ) -> complex:
     """The exact L2 pairing of the composed waves at finite lambda.
 
@@ -587,7 +553,7 @@ def direct_inner(
 
     and the alpha' integration runs over u = (alpha' - alpha)/sqrt(lam),
     where the overlap profile is lambda-uniform on isotropic manifolds.
-    The substitution absorbs the lam^(-k/2) of the squared superposition
+    The substitution absorbs the lam^(-1/2) of the squared superposition
     constant, so the value is directly comparable to the fiber expression.
     Each pair is weighted by rho1(alpha) rho2(alpha'), as in the waves.
     """
@@ -597,19 +563,17 @@ def direct_inner(
     weights = m1.quad_weights()
     root = math.sqrt(lam)
     u_nodes, u_weights = gauss_legendre(n_u)
-    u_nodes = u_nodes * u_span
-    u_weights = u_weights * u_span
+    u_nodes = u_nodes * _U_SPAN
+    u_weights = u_weights * _U_SPAN
     total = 0.0 + 0.0j
     for j, alpha in enumerate(m1.alphas):
         alpha = float(alpha)
-        x1 = m1.point(alpha)
+        s1, q1, p1 = m1.point(alpha)
         g1 = cp1.fiber_at(alpha)
         alpha_ps = alpha + root * u_nodes
-        s2 = np.array([m2.s_of(ap) for ap in alpha_ps])
-        q2 = np.array([m2.q_of(ap) for ap in alpha_ps])
-        p2 = np.array([m2.p_of(ap) for ap in alpha_ps])
+        s2, q2, p2 = np.array([m2.point(ap) for ap in alpha_ps], dtype=float).T
         rho2 = np.array([m2.density_at(ap) for ap in alpha_ps])
-        shifts = (x1.q - q2) / root
+        shifts = (q1 - q2) / root
         if callable(cp2.fiber):
             fibers = [cp2.fiber_at(float(ap)) for ap in alpha_ps]
             shifted = np.concatenate([g2.at_shifted_grid(shift)
@@ -619,10 +583,10 @@ def direct_inner(
             shifted = cp2.fiber.at_shifted_grid(shifts)
         for g2 in fibers:
             _require_same_grid(g1, g2)
-        phase_xi = np.exp(1j * np.outer(p2 - x1.p, g1.grid.points) / root)
+        phase_xi = np.exp(1j * np.outer(p2 - p1, g1.grid.points) / root)
         rows = (shifted * phase_xi) @ np.conj(g1.values) * g1.grid.spacing
-        phases = np.exp(1j * (s2 - x1.s) / lam) * np.exp(
-            1j * p2 * (x1.q - q2) / lam)
+        phases = np.exp(1j * (s2 - s1) / lam) * np.exp(
+            1j * p2 * (q1 - q2) / lam)
         total += weights[j] * m1.density_at(alpha) * np.sum(
             u_weights * rho2 * phases * rows)
     return complex(total)
@@ -631,7 +595,7 @@ def direct_inner(
 def gauge_transform(cp: ComposedPacket, chi) -> ComposedPacket:
     """Shift the fiber by the constraint operator:
 
-        g <- g + (dP/dalpha xi - dQ/dalpha (1/i) d/dxi) chi.
+        g <- g + Omega[X'(alpha)] chi.
 
     ``chi`` is a shape or a callable alpha -> shape.  The new fiber is
     memoized per alpha so repeated grid sweeps reuse spectra.
@@ -643,16 +607,14 @@ def gauge_transform(cp: ComposedPacket, chi) -> ComposedPacket:
         if key not in cache:
             g = cp.fiber_at(alpha)
             c = chi(alpha) if callable(chi) else chi
-            _, dq, dp = cp.manifold.tangent(alpha)
-            bumped = c.times_xi().scaled(dp) + c.derivative().scaled(1j * dq)
-            cache[key] = g + bumped
+            cache[key] = g + fiber_form(cp.manifold.tangent(alpha), c)
         return cache[key]
 
     return ComposedPacket(manifold=cp.manifold, fiber=new_fiber)
 
 
 def project_fiber(cp: ComposedPacket, alpha: float) -> ShapeFunction:
-    """f(alpha, xi) = int dbeta e^(i beta (dP xi - dQ (1/i) d/dxi)) g(alpha, xi).
+    """f(alpha, xi) = int dbeta e^(i beta Omega[X'(alpha)]) g(alpha, xi).
 
     Requires the integrand to decay along beta, which happens exactly when
     the shift component dQ/dalpha moves the window off the shape's support
@@ -662,22 +624,22 @@ def project_fiber(cp: ComposedPacket, alpha: float) -> ShapeFunction:
     at its edge, and the rule comes from ``_beta_box``.
     """
     g = cp.fiber_at(alpha)
-    _, dq, dp = cp.manifold.tangent(alpha)
+    dx = cp.manifold.tangent(alpha)
     extent = g.grid.hi - g.grid.lo
-    if abs(dq) * extent < _FLAT_SHIFT:
+    if abs(dx[1]) * extent < _FLAT_SHIFT:
         raise ValueError(
             "projection integrand does not decay (flat shift direction); "
             "germ condition violated"
         )
-    reach = extent / abs(dq)
-    if reach * abs(dp) > 0.5 * math.pi / g.grid.spacing:
+    reach = extent / abs(dx[1])
+    if reach * abs(dx[2]) > 0.5 * math.pi / g.grid.spacing:
         raise ValueError(
             "shape grid too coarse to resolve the projection phases over the "
             "beta box; refine the xi-grid"
         )
-    span, order = _beta_box(g, g, dp, dq, reach)
+    span, order = _beta_box(g, g, dx, reach)
     nodes, weights = gauss_legendre(order)
-    total = (span * weights) @ _displaced_rows(g, dp, dq, nodes * span)
+    total = (span * weights) @ _displaced_rows(g, dx, nodes * span)
     return ShapeFunction(g.grid, total)
 
 
@@ -694,23 +656,22 @@ def expansion_check(
     displacement at X(alpha); returns the fitted log-log slope and the
     error list.
     """
+    def omega_along(a):
+        return action_form(manifold.point(a), manifold.tangent(a))
+
     errors = []
     for lam in lams:
         root = math.sqrt(lam)
         x0 = manifold.point(alpha)
         x1 = manifold.point(alpha + root * beta)
-        ds, dq, dp = manifold.tangent(alpha)
-        omega_t = x0.p * dq - ds
+        dx = manifold.tangent(alpha)
+        omega_t = action_form(x0, dx)
         h = 1e-5
-        dsp, dqp, dpp = manifold.tangent(alpha + h)
-        dsm, dqm, dpm = manifold.tangent(alpha - h)
-        omega_p = manifold.p_of(alpha + h) * dqp - dsp
-        omega_m = manifold.p_of(alpha - h) * dqm - dsm
-        d_omega = (omega_p - omega_m) / (2 * h)
+        d_omega = (omega_along(alpha + h) - omega_along(alpha - h)) / (2 * h)
         phase = np.exp(-1j * omega_t * beta / root) * np.exp(
             -0.5j * beta**2 * d_omega)
-        moved = fiber_displacement(g, dp, dq, beta)
-        margin = abs(x1.q - x0.q) + 4 * root
+        moved = fiber_displacement(g, dx, beta)
+        margin = abs(x1[1] - x0[1]) + 4 * root
         grid = packet_grid(x0, g, lam, margin=margin)
         lhs = k_lambda(x1, g, lam, grid)
         rhs = k_lambda(x0, moved, lam, grid, tail_tol=1e-4)

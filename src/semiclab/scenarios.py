@@ -188,13 +188,17 @@ def _once(fn: Callable) -> Callable:
     return get
 
 
+def _harmonic_orbit_point(a: float) -> np.ndarray:
+    """X(a) on the unit harmonic orbit (Q, P) = (cos a, -sin a), with the
+    action S' = P Q' = sin^2 a that isotropy fixes."""
+    return np.array([a / 2 - math.sin(2 * a) / 4, math.cos(a), -math.sin(a)])
+
+
 def harmonic_orbit_manifold(n_alpha: int = 64):
     from .packets import PacketManifold
 
     return PacketManifold(
-        s_of=lambda a: a / 2 - math.sin(2 * a) / 4,
-        q_of=math.cos,
-        p_of=lambda a: -math.sin(a),
+        point=_harmonic_orbit_point,
         alphas=np.linspace(0, 2 * np.pi, n_alpha, endpoint=False),
         periodic_span=2 * np.pi,
     )
@@ -217,7 +221,6 @@ def wkb_reference() -> Callable[[float], float]:
     """
     from .packets import (
         GridWave,
-        PacketPoint,
         ShapeFunction,
         SplitStepProblem,
         UniformGrid,
@@ -244,7 +247,6 @@ def wkb_reference() -> Callable[[float], float]:
         return np.array([p * p - (p * p / 2 + v(q)), p, -q - 3 * cubic * q * q])
 
     _, zs = rk4(cl_field, np.array([0.0, q0, p0]), t, hcl, keep=True)
-    s_t, q_t, p_t = zs[-1]
 
     # fiber shape under the quadratic fiber Hamiltonian (lambda-free)
     f0 = gaussian_shape(half_width=xi_half_width, n=_WKB_N_XI)
@@ -268,12 +270,11 @@ def wkb_reference() -> Callable[[float], float]:
         while math.pi * n_x / (2 * half_width) < 1.6 * k_need and n_x < 2**21:
             n_x *= 2
         grid = UniformGrid.centered(half_width, n_x)
-        psi0 = k_lambda(PacketPoint(0.0, q0, p0), f0, lam, grid)
+        psi0 = k_lambda(zs[0], f0, lam, grid)
         dt = min(1e-3, lam / 8)
         psi_t = splitstep_evolve(psi0, SplitStepProblem.polynomial(
             [0.0, 0.0, 0.5, cubic]), t, dt)
-        predicted = k_lambda(PacketPoint(s_t, q_t, p_t), f_t, lam, grid,
-                             tail_tol=1e-4)
+        predicted = k_lambda(zs[-1], f_t, lam, grid, tail_tol=1e-4)
         diff = psi_t.values - predicted.values
         return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
 
@@ -593,8 +594,6 @@ def _anomaly_checks(model: dict, run: dict, seed: int):
 def _packet_checks(model: dict, run: dict, seed: int):
     from .packets import (
         ComposedPacket,
-        PacketForms,
-        PacketPoint,
         derivative_identity_residual,
         direct_inner,
         asymptotic_inner,
@@ -614,7 +613,7 @@ def _packet_checks(model: dict, run: dict, seed: int):
 
     def klambda_norm():
         f = gaussian_shape(n=512)
-        x = PacketPoint(0.4, 1.3, -0.7)
+        x = np.array([0.4, 1.3, -0.7])
         worst = 0.0
         for lam in (1.0, 0.01):
             wave = k_lambda(x, f, lam, packet_grid(x, f, lam))
@@ -623,22 +622,21 @@ def _packet_checks(model: dict, run: dict, seed: int):
 
     def deriv_identity():
         f = gaussian_shape()
-        x = PacketPoint(0.1, -0.4, 1.2)
-        return max(derivative_identity_residual(x, f, 0.05, c, h=h)
-                   for c in ("s", "q", "p"))
+        x = np.array([0.1, -0.4, 1.2])
+        return max(derivative_identity_residual(x, f, 0.05, dx, h=h)
+                   for dx in np.eye(3))
 
     def deriv_lambda_indep():
         f = gaussian_shape()
-        x = PacketPoint(0.0, 0.2, 1.0)
-        r1 = derivative_identity_residual(x, f, 1e-3, "q", h=1e-3)
-        r2 = derivative_identity_residual(x, f, 5e-4, "q", h=1e-3)
+        x, dq = np.array([0.0, 0.2, 1.0]), np.array([0.0, 1.0, 0.0])
+        r1 = derivative_identity_residual(x, f, 1e-3, dq, h=1e-3)
+        r2 = derivative_identity_residual(x, f, 5e-4, dq, h=1e-3)
         return abs(r1 - r2) / max(r1, r2)
 
     def omega_comms():
-        forms = PacketForms()
         g = gaussian_shape()
-        return max(omega_commutator_residual(forms, i, j, g)
-                   for i in forms.components for j in forms.components)
+        return max(omega_commutator_residual(u, v, g)
+                   for u in np.eye(3) for v in np.eye(3))
 
     def expansion_slope():
         slope, _ = expansion_check(harmonic_orbit_manifold(), gaussian_shape(),
@@ -660,7 +658,7 @@ def _packet_checks(model: dict, run: dict, seed: int):
     def splitstep_classical():
         lam = 0.1
         f = gaussian_shape(n=192, half_width=6)
-        x0 = PacketPoint(0.0, 1.0, 0.0)
+        x0 = np.array([0.0, 1.0, 0.0])
         grid = UniformGrid.centered(4.5, 1024)
         psi = k_lambda(x0, f, lam, grid)
         t = 1.0

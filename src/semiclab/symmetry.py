@@ -5,9 +5,11 @@ A scenario supplies three coupled pieces:
 - a ``LieAlgebra``: declared by a faithful matrix representation alone,
   used for all group-side computations (words, canonical coordinates); its
   structure constants are derived from the representation once, when built;
-- a ``ClassicalSystem``: flows on points X = (S, Q, P), one quadratic
-  Hamiltonian form per direction, so affine symplectic maps on (Q, P)
-  with the action P dQ - h dt carried along, all exact in closed form;
+- a ``ClassicalSystem``: flows on points X = (S, Q, P), float arrays of
+  shape (3,) that ``packets`` takes as they are, one quadratic Hamiltonian
+  form per direction, so affine symplectic maps on (Q, P) with the action
+  P dQ - h dt carried along, all exact in closed form; the action form
+  omega[dX] = P dQ - dS is ``action_form``;
 - a ``GeneratorFamily``: one fixed quadratic Fock generator per direction
   and the per-direction scalars hbar_i(X), so H(a: X) = sum_i a_i G_i +
   a . hbar(X), together with the fiber 1-form phi that realizes the operator
@@ -65,6 +67,7 @@ __all__ = [
     "group_element_action",
     "GroupAction",
     "omega_matrix",
+    "action_form",
 ]
 
 _CLOSURE_TOL = 1e-12  # residual and imaginary part allowed in a derived bracket
@@ -121,6 +124,23 @@ def _coefficients(a, dim: int) -> np.ndarray:
     if a.shape != (dim,):
         raise ValueError(f"need {dim} algebra coefficients, got shape {a.shape}")
     return a
+
+
+def _point(x) -> np.ndarray:
+    """A point X = (S, Q, P) of the extended phase space as a finite float
+    array of shape (3,), or ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError(f"a point X = (S, Q, P) has shape (3,), got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"a point X = (S, Q, P) must be finite, got {x}")
+    return x
+
+
+def action_form(x: np.ndarray, dx: np.ndarray) -> float:
+    """The action form omega[dX] = P dQ - dS at X = (S, Q, P); its
+    vanishing along a manifold is isotropy."""
+    return x[2] * dx[1] - dx[0]
 
 
 def _checked_form(form) -> np.ndarray:
@@ -444,10 +464,7 @@ def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float).reshape(3)
 
-    def omega_scalar(point, tangent):
-        return point[2] * tangent[1] - tangent[0]
-
-    omega_res = abs(_delta(fam.system, a, x, h, omega_scalar, dx))
+    omega_res = abs(_delta(fam.system, a, x, h, action_form, dx))
     d_om = _delta(fam.system, a, x, h,
                   lambda point, tangent: omega_matrix(fam, point, tangent, basis), dx)
     om0 = omega_matrix(fam, x, dx, basis)

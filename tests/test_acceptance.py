@@ -41,7 +41,6 @@ from semiclab.fock import (
 )
 from semiclab.packets import (
     ComposedPacket,
-    PacketPoint,
     asymptotic_inner,
     derivative_identity_residual,
     direct_inner,
@@ -304,16 +303,16 @@ def test_criterion_10_packet_asymptotics():
     started = time.perf_counter()
 
     f = gaussian_shape(n=512)
-    x = PacketPoint(0.4, 1.3, -0.7)
+    x = np.array([0.4, 1.3, -0.7])
     norm_gap = max(
         abs(k_lambda(x, f, lam, packet_grid(x, f, lam)).norm() - f.norm())
         for lam in (1.0, 0.01))
 
     g = gaussian_shape()
-    x2 = PacketPoint(0.0, 0.2, 1.0)
-    r_big = derivative_identity_residual(x2, g, 1e-3, "q", h=2e-3)
-    r_small = derivative_identity_residual(x2, g, 1e-3, "q", h=1e-3)
-    r_lam = derivative_identity_residual(x2, g, 5e-4, "q", h=1e-3)
+    x2, dq = np.array([0.0, 0.2, 1.0]), np.array([0.0, 1.0, 0.0])
+    r_big = derivative_identity_residual(x2, g, 1e-3, dq, h=2e-3)
+    r_small = derivative_identity_residual(x2, g, 1e-3, dq, h=1e-3)
+    r_lam = derivative_identity_residual(x2, g, 5e-4, dq, h=1e-3)
     lam_indep = abs(r_small - r_lam) <= 0.1 * max(r_small, r_lam)
     h_order = abs(r_big / r_small - 4.0) <= 0.2
 

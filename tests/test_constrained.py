@@ -550,33 +550,20 @@ def test_gauss_legendre_rule_is_built_once_and_read_only():
         x[0] = 0.0
 
 
-def _orbit_points():
-    def s_of(a):
-        return a / 2 - math.sin(2 * a) / 4
-
-    def point(a):
-        return np.array([s_of(a), math.cos(a), -math.sin(a)])
-
-    return point
-
-
 def _orbit_state(basis, n_alpha=12):
-    from semiclab.scenarios import standard_phi
+    from semiclab.scenarios import harmonic_orbit_manifold, standard_phi
 
-    point = _orbit_points()
-    alphas = np.linspace(0, 2 * np.pi, n_alpha, endpoint=False)
-    h = 1e-6
+    orbit = harmonic_orbit_manifold(n_alpha)
     constraints = np.empty((n_alpha, 1, 1), dtype=complex)
-    for j, a in enumerate(alphas):
-        dx = (point(a + h) - point(a - h)) / (2 * h)
-        constraints[j, 0] = standard_phi(point(a), dx)
+    for j, a in enumerate(orbit.alphas):
+        constraints[j, 0] = standard_phi(orbit.point(a), orbit.tangent(a))
     return ComposedFockState(
-        alphas=alphas,
+        alphas=orbit.alphas,
         density=np.ones(n_alpha),
         fibers=(vacuum_state(basis),) * n_alpha,
         constraints=constraints,
-        periodic_span=2 * np.pi,
-    ), point
+        periodic_span=orbit.periodic_span,
+    ), orbit.point
 
 
 def test_composed_inner_orbit_matches_packet_fiber_value():

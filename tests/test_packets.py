@@ -10,9 +10,7 @@ from semiclab import packets
 from semiclab.bogoliubov import step_count
 from semiclab.packets import (
     ComposedPacket,
-    PacketForms,
     PacketManifold,
-    PacketPoint,
     ShapeFunction,
     SplitStepProblem,
     UniformGrid,
@@ -25,6 +23,7 @@ from semiclab.packets import (
     direct_inner,
     expansion_check,
     fiber_displacement,
+    fiber_form,
     fit_loglog_slope,
     gauge_transform,
     gaussian_shape,
@@ -39,27 +38,19 @@ from semiclab.quadrature import gauss_legendre
 from semiclab.scenarios import harmonic_orbit_manifold
 
 
-def harmonic_orbit(n_alpha=64):
-    # (Q, P) = (cos a, -sin a); isotropy fixes S' = P Q' = sin^2 a
-    return PacketManifold(
-        s_of=lambda a: a / 2 - math.sin(2 * a) / 4,
-        q_of=math.cos,
-        p_of=lambda a: -math.sin(a),
-        alphas=np.linspace(0, 2 * np.pi, n_alpha, endpoint=False),
-        periodic_span=2 * np.pi,
-    )
+UNIT = dict(zip("sqp", np.eye(3)))  # unit tangents along S, Q and P
 
 
 def test_k_lambda_identity_at_unit_lambda():
     f = gaussian_shape()
-    x = PacketPoint(0.0, 0.0, 0.0)
+    x = np.zeros(3)
     wave = k_lambda(x, f, 1.0, packet_grid(x, f, 1.0))
     assert np.allclose(wave.values, f.values, atol=1e-12)
 
 
 def test_k_lambda_norm_preserving():
     f = gaussian_shape(n=512)
-    x = PacketPoint(0.4, 1.3, -0.7)
+    x = np.array([0.4, 1.3, -0.7])
     for lam in (1.0, 0.01):
         wave = k_lambda(x, f, lam, packet_grid(x, f, lam))
         assert abs(wave.norm() - f.norm()) < 1e-12
@@ -68,66 +59,103 @@ def test_k_lambda_norm_preserving():
 def test_k_lambda_value_at_center():
     f = gaussian_shape()
     lam = 0.3
-    x = PacketPoint(0.2, 0.9, 1.1)
+    x = np.array([0.2, 0.9, 1.1])
     grid = packet_grid(x, f, lam)
     wave = k_lambda(x, f, lam, grid)
-    j = int(np.argmin(np.abs(grid.points - x.q)))
-    expect = lam**-0.25 * np.exp(1j * x.s / lam) * f.at(np.array([0.0]))[0]
+    j = int(np.argmin(np.abs(grid.points - x[1])))
+    expect = lam**-0.25 * np.exp(1j * x[0] / lam) * f.at(np.array([0.0]))[0]
     assert abs(wave.values[j] - expect) < 1e-10
 
 
 def test_k_lambda_grid_too_small():
     f = gaussian_shape()
     with pytest.raises(ValueError):
-        k_lambda(PacketPoint(0, 5.0, 0), f, 1.0, UniformGrid.centered(3.0, 64))
+        k_lambda(np.array([0, 5.0, 0]), f, 1.0, UniformGrid.centered(3.0, 64))
+
+
+@pytest.mark.parametrize("bad", [np.array([0.2, 0.9]), np.array([0.2, math.nan, 1.1])],
+                         ids=["shape-2", "nan"])
+@pytest.mark.parametrize("entry", [
+    lambda x, f: k_lambda(x, f, 0.3, UniformGrid.centered(12.0, 512)),
+    lambda x, f: packet_grid(x, f, 0.3),
+    lambda x, f: derivative_identity_residual(x, f, 0.05, UNIT["q"]),
+], ids=["k_lambda", "packet_grid", "derivative_identity_residual"])
+def test_packet_entries_reject_a_point_that_is_not_three_finite_numbers(entry, bad):
+    with pytest.raises(ValueError, match=r"a point X = \(S, Q, P\)"):
+        entry(bad, gaussian_shape())
+
+
+def test_k_lambda_takes_the_points_of_the_symmetry_flows():
+    # X = (S, Q, P) is one array for both realizations: a point moved by a
+    # su11 flow gives the packet of the same point written out by hand
+    from semiclab.scenarios import su11_family
+
+    f, lam = gaussian_shape(), 0.3
+    moved = su11_family().system.flow(np.array([1.0, 0.0, 0.0]), 0.7,
+                                      np.array([0.1, 0.8, -0.3]))
+    by_hand = [float(c) for c in moved]
+    grid = packet_grid(by_hand, f, lam)
+    assert grid == packet_grid(moved, f, lam)
+    assert np.array_equal(k_lambda(moved, f, lam, grid).values,
+                          k_lambda(by_hand, f, lam, grid).values)
 
 
 def test_derivative_identity_s_component():
     # the S-identity is exact; the central difference leaves the pure sinc
     # defect h^2/6 (times roundoff creep at the smallest lambda)
     f = gaussian_shape()
-    x = PacketPoint(0.3, 0.5, 0.8)
+    x = np.array([0.3, 0.5, 0.8])
     h = 1e-4
-    res1 = derivative_identity_residual(x, f, 1.0, "s", h=h)
+    res1 = derivative_identity_residual(x, f, 1.0, UNIT["s"], h=h)
     assert res1 == pytest.approx(h**2 / 6, rel=1e-4)
     for lam in (1e-2, 1e-4):
-        res = derivative_identity_residual(x, f, lam, "s", h=h)
+        res = derivative_identity_residual(x, f, lam, UNIT["s"], h=h)
         assert res == pytest.approx(h**2 / 6, rel=0.2)
 
 
 def test_derivative_identity_q_and_p():
     f = gaussian_shape()
-    x = PacketPoint(0.1, -0.4, 1.2)
+    x = np.array([0.1, -0.4, 1.2])
     for comp in ("q", "p"):
-        res = derivative_identity_residual(x, f, 0.05, comp, h=1e-4)
+        res = derivative_identity_residual(x, f, 0.05, UNIT[comp], h=1e-4)
         assert res < 1e-6
 
 
 def test_derivative_identity_lambda_independent():
     f = gaussian_shape()
-    x = PacketPoint(0.0, 0.2, 1.0)
-    r1 = derivative_identity_residual(x, f, 1e-3, "q", h=1e-3)
-    r2 = derivative_identity_residual(x, f, 5e-4, "q", h=1e-3)
+    x = np.array([0.0, 0.2, 1.0])
+    r1 = derivative_identity_residual(x, f, 1e-3, UNIT["q"], h=1e-3)
+    r2 = derivative_identity_residual(x, f, 5e-4, UNIT["q"], h=1e-3)
     assert abs(r1 - r2) <= 0.1 * max(r1, r2)
 
 
 def test_derivative_identity_h_scaling():
     f = gaussian_shape()
-    x = PacketPoint(0.0, 0.2, 1.0)
-    r1 = derivative_identity_residual(x, f, 0.01, "q", h=2e-3)
-    r2 = derivative_identity_residual(x, f, 0.01, "q", h=1e-3)
+    x = np.array([0.0, 0.2, 1.0])
+    r1 = derivative_identity_residual(x, f, 0.01, UNIT["q"], h=2e-3)
+    r2 = derivative_identity_residual(x, f, 0.01, UNIT["q"], h=1e-3)
     assert r1 / r2 == pytest.approx(4.0, rel=0.05)
 
 
 def test_omega_commutators():
-    forms = PacketForms()
     g = gaussian_shape()
-    for c in forms.components:
-        assert omega_commutator_residual(forms, c, c, g) < 1e-14
-    assert omega_commutator_residual(forms, "s", "q", g) < 1e-14
-    assert omega_commutator_residual(forms, "s", "p", g) < 1e-14
-    assert omega_commutator_residual(forms, "p", "q", g) < 1e-8
-    assert omega_commutator_residual(forms, "q", "p", g) < 1e-8
+    for c in "sqp":
+        assert omega_commutator_residual(UNIT[c], UNIT[c], g) < 1e-14
+    assert omega_commutator_residual(UNIT["s"], UNIT["q"], g) < 1e-14
+    assert omega_commutator_residual(UNIT["s"], UNIT["p"], g) < 1e-14
+    assert omega_commutator_residual(UNIT["p"], UNIT["q"], g) < 1e-8
+    assert omega_commutator_residual(UNIT["q"], UNIT["p"], g) < 1e-8
+    # the curl comes from the action form for any pair of tangents
+    u, v = np.array([0.3, -1.2, 0.5]), np.array([1.0, 0.4, -0.7])
+    assert omega_commutator_residual(u, v, g) < 1e-8
+
+
+def test_fiber_form_is_linear_in_the_tangent_and_blind_to_ds():
+    f = gaussian_shape(n=192, half_width=9, width=0.8, momentum=0.7)
+    dx = np.array([0.3, -1.2, 0.5])
+    expect = 0.5 * f.grid.points * f.values - 1.2j * f.derivative().values
+    assert np.abs(fiber_form(dx, f).values - expect).max() < 1e-13
+    assert not fiber_form(UNIT["s"], f).values.any()
 
 
 def test_compose_constant_manifold_matches_elementary():
@@ -135,10 +163,8 @@ def test_compose_constant_manifold_matches_elementary():
     # the superposition constant
     lam = 0.5
     f = gaussian_shape()
-    x0 = PacketPoint(0.2, 0.3, -0.1)
-    manifold = PacketManifold(
-        s_of=lambda a: x0.s, q_of=lambda a: x0.q, p_of=lambda a: x0.p,
-        alphas=np.linspace(0, 1, 8), periodic_span=None)
+    x0 = np.array([0.2, 0.3, -0.1])
+    manifold = PacketManifold(lambda a: x0, alphas=np.linspace(0, 1, 8))
     cp = ComposedPacket(manifold, f)
     grid = packet_grid(x0, f, lam)
     composed = compose_packet(cp, lam, grid)
@@ -155,7 +181,8 @@ def test_compose_harmonic_orbit_localized():
     from semiclab.packets import asymptotic_inner
 
     lam = 0.01
-    cp = ComposedPacket(harmonic_orbit(256), gaussian_shape(n=128, half_width=8))
+    cp = ComposedPacket(harmonic_orbit_manifold(256),
+                        gaussian_shape(n=128, half_width=8))
     grid = UniformGrid.centered(2.2, 1024)
     wave = compose_packet(cp, lam, grid, isotropy_tol=1e-8, self_check=1e-6)
     fiber_value = asymptotic_inner(cp, cp).real
@@ -173,7 +200,7 @@ def test_compose_harmonic_orbit_localized():
 
 def test_compose_self_check_catches_coarse_grid():
     lam = 1e-3
-    cp = ComposedPacket(harmonic_orbit(12), gaussian_shape(n=128, half_width=8))
+    cp = ComposedPacket(harmonic_orbit_manifold(12), gaussian_shape(n=128, half_width=8))
     grid = UniformGrid.centered(1.8, 2048)
     with pytest.raises(ValueError):
         compose_packet(cp, lam, grid, self_check=1e-6)
@@ -182,8 +209,8 @@ def test_compose_self_check_catches_coarse_grid():
 def test_direct_norm_matches_fiber_norm_on_orbit():
     # closed form for vacuum-width fibers on the unit orbit:
     # per-alpha fiber value 2 sqrt(pi), total 2 pi * 2 sqrt(pi)
-    cp = ComposedPacket(harmonic_orbit(64), gaussian_shape())
-    direct = direct_inner(cp, cp, lam=0.01, n_u=48, u_span=12.0)
+    cp = ComposedPacket(harmonic_orbit_manifold(64), gaussian_shape())
+    direct = direct_inner(cp, cp, lam=0.01, n_u=48)
     asymptotic = asymptotic_inner(cp, cp)
     exact = 2 * math.pi * 2 * math.sqrt(math.pi)
     assert asymptotic.real == pytest.approx(exact, rel=1e-8)
@@ -192,7 +219,7 @@ def test_direct_norm_matches_fiber_norm_on_orbit():
 
 
 def test_inner_composed_convergence_slope():
-    cp = ComposedPacket(harmonic_orbit(64), gaussian_shape())
+    cp = ComposedPacket(harmonic_orbit_manifold(64), gaussian_shape())
     lams = [1e-1, 1e-2, 1e-3, 1e-4]
     asymptotic = asymptotic_inner(cp, cp)
     gaps = [abs(direct_inner(cp, cp, lam=lam) - asymptotic) / abs(asymptotic)
@@ -209,12 +236,8 @@ def test_broken_isotropy_norm_collapse():
     from semiclab.packets import direct_inner
 
     broken = PacketManifold(
-        s_of=lambda a: 1.5 * a,
-        q_of=math.cos,
-        p_of=lambda a: -math.sin(a),
-        alphas=np.linspace(0, 2 * np.pi, 32, endpoint=False),
-        periodic_span=2 * np.pi,
-    )
+        lambda a: np.array([1.5 * a, math.cos(a), -math.sin(a)]),
+        np.linspace(0, 2 * np.pi, 32, endpoint=False), periodic_span=2 * np.pi)
     assert broken.isotropy_residual() > 0.4
     cp = ComposedPacket(broken, gaussian_shape())
     lams = [0.1, 0.05, 0.02, 0.01]
@@ -229,7 +252,7 @@ def test_broken_isotropy_norm_collapse():
 def test_fibers_on_different_grids_are_rejected():
     # the same Gaussian on half-widths 10 and 8: pairing samples index by
     # index would mis-pair them (22.2659 against 22.2362 for direct_inner)
-    orbit = harmonic_orbit(64)
+    orbit = harmonic_orbit_manifold(64)
     wide = gaussian_shape(half_width=10)
     narrow = gaussian_shape(half_width=8)
     cp1 = ComposedPacket(orbit, wide)
@@ -242,7 +265,8 @@ def test_fibers_on_different_grids_are_rejected():
 
 
 def test_direct_inner_callable_fiber_matches_constant_fiber():
-    cp = ComposedPacket(harmonic_orbit(16), gaussian_shape(n=128, half_width=8))
+    cp = ComposedPacket(harmonic_orbit_manifold(16),
+                        gaussian_shape(n=128, half_width=8))
     same = ComposedPacket(cp.manifold, lambda a: cp.fiber)
     ref = direct_inner(cp, cp, lam=0.01)
     assert abs(direct_inner(cp, same, lam=0.01) - ref) < 1e-12 * abs(ref)
@@ -252,7 +276,7 @@ def test_pairings_weight_both_densities():
     # the grid inner product of the composed waves weights alpha by rho1 and
     # alpha' by rho2; a plain packet against rho^2 pairs like rho against rho
     lam = 0.01
-    plain = harmonic_orbit(128)
+    plain = harmonic_orbit_manifold(128)
 
     def rho(a):
         return 1 + 0.5 * math.cos(a)
@@ -272,7 +296,7 @@ def test_pairings_weight_both_densities():
 
 
 def test_gauge_transform_trivial():
-    cp = ComposedPacket(harmonic_orbit(16), gaussian_shape())
+    cp = ComposedPacket(harmonic_orbit_manifold(16), gaussian_shape())
     zero = ShapeFunction(cp.fiber_at(0.0).grid,
                          np.zeros(cp.fiber_at(0.0).grid.n, dtype=complex))
     same = gauge_transform(cp, zero)
@@ -284,7 +308,7 @@ def test_gauge_invariance_of_projection_and_inner():
     from semiclab.packets import asymptotic_inner
 
     shape = gaussian_shape(half_width=8, n=512)
-    cp = ComposedPacket(harmonic_orbit(32), shape)
+    cp = ComposedPacket(harmonic_orbit_manifold(32), shape)
     chi = gaussian_shape(half_width=8, n=512, width=0.8, center=0.4)
     gauged = gauge_transform(cp, chi.scaled(0.3))
     f0 = project_fiber(cp, 0.7)
@@ -299,7 +323,8 @@ def test_fiber_integrals_reject_fibers_that_do_not_decay_at_the_edge():
     # a width-1 Gaussian on half-width 6 ends at 1.5e-8 of its peak
     from semiclab.packets import asymptotic_inner
 
-    cp = ComposedPacket(harmonic_orbit(8), gaussian_shape(half_width=6, n=512))
+    cp = ComposedPacket(harmonic_orbit_manifold(8),
+                        gaussian_shape(half_width=6, n=512))
     with pytest.raises(ValueError, match="at alpha = 0: fiber does not decay "
                        "at its grid edge"):
         asymptotic_inner(cp, cp)
@@ -320,9 +345,8 @@ def test_asymptotic_inner_rejects_degenerate_tangent():
     # Q = cos(alpha) with P = 0 stalls at alpha = 0, where (dQ, dP) = (0, 0):
     # the displacement is the identity, so the beta integral of a constant
     # pairing has no box
-    stalled = PacketManifold(
-        s_of=lambda a: 0.0, q_of=math.cos, p_of=lambda a: 0.0,
-        alphas=np.array([-0.5, 0.0, 0.5]))
+    stalled = PacketManifold(lambda a: np.array([0.0, math.cos(a), 0.0]),
+                             np.array([-0.5, 0.0, 0.5]))
     cp = ComposedPacket(stalled, gaussian_shape())
     with pytest.raises(ValueError, match="alpha = 0: degenerate tangent"):
         asymptotic_inner(cp, cp)
@@ -331,16 +355,15 @@ def test_asymptotic_inner_rejects_degenerate_tangent():
 def test_asymptotic_inner_rejects_unresolved_alias_limit():
     # at dQ = 0 the pairing of a width-0.3 Gaussian on 64 samples is its
     # squared modulus's Fourier transform, still 0.57 at the alias limit
-    manifold = PacketManifold(
-        s_of=lambda a: 0.0, q_of=lambda a: 0.0, p_of=lambda a: a,
-        alphas=np.linspace(-1, 1, 5))
+    manifold = PacketManifold(lambda a: np.array([0.0, 0.0, a]),
+                              np.linspace(-1, 1, 5))
     cp = ComposedPacket(manifold, gaussian_shape(n=64, width=0.3))
     with pytest.raises(ValueError, match="xi-grid cannot resolve the fiber"):
         asymptotic_inner(cp, cp)
 
 
 def test_project_fiber_zero():
-    cp = ComposedPacket(harmonic_orbit(16),
+    cp = ComposedPacket(harmonic_orbit_manifold(16),
                         gaussian_shape().scaled(0.0))
     out = project_fiber(cp, 1.2)
     assert np.abs(out.values).max() == 0.0
@@ -349,9 +372,8 @@ def test_project_fiber_zero():
 def test_project_fiber_gaussian_shift_closed_form():
     # pure Q-shift direction: f = int g(xi - beta) dbeta = integral of g,
     # constant in xi
-    manifold = PacketManifold(
-        s_of=lambda a: 0.0, q_of=lambda a: a, p_of=lambda a: 0.0,
-        alphas=np.linspace(-1, 1, 9))
+    manifold = PacketManifold(lambda a: np.array([0.0, a, 0.0]),
+                              np.linspace(-1, 1, 9))
     g = gaussian_shape()
     cp = ComposedPacket(manifold, g)
     f = project_fiber(cp, 0.0)
@@ -366,43 +388,58 @@ def test_project_fiber_invariance():
     # fiber, whose modulus does not decay (round Gaussians project to pure
     # chirps, so no rapidly decaying invariant shape exists); the ringing
     # grows with the spacing, so the grid wide enough for the shape to decay
-    # at its edge, as fiber integrals require, takes twice the samples
-    cp = ComposedPacket(harmonic_orbit(16), gaussian_shape(half_width=8, n=1024))
+    # at its edge, as fiber integrals require, takes twice the samples.
+    # The projected fiber does not decay at its own edge, so
+    # fiber_displacement rejects it, and the displacement is taken by its
+    # unchecked kernel
+    cp = ComposedPacket(harmonic_orbit_manifold(16),
+                        gaussian_shape(half_width=8, n=1024))
     alpha = 0.9
     f = project_fiber(cp, alpha)
-    _, dq, dp = cp.manifold.tangent(alpha)
-    moved = fiber_displacement(f, dp, dq, 0.3)
+    moved = _displaced_rows(f, cp.manifold.tangent(alpha), 0.3)[0]
     window = np.abs(f.grid.points) < 3.0
     scale = np.abs(f.values[window]).max()
-    assert np.abs(moved.values[window] - f.values[window]).max() < 1e-4 * scale
+    assert np.abs(moved[window] - f.values[window]).max() < 1e-4 * scale
+
+
+def test_fiber_displacement_rejects_a_fiber_that_does_not_decay_at_the_edge():
+    # the projection of a round Gaussian is a chirp that ends at 1.0 of its
+    # peak; its displacement would ring over the whole grid, 2.4e-4 of the
+    # peak off invariance inside |xi| < 3 where the n = 1024 grid gives 7.5e-6
+    cp = ComposedPacket(harmonic_orbit_manifold(16),
+                        gaussian_shape(half_width=8, n=512))
+    f = project_fiber(cp, 0.9)
+    assert f.tail_fraction() > 0.99
+    with pytest.raises(ValueError, match="fiber does not decay at its grid edge"):
+        fiber_displacement(f, cp.manifold.tangent(0.9), 0.3)
+    with pytest.raises(ValueError, match="fiber does not decay at its grid edge"):
+        project_fiber(ComposedPacket(cp.manifold, f), 0.9)
 
 
 def test_project_fiber_flat_direction_raises():
-    manifold = PacketManifold(
-        s_of=lambda a: 0.0, q_of=lambda a: 1.0, p_of=lambda a: a,
-        alphas=np.linspace(-1, 1, 9))
+    manifold = PacketManifold(lambda a: np.array([0.0, 1.0, a]),
+                              np.linspace(-1, 1, 9))
     cp = ComposedPacket(manifold, gaussian_shape())
     with pytest.raises(ValueError):
         project_fiber(cp, 0.0)
 
 
 def test_expansion_check_beta_zero():
-    slope, errors = expansion_check(harmonic_orbit(), gaussian_shape(),
+    slope, errors = expansion_check(harmonic_orbit_manifold(), gaussian_shape(),
                                     beta=0.0, lams=[1e-1, 1e-2], alpha=0.3)
     assert max(errors) < 1e-12
 
 
 def test_expansion_check_linear_curve_exact():
-    line = PacketManifold(
-        s_of=lambda a: 0.4 * a, q_of=lambda a: a, p_of=lambda a: 0.7,
-        alphas=np.linspace(-1, 1, 9))
+    line = PacketManifold(lambda a: np.array([0.4 * a, a, 0.7]),
+                          np.linspace(-1, 1, 9))
     slope, errors = expansion_check(line, gaussian_shape(), beta=0.8,
                                     lams=[1e-1, 1e-2, 1e-3], alpha=0.1)
     assert max(errors) < 1e-9
 
 
 def test_expansion_check_orbit_slope():
-    slope, errors = expansion_check(harmonic_orbit(), gaussian_shape(),
+    slope, errors = expansion_check(harmonic_orbit_manifold(), gaussian_shape(),
                                     beta=0.7, lams=[1e-1, 1e-2, 1e-3, 1e-4],
                                     alpha=0.5)
     assert slope >= 0.45
@@ -412,14 +449,14 @@ def test_expansion_check_orbit_slope():
 def test_splitstep_free_motion():
     lam = 0.1
     f = gaussian_shape(n=256)
-    x0 = PacketPoint(0.0, -0.5, 0.8)
+    x0 = np.array([0.0, -0.5, 0.8])
     grid = UniformGrid.centered(4.0, 1024)
     psi = k_lambda(x0, f, lam, grid)
     evolved = splitstep_evolve(psi, SplitStepProblem.polynomial([0.0]), t=1.0,
                                dt=1e-3)
     q, p = wave_moments(evolved)
-    assert q == pytest.approx(x0.q + x0.p * 1.0, abs=1e-8)
-    assert p == pytest.approx(x0.p, abs=1e-8)
+    assert q == pytest.approx(x0[1] + x0[2] * 1.0, abs=1e-8)
+    assert p == pytest.approx(x0[2], abs=1e-8)
     assert abs(evolved.norm() - psi.norm()) < 1e-10
 
 
@@ -427,7 +464,7 @@ def test_splitstep_harmonic_center_follows_classical():
     lam = 0.1
     f = gaussian_shape(n=192, half_width=6)
     q0, p0 = 1.0, 0.0
-    x0 = PacketPoint(0.0, q0, p0)
+    x0 = np.array([0.0, q0, p0])
     grid = UniformGrid.centered(4.5, 1024)
     psi = k_lambda(x0, f, lam, grid)
     problem = SplitStepProblem.polynomial([0.0, 0.0, 0.5])  # x^2/2
@@ -441,7 +478,7 @@ def test_splitstep_harmonic_center_follows_classical():
 
 def _harmonic_wave():
     f = gaussian_shape(n=128, half_width=6)
-    x0 = PacketPoint(0.0, 1.0, 0.0)
+    x0 = np.array([0.0, 1.0, 0.0])
     return k_lambda(x0, f, 0.1, UniformGrid.centered(4.5, 512))
 
 
@@ -528,7 +565,7 @@ def test_splitstep_matches_the_numpy_loop(n, problem, potential):
     # the in-place scipy.fft loop against the allocating numpy.fft one,
     # which evaluates the potential as a callable of (x, t) at every kick
     f = gaussian_shape(n=128, half_width=6)
-    psi = k_lambda(PacketPoint(0.0, 1.0, 0.3), f, 0.1,
+    psi = k_lambda(np.array([0.0, 1.0, 0.3]), f, 0.1,
                    UniformGrid.centered(4.5, n))
     before = psi.values.copy()
     out = splitstep_evolve(psi, problem, 0.2, 1e-3)
@@ -642,7 +679,7 @@ def test_wkb_fiber_term_evolves_as_the_callable_it_replaced(monkeypatch):
 def test_splitstep_resolution_guard():
     lam = 1e-3
     f = gaussian_shape(n=128, half_width=6)
-    x0 = PacketPoint(0.0, 0.0, 1.0)  # oscillation e^(i x / lam)
+    x0 = np.array([0.0, 0.0, 1.0])  # oscillation e^(i x / lam)
     grid = UniformGrid.centered(2.0, 128)  # far too coarse for k ~ 1000
     with pytest.raises(ValueError):
         psi = k_lambda(x0, f, lam, grid)
@@ -681,13 +718,14 @@ def test_at_shifted_grid_matches_dense_interpolation(n):
 def test_displaced_rows_match_closed_form_through_at():
     g = gaussian_shape(half_width=8, n=192, width=0.8, center=-0.4, momentum=0.6)
     a, b = 0.7, -1.3
+    dx = np.array([0.4, b, a])  # dS does not displace the fiber
     betas = np.array([0.0, 0.25, -0.8, 1.9, -3.1])
     xi = g.grid.points
     expect = np.array([
         np.exp(-0.5j * beta**2 * a * b) * np.exp(1j * beta * a * xi)
         * g.at(xi - beta * b) for beta in betas])
-    assert np.abs(_displaced_rows(g, a, b, betas) - expect).max() < 1e-13
-    moved = fiber_displacement(g, a, b, betas[3])
+    assert np.abs(_displaced_rows(g, dx, betas) - expect).max() < 1e-13
+    moved = fiber_displacement(g, dx, betas[3])
     assert np.abs(moved.values - expect[3]).max() < 1e-13
 
 
@@ -703,13 +741,14 @@ def test_fit_loglog_slope_rejects_unequal_lengths():
         fit_loglog_slope([0.1, 0.01, 0.001], [1e-3, 1e-4])
 
 
-def _scanned_span(g1, g2, a, b, target=1e-13, cap=200.0):
+def _scanned_span(g1, g2, dx, target=1e-13, cap=200.0):
     # the oracle: every one of the 400 probes, both signs
+    a = dx[2]
     if abs(a) > 1e-12:
         cap = min(cap, 0.5 * math.pi / (g1.grid.spacing * abs(a)))
     scale = max(g1.norm() * g2.norm(), 1e-30)
     probe = np.linspace(0.05, cap, 400)
-    both = _displacement_pairings(g1, g2, a, b, np.concatenate([probe, -probe]))
+    both = _displacement_pairings(g1, g2, dx, np.concatenate([probe, -probe]))
     vals = np.abs(both).reshape(2, -1).max(axis=0)
     for j in range(len(probe)):
         if (vals[j:] <= target * scale).all():
@@ -717,19 +756,17 @@ def _scanned_span(g1, g2, a, b, target=1e-13, cap=200.0):
     return cap
 
 
-def _boxed_integral(g1, g2, a, b):
-    span, order = _beta_box(g1, g2, a, b)
+def _boxed_integral(g1, g2, dx):
+    span, order = _beta_box(g1, g2, dx)
     nodes, weights = gauss_legendre(order)
-    return span * np.sum(weights * _displacement_pairings(g1, g2, a, b,
-                                                          nodes * span))
+    return span * np.sum(weights * _displacement_pairings(g1, g2, dx, nodes * span))
 
 
-def _resolved_scan_integral(g1, g2, a, b):
+def _resolved_scan_integral(g1, g2, dx):
     # the reference: 2000 nodes on the full scan's span
-    span = _scanned_span(g1, g2, a, b)
+    span = _scanned_span(g1, g2, dx)
     nodes, weights = gauss_legendre(2000)
-    return span * np.sum(weights * _displacement_pairings(g1, g2, a, b,
-                                                          nodes * span))
+    return span * np.sum(weights * _displacement_pairings(g1, g2, dx, nodes * span))
 
 
 def test_beta_box_integral_matches_scan_on_harmonic_orbit():
@@ -738,9 +775,9 @@ def test_beta_box_integral_matches_scan_on_harmonic_orbit():
     g = gaussian_shape()
     manifold = harmonic_orbit_manifold()
     for alpha in manifold.alphas[::2]:
-        _, dq, dp = manifold.tangent(float(alpha))
-        new = _boxed_integral(g, g, dp, dq)
-        ref = _resolved_scan_integral(g, g, dp, dq)
+        dx = manifold.tangent(float(alpha))
+        new = _boxed_integral(g, g, dx)
+        ref = _resolved_scan_integral(g, g, dx)
         assert abs(new - ref) <= 1e-12 * g.norm() ** 2
 
 
@@ -766,6 +803,7 @@ def test_beta_box_integral_matches_scan_on_revival_set():
               + gaussian_shape(width=0.3, center=6.0))
     cases.append((narrow, narrow, 0.0, 4.0))
     for g1, g2, a, b in cases:
-        new = _boxed_integral(g1, g2, a, b)
-        ref = _resolved_scan_integral(g1, g2, a, b)
+        dx = np.array([0.0, b, a])
+        new = _boxed_integral(g1, g2, dx)
+        ref = _resolved_scan_integral(g1, g2, dx)
         assert abs(new - ref) <= 1e-12 * g1.norm() * g2.norm()
