@@ -25,9 +25,16 @@ only where it is read.
 A ``GeneratorPath`` declares H_t = sum_j f_j(t) H_j: fixed generators,
 validated once when built, times real scalar profiles.  Every route builds
 each term's operator once, so no stepping loop builds a generator.  One
-rule, ``profile_sum``, forms every profiled sum, here and in the split-step
-potential of ``packets``: it names a profile value that is not finite by
-its term and time.
+rule, ``profile_sum``, tabulates the profiles over many times and forms
+every profiled sum, here and in the split-step potential of ``packets``:
+each profile is evaluated once per distinct time, and a value that is not
+finite is named by its term and time before any step is taken.  An RK4
+step reads its right-hand side only at t, t + h/2 and t + h, and t + h is
+the next step's t, so n steps read 2n + 1 times (``_stage_times``); a
+stage only looks its row up.  The linear flow steps with one product
+K(tau) [F; G] per stage, a constant path uses one matrix for every stage,
+and the direct routes of a time-dependent path tabulate only the profile
+values, never one matrix per stage.
 
 ``compose_flows`` composes flows exactly, metaplectic phase included, so a
 product of evolutions stays one flow until ``propagator_from_flow``.
@@ -39,6 +46,7 @@ Runge-Kutta step ``rk4_step`` and one driver ``rk4`` with its step count
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,6 +99,7 @@ _PICARD_GRID = 801  # Simpson nodes of each Picard iterate (odd)
 _INVARIANT_GATE = 1e-6
 _NORM_GATE = 1e-6
 _RICCATI_STRIDE = 10
+_STAGE_BLOCK = 64  # rows of a stage table formed at a time
 
 
 class FlowError(RuntimeError):
@@ -120,6 +129,27 @@ def step_count(t: float, dt: float) -> int:
     return max(1, math.ceil(t / dt * (1 - 1e-12))) if t > 0 else 0
 
 
+def _rk4_steps(t: float, dt: float):
+    """(start, length) of each step of ``rk4`` over [0, t]: steps of dt, the
+    last one shortened to land on t."""
+    now = 0.0
+    for _ in range(step_count(t, dt)):
+        h = min(dt, t - now)
+        yield now, h
+        now += h
+
+
+def _stage_times(t: float, dt: float) -> list:
+    """The distinct times, in order, at which ``rk4`` over [0, t] in steps
+    of dt reads its right-hand side, as ``rk4_step`` forms them: each
+    step's start and midpoint, then the end (2n + 1 times for n steps)."""
+    times, end = [], []
+    for now, h in _rk4_steps(t, dt):
+        times += (now, now + h / 2)
+        end = [now + h]
+    return times + end
+
+
 def rk4(rhs: Callable, y0, t: float, dt: float, keep: bool = False):
     """Integrate y' = rhs(t, y) from y(0) = y0 to time t with ``rk4_step``.
 
@@ -127,14 +157,12 @@ def rk4(rhs: Callable, y0, t: float, dt: float, keep: bool = False):
     y(t), or with ``keep`` the arrays (times, states) of every step,
     starting with (0, y0).
     """
-    now, y = 0.0, y0
-    times, ys = [now], [y0]
-    for _ in range(step_count(t, dt)):
-        h = min(dt, t - now)
+    y = y0
+    times, ys = [0.0], [y0]
+    for now, h in _rk4_steps(t, dt):
         y = rk4_step(rhs, now, y, h)
-        now += h
         if keep:
-            times.append(now)
+            times.append(now + h)
             ys.append(y)
     return (np.array(times), np.array(ys)) if keep else y
 
@@ -148,25 +176,81 @@ def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray
     return re + 1j * im
 
 
-def profile_sum(terms: Sequence[tuple], t: float, *per_term: Sequence) -> tuple:
-    """The profile values and the profiled sums of a declared sum of terms.
+def _weighted(terms: Sequence[tuple], w: Sequence, parts: Sequence):
+    """sum_j w[j] parts[j], summed left to right, a constant term's part
+    added unscaled.  ``w`` holds one profile value per term, or one column
+    of values per term shaped to broadcast against its part, which gives
+    the stacked sums."""
+    total = None
+    for (f, _), wj, part in zip(terms, w, parts):
+        if f is None:
+            total = part if total is None else total + part
+        else:
+            scaled = wj * part
+            # total + scaled, written over scaled: a table's sum holds two
+            # tables at a time, not three
+            total = scaled if total is None else np.add(total, scaled, out=scaled)
+    return total
+
+
+def profile_sum(terms: Sequence[tuple], times: Sequence[float],
+                *per_term: Sequence) -> tuple:
+    """The profile values and the profiled sums of a declared sum of terms,
+    tabulated over ``times``.
 
     ``terms`` are pairs whose first entries are the real profiles f_j of t,
-    None for the constant 1.  Returns (w, sums): w_j = f_j(t), None for a
-    constant term, and for each list ``parts`` of per-term values the sum
-    sum_j w_j parts[j], a constant term's part added unscaled.  A profile
-    value that is not finite raises, naming its term and t.
+    None for the constant 1.  Each profile is evaluated once per time and
+    the table is checked once: a value that is not finite raises, naming its
+    term and the first of ``times`` at which it occurs.  Returns (w, sums):
+    the table w[i, j] = f_j(times[i]), 1 for a constant term, and for each
+    list ``parts`` of per-term values the stacked sums
+    sum_j w[i, j] parts[j], a constant term's part added unscaled, so row i
+    is bitwise the sum at times[i] alone.
     """
-    weights = tuple(None if f is None else float(f(t)) for f, _ in terms)
-    for j, w in enumerate(weights):
-        if not (w is None or math.isfinite(w)):
-            raise ValueError(f"the profile of term {j} is {w} at t={t}")
+    times = list(times)
+    w = np.ones((len(times), len(terms)))
+    for j, (f, _) in enumerate(terms):
+        if f is not None:
+            w[:, j] = [float(f(tau)) for tau in times]
+    bad = np.argwhere(~np.isfinite(w))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"the profile of term {j} is {float(w[i, j])} at t={times[i]}")
+    return w, tuple(_stacked(terms, w, parts) for parts in per_term)
 
-    def total(parts: Sequence):
-        scaled = [part if w is None else w * part for w, part in zip(weights, parts)]
-        return sum(scaled[1:], scaled[0])
 
-    return weights, tuple(total(parts) for parts in per_term)
+def _stacked(terms: Sequence[tuple], w: np.ndarray, parts: Sequence) -> np.ndarray:
+    """The stacked sums sum_j w[i, j] parts[j] over the rows of a table w of
+    profile values (``_weighted`` on its columns)."""
+    shape = np.shape(parts[0])
+    columns = w.T.reshape(w.T.shape + (1,) * len(shape))
+    return np.broadcast_to(_weighted(terms, columns, parts), (len(w),) + shape)
+
+
+def _stage_reader(terms: Sequence[tuple],
+                  rows: Callable[[slice], Sequence]) -> Callable:
+    """The reader of a table of the terms over ``_stage_times`` for one run
+    of ``rk4``: called once per stage, in order, it returns the stage's row.
+    ``rk4_step`` reads t, t + h/2, t + h/2 and t + h, so stage 4k + i of
+    the run reads row 2k + (0, 1, 1, 2)[i].  The rows are read in order,
+    so ``rows(block)`` forms them ``_STAGE_BLOCK`` at a time, and a long run
+    holds one block of a table, not all of it.  With no profiled term every
+    row is the same, formed at the first read."""
+    if all(f is None for f, _ in terms):
+        return functools.cache(lambda: rows(slice(0, 1))[0])
+    stages = itertools.count()
+    block = [-1, None]  # first row, rows
+
+    def read():
+        s = next(stages)
+        row = 2 * (s >> 2) + (0, 1, 1, 2)[s & 3]
+        first = row - row % _STAGE_BLOCK
+        if first != block[0]:
+            block[:] = first, None
+            block[1] = rows(slice(first, first + _STAGE_BLOCK))
+        return block[1][row - first]
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -176,7 +260,8 @@ class GeneratorPath:
     ``terms`` holds pairs (f_j, H_j) of a real profile f_j of t, or None for
     the constant 1, and a fixed ``QuadraticGenerator`` H_j, validated once
     when it was built.  The integrators build each term's operator once and
-    combine the operators with the profile values at every stage.
+    combine the operators with the profile values, tabulated once per
+    distinct stage time.
     """
 
     terms: Sequence[tuple[Optional[Callable[[float], float]], QuadraticGenerator]]
@@ -195,12 +280,13 @@ class GeneratorPath:
         return self.terms[0][1].modes
 
     def __call__(self, t: float) -> QuadraticGenerator:
-        return QuadraticGenerator(*self._blocks(t))
+        return QuadraticGenerator(*(table[0] for table in self._blocks([t])))
 
-    def _blocks(self, t: float) -> tuple:
-        """(H++, H+-, hbar) of H_t, with no generator built."""
+    def _blocks(self, times: Sequence[float]) -> tuple:
+        """(H++, H+-, hbar) of H_t stacked over ``times``, with no generator
+        built."""
         gens = [gen for _, gen in self.terms]
-        return profile_sum(self.terms, t, [g.hpp for g in gens],
+        return profile_sum(self.terms, times, [g.hpp for g in gens],
                            [g.hpm for g in gens], [g.hbar for g in gens])[1]
 
     def check_time(self, t: float) -> None:
@@ -298,35 +384,40 @@ def integrate_flow(
 ) -> BogoliubovFlow:
     """Integrate the linear flow equations from (F, G) = (0, 1) to time t.
 
-    ``rk4`` steps the packed state [vec [F; G], theta] of the linear system
-    [F; G]' = K(tau) [F; G], theta' = 1/2 tr H+- - hbar with a fixed dt
-    (the final step is shortened to land on t exactly) and keeps every step
-    as the trajectory.  The phase c = det(G)^(-1/2) e^(i theta) is formed
-    at every kept step, its root continued over them, and M = F G^-1 only
-    at the end point.  Every stage's G is checked against ``cond_limit`` in
-    one batched cond after the loop.  Each term's K_j and theta'_j are built
-    once; a stage combines them with the profile values.
+    ``rk4`` steps the (2d, d) state [F; G] of the linear system
+    [F; G]' = K(tau) [F; G] with a fixed dt (the final step is shortened to
+    land on t exactly) and keeps every step as the trajectory; the same
+    ``rk4`` steps the scalar theta' = 1/2 tr H+- - hbar.  Each term's K_j
+    and theta'_j are built once, ``profile_sum`` tabulates the profile
+    values once per distinct stage time, and K(tau) and theta'(tau) are
+    stacked from them a block of stage times at a time, so a stage is one
+    table read and one matrix product.  The phase
+    c = det(G)^(-1/2) e^(i theta) is formed at every kept step, its root
+    continued over them, and M = F G^-1 only at the end point.  Every
+    stage's G is checked against ``cond_limit`` in one batched cond after
+    the loop.
     """
     path.check_time(t)
     d = path.modes
-    n = 2 * d * d
     stage_g = np.empty((4 * step_count(t, dt), d, d), dtype=complex)
     stages = itertools.count()
     ks, rates = zip(*(_linear_system(gen) for _, gen in path.terms))
+    w = profile_sum(path.terms, _stage_times(t, dt))[0]
+    k_at = _stage_reader(path.terms, lambda rows: _stacked(path.terms, w[rows], ks))
+    rate_at = _stage_reader(path.terms,
+                            lambda rows: _stacked(path.terms, w[rows], rates).tolist())
 
-    def rhs(tau, y):
-        fg = y[:n].reshape(2 * d, d)
+    def rhs(_, fg):
         stage_g[next(stages)] = fg[d:]
-        _, (k, rate) = profile_sum(path.terms, tau, ks, rates)
-        return np.concatenate([(k @ fg).ravel(), [rate]])
+        return k_at() @ fg
 
-    y0 = np.concatenate([np.zeros(d * d), np.eye(d).ravel(), [0.0]]).astype(complex)
-    times, ys = rk4(rhs, y0, t, dt, keep=True)
+    fg0 = np.concatenate([np.zeros((d, d)), np.eye(d)]).astype(complex)
+    times, fgs = rk4(rhs, fg0, t, dt, keep=True)
+    _, thetas = rk4(lambda *_: rate_at(), 0.0, t, dt, keep=True)
     if not np.all(np.linalg.cond(stage_g) <= cond_limit):
         raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
-    fgs = ys[:, :n].reshape(-1, 2 * d, d)
     fs, gs = fgs[:, :d], fgs[:, d:]
-    c = _metaplectic_phase(gs, ys[:, -1].real)[-1]
+    c = _metaplectic_phase(gs, thetas)[-1]
     f, g = fs[-1], gs[-1]
     flow = BogoliubovFlow(
         f=f, g=g, m=_split_m(f, g, cond_limit), c=c, t=float(times[-1]),
@@ -391,19 +482,19 @@ def riccati_residual(flow: BogoliubovFlow, path: GeneratorPath) -> float:
     """Max residual of i dM/dt = H++ + H+- M + M H-+ + M H-- M.
 
     dM/dt is taken by central differences on the stored trajectory, at
-    every tenth step.
+    every tenth step, with the path's blocks tabulated once at those steps.
     """
     if flow.times is None or len(flow.times) < 3:
         raise ValueError("flow carries no trajectory (or it is too short)")
     times = flow.times
     ms = _split_m(flow.fs, flow.gs, 1e12)
+    steps = np.diff(times)
+    rows = [j for j in range(1, len(times) - 1, _RICCATI_STRIDE)
+            if abs(steps[j - 1] - steps[j]) <= 1e-12 * max(steps[j - 1], steps[j])]
+    hpps, hpms, _ = path._blocks([float(times[j]) for j in rows])
     worst = 0.0
-    for j in range(1, len(times) - 1, _RICCATI_STRIDE):
-        h1, h2 = times[j] - times[j - 1], times[j + 1] - times[j]
-        if abs(h1 - h2) > 1e-12 * max(h1, h2):
-            continue
-        dm = (ms[j + 1] - ms[j - 1]) / (h1 + h2)
-        hpp, hpm, _ = path._blocks(float(times[j]))
+    for j, hpp, hpm in zip(rows, hpps, hpms):
+        dm = (ms[j + 1] - ms[j - 1]) / (steps[j - 1] + steps[j])
         m = ms[j]
         rhs = hpp + hpm @ m + m @ hpm.conj() + m @ np.conj(hpp) @ m
         worst = max(worst, float(np.linalg.norm(1j * dm - rhs, 2)))
@@ -425,18 +516,18 @@ def picard_flow(
 ) -> PicardResult:
     """Partial sums of the iterated-integral series for the (F, G) system.
 
-    Works in the lab frame: Y_tau = H+-_tau, Z_tau = H++_tau,
-    f/g accumulate the Picard iterates; the last-term norm is returned as a
-    convergence certificate (and checked against ``tol`` unless None).
+    Works in the lab frame: Y_tau = H+-_tau, Z_tau = H++_tau, tabulated
+    once over the Simpson nodes by ``profile_sum``; f/g accumulate the
+    Picard iterates; the last-term norm is returned as a convergence
+    certificate (and checked against ``tol`` unless None).  A t outside the
+    path's domain raises ``ValueError``.
     """
+    path.check_time(t)
     if n_terms < 1:
         raise ValueError("need at least one term")
     d = path.modes
     taus = np.linspace(0.0, t, _PICARD_GRID)
-    ys = np.empty((_PICARD_GRID, d, d), dtype=complex)
-    zs = np.empty((_PICARD_GRID, d, d), dtype=complex)
-    for j, tau in enumerate(taus):
-        zs[j], ys[j], _ = path._blocks(float(tau))
+    zs, ys, _ = path._blocks(taus.tolist())
     f_n = np.zeros((_PICARD_GRID, d, d), dtype=complex)
     g_n = np.tile(np.eye(d, dtype=complex), (_PICARD_GRID, 1, 1))
     f_sum = f_n.copy()
@@ -515,10 +606,21 @@ def propagate_gaussian(
     return state
 
 
-def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis) -> Callable:
-    """-i H_t psi, with each term's matrix of H_t assembled once."""
+def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis, t: float,
+                      dt: float) -> Callable:
+    """-i H_tau psi at the stage times of ``rk4`` over [0, t] in steps of dt.
+
+    Each term's matrix is assembled once.  A constant path uses one matrix
+    H for every stage; otherwise the profile values are tabulated once, and
+    a stage sums the matrices with its row.
+    """
     hs = [quadratic_matrix(gen, basis) for _, gen in path.terms]
-    return lambda tau, psi: -1j * (profile_sum(path.terms, tau, hs)[1][0] @ psi)
+    if all(f is None for f, _ in path.terms):
+        h = _weighted(path.terms, [1.0] * len(hs), hs)
+        return lambda tau, psi: -1j * (h @ psi)
+    w = profile_sum(path.terms, _stage_times(t, dt))[0]
+    w_at = _stage_reader(path.terms, lambda rows: w[rows].tolist())
+    return lambda _, psi: -1j * (_weighted(path.terms, w_at(), hs) @ psi)
 
 
 @dataclass(frozen=True)
@@ -537,12 +639,13 @@ def propagate_direct(
 
     The compressed H_t is Hermitian, so the exact truncated flow is unitary;
     the reported norm drift isolates pure integrator error, and a drift
-    above 1e-6 raises ``FlowError``.
+    above 1e-6 raises ``FlowError``.  The stages read profile values
+    tabulated once (``_schroedinger_rhs``).
     """
     path.check_time(t)
     basis = psi0.basis
     n0 = np.linalg.norm(psi0.coeffs)
-    v = rk4(_schroedinger_rhs(path, basis), psi0.coeffs.copy(), t, dt)
+    v = rk4(_schroedinger_rhs(path, basis, t, dt), psi0.coeffs.copy(), t, dt)
     drift = abs(np.linalg.norm(v) - n0)
     if not drift <= _NORM_GATE:
         raise FlowError(f"norm drift {drift:.3e} > {_NORM_GATE:.1e}")
@@ -561,7 +664,8 @@ def propagator_matrix(
     realization used to validate flow-based propagators.
     """
     path.check_time(t)
-    return rk4(_schroedinger_rhs(path, basis), np.eye(basis.size, dtype=complex), t, dt)
+    return rk4(_schroedinger_rhs(path, basis, t, dt),
+               np.eye(basis.size, dtype=complex), t, dt)
 
 
 def propagator_from_flow(flow: BogoliubovFlow, basis: ModeBasis) -> tuple:

@@ -25,8 +25,9 @@ integral and its node count come from the fibers' supports
 and spectral bands, with no probe scan.  Split-step evolution runs on a
 declared potential, polynomials of degree <= 4 times real scalar profiles,
 validated once when the problem is built: it fuses the half kicks that meet
-between kinetic steps, evaluates each polynomial once per evolution and
-rebuilds a kick's phase only when the profile values change, and the loop
+between kinetic steps, evaluates each polynomial once per evolution,
+tabulates the profile values at the kick times once (``profile_sum``) and
+rebuilds a kick's phase only when they change, and the loop
 transforms and multiplies in place.  Every transform is ``scipy.fft``.
 """
 
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy import fft
 
-from .bogoliubov import profile_sum, step_count
+from .bogoliubov import _weighted, profile_sum, step_count
 from .quadrature import gauss_legendre, trapezoid_weights
 from .symmetry import _point, action_form
 
@@ -729,6 +730,37 @@ class SplitStepProblem:
         return SplitStepProblem([(None, coeffs)], mass)
 
 
+def _kicks(problem: SplitStepProblem, x: np.ndarray, lam: float,
+           n_steps: int, h: float) -> Callable:
+    """kick(scale, i): the phase exp(scale V(x, t_i) / lam) at the i-th of
+    the n + 1 kick times t_0 = 0, t_(i+1) = t_i + h.
+
+    Each V_j is evaluated on the grid once.  The profile values at the kick
+    times are tabulated and checked once, by ``profile_sum``; a problem with
+    no profiled term needs no table.  A phase is summed and rebuilt only
+    when its scale's profile values change, so a static problem builds its
+    half and full phases once.
+    """
+    potentials = [np.polyval(np.asarray(coeffs, dtype=float)[::-1], x)
+                  for _, coeffs in problem.terms]
+    weights = None
+    if any(f is not None for f, _ in problem.terms):
+        kick_times = [0.0]
+        for _ in range(n_steps):
+            kick_times.append(kick_times[-1] + h)
+        weights = profile_sum(problem.terms, kick_times)[0]
+    built = {}  # scale -> (profile values, phase)
+
+    def kick(scale, i):
+        values = [1.0] * len(potentials) if weights is None else weights[i].tolist()
+        if scale not in built or built[scale][0] != values:
+            v = _weighted(problem.terms, values, potentials)
+            built[scale] = values, np.exp(scale * v / lam)
+        return built[scale][1]
+
+    return kick
+
+
 def splitstep_evolve(
     psi0: GridWave,
     problem: SplitStepProblem,
@@ -739,19 +771,21 @@ def splitstep_evolve(
 
     ``step_count(t, dt)`` uniform steps cover [0, t]; the two half kicks
     that meet between steps act at one time and are applied as one full
-    kick.  Each term's V_j is evaluated on the grid once per evolution, and
-    a kick sums them by ``profile_sum``.  A kick's phase depends only on
-    its scale and the profile values, so it is rebuilt only when those
-    change: with no profiled term the half and full phases are built once.
-    Each step transforms in place (``overwrite_x``) and multiplies into its
-    operand; ``psi0`` is never written.  Raises when a profile value is not
-    finite (naming the term and time), when the grid cannot resolve the
+    kick.  The profile values at the n + 1 kick times are tabulated and
+    checked once, before the first transform, and a kick's phase is rebuilt
+    only when its profile values change (``_kicks``): with no profiled term
+    the half and full phases are built once.  Each step transforms in place
+    (``overwrite_x``) and multiplies into its operand; ``psi0`` is never
+    written.  Raises when a profile value is not finite (naming the term
+    and the first time it occurs at), when the grid cannot resolve the
     packet's oscillation (spectral mass too close to the Nyquist
     frequency), and, through ``step_count``, when t or dt is not finite.
     """
     n_steps = step_count(t, dt)
+    h = t / max(n_steps, 1)
     lam = psi0.lam
     grid = psi0.grid
+    kick = _kicks(problem, grid.points, lam, n_steps, h)
     k = 2 * np.pi * fft.fftfreq(grid.n, d=grid.spacing)
     spec = fft.fft(psi0.values)
     power = np.abs(spec) ** 2
@@ -761,30 +795,17 @@ def splitstep_evolve(
             "grid cannot resolve the wave's oscillation "
             "(spectral mass near the Nyquist frequency)"
         )
-    x = grid.points
-    h = t / max(n_steps, 1)
     kinetic = np.exp(-0.5j * h * lam * k**2 / problem.mass)
     half, full = -0.5j * h, -1j * h
-    potentials = [np.polyval(np.asarray(coeffs, dtype=float)[::-1], x)
-                  for _, coeffs in problem.terms]
-    built = {}  # scale -> (profile values, phase)
-
-    def kick(scale, now):
-        weights, (v,) = profile_sum(problem.terms, now, potentials)
-        if scale not in built or built[scale][0] != weights:
-            built[scale] = weights, np.exp(scale * v / lam)
-        return built[scale][1]
-
     # the first kick makes vals a fresh array, so the transforms may
     # overwrite it and never reach psi0.values
-    vals = psi0.values * kick(half, 0.0)
-    now = 0.0
+    vals = psi0.values * kick(half, 0)
     for step in range(n_steps):
         spec = fft.fft(vals, overwrite_x=True)
         np.multiply(kinetic, spec, out=spec)
         vals = fft.ifft(spec, overwrite_x=True)
-        now += h
-        np.multiply(vals, kick(full if step < n_steps - 1 else half, now), out=vals)
+        np.multiply(vals, kick(full if step < n_steps - 1 else half, step + 1),
+                    out=vals)
     return GridWave(grid, vals, lam)
 
 

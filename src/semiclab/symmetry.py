@@ -344,7 +344,8 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     constant offset here is the anomaly candidate that the operator-level
     check should see as a multiple of the identity.
     """
-    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    x = _point(x)
     ga = fam.generator(a, x)
     gb = fam.generator(b, x)
     gc = fam.generator(fam.algebra.bracket(a, b), x)
@@ -420,7 +421,8 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     anomalous family leaves R equal to a scalar multiple of the identity.
     Only a family's scalars move with X, so the delta-terms are a scalar.
     """
-    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    x = _point(x)
     ha = quadratic_matrix(fam.generator(a, x), basis)
     hb = quadratic_matrix(fam.generator(b, x), basis)
     hc = quadratic_matrix(fam.generator(fam.algebra.bracket(a, b), x), basis)
@@ -461,7 +463,7 @@ def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
     Omega: ||(delta[A] Omega)[dX] - i [Omega[dX], H(A:X)]|| restricted.
     """
     a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     dx = np.asarray(dx, dtype=float).reshape(3)
 
     omega_res = abs(_delta(fam.system, a, x, h, action_form, dx))
@@ -497,10 +499,11 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
     (``ClassicalSystem.is_fixed_point``) no node is read.
 
     Returns the Bogoliubov flow (F, G, M, c) and the transported point;
-    ``propagator_from_flow`` realizes the flow on a truncated basis.
+    ``propagator_from_flow`` realizes the flow on a truncated basis.  A
+    point x that is not a finite (S, Q, P) array raises ``ValueError``.
     """
     b = _coefficients(b, fam.algebra.dim)
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"duration t = {t} is not finite")
@@ -551,11 +554,12 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
     classical product is the identity (in the matrix representation and on
     the transported point), the result reports the distance of the operator
     to a global phase, and that phase.  A factor whose index is outside
-    ``range(algebra.dim)`` or whose duration is not finite raises
+    ``range(algebra.dim)`` or whose duration is not finite, or a point x
+    that is not a finite (S, Q, P) array (``_point``), raises
     ``ValueError``.  ``dt`` is accepted and unused: every factor is exact
     (``one_param_u``); it stays while scenario configs pass ``run.dt``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     m = fam.algebra.dim
     for k, (idx, duration) in enumerate(word.factors):
         if not 0 <= idx < m:

@@ -3,6 +3,7 @@ import inspect
 import math
 
 import numpy as np
+import per_stage_profiles
 import pytest
 import sampled_path_rk4
 from hypothesis import given, strategies as st
@@ -751,3 +752,117 @@ def test_direct_propagators_reject_times_outside_the_path(t):
         propagate_direct(vacuum_state(basis), path, t, 1e-2)
     with pytest.raises(ValueError, match="domain"):
         propagator_matrix(path, t, 1e-2, basis)
+
+
+def test_picard_rejects_times_outside_the_path():
+    # t = 5 and t = -1 on a path over [0, 1] were integrated without a word
+    path = squeeze_path(t_max=1.0)
+    for t in (5.0, -1.0):
+        with pytest.raises(ValueError, match="domain"):
+            picard_flow(path, t, n_terms=3)
+
+
+def _one_mode_driven_path():
+    # a time-dependent one-mode path with a constant term between profiles
+    return GeneratorPath([
+        (lambda t: math.cos(0.7 * t), QuadraticGenerator.from_blocks(hpp=[[0.3]])),
+        (None, QuadraticGenerator.from_blocks(hpm=[[0.8]], hbar=0.2)),
+        (lambda t: 0.1 * t, QuadraticGenerator.from_blocks(modes=1, hbar=1.0)),
+    ], 4.0)
+
+
+@pytest.mark.parametrize("make_path, t, dt, cutoff", [
+    (lambda: rotation_path(), 1.7, 1e-3, 12),
+    (lambda: squeeze_path(0.3), 1.0, 0.07, 24),  # a shortened last step
+    (_one_mode_driven_path, 2.0, 0.03, 16),      # and a shortened last step
+    (lambda: mixed_rotation_squeeze_path(), 1.0, 1e-2, 4),
+    (lambda: random_path(3, np.random.default_rng(42), t_max=2.0), 2.0, 7e-3, 2),
+    (lambda: _su11_moving_point_path(0.8, 800), 0.8, 1e-3, 12),
+    (lambda: mixed_rotation_squeeze_path(), 0.0, 1e-2, 4),
+])
+def test_tabulated_routes_equal_the_per_stage_oracle(make_path, t, dt, cutoff):
+    # a table read per stage instead of profile_sum per stage: bitwise the same
+    path = make_path()
+    flow = integrate_flow(path, t, dt)
+    times, fs, gs, c = per_stage_profiles.integrate_flow(path, t, dt)
+    assert np.array_equal(flow.times, times)
+    assert np.array_equal(flow.fs, fs) and np.array_equal(flow.gs, gs)
+    assert flow.c == c
+    basis = ModeBasis(path.modes, cutoff)
+    psi = number_state(basis, (1,) + (0,) * (path.modes - 1))
+    assert np.array_equal(propagate_direct(psi, path, t, dt).state.coeffs,
+                          per_stage_profiles.propagate_direct(psi, path, t, dt))
+    horizon = min(t, 0.25)
+    assert np.array_equal(propagator_matrix(path, horizon, dt, basis),
+                          per_stage_profiles.propagator_matrix(path, horizon, dt,
+                                                               basis))
+
+
+def test_each_profile_is_read_once_per_distinct_stage_time():
+    # n RK4 steps read a path at 2n + 1 times; the per-stage route read 4n
+    reads = [0, 0]
+
+    def counting(j, f):
+        def profile(t):
+            reads[j] += 1
+            return f(t)
+        return profile
+
+    first, _, last = _one_mode_driven_path().terms
+    counted = GeneratorPath([(counting(j, f), gen)
+                             for j, (f, gen) in enumerate([first, last])], 4.0)
+    n = step_count(2.0, 0.03)
+    basis = ModeBasis(1, 8)
+    for run in (lambda: integrate_flow(counted, 2.0, 0.03),
+                lambda: propagate_direct(vacuum_state(basis), counted, 2.0, 0.03),
+                lambda: propagator_matrix(counted, 2.0, 0.03, basis)):
+        reads[:] = [0, 0]
+        run()
+        assert reads == [2 * n + 1] * 2
+    reads[:] = [0, 0]
+    per_stage_profiles.integrate_flow(counted, 2.0, 0.03)
+    assert reads == [4 * n] * 2
+    reads[:] = [0, 0]
+    picard_flow(counted, 2.0, n_terms=3, tol=None)
+    assert reads == [801, 801]
+
+
+def test_a_profile_that_is_not_finite_raises_before_any_step(monkeypatch):
+    # the profile is bad only at the end time, which the last stage reads
+    from semiclab import bogoliubov
+
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.2]], hpm=[[0.7]])
+    path = GeneratorPath([(None, gen), (lambda t: math.nan if t == 1.0 else 1.0, gen)],
+                         2.0)
+    steps = []
+    step = bogoliubov.rk4_step
+    monkeypatch.setattr(bogoliubov, "rk4_step",
+                        lambda *args: steps.append(1) or step(*args))
+    named = "the profile of term 1 is nan at t=1.0"
+    basis = ModeBasis(1, 4)
+    for run in (lambda: integrate_flow(path, 1.0, 0.25),
+                lambda: propagate_direct(vacuum_state(basis), path, 1.0, 0.25),
+                lambda: propagator_matrix(path, 1.0, 0.25, basis)):
+        with pytest.raises(ValueError, match=named):
+            run()
+    assert steps == []
+
+
+def test_a_time_dependent_direct_route_tabulates_only_the_profile_values():
+    # weights are steps x terms floats; one matrix per stage would be
+    # (2n + 1) dim^2 complex numbers, 135 MB here
+    import tracemalloc
+
+    path = _one_mode_driven_path()
+    basis = ModeBasis(1, 64)
+    psi = vacuum_state(basis)
+    propagate_direct(psi, path, 0.1, 1e-3)
+    tracemalloc.start()
+    try:
+        propagate_direct(psi, path, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_matrix = basis.size ** 2 * 16
+    assert basis.size == 65
+    assert peak <= 20 * one_matrix

@@ -597,6 +597,40 @@ def test_splitstep_static_kicks_evaluate_the_potential_once(monkeypatch):
         assert len(calls) == len(problem.terms)
 
 
+def test_splitstep_tabulates_the_profiles_once_per_kick_time(monkeypatch):
+    # a static problem needs no table and sums its half and full kicks once;
+    # a profiled one makes one table per evolution, outside the loop, and
+    # reads each profile at the n + 1 kick times once
+    tables, sums, reads = [], [], []
+    profile_sum, weighted = packets.profile_sum, packets._weighted
+    monkeypatch.setattr(packets, "profile_sum",
+                        lambda *args: tables.append(1) or profile_sum(*args))
+    monkeypatch.setattr(packets, "_weighted",
+                        lambda *args: sums.append(1) or weighted(*args))
+    n = step_count(0.1, 1e-3)
+    static = SplitStepProblem.polynomial([0, 0, 0.5])
+    splitstep_evolve(_harmonic_wave(), static, 0.1, 1e-3)
+    assert (len(tables), len(sums)) == (0, 2)
+    driven = SplitStepProblem([
+        (None, [0, 0, 0.5]), (lambda now: reads.append(now) or math.sin(now), [0, 1])])
+    splitstep_evolve(_harmonic_wave(), driven, 0.1, 1e-3)
+    assert len(tables) == 1
+    assert len(reads) == len(set(reads)) == n + 1
+
+
+def test_splitstep_profile_that_is_not_finite_raises_before_any_transform(monkeypatch):
+    # bad only at the end time, which the last kick reads
+    psi = _harmonic_wave()
+    transforms = []
+    forward = packets.fft.fft
+    monkeypatch.setattr(packets.fft, "fft", lambda *args, **kw:
+                        transforms.append(1) or forward(*args, **kw))
+    problem = SplitStepProblem([(lambda t: math.nan if t > 0.0995 else 1.0, [0, 1])])
+    with pytest.raises(ValueError, match=r"profile of term 0 is nan at t=0\.1"):
+        splitstep_evolve(psi, problem, 0.1, 1e-3)
+    assert transforms == []
+
+
 @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
 def test_splitstep_problem_rejects_bad_mass(mass):
     with pytest.raises(ValueError, match="mass"):

@@ -858,3 +858,21 @@ def test_map_point_flows_at_the_action_step(dt):
         oracle = classical_rk4.flow(fam.system.forms, direction, duration,
                                     oracle, dt)
     assert np.abs(act.map_point(x) - oracle).max() < 1e-9
+
+
+@pytest.mark.parametrize("x, named", [
+    ([0.1, math.nan, -0.3], "must be finite"),
+    ([[0.1], [0.5], [-0.3]], r"shape \(3,\), got shape \(3, 1\)"),
+])
+def test_symmetry_entries_reject_a_bad_point(x, named):
+    # a NaN point gave an all-NaN x_out, and a (3, 1) point was accepted
+    fam = su11_family()
+    a, b = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    basis = ModeBasis(1, 8)
+    for run in (lambda: one_param_u(fam, a, 0.5, x),
+                lambda: word_product(fam, GroupWord([(0, 0.5)]), x, basis),
+                lambda: check_f3(fam, a, b, x),
+                lambda: check_x6(fam, a, b, x, basis),
+                lambda: check_form_conditions(fam, a, x, [0.3, 1.0, -0.7], basis)):
+        with pytest.raises(ValueError, match=named):
+            run()
