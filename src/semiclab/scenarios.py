@@ -7,11 +7,15 @@ identity has an independent closed-form anchor:
 - ``u2_family``: particle-conserving generators on two modes with a trivial
   classical action; pure algebra, used for group-law reconstruction.
 - ``su11_family``: the rotation/squeeze triple on one mode with linear
-  symplectic classical flows; carries the scalar central term whose removal
+  symplectic classical flows; carries the scalar central term whose shift
   injects an anomaly, and the double-valued loop phase.
 - ``heisenberg_family``: translations of the phase plane with purely scalar
   generators depending on X; exercises the X-dependent terms of the
   consistency identities.
+
+su11 and heisenberg are declared by their classical forms alone, plus the
+scalar offsets that inject an anomaly; their algebra, generators, scalars
+and fiber form are derived from the forms (``GeneratorFamily.from_forms``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "u2_family",
     "su11_family",
     "heisenberg_family",
-    "standard_phi",
     "Kind",
     "Check",
     "harmonic_orbit_manifold",
@@ -48,12 +51,6 @@ __all__ = [
     "Scenario",
     "build_checks",
 ]
-
-
-def standard_phi(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """The one-mode fiber form phi[dX] = (dQ + i dP) / sqrt(2)."""
-    dx = np.asarray(dx, dtype=float).reshape(3)
-    return np.array([(dx[1] + 1j * dx[2]) / math.sqrt(2)])
 
 
 def u2_family() -> GeneratorFamily:
@@ -73,84 +70,47 @@ def u2_family() -> GeneratorFamily:
     ]
     m = len(hs)
     algebra = LieAlgebra(tuple(-1j * h for h in hs))
-    system = ClassicalSystem.trivial(m)
-
-    def phi(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        return np.zeros(2, dtype=complex)
-
     return GeneratorFamily(
-        algebra=algebra, system=system,
+        algebra=algebra, system=ClassicalSystem.trivial(m),
         generators=[QuadraticGenerator.from_blocks(hpm=h) for h in hs],
-        scalars=lambda x: np.zeros(m), phi=phi)
+        offsets=np.zeros(m), phi=lambda x, dx: np.zeros(2, dtype=complex))
 
 
 def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
-    """Rotation and squeeze generators on one mode.
+    """Rotation and squeeze on one mode, declared by their classical forms:
 
-    Basis and generators:
-      B0: H = (n + 1/2)/2          classical h = (q^2 + p^2)/4
-      B1: H = (a+^2 + a^2)/4       classical h = (q^2 - p^2)/4
-      B2: H = i(a+^2 - a^2)/4      classical h = q p / 2
+      B0: h = (q^2 + p^2)/4,  H = (n + 1/2)/2
+      B1: h = (q^2 - p^2)/4,  H = (a+^2 + a^2)/4
+      B2: h = q p / 2,        H = i(a+^2 - a^2)/4
 
-    with brackets [B1,B2] = B0, [B0,B1] = -B2, [B0,B2] = B1.  The scalar
-    part of H(B0) is pinned by the central term of the consistency
-    identity; ``central_offset`` shifts it to inject an anomaly.
+    with brackets [B1,B2] = B0, [B0,B1] = -B2, [B0,B2] = B1.  The scalar 1/4
+    of H(B0) is pinned by the central term of the consistency identity;
+    ``central_offset`` shifts it to inject an anomaly.
     """
-    algebra = LieAlgebra((
-        np.array([[0.0, 0.5], [-0.5, 0.0]]),
-        np.array([[0.0, -0.5], [-0.5, 0.0]]),
-        np.array([[0.5, 0.0], [0.0, -0.5]]),
-    ))
-    # forms on (q, p, 1); Hamilton's equations give back rep[i] as the field
-    system = ClassicalSystem([
+    return GeneratorFamily.from_forms([
         np.diag([0.25, 0.25, 0.0]),
         np.diag([0.25, -0.25, 0.0]),
         [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    ])
-    generators = [
-        QuadraticGenerator.from_blocks(hpm=[[0.5]]),
-        QuadraticGenerator.from_blocks(hpp=[[0.5]]),
-        QuadraticGenerator.from_blocks(hpp=[[0.5j]]),
-    ]
-    return GeneratorFamily(
-        algebra=algebra, system=system, generators=generators,
-        scalars=lambda x: np.array([0.25 + central_offset, 0.0, 0.0]),
-        phi=standard_phi)
+    ], [central_offset, 0.0, 0.0])
 
 
 def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
     """Phase-plane translations with scalar X-dependent generators.
 
-    Basis (B_q, B_p, B_c): [B_q, B_p] = B_c, B_c central.  The classical
-    flows translate Q, P and shift S along the central direction; the
-    quadratic blocks vanish and the scalars H(B_q) = P/2, H(B_p) = -Q/2,
-    H(B_c) = 1 close the identity.  ``central_offset`` perturbs the
-    central scalar to inject an anomaly.
+    Basis (B_q, B_p, B_c) of classical h = p, -q and 1: [B_q, B_p] = B_c,
+    B_c central.  The classical flows translate Q, P and shift S along the
+    central direction; the quadratic blocks vanish and the scalars
+    H(B_q) = P/2, H(B_p) = -Q/2, H(B_c) = 1 close the identity.
+    ``central_offset`` perturbs the central scalar to inject an anomaly.
     """
-    e12 = np.zeros((3, 3))
-    e12[0, 1] = 1.0
-    e23 = np.zeros((3, 3))
-    e23[1, 2] = 1.0
-    e13 = np.zeros((3, 3))
-    e13[0, 2] = 1.0
-    algebra = LieAlgebra((e12, e23, e13))
-    # central flow shifts S by -t: the coordinate vector fields then
+    # the central flow shifts S by -t: the coordinate vector fields then
     # anti-represent the bracket, [delta_q, delta_p] = -delta_central,
     # exactly as the commutator word of translations requires
-    # classical h = p, -q and 1 as forms on (q, p, 1)
-    system = ClassicalSystem([
+    return GeneratorFamily.from_forms([
         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
         [[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.0]],
         np.diag([0.0, 0.0, 1.0]),
-    ])
-
-    def scalars(x: np.ndarray) -> np.ndarray:
-        return np.array([x[2] / 2, -x[1] / 2, 1.0 + central_offset])
-
-    return GeneratorFamily(
-        algebra=algebra, system=system,
-        generators=[QuadraticGenerator.from_blocks(modes=1)] * 3,
-        scalars=scalars, phi=standard_phi)
+    ], [0.0, 0.0, central_offset])
 
 # ---------------------------------------------------------------------------
 # scenario check suites
@@ -540,7 +500,7 @@ def _metaplectic_checks(model: dict, run: dict, seed: int):
 
     def classical_identity():
         res = loop()
-        return float(np.linalg.norm(res.rep_matrix - np.eye(2), 2)
+        return float(np.linalg.norm(res.rep_matrix - np.eye(len(res.rep_matrix)), 2)
                      + np.abs(res.x_out - x0).max())
 
     def global_sign():

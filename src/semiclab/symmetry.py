@@ -11,9 +11,10 @@ A scenario supplies three coupled pieces:
   P dQ - h dt carried along, all exact in closed form; the action form
   omega[dX] = P dQ - dS is ``action_form``;
 - a ``GeneratorFamily``: one fixed quadratic Fock generator per direction
-  and the per-direction scalars hbar_i(X), so H(a: X) = sum_i a_i G_i +
-  a . hbar(X), together with the fiber 1-form phi that realizes the operator
-  form Omega[dX] = -i (A+ phi - A- phi*).
+  and the per-direction scalars hbar_i(X), read off the forms, so H(a: X) =
+  sum_i a_i G_i + a . hbar(X), together with the fiber 1-form phi that
+  realizes the operator form Omega[dX] = -i (A+ phi - A- phi*); a one-mode
+  family is its forms' Weyl quantization (``GeneratorFamily.from_forms``).
 
 The checks in this module measure, at finite truncation, the infinitesimal
 consistency identities of such a family, integrate one-parameter evolutions
@@ -21,12 +22,13 @@ into group words, reconstruct group elements through canonical coordinates
 of the second kind, and report anomaly residuals as scalars.
 
 Every one-parameter evolution is exact: only a family's scalar moves with
-X, and it has degree at most 3 in tau along each classical flow
-(``GeneratorFamily``, ``one_param_u``).
+X, and its integral along a classical flow is read off the flow's action
+(``one_param_u``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,7 +47,6 @@ from .fock import (
     ladder_table,
     quadratic_matrix,
 )
-from .quadrature import gauss_legendre
 
 __all__ = [
     "LieAlgebra",
@@ -68,6 +69,7 @@ __all__ = [
     "GroupAction",
     "omega_matrix",
     "action_form",
+    "standard_phi",
 ]
 
 _CLOSURE_TOL = 1e-12  # residual and imaginary part allowed in a derived bracket
@@ -118,11 +120,13 @@ class LieAlgebra:
         return np.einsum("kij,i,j->k", self.structure, a, b)
 
 
-def _coefficients(a, dim: int) -> np.ndarray:
-    """Algebra coefficients as a float vector of length dim, or ValueError."""
+def _coefficients(a, dim: int, name: str = "algebra coefficients") -> np.ndarray:
+    """A finite float vector of length dim, one per direction, or ValueError."""
     a = np.asarray(a, dtype=float)
     if a.shape != (dim,):
-        raise ValueError(f"need {dim} algebra coefficients, got shape {a.shape}")
+        raise ValueError(f"need {dim} {name}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, got {a}")
     return a
 
 
@@ -141,6 +145,12 @@ def action_form(x: np.ndarray, dx: np.ndarray) -> float:
     """The action form omega[dX] = P dQ - dS at X = (S, Q, P); its
     vanishing along a manifold is isotropy."""
     return x[2] * dx[1] - dx[0]
+
+
+def standard_phi(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The one-mode fiber form phi[dX] = (dQ + i dP) / sqrt(2)."""
+    dx = np.asarray(dx, dtype=float).reshape(3)
+    return np.array([(dx[1] + 1j * dx[2]) / math.sqrt(2)])
 
 
 def _checked_form(form) -> np.ndarray:
@@ -236,21 +246,21 @@ class ClassicalSystem:
 class GeneratorFamily:
     """Quadratic generators and the fiber 1-form of a symmetry scenario.
 
-    H(a: X) = sum_i a_i G_i + a . scalars(X), with one fixed
-    ``QuadraticGenerator`` G_i per basis direction (zero hbar) and the
-    per-direction scalars hbar_i(X).  So H is linear in a and its blocks do
-    not move with X, by construction; the family is validated once, when
-    built.  Along each classical flow a . scalars(X(tau)) must have degree
-    <= 3 in tau, which ``one_param_u``'s two-node rule integrates exactly:
-    the u2 and su11 scalars are constant, the heisenberg scalars affine in
-    (Q, P).  ``phi(X, dX)`` maps a tangent vector to the C^d constraint
-    vector.
+    H(a: X) = sum_i a_i G_i + a . hbar(X), with one fixed
+    ``QuadraticGenerator`` G_i per basis direction (zero hbar), so H is
+    linear in a and its blocks do not move with X.  The scalars are read
+    off the forms F_i = [[K_i, L_i], [L_i^T, c_i]] on w = (q, p, 1) of the
+    classical system: hbar_i(X) = L_i . (Q, P) + c_i + tr(K_i) / 2 +
+    offsets_i, the Weyl symbol's h - X . grad(h) / 2, its ordering constant
+    and a declared constant, where an anomaly is injected.  The family is
+    validated, and the scalars tabulated on (1, Q, P), once, when built.
+    ``phi(X, dX)`` maps a tangent vector to the C^d constraint vector.
     """
 
     algebra: LieAlgebra
     system: ClassicalSystem
     generators: Sequence[QuadraticGenerator]
-    scalars: Callable[[np.ndarray], np.ndarray]
+    offsets: np.ndarray
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -265,7 +275,34 @@ class GeneratorFamily:
             raise ValueError("the generators act on different mode counts")
         if any(gen.hbar != 0.0 for gen in gens):
             raise ValueError("a generator has nonzero hbar; a direction's scalar "
-                             "belongs in scalars(X)")
+                             "comes from its form and its offset")
+        offsets = _coefficients(self.offsets, m, "offsets")
+        forms = self.system.forms
+        # tr(K_i) / 2 + offsets_i, and the scalars' table on (1, Q, P)
+        ordering = np.trace(forms[:, :2, :2], axis1=1, axis2=2) / 2 + offsets
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_ordering", ordering)
+        object.__setattr__(self, "_scalars", np.column_stack(
+            [forms[:, 2, 2] + ordering, forms[:, :2, 2]]))
+        object.__setattr__(self, "_blocks",
+                           np.array([[gen.hpp, gen.hpm] for gen in gens]))
+
+    @classmethod
+    def from_forms(cls, forms: Sequence[np.ndarray],
+                   offsets: Sequence[float]) -> "GeneratorFamily":
+        """The one-mode family of the Weyl quantizations of the forms F_i =
+        [[K, L], [L^T, c]]: H++ = K11 - K22 + 2i K12, H+- = K11 + K22.  Its
+        algebra is the forms' Poisson algebra in the Jacobi representation
+        rho(F) = [[0, 2 F[2]], [0, A]], A the Hamilton field of F, so forms
+        that do not close raise ``ValueError``; phi is ``standard_phi``."""
+        system = ClassicalSystem(forms)
+        rho = np.zeros((system.dim, 4, 4))
+        generators = []
+        for r, f in zip(rho, system.forms):
+            r[0, 1:], r[1:, 1:] = 2 * f[2], _hamilton_field(f)
+            generators.append(QuadraticGenerator.from_blocks(
+                hpp=[[f[0, 0] - f[1, 1] + 2j * f[0, 1]]], hpm=[[f[0, 0] + f[1, 1]]]))
+        return cls(LieAlgebra(tuple(rho)), system, generators, offsets, standard_phi)
 
     @property
     def modes(self) -> int:
@@ -276,12 +313,12 @@ class GeneratorFamily:
         return self._generator(a, self._scalar(a, x))
 
     def _scalar(self, a: np.ndarray, x: np.ndarray) -> float:
-        """The scalar a . scalars(X) of H(a: X)."""
-        return float(a @ self.scalars(np.asarray(x, dtype=float)))
+        """The scalar a . hbar(X) of H(a: X)."""
+        return float(a @ (self._scalars @ [1.0, x[1], x[2]]))
 
     def _generator(self, a: np.ndarray, hbar: float) -> QuadraticGenerator:
         """H(a: .) with the scalar hbar: one contraction over the blocks."""
-        hpp, hpm = np.tensordot(a, [[g.hpp, g.hpm] for g in self.generators], 1)
+        hpp, hpm = np.tensordot(a, self._blocks, 1)
         return QuadraticGenerator(hpp, hpm, hbar)
 
 
@@ -308,9 +345,8 @@ def check_vector_field_algebra(system: ClassicalSystem, alg: LieAlgebra,
                                a: np.ndarray, b: np.ndarray, x: np.ndarray,
                                h: float = 1e-4) -> float:
     """Residual of ([delta[A], delta[B]] + delta([A, B])) F on coordinates."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
+    a, b = (_coefficients(v, alg.dim) for v in (a, b))
+    x = _point(x)
 
     worst = 0.0
     for comp in range(3):
@@ -344,7 +380,7 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     constant offset here is the anomaly candidate that the operator-level
     check should see as a multiple of the identity.
     """
-    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    a, b = (_coefficients(v, fam.algebra.dim) for v in (a, b))
     x = _point(x)
     ga = fam.generator(a, x)
     gb = fam.generator(b, x)
@@ -421,7 +457,7 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     anomalous family leaves R equal to a scalar multiple of the identity.
     Only a family's scalars move with X, so the delta-terms are a scalar.
     """
-    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    a, b = (_coefficients(v, fam.algebra.dim) for v in (a, b))
     x = _point(x)
     ha = quadratic_matrix(fam.generator(a, x), basis)
     hb = quadratic_matrix(fam.generator(b, x), basis)
@@ -462,7 +498,7 @@ def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
     omega: |delta[A] (P dQ - dS)| with the pushforward of dX included.
     Omega: ||(delta[A] Omega)[dX] - i [Omega[dX], H(A:X)]|| restricted.
     """
-    a = np.asarray(a, dtype=float)
+    a = _coefficients(a, fam.algebra.dim)
     x = _point(x)
     dx = np.asarray(dx, dtype=float).reshape(3)
 
@@ -482,21 +518,19 @@ class OneParamResult:
     x_out: np.ndarray
 
 
-# two nodes integrate polynomials of degree <= 3 in tau exactly
-_PATH_RULE = gauss_legendre(2)
-
-
 def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
                 x: np.ndarray) -> OneParamResult:
     """Solve the one-parameter evolution along the classical flow of B.
 
     The generator path is tau -> H(B: u_(g_B(tau)) X); only its scalar
-    b . scalars(X(tau)) moves (``GeneratorFamily``), and a scalar commutes
-    with every operator, so the evolution is ``exponential_flow`` of the
-    blocks of H(B) with the scalar's path mean: the two-node Gauss-Legendre
-    rule on the exact classical states, exact while the scalar has degree
-    <= 3 in tau.  At a fixed point of the flow of B
-    (``ClassicalSystem.is_fixed_point``) no node is read.
+    hbar_b(X(tau)) moves (``GeneratorFamily``), and a scalar commutes with
+    every operator, so the evolution is ``exponential_flow`` of the blocks
+    of H(B) with the scalar's path mean.  Its integral is exact from the
+    action: hbar_b = h_b - (P Q' - Q P') / 2 + tr(K_b) / 2 + b . offsets
+    and S' = P Q' - h_b, so from X = (S, Q, P) to X(t) = (S', Q', P') it is
+    S - S' + (Q' P' - Q P) / 2 + (tr(K_b) / 2 + b . offsets) t, for either
+    sign of t.  At a fixed point of the flow of B
+    (``ClassicalSystem.is_fixed_point``) the scalar is read at X.
 
     Returns the Bogoliubov flow (F, G, M, c) and the transported point;
     ``propagator_from_flow`` realizes the flow on a truncated basis.  A
@@ -513,11 +547,10 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
     if fam.system.is_fixed_point(b, x):
         hbar, x_out = fam._scalar(signed, x), x.copy()
     else:
-        nodes, weights = _PATH_RULE
-        states = fam.system.trajectory(b, t * (nodes + 1) / 2, x)
-        hbar = sum(weight / 2 * fam._scalar(signed, state)
-                   for state, weight in zip(states, weights))
         x_out = fam.system.flow(b, t, x)
+        integral = (x[0] - x_out[0] + (x_out[1] * x_out[2] - x[1] * x[2]) / 2
+                    + (b @ fam._ordering) * t)
+        hbar = float(integral) / abs(t)
     return OneParamResult(exponential_flow(fam._generator(signed, hbar), abs(t)), x_out)
 
 
@@ -610,7 +643,9 @@ def second_kind_coords(g: np.ndarray, alg: LieAlgebra) -> np.ndarray:
     logarithm projected onto the representation basis).
     """
     g = np.asarray(g, dtype=complex)
-    m = alg.dim
+    n, m = len(alg.rep[0]), alg.dim
+    if g.shape != (n, n):
+        raise ValueError(f"a group element of this algebra is {n}x{n}, got shape {g.shape}")
     basis_stack = np.stack([r.reshape(-1) for r in alg.rep], axis=1)
     mu = logm(g)
     seed, *_ = np.linalg.lstsq(basis_stack, mu.reshape(-1), rcond=None)
@@ -664,7 +699,7 @@ class GroupAction:
     _fam: GeneratorFamily
 
     def map_point(self, x: np.ndarray) -> np.ndarray:
-        x_cur = np.asarray(x, dtype=float).copy()
+        x_cur = _point(x).copy()
         m = self._fam.algebra.dim
         for idx, duration in self.word.factors:
             x_cur = self._fam.system.flow(np.eye(m)[idx], duration, x_cur)

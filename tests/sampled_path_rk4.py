@@ -6,9 +6,11 @@ classical states at every half step, so each RK4 stage looks its state up
 exactly, and ``bogoliubov.integrate_flow`` steps the linear system over it.
 The path is declared over a real basis of the quadratic generators on d
 modes (4 on one mode, 11 on two): each basis generator's profile is its
-coordinate in the generator sampled at the stage's half step.  Every
-coordinate has a profile, so nothing here assumes that the blocks of H are
-independent of X.
+coordinate in H.  The blocks of a family do not move with X, so their
+coordinates are read once, from the contraction of the family's fixed
+blocks; the scalar's coordinate is the family's scalar table at the
+stage's half step, so RK4 integrates the scalar along the path, with no
+use of the action identity of the exact route.
 """
 
 import itertools
@@ -53,8 +55,12 @@ def path(fam, b, t, x, dt):
     states = fam.system.trajectory(b, np.linspace(0.0, t, 2 * n_steps + 1), x)
     half = abs(t) / n_steps / 2
     basis = real_basis(fam.modes)
-    coords = np.array([[coord(gen) for coord, _ in basis] for gen in
-                       (fam.generator(np.sign(t) * b, state) for state in states)])
+    signed = np.sign(t) * b
+    blocks = fam._generator(signed, 0.0)
+    coords = np.tile([coord(blocks) for coord, _ in basis], (len(states), 1))
+    # the last coordinate of real_basis is the scalar: the table on (1, Q, P)
+    scalars = np.column_stack([np.ones(len(states)), states[:, 1:]]) @ fam._scalars.T
+    coords[:, -1] = scalars @ signed
 
     def profile(k):
         def at(tau):

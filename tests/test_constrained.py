@@ -551,7 +551,8 @@ def test_gauss_legendre_rule_is_built_once_and_read_only():
 
 
 def _orbit_state(basis, n_alpha=12):
-    from semiclab.scenarios import harmonic_orbit_manifold, standard_phi
+    from semiclab.scenarios import harmonic_orbit_manifold
+    from semiclab.symmetry import standard_phi
 
     orbit = harmonic_orbit_manifold(n_alpha)
     constraints = np.empty((n_alpha, 1, 1), dtype=complex)
@@ -579,7 +580,8 @@ def test_composed_inner_orbit_matches_packet_fiber_value():
 def test_transform_composed_rotation_preserves_inner():
     from scipy.linalg import expm
 
-    from semiclab.scenarios import standard_phi, su11_family
+    from semiclab.scenarios import su11_family
+    from semiclab.symmetry import standard_phi
 
     fam = su11_family()
     basis = ModeBasis(1, 24)
@@ -597,7 +599,8 @@ def test_transform_composed_anomalous_family_still_isometric():
     # a constant scalar offset only shifts phases: norms and planes survive
     from scipy.linalg import expm
 
-    from semiclab.scenarios import standard_phi, su11_family
+    from semiclab.scenarios import su11_family
+    from semiclab.symmetry import standard_phi
 
     fam = su11_family(central_offset=0.05)
     basis = ModeBasis(1, 24)
@@ -617,7 +620,7 @@ def test_transform_composed_identity():
     fam = su11_family()
     basis = ModeBasis(1, 16)
     state, point = _orbit_state(basis, n_alpha=6)
-    moved = transform_composed(state, fam, np.eye(2), basis)
+    moved = transform_composed(state, fam, np.eye(4), basis)
     for old, new in zip(state.fibers, moved.fibers):
         assert np.allclose(old.coeffs, new.coeffs, atol=1e-9)
     assert np.allclose(state.constraints, moved.constraints, atol=1e-9)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import classical_rk4
+import hand_families
 import numpy as np
 import pytest
 import sampled_path_rk4
@@ -94,6 +95,76 @@ def test_algebra_rejects_bad_representations(rep, message):
         LieAlgebra([np.array(r) for r in rep])
 
 
+@pytest.mark.parametrize("family, declared, offset", [
+    (su11_family, hand_families.su11, 0.0),
+    (su11_family, hand_families.su11, 0.05),
+    (heisenberg_family, hand_families.heisenberg, 0.0),
+    (heisenberg_family, hand_families.heisenberg, 0.05),
+])
+def test_form_families_match_the_hand_declarations(family, declared, offset):
+    # the Weyl germ of the forms gives back what was once written by hand:
+    # su11's generators bitwise, heisenberg's scalars to rounding
+    fam, hand = family(offset), declared(offset)
+    tol = 0.0 if family is su11_family else 1e-15
+    rng = np.random.default_rng(43)
+    for a, x in rng.normal(size=(20, 2, 3)):
+        gen, oracle = fam.generator(a, x), hand_families.generator(hand, a, x)
+        assert np.abs(gen.hpp - oracle.hpp).max() <= tol
+        assert np.abs(gen.hpm - oracle.hpm).max() <= tol
+        assert abs(gen.hbar - oracle.hbar) <= tol
+    structure = LieAlgebra(hand[0]).structure
+    assert np.abs(fam.algebra.structure - structure).max() <= 1e-15
+
+
+def test_forms_that_do_not_close_raise():
+    # {q^2, p^2} = 4 q p lies outside the span of q^2 and p^2
+    with pytest.raises(ValueError, match="does not close"):
+        GeneratorFamily.from_forms([np.diag([1.0, 0.0, 0.0]),
+                                    np.diag([0.0, 1.0, 0.0])], [0.0, 0.0])
+
+
+def _su11_conjugate(seed):
+    """su11 declared in the coordinates of a seeded symplectic affine map
+    z -> M z + v: each form F becomes A^T F A, A the inverse map on
+    w = (q, p, 1), symmetrized after the product."""
+    rng = np.random.default_rng(seed)
+    sym = rng.normal(scale=0.3, size=(2, 2))
+    m = expm(np.array([[0.0, 1.0], [-1.0, 0.0]]) @ (sym + sym.T))
+    inverse = np.eye(3)
+    inverse[:2, :2] = np.linalg.inv(m)
+    inverse[:2, 2] = -inverse[:2, :2] @ rng.normal(scale=0.5, size=2)
+    forms = [inverse.T @ f @ inverse for f in su11_family().system.forms]
+    return GeneratorFamily.from_forms([(f + f.T) / 2 for f in forms], [0.0] * 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_param_u_on_affine_conjugates_matches_rk4(seed):
+    # the conjugates' scalars are affine in (Q, P) and their flows rotate
+    # and squeeze, so the scalar path is no polynomial in tau
+    fam = _su11_conjugate(seed)
+    rng = np.random.default_rng(100 + seed)
+    for t in (1.1, -0.8):
+        b, x = rng.normal(size=(2, 3))
+        res = one_param_u(fam, b, t, x)
+        oracle = sampled_path_rk4.one_param_u(fam, b, t, x, 1e-3)
+        assert abs(res.flow.c - oracle.flow.c) <= 1e-12
+        assert np.abs(res.flow.f - oracle.flow.f).max() <= 1e-12
+        assert np.abs(res.flow.g - oracle.flow.g).max() <= 1e-12
+        assert np.array_equal(res.x_out, oracle.x_out)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_consistency_residuals_on_affine_conjugates(seed):
+    # the scalar residual is the central difference of the delta-terms
+    fam = _su11_conjugate(seed)
+    rng = np.random.default_rng(200 + seed)
+    a, b, x = rng.normal(size=(3, 3))
+    f3 = check_f3(fam, a, b, x)
+    assert f3.max_quadratic <= 1e-9 and abs(f3.hbar_residual) <= 1e-9
+    assert f3.phi_residual <= 1e-6
+    assert check_x6(fam, a, b, x, ModeBasis(1, 16)).residual_norm <= 1e-9
+
+
 def test_classical_flow_rotation_closed_form():
     fam = su11_family()
     x = np.array([0.2, 1.0, 0.0])
@@ -139,10 +210,11 @@ def test_forms_are_the_declared_hamiltonians(family, hamiltonians):
 
 
 def test_hamilton_fields_are_the_affine_fields():
+    # the middle block of su11's Jacobi representation is its linear field
     fam = su11_family()
     for form, rep in zip(fam.system.forms, fam.algebra.rep, strict=True):
         field = _hamilton_field(form)
-        assert np.array_equal(field[:2, :2], rep)
+        assert np.array_equal(field[:2, :2], rep[1:3, 1:3])
         assert not np.any(field[:, 2]) and not np.any(field[2])
     offsets = [_hamilton_field(f)[:2, 2] for f in heisenberg_family().system.forms]
     assert np.array_equal(offsets, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -249,6 +321,25 @@ def test_vector_field_algebra_su11():
         res = check_vector_field_algebra(fam.system, fam.algebra, a, b, x,
                                          h=1e-4)
         assert res < 1e-6
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_coefficients_are_named(value):
+    # check_vector_field_algebra read them as a zero residual (max(0.0, nan)
+    # keeps 0.0), and the others raised "hpp must be symmetric"
+    fam = su11_family()
+    x, good, bad = np.array([0.1, 0.5, -0.3]), [0.0, 1.0, 0.0], [value, 1.0, 0.0]
+    basis = ModeBasis(1, 8)
+    for run in (lambda: check_vector_field_algebra(fam.system, fam.algebra, bad, good, x),
+                lambda: check_vector_field_algebra(fam.system, fam.algebra, good, bad, x),
+                lambda: one_param_u(fam, bad, 0.5, x),
+                lambda: check_f3(fam, bad, good, x),
+                lambda: check_f3(fam, good, bad, x),
+                lambda: check_x6(fam, good, bad, x, basis),
+                lambda: check_form_conditions(fam, bad, x, [0.3, 1.0, -0.7], basis),
+                lambda: fam.generator(bad, x)):
+        with pytest.raises(ValueError, match="algebra coefficients must be finite"):
+            run()
 
 
 def test_vector_field_algebra_h_scaling():
@@ -497,29 +588,35 @@ def test_one_param_u_moving_point_stays_on_rk4():
 
 
 def test_one_param_u_step_grid_at_many_steps():
-    # hbar = a0 Q^2 along the unit Q-translation: c = exp(-i int (Q0 + s)^2 ds).
-    # At 18144 steps t / (t / n) rounds above n, so a step count with an
-    # absolute slack put the trajectory on a finer grid than the flow and
-    # the phase read the wrong states (error 3.5e-6).  The exact route's
-    # two-node rule integrates the quadratic scalar path exactly.
-    fam = dataclasses.replace(heisenberg_family(),
-                              scalars=lambda x: np.array([x[1] ** 2, 0.0, 0.0]))
-    b = np.array([1.0, 0.0, 0.0])
+    # a shifted oscillator h = ((q - q0)^2 + p^2) / 4 rotates (Q, P) about
+    # (q0, 0) at rate 1/2, and its scalar -q0 Q / 4 + q0^2 / 4 + 1/4 moves:
+    # c = exp(-i int hbar) in closed form.  At 18144 steps t / (t / n)
+    # rounds above n, so a step count with an absolute slack put the
+    # trajectory on a finer grid than the flow and the phase read the wrong
+    # states.  The exact route reads the scalar's integral off the action.
+    q0 = 0.8
+    fam = GeneratorFamily.from_forms(
+        [[[0.25, 0.0, -q0 / 4], [0.0, 0.25, 0.0], [-q0 / 4, 0.0, q0**2 / 4]]], [0.0])
+    b = np.array([1.0])
     x = np.array([0.0, 0.5, 0.2])
     t = 0.3
     oracle = sampled_path_rk4.one_param_u(fam, b, t, x, t / 18143.5)
     assert len(oracle.flow.times) == 18145
-    phase = -((x[1] + t) ** 3 - x[1] ** 3) / 3
+    cos, sin = math.cos(t / 2), math.sin(t / 2)
+    mean_q = q0 * t + 2 * (x[1] - q0) * sin + 2 * x[2] * (1 - cos)
+    phase = -((q0**2 / 4 + 0.25) * t - q0 / 4 * mean_q)
     for res in (oracle, one_param_u(fam, b, t, x)):
         assert abs(res.flow.c - np.exp(1j * phase)) <= 1e-10
-        assert np.allclose(res.x_out, [0.0, x[1] + t, x[2]], atol=1e-12)
+        assert np.allclose(res.x_out[1:], [q0 + (x[1] - q0) * cos + x[2] * sin,
+                                           -(x[1] - q0) * sin + x[2] * cos],
+                           rtol=0.0, atol=1e-12)
 
 
 def test_generator_family_is_declared_data():
-    # fixed generators per direction plus declared scalars: no callable
-    # returns a generator, and the mode count is derived
+    # fixed generators per direction plus constant scalar offsets: no
+    # callable returns a generator or a scalar, and the mode count is derived
     assert [f.name for f in dataclasses.fields(GeneratorFamily)] == [
-        "algebra", "system", "generators", "scalars", "phi"]
+        "algebra", "system", "generators", "offsets", "phi"]
     fam = heisenberg_family(central_offset=0.05)
     x = np.array([0.3, -0.4, 0.9])
     a = np.array([0.7, -1.1, 0.2])
@@ -544,15 +641,21 @@ def _declared(fam, **change):
         *heisenberg_family().generators[:2],
         QuadraticGenerator.from_blocks(modes=1, hbar=1.0)]),
      "a generator has nonzero hbar"),
-], ids=["generator-count", "system-dim", "mixed-modes", "generator-scalar"])
+    (_declared(su11_family(), offsets=[0.05, 0.0]),
+     r"need 3 offsets, got shape \(2,\)"),
+    (_declared(su11_family(), offsets=[0.05, math.nan, 0.0]),
+     "offsets must be finite"),
+], ids=["generator-count", "system-dim", "mixed-modes", "generator-scalar",
+        "offsets-shape", "offsets-nan"])
 def test_generator_family_rejects_bad_declarations(build, match):
     with pytest.raises(ValueError, match=match):
         build()
 
 
 def test_one_param_u_builds_no_generator_at_its_nodes(monkeypatch):
-    # at a moving X only the scalar is averaged along the path: the blocks
-    # are contracted once and the generator with the mean scalar is built
+    # at a moving X the scalar's path integral is read off the action: the
+    # blocks are contracted once and the generator with the mean scalar is
+    # built
     fam = heisenberg_family()
     b, x = np.array([0.4, -0.7, 0.3]), np.array([0.1, 0.5, -0.2])
     assert not fam.system.is_fixed_point(b, x)
@@ -754,8 +857,14 @@ def test_second_kind_coords_single_factor():
 
 def test_second_kind_coords_identity():
     fam = su11_family()
-    alphas = second_kind_coords(np.eye(2), fam.algebra)
+    alphas = second_kind_coords(np.eye(4), fam.algebra)
     assert np.abs(alphas).max() < 1e-12
+
+
+def test_second_kind_coords_reject_an_element_of_another_size():
+    # su11's representation is 4x4: a 2x2 element is not one of its elements
+    with pytest.raises(ValueError, match="is 4x4, got shape \\(2, 2\\)"):
+        second_kind_coords(np.eye(2), su11_family().algebra)
 
 
 def test_second_kind_coords_mixed_element():
@@ -869,7 +978,11 @@ def test_symmetry_entries_reject_a_bad_point(x, named):
     fam = su11_family()
     a, b = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     basis = ModeBasis(1, 8)
+    act = group_element_action(fam, expm(0.3 * fam.algebra.rep[0]),
+                               np.zeros(3), basis)
     for run in (lambda: one_param_u(fam, a, 0.5, x),
+                lambda: check_vector_field_algebra(fam.system, fam.algebra, a, b, x),
+                lambda: act.map_point(x),
                 lambda: word_product(fam, GroupWord([(0, 0.5)]), x, basis),
                 lambda: check_f3(fam, a, b, x),
                 lambda: check_x6(fam, a, b, x, basis),
