@@ -30,23 +30,32 @@ every profiled sum, here and in the split-step potential of ``packets``:
 each profile is evaluated once per distinct time, and a value that is not
 finite is named by its term and time before any step is taken.  An RK4
 step reads its right-hand side only at t, t + h/2 and t + h, and t + h is
-the next step's t, so n steps read 2n + 1 times (``_stage_times``); a
-stage only looks its row up.  The linear flow steps with one product
-K(tau) [F; G] per stage, a constant path uses one matrix for every stage,
-and the direct routes of a time-dependent path tabulate only the profile
-values, never one matrix per stage.
+the next step's t, so n steps read 2n + 1 times (``_stage_times``), all
+from one list of steps (``_rk4_steps``).
+
+On a linear system y' = A(tau) y a classical RK4 step is one matrix:
+y -> y + D y with D = h/6 (A1 + 2 A2 S2 + 2 A2 S3 + A4 S4), built from A at
+the step's start, midpoint and end and the stage maps S_i
+(``_step_matrices``).  ``integrate_flow`` steps [F; G] so on every path,
+forming D in batched products a block of steps at a time, and the direct
+routes of a constant path do, with one D per distinct step length.  The
+update is y + D y, never (1 + D) y, which rounds every step the same way
+and lifts the rounding floor.  The direct routes of a time-dependent path
+keep ``rk4_step`` on -i H_tau psi and tabulate only the profile values,
+never one matrix per stage.  ``rk4`` with the right-hand side summed at
+every stage is the oracle of each step form in the tests.
 
 ``compose_flows`` composes flows exactly, metaplectic phase included, so a
 product of evolutions stays one flow until ``propagator_from_flow``.
 
-Every fixed-step integration in the package goes through one fourth-order
-Runge-Kutta step ``rk4_step`` and one driver ``rk4`` with its step count
-``step_count``.
+Every fixed-step integration in the package is the one classical
+fourth-order Runge-Kutta scheme on the steps of ``step_count``: the stage
+form ``rk4_step`` with its driver ``rk4``, or on a linear system its step
+matrices.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -99,7 +108,7 @@ _PICARD_GRID = 801  # Simpson nodes of each Picard iterate (odd)
 _INVARIANT_GATE = 1e-6
 _NORM_GATE = 1e-6
 _RICCATI_STRIDE = 10
-_STAGE_BLOCK = 64  # rows of a stage table formed at a time
+_STAGE_BLOCK = 64  # steps, or rows of a stage table, formed at a time
 
 
 class FlowError(RuntimeError):
@@ -129,25 +138,35 @@ def step_count(t: float, dt: float) -> int:
     return max(1, math.ceil(t / dt * (1 - 1e-12))) if t > 0 else 0
 
 
-def _rk4_steps(t: float, dt: float):
+def _rk4_steps(t: float, dt: float) -> list:
     """(start, length) of each step of ``rk4`` over [0, t]: steps of dt, the
     last one shortened to land on t."""
-    now = 0.0
+    steps, now = [], 0.0
     for _ in range(step_count(t, dt)):
         h = min(dt, t - now)
-        yield now, h
+        steps.append((now, h))
         now += h
+    return steps
 
 
-def _stage_times(t: float, dt: float) -> list:
-    """The distinct times, in order, at which ``rk4`` over [0, t] in steps
-    of dt reads its right-hand side, as ``rk4_step`` forms them: each
-    step's start and midpoint, then the end (2n + 1 times for n steps)."""
-    times, end = [], []
-    for now, h in _rk4_steps(t, dt):
-        times += (now, now + h / 2)
-        end = [now + h]
-    return times + end
+def _stage_times(steps: Sequence[tuple]) -> list:
+    """The distinct times, in order, at which RK4 over ``steps`` reads its
+    right-hand side, as ``rk4_step`` forms them: each step's start and
+    midpoint, then the end (2n + 1 times for n steps)."""
+    times = [tau for now, h in steps for tau in (now, now + h / 2)]
+    return times + [now + h for now, h in steps[-1:]]
+
+
+def _rk4_run(rhs: Callable, y0, steps: Sequence[tuple], keep: bool = False):
+    """``rk4`` over a list of (start, length) steps."""
+    y = y0
+    times, ys = [0.0], [y0]
+    for now, h in steps:
+        y = rk4_step(rhs, now, y, h)
+        if keep:
+            times.append(now + h)
+            ys.append(y)
+    return (np.array(times), np.array(ys)) if keep else y
 
 
 def rk4(rhs: Callable, y0, t: float, dt: float, keep: bool = False):
@@ -157,14 +176,30 @@ def rk4(rhs: Callable, y0, t: float, dt: float, keep: bool = False):
     y(t), or with ``keep`` the arrays (times, states) of every step,
     starting with (0, y0).
     """
-    y = y0
-    times, ys = [0.0], [y0]
-    for now, h in _rk4_steps(t, dt):
-        y = rk4_step(rhs, now, y, h)
-        if keep:
-            times.append(now + h)
-            ys.append(y)
-    return (np.array(times), np.array(ys)) if keep else y
+    return _rk4_run(rhs, y0, _rk4_steps(t, dt), keep)
+
+
+def _step_matrices(a1, a2, a4, h) -> tuple:
+    """(D, S) of classical RK4 steps of a linear system y' = A(tau) y.
+
+    ``a1``, ``a2`` and ``a4`` hold A at each step's start, midpoint and end,
+    stacked over steps or single, and ``h`` the step lengths.  The step is
+    y -> y + D y with
+
+        D = h/6 (A1 + 2 A2 S2 + 2 A2 S3 + A4 S4),
+
+    the same tableau as ``rk4_step``, and S stacks the stage maps
+    S2 = 1 + h/2 A1, S3 = 1 + h/2 A2 S2 and S4 = 1 + h A2 S3 along the axis
+    after the steps: stage i of a step from y reads S_i y.
+    """
+    h = np.reshape(h, np.shape(h) + (1, 1))
+    eye = np.eye(np.shape(a1)[-1])
+    s2 = eye + h / 2 * a1
+    k2 = a2 @ s2
+    s3 = eye + h / 2 * k2
+    k3 = a2 @ s3
+    s4 = eye + h * k3
+    return h / 6 * (a1 + 2 * k2 + 2 * k3 + a4 @ s4), np.stack([s2, s3, s4], axis=-3)
 
 
 def _cumulative_simpson_c(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -227,17 +262,13 @@ def _stacked(terms: Sequence[tuple], w: np.ndarray, parts: Sequence) -> np.ndarr
     return np.broadcast_to(_weighted(terms, columns, parts), (len(w),) + shape)
 
 
-def _stage_reader(terms: Sequence[tuple],
-                  rows: Callable[[slice], Sequence]) -> Callable:
+def _stage_reader(rows: Callable[[slice], Sequence]) -> Callable:
     """The reader of a table of the terms over ``_stage_times`` for one run
     of ``rk4``: called once per stage, in order, it returns the stage's row.
     ``rk4_step`` reads t, t + h/2, t + h/2 and t + h, so stage 4k + i of
     the run reads row 2k + (0, 1, 1, 2)[i].  The rows are read in order,
     so ``rows(block)`` forms them ``_STAGE_BLOCK`` at a time, and a long run
-    holds one block of a table, not all of it.  With no profiled term every
-    row is the same, formed at the first read."""
-    if all(f is None for f, _ in terms):
-        return functools.cache(lambda: rows(slice(0, 1))[0])
+    holds one block of a table, not all of it."""
     stages = itertools.count()
     block = [-1, None]  # first row, rows
 
@@ -340,10 +371,15 @@ class FlowResiduals:
                    self.g_inverse_excess)
 
 
-def _split_m(f: np.ndarray, g: np.ndarray, cond_limit: float) -> np.ndarray:
-    """Symmetrized M = F G^-1 of one flow or of a stack of them."""
+def _check_cond(g: np.ndarray, cond_limit: float) -> None:
+    """The cond(G) guard, on one G or in one batched cond on a stack of them."""
     if not np.all(np.linalg.cond(g) <= cond_limit):
         raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
+
+
+def _split_m(f: np.ndarray, g: np.ndarray, cond_limit: float) -> np.ndarray:
+    """Symmetrized M = F G^-1 of one flow or of a stack of them."""
+    _check_cond(g, cond_limit)
     m = np.swapaxes(np.linalg.solve(np.swapaxes(g, -1, -2),
                                     np.swapaxes(f, -1, -2)), -1, -2)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
@@ -375,6 +411,19 @@ def _metaplectic_phase(gs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * (np.log(np.abs(dets)) + 1j * arg) + 1j * thetas)
 
 
+def _phase_angles(hs: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """theta at every step of RK4 on theta' = rate(tau) from theta(0) = 0.
+
+    ``hs`` are the step lengths and ``rates`` the rate at the 2n + 1 stage
+    times (``_stage_times``).  The increments h/6 (r1 + 2 r2 + 2 r3 + r4)
+    and their running sum are the operations of ``rk4`` on the scalar, in
+    its order, so the angles are bitwise its states.
+    """
+    mid = rates[1::2]
+    steps = hs / 6 * (rates[:-1:2] + 2 * mid + 2 * mid + rates[2::2])
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
 def integrate_flow(
     path: GeneratorPath,
     t: float,
@@ -384,41 +433,47 @@ def integrate_flow(
 ) -> BogoliubovFlow:
     """Integrate the linear flow equations from (F, G) = (0, 1) to time t.
 
-    ``rk4`` steps the (2d, d) state [F; G] of the linear system
+    Classical RK4 steps the (2d, d) state [F; G] of the linear system
     [F; G]' = K(tau) [F; G] with a fixed dt (the final step is shortened to
-    land on t exactly) and keeps every step as the trajectory; the same
-    ``rk4`` steps the scalar theta' = 1/2 tr H+- - hbar.  Each term's K_j
-    and theta'_j are built once, ``profile_sum`` tabulates the profile
-    values once per distinct stage time, and K(tau) and theta'(tau) are
-    stacked from them a block of stage times at a time, so a stage is one
-    table read and one matrix product.  The phase
-    c = det(G)^(-1/2) e^(i theta) is formed at every kept step, its root
-    continued over them, and M = F G^-1 only at the end point.  Every
-    stage's G is checked against ``cond_limit`` in one batched cond after
-    the loop.
+    land on t exactly) and keeps every step as the trajectory.  On a linear
+    system an RK4 step is one matrix: [F; G] -> [F; G] + D [F; G], with D
+    and the stage maps formed by ``_step_matrices`` from K at the step's
+    start, midpoint and end, in batched products ``_STAGE_BLOCK`` steps at
+    a time.  Each term's K_j and theta'_j are built once, and
+    ``profile_sum`` tabulates the profile values once per distinct stage
+    time.  theta' = 1/2 tr H+- - hbar is summed by the same tableau
+    (``_phase_angles``).  The phase c = det(G)^(-1/2) e^(i theta) is formed
+    at every kept step, its root continued over them, and M = F G^-1 only
+    at the end point.  The G of every stage, the bottom rows of S_i [F; G],
+    is checked against ``cond_limit`` in one batched cond after the loop.
+    ``rk4`` on the per-stage right-hand side K(tau) [F; G] is the oracle of
+    this step form in the tests.
     """
     path.check_time(t)
     d = path.modes
-    stage_g = np.empty((4 * step_count(t, dt), d, d), dtype=complex)
-    stages = itertools.count()
+    steps = _rk4_steps(t, dt)
+    n = len(steps)
+    hs = np.array([h for _, h in steps])
     ks, rates = zip(*(_linear_system(gen) for _, gen in path.terms))
-    w = profile_sum(path.terms, _stage_times(t, dt))[0]
-    k_at = _stage_reader(path.terms, lambda rows: _stacked(path.terms, w[rows], ks))
-    rate_at = _stage_reader(path.terms,
-                            lambda rows: _stacked(path.terms, w[rows], rates).tolist())
-
-    def rhs(_, fg):
-        stage_g[next(stages)] = fg[d:]
-        return k_at() @ fg
-
-    fg0 = np.concatenate([np.zeros((d, d)), np.eye(d)]).astype(complex)
-    times, fgs = rk4(rhs, fg0, t, dt, keep=True)
-    _, thetas = rk4(lambda *_: rate_at(), 0.0, t, dt, keep=True)
-    if not np.all(np.linalg.cond(stage_g) <= cond_limit):
-        raise FlowError(f"G is numerically singular (cond > {cond_limit:.1e})")
+    w = profile_sum(path.terms, _stage_times(steps))[0]
+    fgs = np.empty((n + 1, 2 * d, d), dtype=complex)
+    fgs[0] = fg = np.concatenate([np.zeros((d, d)), np.eye(d)]).astype(complex)
+    stage_g = np.empty((n, 4, d, d), dtype=complex)
+    for first in range(0, n, _STAGE_BLOCK):
+        last = min(first + _STAGE_BLOCK, n)
+        k = _stacked(path.terms, w[2 * first:2 * last + 1], ks)
+        ds, maps = _step_matrices(k[:-1:2], k[1::2], k[2::2], hs[first:last])
+        for i, step in enumerate(ds, first + 1):
+            fgs[i] = fg = fg + step @ fg
+        starts = fgs[first:last]
+        stage_g[first:last, 0] = starts[:, d:]
+        stage_g[first:last, 1:] = maps[:, :, d:] @ starts[:, None]
+    _check_cond(stage_g.reshape(-1, d, d), cond_limit)
+    thetas = _phase_angles(hs, _stacked(path.terms, w, rates))
     fs, gs = fgs[:, :d], fgs[:, d:]
     c = _metaplectic_phase(gs, thetas)[-1]
     f, g = fs[-1], gs[-1]
+    times = np.array([0.0] + [now + h for now, h in steps])
     flow = BogoliubovFlow(
         f=f, g=g, m=_split_m(f, g, cond_limit), c=c, t=float(times[-1]),
         times=times, fs=fs, gs=gs,
@@ -606,21 +661,31 @@ def propagate_gaussian(
     return state
 
 
-def _schroedinger_rhs(path: GeneratorPath, basis: ModeBasis, t: float,
-                      dt: float) -> Callable:
-    """-i H_tau psi at the stage times of ``rk4`` over [0, t] in steps of dt.
+def _truncated_evolution(path: GeneratorPath, basis: ModeBasis, t: float,
+                         dt: float, y0: np.ndarray) -> np.ndarray:
+    """y(t) of dy/dt = -i H_tau y on the truncated basis, by classical RK4.
 
-    Each term's matrix is assembled once.  A constant path uses one matrix
-    H for every stage; otherwise the profile values are tabulated once, and
-    a stage sums the matrices with its row.
+    Each term's matrix is assembled once.  On a constant path the system is
+    y' = A y with one A = -i H, so a step is y -> y + D y, D formed once per
+    distinct step length (``_step_matrices``).  Otherwise the profile values
+    are tabulated once and ``rk4_step`` steps y' = -i H_tau y, a stage
+    summing the term matrices with its row of the table.
     """
-    hs = [quadratic_matrix(gen, basis) for _, gen in path.terms]
+    path.check_time(t)
+    steps = _rk4_steps(t, dt)
+    mats = [quadratic_matrix(gen, basis) for _, gen in path.terms]
     if all(f is None for f, _ in path.terms):
-        h = _weighted(path.terms, [1.0] * len(hs), hs)
-        return lambda tau, psi: -1j * (h @ psi)
-    w = profile_sum(path.terms, _stage_times(t, dt))[0]
-    w_at = _stage_reader(path.terms, lambda rows: w[rows].tolist())
-    return lambda _, psi: -1j * (_weighted(path.terms, w_at(), hs) @ psi)
+        a = -1j * _weighted(path.terms, [1.0] * len(mats), mats)
+        lengths = {h for _, h in steps}
+        ds = {h: _step_matrices(a, a, a, h)[0] for h in lengths}
+        y = y0
+        for _, h in steps:
+            y = y + ds[h] @ y
+        return y
+    w = profile_sum(path.terms, _stage_times(steps))[0]
+    w_at = _stage_reader(lambda rows: w[rows].tolist())
+    return _rk4_run(lambda _, psi: -1j * (_weighted(path.terms, w_at(), mats) @ psi),
+                    y0, steps)
 
 
 @dataclass(frozen=True)
@@ -639,13 +704,15 @@ def propagate_direct(
 
     The compressed H_t is Hermitian, so the exact truncated flow is unitary;
     the reported norm drift isolates pure integrator error, and a drift
-    above 1e-6 raises ``FlowError``.  The stages read profile values
-    tabulated once (``_schroedinger_rhs``).
+    above 1e-6 raises ``FlowError``.  A constant path steps y -> y + D y
+    with one RK4 step matrix D per step length; a time-dependent one steps
+    with ``rk4_step``, reading profile values tabulated once
+    (``_truncated_evolution``).  ``rk4`` on -i H_t Psi, H_t summed at every
+    stage, is its oracle in the tests.
     """
-    path.check_time(t)
     basis = psi0.basis
     n0 = np.linalg.norm(psi0.coeffs)
-    v = rk4(_schroedinger_rhs(path, basis, t, dt), psi0.coeffs.copy(), t, dt)
+    v = _truncated_evolution(path, basis, t, dt, psi0.coeffs.copy())
     drift = abs(np.linalg.norm(v) - n0)
     if not drift <= _NORM_GATE:
         raise FlowError(f"norm drift {drift:.3e} > {_NORM_GATE:.1e}")
@@ -660,12 +727,11 @@ def propagator_matrix(
 ) -> np.ndarray:
     """Matrix of the time-ordered evolution on the truncated basis.
 
-    Fourth-order integration of dU/dt = -i H_t U from U = 1; the oracle
+    Fourth-order integration of dU/dt = -i H_t U from U = 1, by the step
+    form of ``propagate_direct`` (``_truncated_evolution``); the oracle
     realization used to validate flow-based propagators.
     """
-    path.check_time(t)
-    return rk4(_schroedinger_rhs(path, basis, t, dt),
-               np.eye(basis.size, dtype=complex), t, dt)
+    return _truncated_evolution(path, basis, t, dt, np.eye(basis.size, dtype=complex))
 
 
 def propagator_from_flow(flow: BogoliubovFlow, basis: ModeBasis) -> tuple:

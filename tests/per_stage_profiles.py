@@ -1,9 +1,11 @@
 """The per-stage route of the flow layer, the tests' oracle for the
-tabulated profiles of ``bogoliubov``.
+tabulated profiles and the RK4 step matrices of ``bogoliubov``.
 
 Every RK4 stage evaluates and checks the path's profiles at its own time
 and sums the terms afresh, and ``integrate_flow`` steps the packed state
-[vec F, vec G, theta]; the stepping is the package's own ``rk4``.
+[vec F, vec G, theta]; the stepping is the package's own ``rk4``, four
+right-hand sides per step, where ``bogoliubov`` steps a linear system
+y -> y + D y.
 """
 
 import math
@@ -29,15 +31,18 @@ def profile_sum(terms, t, *per_term):
     return weights, tuple(total(parts) for parts in per_term)
 
 
-def integrate_flow(path, t, dt):
+def integrate_flow(path, t, dt, stages=None):
     """(times, fs, gs, c) of ``bogoliubov.integrate_flow``, its profiles
-    summed at every stage."""
+    summed at every stage.  A list ``stages`` receives the G that each
+    stage reads, in order."""
     d = path.modes
     n = 2 * d * d
     ks, rates = zip(*(_linear_system(gen) for _, gen in path.terms))
 
     def rhs(tau, y):
         fg = y[:n].reshape(2 * d, d)
+        if stages is not None:
+            stages.append(fg[d:])
         _, (k, rate) = profile_sum(path.terms, tau, ks, rates)
         return np.concatenate([(k @ fg).ravel(), [rate]])
 

@@ -27,7 +27,7 @@ from semiclab.bogoliubov import (
     rk4,
     step_count,
 )
-from semiclab.bogoliubov import _split_m
+from semiclab.bogoliubov import _phase_angles, _rk4_steps, _split_m, _stage_times
 from semiclab.fock import (
     ConvergenceError,
     FockVector,
@@ -781,21 +781,31 @@ def _one_mode_driven_path():
     (lambda: mixed_rotation_squeeze_path(), 0.0, 1e-2, 4),
 ])
 def test_tabulated_routes_equal_the_per_stage_oracle(make_path, t, dt, cutoff):
-    # a table read per stage instead of profile_sum per stage: bitwise the same
+    # a table read per stage instead of profile_sum per stage.  The routes
+    # that step y -> y + D y (the flow, and the direct routes of a constant
+    # path) round in another order than four stages of rk4_step, so they
+    # agree to rounding (4.7e-16 at most here); the time-dependent direct
+    # routes still run rk4_step and stay bitwise the same
     path = make_path()
     flow = integrate_flow(path, t, dt)
     times, fs, gs, c = per_stage_profiles.integrate_flow(path, t, dt)
     assert np.array_equal(flow.times, times)
-    assert np.array_equal(flow.fs, fs) and np.array_equal(flow.gs, gs)
-    assert flow.c == c
+    assert np.abs(flow.fs - fs).max() <= 1e-14
+    assert np.abs(flow.gs - gs).max() <= 1e-14
+    assert abs(flow.c - c) <= 1e-14
     basis = ModeBasis(path.modes, cutoff)
     psi = number_state(basis, (1,) + (0,) * (path.modes - 1))
-    assert np.array_equal(propagate_direct(psi, path, t, dt).state.coeffs,
-                          per_stage_profiles.propagate_direct(psi, path, t, dt))
+    direct = propagate_direct(psi, path, t, dt).state.coeffs
+    direct_oracle = per_stage_profiles.propagate_direct(psi, path, t, dt)
     horizon = min(t, 0.25)
-    assert np.array_equal(propagator_matrix(path, horizon, dt, basis),
-                          per_stage_profiles.propagator_matrix(path, horizon, dt,
-                                                               basis))
+    matrix = propagator_matrix(path, horizon, dt, basis)
+    matrix_oracle = per_stage_profiles.propagator_matrix(path, horizon, dt, basis)
+    if all(f is None for f, _ in path.terms):
+        assert np.abs(direct - direct_oracle).max() <= 1e-14
+        assert np.abs(matrix - matrix_oracle).max() <= 1e-14
+    else:
+        assert np.array_equal(direct, direct_oracle)
+        assert np.array_equal(matrix, matrix_oracle)
 
 
 def test_each_profile_is_read_once_per_distinct_stage_time():
@@ -866,3 +876,130 @@ def test_a_time_dependent_direct_route_tabulates_only_the_profile_values():
     one_matrix = basis.size ** 2 * 16
     assert basis.size == 65
     assert peak <= 20 * one_matrix
+
+
+def test_a_constant_direct_route_holds_one_step_matrix_per_step_length():
+    # D is formed once per distinct step length and read by it; a gathered
+    # (n, dim, dim) stack of it would be 1000 dim^2 complex numbers here
+    import tracemalloc
+
+    path = squeeze_path(0.3)
+    basis = ModeBasis(1, 64)
+    psi = vacuum_state(basis)
+    propagate_direct(psi, path, 0.1, 1e-3)
+    tracemalloc.start()
+    try:
+        propagate_direct(psi, path, 0.9995, 1e-3)  # a shortened last step
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * basis.size ** 2 * 16
+
+
+@pytest.mark.parametrize("t, dt", [(1.0, 0.07), (2.0, 0.03), (0.0, 0.01)])
+def test_phase_angles_are_the_rk4_states(t, dt):
+    # increments h/6 (r1 + 2 r2 + 2 r3 + r4) and one running sum: rk4's
+    # operations in its order, so bitwise its states, a shortened last
+    # step and t = 0 included
+    rate = lambda tau: 0.5 * math.cos(3 * tau) - 0.2 * tau
+    steps = _rk4_steps(t, dt)
+    rates = np.array([rate(tau) for tau in _stage_times(steps)])
+    angles = _phase_angles(np.array([h for _, h in steps]), rates)
+    _, states = rk4(lambda tau, _: rate(tau), 0.0, t, dt, keep=True)
+    assert np.array_equal(angles, states)
+
+
+@pytest.mark.parametrize("make_path, t", [(rotation_path, 1.7),
+                                          (lambda: squeeze_path(0.3), 1.0)])
+def test_constant_step_form_keeps_the_rounding_floor(make_path, t):
+    # y + D y at 10^4 steps stays on the per-stage route; (1 + D) y biases
+    # every step alike and drifts from it by 5e-13
+    path = make_path()
+    psi = number_state(ModeBasis(1, 12), (1,))
+    result = propagate_direct(psi, path, t, 1e-4)
+    oracle = per_stage_profiles.propagate_direct(psi, path, t, 1e-4)
+    assert np.abs(result.state.coeffs - oracle).max() <= 1e-14
+    oracle_drift = abs(np.linalg.norm(oracle) - np.linalg.norm(psi.coeffs))
+    assert result.norm_drift <= oracle_drift + 1e-15
+
+
+def _two_mode_squeeze_path():
+    # squeezes the first mode only, so cond(G) = cosh(0.6 t) grows
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.6, 0.0], [0.0, 0.0]])
+    return GeneratorPath.constant(gen, 4.0)
+
+
+def _squeeze_and_release_path():
+    # the squeeze builds up and undoes itself: cond(G) peaks at t = pi/2
+    gen = QuadraticGenerator.from_blocks(hpp=[[0.6, 0.0], [0.0, 0.0]])
+    return GeneratorPath([(math.cos, gen)], math.pi)
+
+
+@pytest.mark.parametrize("make_path, t, dt", [
+    (_two_mode_squeeze_path, 1.4, 0.03),
+    (_squeeze_and_release_path, math.pi, 0.03),
+    (lambda: random_path(3, np.random.default_rng(42), t_max=2.0), 2.0, 7e-3),
+])
+def test_the_cond_guard_sees_every_stage_g(make_path, t, dt, monkeypatch):
+    # the step route's 4n stage G's, the bottom rows of S_i [F; G], are the
+    # G's the per-stage route hands its right-hand side, in order
+    from semiclab import bogoliubov
+
+    path = make_path()
+    checked = []
+    check = bogoliubov._check_cond
+    monkeypatch.setattr(bogoliubov, "_check_cond",
+                        lambda g, limit: checked.append(g) or check(g, limit))
+    integrate_flow(path, t, dt)
+    seen = []
+    per_stage_profiles.integrate_flow(path, t, dt, stages=seen)
+    assert checked[0].shape == (4 * step_count(t, dt),) + (path.modes,) * 2
+    assert np.abs(checked[0] - np.array(seen)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("make_path, t", [(_two_mode_squeeze_path, 1.4),
+                                          (_squeeze_and_release_path, math.pi)])
+def test_a_cond_limit_under_the_largest_stage_cond_raises(make_path, t):
+    # on the released squeeze the end point's G is near 1, so only the
+    # stage guard can see the peak
+    path = make_path()
+    seen = []
+    per_stage_profiles.integrate_flow(path, t, 0.03, stages=seen)
+    worst = float(np.max(np.linalg.cond(np.array(seen))))
+    flow = integrate_flow(path, t, 0.03, cond_limit=worst * (1 + 1e-9))
+    with pytest.raises(FlowError, match="numerically singular"):
+        integrate_flow(path, t, 0.03, cond_limit=worst * (1 - 1e-9))
+    if make_path is _squeeze_and_release_path:
+        assert np.linalg.cond(flow.gs).max() < worst * (1 - 1e-9)
+
+
+def test_only_a_time_dependent_direct_route_runs_rk4_stages(monkeypatch):
+    # the flow and the constant direct routes step y -> y + D y; a
+    # time-dependent direct route still takes rk4_step's four stages a step
+    from collections import Counter
+
+    from semiclab import bogoliubov
+
+    calls = Counter()
+    step = bogoliubov.rk4_step
+
+    def counted(rhs, *args):
+        calls["rk4_step"] += 1
+
+        def stage(*stage_args):
+            calls["stage"] += 1
+            return rhs(*stage_args)
+
+        return step(stage, *args)
+
+    monkeypatch.setattr(bogoliubov, "rk4_step", counted)
+    basis = ModeBasis(1, 8)
+    psi = vacuum_state(basis)
+    integrate_flow(squeeze_path(), 1.0, 0.03)
+    integrate_flow(_one_mode_driven_path(), 1.0, 0.03)
+    propagate_direct(psi, squeeze_path(), 1.0, 0.03)
+    propagator_matrix(squeeze_path(), 1.0, 0.03, basis)
+    assert calls == {}
+    propagate_direct(psi, _one_mode_driven_path(), 1.0, 0.03)
+    n = step_count(1.0, 0.03)
+    assert calls == {"rk4_step": n, "stage": 4 * n}
