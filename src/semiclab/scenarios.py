@@ -1,21 +1,19 @@
 """Prebuilt algebra families and verification scenarios.
 
-Each family couples a Lie algebra, a classical action on the extended phase
-space, and quadratic Fock generators, chosen so that every consistency
-identity has an independent closed-form anchor:
+Each family is declared by its classical forms alone, plus constant scalar
+offsets; its algebra, generators, scalars and fiber form are their Weyl
+quantization (``GeneratorFamily``).  They are chosen so that every
+consistency identity has an independent closed-form anchor:
 
-- ``u2_family``: particle-conserving generators on two modes with a trivial
-  classical action; pure algebra, used for group-law reconstruction.
+- ``u2_family``: passive rotations of two modes, whose generators are the
+  particle-conserving A+ h A-; every direction fixes X = 0, so it is pure
+  algebra there, used for group-law reconstruction.
 - ``su11_family``: the rotation/squeeze triple on one mode with linear
   symplectic classical flows; carries the scalar central term whose shift
   injects an anomaly, and the double-valued loop phase.
 - ``heisenberg_family``: translations of the phase plane with purely scalar
   generators depending on X; exercises the X-dependent terms of the
   consistency identities.
-
-su11 and heisenberg are declared by their classical forms alone, plus the
-scalar offsets that inject an anomaly; their algebra, generators, scalars
-and fiber form are derived from the forms (``GeneratorFamily.from_forms``).
 """
 
 from __future__ import annotations
@@ -30,13 +28,7 @@ import numpy as np
 
 from .bogoliubov import rk4
 from .fock import ConvergenceError, QuadraticGenerator
-from .symmetry import (
-    MARGIN,
-    ClassicalSystem,
-    GeneratorFamily,
-    LieAlgebra,
-    _restrict,
-)
+from .symmetry import MARGIN, GeneratorFamily, _restrict
 
 __all__ = [
     "u2_family",
@@ -54,26 +46,29 @@ __all__ = [
 
 
 def u2_family() -> GeneratorFamily:
-    """Particle-conserving u(2) generators A+ h A- on two modes.
+    """Passive rotations of two modes, declared by their classical forms on
+    w = (q1, q2, p1, p2, 1):
 
-    The classical action is trivial and the fiber form vanishes: the
-    content is the operator algebra [dGamma(h_i), dGamma(h_j)] =
-    dGamma([h_i, h_j]).
+      B0: h = (q1^2 + p1^2)/2,  H = a1+ a1
+      B1: h = (q2^2 + p2^2)/2,  H = a2+ a2
+      B2: h = q1 q2 + p1 p2,    H = a1+ a2 + a2+ a1
+      B3: h = q1 p2 - q2 p1,    H = -i (a1+ a2 - a2+ a1)
+
+    H = A+ h_i A- for h_i = diag(1, 0), diag(0, 1), sigma_x and sigma_y: the
+    offsets -tr(h_i)/2 remove the Weyl ordering constant, a character of
+    u(2), so every scalar is 0.  X = 0 is every direction's fixed point.
     """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    hs = [
-        np.diag([1.0, 0.0]).astype(complex),
-        np.diag([0.0, 1.0]).astype(complex),
-        sx,
-        sy,
-    ]
-    m = len(hs)
-    algebra = LieAlgebra(tuple(-1j * h for h in hs))
-    return GeneratorFamily(
-        algebra=algebra, system=ClassicalSystem.trivial(m),
-        generators=[QuadraticGenerator.from_blocks(hpm=h) for h in hs],
-        offsets=np.zeros(m), phi=lambda x, dx: np.zeros(2, dtype=complex))
+    q1, q2, p1, p2 = np.eye(5)[:4]
+
+    def monomial(u, v):  # the symmetric form of (u . w) (v . w)
+        return (np.outer(u, v) + np.outer(v, u)) / 2
+
+    return GeneratorFamily([
+        (monomial(q1, q1) + monomial(p1, p1)) / 2,
+        (monomial(q2, q2) + monomial(p2, p2)) / 2,
+        monomial(q1, q2) + monomial(p1, p2),
+        monomial(q1, p2) - monomial(q2, p1),
+    ], [-0.5, -0.5, 0.0, 0.0])
 
 
 def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
@@ -87,7 +82,7 @@ def su11_family(central_offset: float = 0.0) -> GeneratorFamily:
     of H(B0) is pinned by the central term of the consistency identity;
     ``central_offset`` shifts it to inject an anomaly.
     """
-    return GeneratorFamily.from_forms([
+    return GeneratorFamily([
         np.diag([0.25, 0.25, 0.0]),
         np.diag([0.25, -0.25, 0.0]),
         [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]],
@@ -106,7 +101,7 @@ def heisenberg_family(central_offset: float = 0.0) -> GeneratorFamily:
     # the central flow shifts S by -t: the coordinate vector fields then
     # anti-represent the bracket, [delta_q, delta_p] = -delta_central,
     # exactly as the commutator word of translations requires
-    return GeneratorFamily.from_forms([
+    return GeneratorFamily([
         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
         [[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.0]],
         np.diag([0.0, 0.0, 1.0]),
@@ -445,7 +440,7 @@ def _u2_checks(model: dict, run: dict, seed: int):
     fam = u2_family()
     basis = ModeBasis(2, model["cutoff"])
     dt, n_pairs, scale = run["dt"], run["n_pairs"], run["pair_scale"]
-    x0 = np.zeros(3)
+    x0 = np.zeros(5)  # S = 0, Q = P = 0 in R^2: every direction's fixed point
 
     def group_law_pairs():
         rng = np.random.default_rng(seed)

@@ -5,16 +5,18 @@ A scenario supplies three coupled pieces:
 - a ``LieAlgebra``: declared by a faithful matrix representation alone,
   used for all group-side computations (words, canonical coordinates); its
   structure constants are derived from the representation once, when built;
-- a ``ClassicalSystem``: flows on points X = (S, Q, P), float arrays of
-  shape (3,) that ``packets`` takes as they are, one quadratic Hamiltonian
-  form per direction, so affine symplectic maps on (Q, P) with the action
-  P dQ - h dt carried along, all exact in closed form; the action form
-  omega[dX] = P dQ - dS is ``action_form``;
-- a ``GeneratorFamily``: one fixed quadratic Fock generator per direction
-  and the per-direction scalars hbar_i(X), read off the forms, so H(a: X) =
-  sum_i a_i G_i + a . hbar(X), together with the fiber 1-form phi that
-  realizes the operator form Omega[dX] = -i (A+ phi - A- phi*); a one-mode
-  family is its forms' Weyl quantization (``GeneratorFamily.from_forms``).
+- a ``ClassicalSystem``: flows on points X = (S, Q, P) of n degrees of
+  freedom, finite float arrays of shape (2n + 1,) (``packets`` takes the
+  one-dof points as they are), one quadratic Hamiltonian form per
+  direction, so affine symplectic maps on (Q, P) with the action
+  P . dQ - h dt carried along, all exact in closed form; the action form
+  omega[dX] = P . dQ - dS is ``action_form``;
+- a ``GeneratorFamily``: declared by its classical forms and constant
+  scalar offsets alone, and their Weyl quantization: one fixed quadratic
+  Fock generator on n modes per direction and the per-direction scalars
+  hbar_i(X), so H(a: X) = sum_i a_i G_i + a . hbar(X), the algebra in its
+  Jacobi representation, and the fiber 1-form phi (``standard_phi``) that
+  realizes the operator form Omega[dX] = -i (A+ phi - A- phi*).
 
 The checks in this module measure, at finite truncation, the infinitesimal
 consistency identities of such a family, integrate one-parameter evolutions
@@ -130,102 +132,115 @@ def _coefficients(a, dim: int, name: str = "algebra coefficients") -> np.ndarray
     return a
 
 
-def _point(x) -> np.ndarray:
-    """A point X = (S, Q, P) of the extended phase space as a finite float
-    array of shape (3,), or ValueError."""
+def _point(x, size: int = 3) -> np.ndarray:
+    """A point X = (S, Q, P) of n = (size - 1) / 2 degrees of freedom as a
+    finite float array of shape (size,), or ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"a point X = (S, Q, P) has shape (3,), got shape {x.shape}")
+    if x.shape != (size,):
+        raise ValueError(f"a point X = (S, Q, P) has shape ({size},), got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"a point X = (S, Q, P) must be finite, got {x}")
     return x
 
 
 def action_form(x: np.ndarray, dx: np.ndarray) -> float:
-    """The action form omega[dX] = P dQ - dS at X = (S, Q, P); its
+    """The action form omega[dX] = P . dQ - dS at X = (S, Q, P); its
     vanishing along a manifold is isotropy."""
-    return x[2] * dx[1] - dx[0]
+    n = len(x) // 2
+    return x[n + 1:] @ dx[1:n + 1] - dx[0]
 
 
 def standard_phi(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """The one-mode fiber form phi[dX] = (dQ + i dP) / sqrt(2)."""
-    dx = np.asarray(dx, dtype=float).reshape(3)
-    return np.array([(dx[1] + 1j * dx[2]) / math.sqrt(2)])
+    """The fiber form phi[dX] = (dQ + i dP) / sqrt(2) on n modes, for a
+    tangent dX = (dS, dQ, dP) of n degrees of freedom."""
+    dx = np.asarray(dx, dtype=float).reshape(-1)
+    n = len(dx) // 2
+    return (dx[1:n + 1] + 1j * dx[n + 1:]) / math.sqrt(2)
 
 
-def _checked_form(form) -> np.ndarray:
-    """A Hamiltonian form as a float 3x3 array, or ValueError."""
-    h = np.asarray(form, dtype=float)
-    if h.shape != (3, 3):
-        raise ValueError(f"a Hamiltonian form is 3x3 on (q, p, 1), got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("a Hamiltonian form must be finite")
-    if not np.array_equal(h, h.T):
-        raise ValueError("a Hamiltonian form must be symmetric")
-    return h
+def _checked_forms(forms: Sequence[np.ndarray]) -> np.ndarray:
+    """Hamiltonian forms as one float (m, 2n + 1, 2n + 1) array, each finite,
+    symmetric and of its first form's size, or ValueError."""
+    forms = [np.asarray(f, dtype=float) for f in forms]
+    if not forms:
+        raise ValueError("a classical system needs at least one form")
+    shape = forms[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 3 or shape[0] % 2 == 0:
+        raise ValueError("a Hamiltonian form is (2n+1)x(2n+1), n >= 1, on w = (q, p, 1) "
+                         f"of n degrees of freedom, got shape {shape}")
+    for h in forms:
+        if h.shape != shape:
+            raise ValueError(f"the forms of a system are {shape[0]}x{shape[0]} like "
+                             f"its first, got shape {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("a Hamiltonian form must be finite")
+        if not np.array_equal(h, h.T):
+            raise ValueError("a Hamiltonian form must be symmetric")
+    return np.array(forms)
 
 
 def _hamilton_field(h: np.ndarray) -> np.ndarray:
     """The matrix A of w' = A w, w = (Q, P, 1), from Hamilton's equations
     Q' = dh/dP = 2 (H w)_P, P' = -dh/dQ = -2 (H w)_Q of h = w^T H w."""
-    return np.array([2 * h[1], -2 * h[0], np.zeros(3)])
+    n = len(h) // 2
+    return np.concatenate([2 * h[n:2 * n], -2 * h[:n], np.zeros((1, len(h)))])
 
 
 class ClassicalSystem:
     """Flows on packed points X = (S, Q, P), one per algebra direction.
 
-    Direction i is declared by a finite symmetric 3x3 form H_i, the
-    Hamiltonian h_i(q, p) = w^T H_i w on w = (q, p, 1).  Hamilton's
-    equations make the field affine, w' = A w, and the action follows
-    S' = P Q' - h = w^T R w with R = e_P A[0]^T - H.  Both are exact in
-    closed form:
+    Direction i is declared by a finite symmetric (2n+1)x(2n+1) form H_i,
+    the Hamiltonian h_i(q, p) = w^T H_i w on w = (q, p, 1) of n degrees of
+    freedom.  Hamilton's equations make the field affine, w' = A w, and the
+    action follows S' = P . Q' - h = w^T R w with R = E_P A_Q - H, E_P
+    the embedding of the P rows.  Both are exact in closed form:
 
         exp(t [[-A^T, R], [0, A]]) = [[., E], [0, e^(A t)]],
         w(t) = e^(A t) w,   S(t) = S + w(t) . (E w),
 
-    the action integral by Van Loan's block-triangular exponential.
+    the action integral by Van Loan's block-triangular exponential.  Points
+    and tangents are checked (``_point``).
     """
 
     def __init__(self, forms: Sequence[np.ndarray]):
-        self.forms = np.array([_checked_form(f) for f in forms]).reshape(-1, 3, 3)
-
-    @staticmethod
-    def trivial(m: int) -> "ClassicalSystem":
-        return ClassicalSystem([np.zeros((3, 3))] * m)
+        self.forms = _checked_forms(forms)
 
     @property
     def dim(self) -> int:
         return len(self.forms)
 
+    def _point(self, x) -> np.ndarray:
+        return _point(x, self.forms.shape[1])
+
     def _form(self, a: np.ndarray) -> np.ndarray:
         """The form sum_i a_i H_i of direction a."""
         a = _coefficients(a, self.dim)
-        return (a @ self.forms.reshape(self.dim, 9)).reshape(3, 3)
+        return (a @ self.forms.reshape(self.dim, -1)).reshape(self.forms.shape[1:])
 
     def trajectory(self, a: np.ndarray, times: Sequence[float],
                    x: np.ndarray) -> np.ndarray:
         """Exact states X(tau), one row per tau of ``times``, from one
         batched matrix exponential."""
+        x = self._point(x)
         times = np.asarray(times, dtype=float)
         h = self._form(a)
         field = _hamilton_field(h)
-        gen = np.zeros((6, 6))
-        gen[:3, :3] = -field.T
-        gen[:3, 3:] = np.outer([0.0, 1.0, 0.0], field[0]) - h  # S' = P Q' - h
-        gen[3:, 3:] = field
+        size, n = len(h), len(h) // 2
+        gen = np.zeros((2 * size, 2 * size))
+        gen[:size, :size] = -field.T
+        gen[:size, size:] = np.eye(size, n, -n) @ field[:n] - h  # S' = P . Q' - h
+        gen[size:, size:] = field
         blocks = expm(np.multiply.outer(times, gen))
-        x = np.asarray(x, dtype=float).reshape(3)
-        w = np.array([x[1], x[2], 1.0])
-        moved = blocks[:, 3:, 3:] @ w
-        action = np.sum(moved * (blocks[:, :3, 3:] @ w), axis=-1)
-        return np.column_stack([x[0] + action, moved[:, 0], moved[:, 1]])
+        w = np.append(x[1:], 1.0)
+        moved = blocks[:, size:, size:] @ w
+        action = np.sum(moved * (blocks[:, :size, size:] @ w), axis=-1)
+        return np.column_stack([x[0] + action, moved[:, :-1]])
 
     def is_fixed_point(self, a: np.ndarray, x: np.ndarray) -> bool:
         """True when the field of direction a vanishes exactly at x, so
-        the flow of a stays at x: Q' = P' = 0 is (H w)[:2] = 0, and then
-        S' = -h = -(H w)[2]."""
-        x = np.asarray(x, dtype=float).reshape(3)
-        return not np.any(self._form(a) @ [x[1], x[2], 1.0])
+        the flow of a stays at x: Q' = P' = 0 is (H w)[:2n] = 0, and then
+        S' = -h = -(H w)[2n]."""
+        return not np.any(self._form(a) @ np.append(self._point(x)[1:], 1.0))
 
     def flow(self, a: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
         return self.trajectory(a, [t], x)[0]
@@ -237,76 +252,57 @@ class ClassicalSystem:
         The flow is quadratic in X, so its central difference at unit step
         is its derivative exactly.
         """
-        x = np.asarray(x, dtype=float).reshape(3)
-        dx = np.asarray(dx, dtype=float).reshape(3)
+        x, dx = self._point(x), self._point(dx)
         return (self.flow(a, t, x + dx) - self.flow(a, t, x - dx)) / 2
 
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """Quadratic generators and the fiber 1-form of a symmetry scenario.
+    """A symmetry family: its classical forms and scalar offsets, and their
+    Weyl quantization, derived once, when built.
 
-    H(a: X) = sum_i a_i G_i + a . hbar(X), with one fixed
-    ``QuadraticGenerator`` G_i per basis direction (zero hbar), so H is
-    linear in a and its blocks do not move with X.  The scalars are read
-    off the forms F_i = [[K_i, L_i], [L_i^T, c_i]] on w = (q, p, 1) of the
-    classical system: hbar_i(X) = L_i . (Q, P) + c_i + tr(K_i) / 2 +
-    offsets_i, the Weyl symbol's h - X . grad(h) / 2, its ordering constant
-    and a declared constant, where an anomaly is injected.  The family is
-    validated, and the scalars tabulated on (1, Q, P), once, when built.
-    ``phi(X, dX)`` maps a tangent vector to the C^d constraint vector.
+    A form F_i = [[K_i, L_i], [L_i^T, c_i]] on w = (q, p, 1) of n degrees of
+    freedom is direction i's Hamiltonian.  Derived: ``system``; ``algebra``,
+    the forms' Poisson algebra in the Jacobi representation rho(F) =
+    [[0, 2 F[2n]], [0, A]], A the Hamilton field, so forms that do not close
+    raise ``ValueError``; a fixed generator G_i on n modes per direction,
+    H++ = Kqq - Kpp + i (Kqp + Kqp^T) and H+- = Kqq + Kpp - i (Kqp - Kqp^T);
+    and the scalars hbar_i(X) = L_i . (Q, P) + c_i + tr(K_i) / 2 + offsets_i
+    (the Weyl symbol's h - X . grad(h) / 2, its ordering constant and a
+    declared constant, where an anomaly is injected), tabulated on (1, Q, P).
+    So H(a: X) = sum_i a_i G_i + a . hbar(X), whose blocks do not move with
+    X.  ``phi`` is ``standard_phi``.
     """
 
-    algebra: LieAlgebra
-    system: ClassicalSystem
-    generators: Sequence[QuadraticGenerator]
+    forms: np.ndarray
     offsets: np.ndarray
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    phi = staticmethod(standard_phi)
 
     def __post_init__(self):
-        m, gens = self.algebra.dim, self.generators
-        if len(gens) != m:
-            raise ValueError(f"need one generator per algebra direction ({m}), "
-                             f"got {len(gens)}")
-        if self.system.dim != m:
-            raise ValueError(f"the classical system has {self.system.dim} "
-                             f"directions, the algebra {m}")
-        if len({gen.modes for gen in gens}) != 1:
-            raise ValueError("the generators act on different mode counts")
-        if any(gen.hbar != 0.0 for gen in gens):
-            raise ValueError("a generator has nonzero hbar; a direction's scalar "
-                             "comes from its form and its offset")
+        system = ClassicalSystem(self.forms)
+        forms, m, n = system.forms, system.dim, len(system.forms[0]) // 2
         offsets = _coefficients(self.offsets, m, "offsets")
-        forms = self.system.forms
+        rho = np.zeros((m, 2 * n + 2, 2 * n + 2))
+        for r, f in zip(rho, forms):
+            r[0, 1:], r[1:, 1:] = 2 * f[-1], _hamilton_field(f)
+        k = forms[:, :2 * n, :2 * n]
+        kqq, kqp, kpp = k[:, :n, :n], k[:, :n, n:], k[:, n:, n:]
+        kpq = kqp.transpose(0, 2, 1)
         # tr(K_i) / 2 + offsets_i, and the scalars' table on (1, Q, P)
-        ordering = np.trace(forms[:, :2, :2], axis1=1, axis2=2) / 2 + offsets
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "_ordering", ordering)
-        object.__setattr__(self, "_scalars", np.column_stack(
-            [forms[:, 2, 2] + ordering, forms[:, :2, 2]]))
-        object.__setattr__(self, "_blocks",
-                           np.array([[gen.hpp, gen.hpm] for gen in gens]))
-
-    @classmethod
-    def from_forms(cls, forms: Sequence[np.ndarray],
-                   offsets: Sequence[float]) -> "GeneratorFamily":
-        """The one-mode family of the Weyl quantizations of the forms F_i =
-        [[K, L], [L^T, c]]: H++ = K11 - K22 + 2i K12, H+- = K11 + K22.  Its
-        algebra is the forms' Poisson algebra in the Jacobi representation
-        rho(F) = [[0, 2 F[2]], [0, A]], A the Hamilton field of F, so forms
-        that do not close raise ``ValueError``; phi is ``standard_phi``."""
-        system = ClassicalSystem(forms)
-        rho = np.zeros((system.dim, 4, 4))
-        generators = []
-        for r, f in zip(rho, system.forms):
-            r[0, 1:], r[1:, 1:] = 2 * f[2], _hamilton_field(f)
-            generators.append(QuadraticGenerator.from_blocks(
-                hpp=[[f[0, 0] - f[1, 1] + 2j * f[0, 1]]], hpm=[[f[0, 0] + f[1, 1]]]))
-        return cls(LieAlgebra(tuple(rho)), system, generators, offsets, standard_phi)
+        ordering = np.trace(k, axis1=1, axis2=2) / 2 + offsets
+        for name, value in (
+                ("forms", forms), ("offsets", offsets), ("system", system),
+                ("algebra", LieAlgebra(tuple(rho))), ("_ordering", ordering),
+                ("_scalars", np.column_stack([forms[:, -1, -1] + ordering,
+                                              forms[:, :-1, -1]])),
+                ("_blocks", np.stack([kqq - kpp + 1j * (kqp + kpq),
+                                      kqq + kpp + 1j * (kpq - kqp)], axis=1))):
+            object.__setattr__(self, name, value)
 
     @property
     def modes(self) -> int:
-        return self.generators[0].modes
+        return len(self.forms[0]) // 2
 
     def generator(self, a: np.ndarray, x: np.ndarray) -> QuadraticGenerator:
         a = _coefficients(a, self.algebra.dim)
@@ -314,7 +310,7 @@ class GeneratorFamily:
 
     def _scalar(self, a: np.ndarray, x: np.ndarray) -> float:
         """The scalar a . hbar(X) of H(a: X)."""
-        return float(a @ (self._scalars @ [1.0, x[1], x[2]]))
+        return float(a @ (self._scalars @ np.append(1.0, x[1:])))
 
     def _generator(self, a: np.ndarray, hbar: float) -> QuadraticGenerator:
         """H(a: .) with the scalar hbar: one contraction over the blocks."""
@@ -334,11 +330,15 @@ def _delta(system: ClassicalSystem, a: np.ndarray, x: np.ndarray, h: float,
 
 
 def _delta_scalars(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
-                   x: np.ndarray, h: float) -> float:
-    """delta[B] hbar(A: X) - delta[A] hbar(B: X) by central differences, the
-    delta-terms of the consistency identities: a family's blocks do not move."""
-    return (_delta(fam.system, b, x, h, lambda pt: fam._scalar(a, pt))
-            - _delta(fam.system, a, x, h, lambda pt: fam._scalar(b, pt)))
+                   x: np.ndarray) -> float:
+    """delta[B] hbar(A: X) - delta[A] hbar(B: X), the delta-terms of the
+    consistency identities, exact: the scalars are affine in (Q, P), with
+    gradients ``_scalars[:, 1:]``, and the flow of C moves (Q, P) at the rate
+    (A_C w)[:2n], A_C its Hamilton field."""
+    w = np.append(x[1:], 1.0)
+    rate_a, rate_b = ((_hamilton_field(fam.system._form(c)) @ w)[:-1] for c in (a, b))
+    grads = fam._scalars[:, 1:]
+    return float(a @ grads @ rate_b - b @ grads @ rate_a)
 
 
 def check_vector_field_algebra(system: ClassicalSystem, alg: LieAlgebra,
@@ -346,10 +346,10 @@ def check_vector_field_algebra(system: ClassicalSystem, alg: LieAlgebra,
                                h: float = 1e-4) -> float:
     """Residual of ([delta[A], delta[B]] + delta([A, B])) F on coordinates."""
     a, b = (_coefficients(v, alg.dim) for v in (a, b))
-    x = _point(x)
+    x = system._point(x)
 
     worst = 0.0
-    for comp in range(3):
+    for comp in range(len(x)):
         func = lambda pt, c=comp: pt[c]
         ab = _delta(system, a, x, h, lambda pt: _delta(system, b, pt, h, func))
         ba = _delta(system, b, x, h, lambda pt: _delta(system, a, pt, h, func))
@@ -376,12 +376,14 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     """Residuals of the infinitesimal consistency relations of the family.
 
     The quadratic relations carry no delta-terms: a family's blocks do not
-    move with X.  The scalar relation's discrepancy is returned signed: a
-    constant offset here is the anomaly candidate that the operator-level
-    check should see as a multiple of the identity.
+    move with X, and the scalar's are exact.  The scalar relation's
+    discrepancy is returned signed: a constant offset here is the anomaly
+    candidate that the operator-level check should see as a multiple of the
+    identity.  delta[A] phi is a central difference of step h along dx,
+    by default dS = 0.3, dQ = 1 and dP = -0.7 in every degree of freedom.
     """
     a, b = (_coefficients(v, fam.algebra.dim) for v in (a, b))
-    x = _point(x)
+    x = fam.system._point(x)
     ga = fam.generator(a, x)
     gb = fam.generator(b, x)
     gc = fam.generator(fam.algebra.bracket(a, b), x)
@@ -405,14 +407,14 @@ def check_f3(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
     # of the translation family pins this orientation
     rhs_bar = -0.5j * np.trace(
         hpp_b @ np.conj(hpp_a) - hpp_a @ np.conj(hpp_b))
-    rhs_bar = complex(rhs_bar) + _delta_scalars(fam, a, b, x, h)
+    rhs_bar = complex(rhs_bar) + _delta_scalars(fam, a, b, x)
     hbar_res = float((gc.hbar - rhs_bar).real)
     if abs((gc.hbar - rhs_bar).imag) > 1e-9:
         raise RuntimeError("scalar relation produced an imaginary residual")
 
     # i (delta[A] phi)[dX] = H+-(A) phi[dX] + H++(A) conj(phi[dX])
     if dx is None:
-        dx = np.array([0.3, 1.0, -0.7])
+        dx = np.repeat([0.3, 1.0, -0.7], [1, fam.modes, fam.modes])
     dphi = _delta(fam.system, a, x, h, fam.phi, dx)
     phi0 = fam.phi(x, dx)
     phi_res = float(np.linalg.norm(
@@ -446,8 +448,7 @@ def _restrict(mat: np.ndarray, basis: ModeBasis, margin: int = MARGIN) -> np.nda
 
 
 def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
-             x: np.ndarray, basis: ModeBasis, h: float = 1e-4,
-             margin: int = MARGIN) -> X6Report:
+             x: np.ndarray, basis: ModeBasis, margin: int = MARGIN) -> X6Report:
     """Operator residual of the commutator consistency identity:
 
         R = -[H(A:X), H(B:X)] - i delta[B] H(A:X) + i delta[A] H(B:X)
@@ -455,16 +456,17 @@ def check_x6(fam: GeneratorFamily, a: np.ndarray, b: np.ndarray,
 
     margin-restricted so truncation cannot masquerade as an anomaly.  An
     anomalous family leaves R equal to a scalar multiple of the identity.
-    Only a family's scalars move with X, so the delta-terms are a scalar.
+    Only a family's scalars move with X, so the delta-terms are a scalar,
+    taken exactly (``_delta_scalars``).
     """
     a, b = (_coefficients(v, fam.algebra.dim) for v in (a, b))
-    x = _point(x)
+    x = fam.system._point(x)
     ha = quadratic_matrix(fam.generator(a, x), basis)
     hb = quadratic_matrix(fam.generator(b, x), basis)
     hc = quadratic_matrix(fam.generator(fam.algebra.bracket(a, b), x), basis)
 
     r = -(ha @ hb - hb @ ha) + 1j * hc
-    r.flat[:: basis.size + 1] -= 1j * _delta_scalars(fam, a, b, x, h)
+    r.flat[:: basis.size + 1] -= 1j * _delta_scalars(fam, a, b, x)
     sub = _restrict(r, basis, margin)
     dim = sub.shape[0]
     scalar = complex(np.trace(sub) / dim)
@@ -499,8 +501,7 @@ def check_form_conditions(fam: GeneratorFamily, a: np.ndarray, x: np.ndarray,
     Omega: ||(delta[A] Omega)[dX] - i [Omega[dX], H(A:X)]|| restricted.
     """
     a = _coefficients(a, fam.algebra.dim)
-    x = _point(x)
-    dx = np.asarray(dx, dtype=float).reshape(3)
+    x, dx = fam.system._point(x), fam.system._point(dx)
 
     omega_res = abs(_delta(fam.system, a, x, h, action_form, dx))
     d_om = _delta(fam.system, a, x, h,
@@ -526,10 +527,10 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
     hbar_b(X(tau)) moves (``GeneratorFamily``), and a scalar commutes with
     every operator, so the evolution is ``exponential_flow`` of the blocks
     of H(B) with the scalar's path mean.  Its integral is exact from the
-    action: hbar_b = h_b - (P Q' - Q P') / 2 + tr(K_b) / 2 + b . offsets
-    and S' = P Q' - h_b, so from X = (S, Q, P) to X(t) = (S', Q', P') it is
-    S - S' + (Q' P' - Q P) / 2 + (tr(K_b) / 2 + b . offsets) t, for either
-    sign of t.  At a fixed point of the flow of B
+    action: hbar_b = h_b - (P . Q' - Q . P') / 2 + tr(K_b) / 2 + b . offsets
+    and S' = P . Q' - h_b, so from X = (S, Q, P) to X(t) = (S', Q', P') it
+    is S - S' + (Q' . P' - Q . P) / 2 + (tr(K_b) / 2 + b . offsets) t, for
+    either sign of t.  At a fixed point of the flow of B
     (``ClassicalSystem.is_fixed_point``) the scalar is read at X.
 
     Returns the Bogoliubov flow (F, G, M, c) and the transported point;
@@ -537,7 +538,7 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
     point x that is not a finite (S, Q, P) array raises ``ValueError``.
     """
     b = _coefficients(b, fam.algebra.dim)
-    x = _point(x)
+    x = fam.system._point(x)
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"duration t = {t} is not finite")
@@ -548,7 +549,9 @@ def one_param_u(fam: GeneratorFamily, b: np.ndarray, t: float,
         hbar, x_out = fam._scalar(signed, x), x.copy()
     else:
         x_out = fam.system.flow(b, t, x)
-        integral = (x[0] - x_out[0] + (x_out[1] * x_out[2] - x[1] * x[2]) / 2
+        n = fam.modes
+        integral = (x[0] - x_out[0]
+                    + (x_out[1:n + 1] @ x_out[n + 1:] - x[1:n + 1] @ x[n + 1:]) / 2
                     + (b @ fam._ordering) * t)
         hbar = float(integral) / abs(t)
     return OneParamResult(exponential_flow(fam._generator(signed, hbar), abs(t)), x_out)
@@ -592,7 +595,7 @@ def word_product(fam: GeneratorFamily, word: GroupWord, x: np.ndarray,
     ``ValueError``.  ``dt`` is accepted and unused: every factor is exact
     (``one_param_u``); it stays while scenario configs pass ``run.dt``.
     """
-    x = _point(x)
+    x = fam.system._point(x)
     m = fam.algebra.dim
     for k, (idx, duration) in enumerate(word.factors):
         if not 0 <= idx < m:
@@ -699,7 +702,7 @@ class GroupAction:
     _fam: GeneratorFamily
 
     def map_point(self, x: np.ndarray) -> np.ndarray:
-        x_cur = _point(x).copy()
+        x_cur = self._fam.system._point(x).copy()
         m = self._fam.algebra.dim
         for idx, duration in self.word.factors:
             x_cur = self._fam.system.flow(np.eye(m)[idx], duration, x_cur)
@@ -710,7 +713,7 @@ def group_element_action(fam: GeneratorFamily, g: np.ndarray,
                          x: Optional[np.ndarray], basis: ModeBasis) -> GroupAction:
     """Build U_g(u_g X <- X) through canonical coordinates of the second kind."""
     if x is None:
-        x = np.zeros(3)
+        x = np.zeros(len(fam.forms[0]))
     alphas = second_kind_coords(np.asarray(g, dtype=complex), fam.algebra)
     word = _theorem_word(alphas)
     res = word_product(fam, word, np.asarray(x, dtype=float), basis)

@@ -1,12 +1,27 @@
-"""su11 and heisenberg as they were declared by hand, the oracle of the
-families that ``GeneratorFamily.from_forms`` derives from the classical
-forms: each direction's representation matrix, its quadratic generator
-blocks and its scalar hbar_i(X), written out apart.
+"""u2, su11 and heisenberg as they were declared by hand, the oracle of the
+families that ``GeneratorFamily`` derives from the classical forms: each
+direction's representation matrix, its quadratic generator blocks and its
+scalar hbar_i(X), written out apart.
 """
 
 import numpy as np
 
 from semiclab.fock import QuadraticGenerator
+
+
+def u2():
+    """(rep, generators, scalars) of the particle-conserving A+ h_i A- on two
+    modes, h_i = diag(1, 0), diag(0, 1), sigma_x and sigma_y, rep -i h_i."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    hs = [
+        np.diag([1.0, 0.0]).astype(complex),
+        np.diag([0.0, 1.0]).astype(complex),
+        sx,
+        sy,
+    ]
+    return ([-1j * h for h in hs], [QuadraticGenerator.from_blocks(hpm=h) for h in hs],
+            lambda x: np.zeros(4))
 
 
 def su11(central_offset=0.0):

@@ -247,9 +247,9 @@ def test_criterion_7_group_law():
         a2 = 0.3 * rng.normal(size=4)
         g1 = expm(sum(c * r for c, r in zip(a1, fam.algebra.rep)))
         g2 = expm(sum(c * r for c, r in zip(a2, fam.algebra.rep)))
-        worst = max(worst, check_group_law(fam, g1, g2, np.zeros(3), basis,
+        worst = max(worst, check_group_law(fam, g1, g2, np.zeros(5), basis,
                                            dt=2e-3))
-    loop = word_product(fam, GroupWord([(2, 2 * math.pi)]), np.zeros(3), basis,
+    loop = word_product(fam, GroupWord([(2, 2 * math.pi)]), np.zeros(5), basis,
                         dt=2e-3)
     ok = (worst <= 1e-6 and loop.classical_is_loop
           and loop.loop_distance <= 1e-6 and abs(loop.loop_phase) <= 1e-6)

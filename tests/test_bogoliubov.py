@@ -625,7 +625,7 @@ def test_exponential_flow_matches_rk4_random_u2():
     fam = u2_family()
     rng = np.random.default_rng(17)
     for _ in range(3):
-        gen = fam.generator(rng.normal(size=4), np.zeros(3))
+        gen = fam.generator(rng.normal(size=4), np.zeros(5))
         t = 2.0
         oracle = integrate_flow(GeneratorPath.constant(gen, t), t, 1e-3)
         _assert_flows_agree(exponential_flow(gen, t), oracle)

@@ -214,7 +214,8 @@ def test_sweep_unsupported_combo():
 
 
 def test_u2_has_no_h_sweep():
-    # its classical action is trivial, so there is no field algebra to probe
+    # the h sweep probes su11's classical field algebra, and u2's checks
+    # all sit at its fixed point X = 0, where no step h enters
     cfg = load_config(CONFIG_DIR / "u2-grouplaw.yaml")
     with pytest.raises(ValueError, match="supported: .*su11-metaplectic-loop h"):
         sweep(cfg, "h", [4e-3, 2e-3, 1e-3])

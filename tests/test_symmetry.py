@@ -70,7 +70,7 @@ def test_derived_structure_constants_match_the_hand_tables():
     assert np.array_equal(su11_family().algebra.structure, SU11_TABLE)
     assert np.array_equal(heisenberg_family().algebra.structure, HEISENBERG_TABLE)
     u2 = u2_family().algebra
-    assert np.abs(u2.structure - _u2_lstsq_table(u2.rep)).max() <= 1e-15
+    assert np.abs(u2.structure - _u2_lstsq_table(hand_families.u2()[0])).max() <= 1e-15
     for fam in (u2_family(), su11_family(), heisenberg_family()):
         alg = fam.algebra
         c, eye = alg.structure, np.eye(alg.dim)
@@ -100,14 +100,18 @@ def test_algebra_rejects_bad_representations(rep, message):
     (su11_family, hand_families.su11, 0.05),
     (heisenberg_family, hand_families.heisenberg, 0.0),
     (heisenberg_family, hand_families.heisenberg, 0.05),
+    (u2_family, hand_families.u2, None),
 ])
 def test_form_families_match_the_hand_declarations(family, declared, offset):
     # the Weyl germ of the forms gives back what was once written by hand:
-    # su11's generators bitwise, heisenberg's scalars to rounding
-    fam, hand = family(offset), declared(offset)
-    tol = 0.0 if family is su11_family else 1e-15
+    # su11's and u2's generators bitwise (u2's offsets -tr(h_i) / 2 leave
+    # every scalar exactly 0), heisenberg's scalars to rounding
+    fam, hand = ((family(), declared()) if offset is None
+                 else (family(offset), declared(offset)))
+    tol = 1e-15 if family is heisenberg_family else 0.0
     rng = np.random.default_rng(43)
-    for a, x in rng.normal(size=(20, 2, 3)):
+    for _ in range(20):
+        a, x = rng.normal(size=fam.algebra.dim), rng.normal(size=len(fam.forms[0]))
         gen, oracle = fam.generator(a, x), hand_families.generator(hand, a, x)
         assert np.abs(gen.hpp - oracle.hpp).max() <= tol
         assert np.abs(gen.hpm - oracle.hpm).max() <= tol
@@ -117,52 +121,81 @@ def test_form_families_match_the_hand_declarations(family, declared, offset):
 
 
 def test_forms_that_do_not_close_raise():
-    # {q^2, p^2} = 4 q p lies outside the span of q^2 and p^2
+    # {q^2, p^2} = 4 q p lies outside the span of q^2 and p^2, on one degree
+    # of freedom and on the first of two
     with pytest.raises(ValueError, match="does not close"):
-        GeneratorFamily.from_forms([np.diag([1.0, 0.0, 0.0]),
-                                    np.diag([0.0, 1.0, 0.0])], [0.0, 0.0])
+        GeneratorFamily([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])],
+                        [0.0, 0.0])
+    with pytest.raises(ValueError, match="does not close"):
+        GeneratorFamily([np.diag([1.0, 0.0, 0.0, 0.0, 0.0]),
+                         np.diag([0.0, 0.0, 1.0, 0.0, 0.0])], [0.0, 0.0])
+
+
+def _affine_conjugate(fam, seed):
+    """fam declared in the coordinates of a seeded symplectic affine map
+    z -> M z + v on z = (q, p), M = exp(J S): each form F becomes A^T F A, A
+    the inverse map on w = (q, p, 1), symmetrized after the product."""
+    n = fam.modes
+    rng = np.random.default_rng(seed)
+    sym = rng.normal(scale=0.3, size=(2 * n, 2 * n))
+    m = expm(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n)) @ (sym + sym.T))
+    inverse = np.eye(2 * n + 1)
+    inverse[:2 * n, :2 * n] = np.linalg.inv(m)
+    inverse[:2 * n, 2 * n] = -inverse[:2 * n, :2 * n] @ rng.normal(scale=0.5, size=2 * n)
+    forms = [inverse.T @ f @ inverse for f in fam.forms]
+    return GeneratorFamily([(f + f.T) / 2 for f in forms], fam.offsets)
 
 
 def _su11_conjugate(seed):
-    """su11 declared in the coordinates of a seeded symplectic affine map
-    z -> M z + v: each form F becomes A^T F A, A the inverse map on
-    w = (q, p, 1), symmetrized after the product."""
-    rng = np.random.default_rng(seed)
-    sym = rng.normal(scale=0.3, size=(2, 2))
-    m = expm(np.array([[0.0, 1.0], [-1.0, 0.0]]) @ (sym + sym.T))
-    inverse = np.eye(3)
-    inverse[:2, :2] = np.linalg.inv(m)
-    inverse[:2, 2] = -inverse[:2, :2] @ rng.normal(scale=0.5, size=2)
-    forms = [inverse.T @ f @ inverse for f in su11_family().system.forms]
-    return GeneratorFamily.from_forms([(f + f.T) / 2 for f in forms], [0.0] * 3)
+    return _affine_conjugate(su11_family(), seed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_param_u_on_affine_conjugates_matches_rk4(seed):
+def _u2_conjugate(seed):
+    # an affine Sp(4) map: the conjugate squeezes and translates, so its
+    # flows move X and its generators have H++ and scalars
+    return _affine_conjugate(u2_family(), seed)
+
+
+# su11's three conjugates keep their ids; u2's are more inputs
+_CONJUGATES = pytest.mark.parametrize("conjugate, seed", [
+    (_su11_conjugate, 0), (_su11_conjugate, 1), (_su11_conjugate, 2),
+    (_u2_conjugate, 0), (_u2_conjugate, 1),
+], ids=["0", "1", "2", "u2-0", "u2-1"])
+
+
+@_CONJUGATES
+def test_one_param_u_on_affine_conjugates_matches_rk4(conjugate, seed):
     # the conjugates' scalars are affine in (Q, P) and their flows rotate
-    # and squeeze, so the scalar path is no polynomial in tau
-    fam = _su11_conjugate(seed)
+    # and squeeze, so the scalar path is no polynomial in tau; u2 turns at
+    # rate 1, twice su11's, so the oracle's RK4 error at one dt is 16 times
+    # larger (1.3e-12 at 1e-3, 8.4e-14 at 5e-4) and its step is halved
+    fam = conjugate(seed)
+    dt = 1e-3 if fam.modes == 1 else 5e-4
     rng = np.random.default_rng(100 + seed)
     for t in (1.1, -0.8):
-        b, x = rng.normal(size=(2, 3))
+        b = rng.normal(size=fam.algebra.dim)
+        x = rng.normal(size=len(fam.forms[0]))
         res = one_param_u(fam, b, t, x)
-        oracle = sampled_path_rk4.one_param_u(fam, b, t, x, 1e-3)
+        oracle = sampled_path_rk4.one_param_u(fam, b, t, x, dt)
         assert abs(res.flow.c - oracle.flow.c) <= 1e-12
         assert np.abs(res.flow.f - oracle.flow.f).max() <= 1e-12
         assert np.abs(res.flow.g - oracle.flow.g).max() <= 1e-12
         assert np.array_equal(res.x_out, oracle.x_out)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_consistency_residuals_on_affine_conjugates(seed):
-    # the scalar residual is the central difference of the delta-terms
-    fam = _su11_conjugate(seed)
+@_CONJUGATES
+def test_consistency_residuals_on_affine_conjugates(conjugate, seed):
+    # the scalar delta-terms are exact, so the F3 scalar and X6 residuals
+    # sit at rounding level; phi keeps its central difference
+    fam = conjugate(seed)
     rng = np.random.default_rng(200 + seed)
-    a, b, x = rng.normal(size=(3, 3))
+    a, b = rng.normal(size=(2, fam.algebra.dim))
+    x = rng.normal(size=len(fam.forms[0]))
     f3 = check_f3(fam, a, b, x)
-    assert f3.max_quadratic <= 1e-9 and abs(f3.hbar_residual) <= 1e-9
+    assert f3.max_quadratic <= 1e-9 and abs(f3.hbar_residual) <= 1e-12
     assert f3.phi_residual <= 1e-6
-    assert check_x6(fam, a, b, x, ModeBasis(1, 16)).residual_norm <= 1e-9
+    basis = ModeBasis(fam.modes, 16 if fam.modes == 1 else 10)
+    assert check_x6(fam, a, b, x, basis).residual_norm <= 1e-11
 
 
 def test_classical_flow_rotation_closed_form():
@@ -222,14 +255,16 @@ def test_hamilton_fields_are_the_affine_fields():
                        for f in heisenberg_family().system.forms])
 
 
-@pytest.mark.parametrize("family", [su11_family, heisenberg_family])
+@pytest.mark.parametrize("family", [
+    su11_family, heisenberg_family, u2_family, lambda: _u2_conjugate(3),
+], ids=["su11_family", "heisenberg_family", "u2_family", "u2_conjugate"])
 def test_exact_flow_matches_the_rk4_oracle(family):
     system = family().system
     rng = np.random.default_rng(23)
     for _ in range(10):
-        a = rng.normal(size=3)
+        a = rng.normal(size=system.dim)
         t = rng.uniform(-2.0, 2.0)
-        x = rng.normal(size=3)
+        x = rng.normal(size=len(system.forms[0]))
         oracle = classical_rk4.flow(system.forms, a, t, x, 1e-3)
         assert np.abs(system.flow(a, t, x) - oracle).max() <= 1e-10
 
@@ -266,7 +301,8 @@ def test_is_fixed_point_reads_the_form():
     rng = np.random.default_rng(31)
     u2 = u2_family().system
     for _ in range(5):
-        assert u2.is_fixed_point(rng.normal(size=4), rng.normal(size=3))
+        assert u2.is_fixed_point(rng.normal(size=4), [rng.normal(), 0, 0, 0, 0])
+        assert not u2.is_fixed_point(rng.normal(size=4), rng.normal(size=5))
     su11 = su11_family().system
     for _ in range(5):
         assert su11.is_fixed_point(rng.normal(size=3), np.zeros(3))
@@ -286,6 +322,20 @@ def test_is_fixed_point_reads_the_form():
 def test_classical_system_rejects_bad_forms(form, match):
     with pytest.raises(ValueError, match=match):
         ClassicalSystem([np.zeros((3, 3)), form])
+
+
+@pytest.mark.parametrize("forms, match", [
+    ([], "at least one form"),
+    ([np.zeros((1, 1))], r"\(2n\+1\)x\(2n\+1\), n >= 1"),
+    ([np.zeros((2, 2))], r"\(2n\+1\)x\(2n\+1\), n >= 1"),
+    ([np.zeros((4, 4)), np.zeros((4, 4))], r"\(2n\+1\)x\(2n\+1\), n >= 1"),
+    ([np.zeros((5, 5)), np.zeros((3, 3))], r"5x5 like its first, got shape \(3, 3\)"),
+], ids=["none", "size-1", "size-2", "size-4", "unequal"])
+def test_classical_system_rejects_forms_of_even_or_unequal_size(forms, match):
+    with pytest.raises(ValueError, match=match):
+        ClassicalSystem(forms)
+    with pytest.raises(ValueError, match=match):
+        GeneratorFamily(forms, np.zeros(len(forms)))
 
 
 @pytest.mark.parametrize("a", [[1, 0, 0, 7], [1], [[1, 0, 0]]])
@@ -308,7 +358,7 @@ def test_wrong_length_coefficients_raise(a):
 
 def test_u2_generator_needs_every_coefficient():
     with pytest.raises(ValueError, match="algebra coefficients"):
-        u2_family().generator([1, 0], np.zeros(3))
+        u2_family().generator([1, 0], np.zeros(5))
 
 
 def test_vector_field_algebra_su11():
@@ -384,7 +434,7 @@ def test_f3_heisenberg_x_dependent():
 
 def test_f3_abelian_trivial():
     fam = u2_family()
-    x = np.zeros(3)
+    x = np.zeros(5)
     rep = check_f3(fam, [1, 0, 0, 0], [0, 1, 0, 0], x)
     assert rep.max_quadratic < 1e-14
     assert abs(rep.hbar_residual) < 1e-14
@@ -553,7 +603,7 @@ def test_one_param_u_against_matrix_ode():
 
 @pytest.mark.parametrize("family, b, x", [
     (su11_family, [0.4, 0.8, -0.3], [0.0, 0.0, 0.0]),
-    (u2_family, [0.3, -0.5, 0.7, 0.2], [0.2, 0.6, -0.4]),
+    (u2_family, [0.3, -0.5, 0.7, 0.2], [0.2, 0.0, 0.0, 0.0, 0.0]),
 ])
 def test_one_param_u_fixed_point_route_matches_rk4(family, b, x):
     fam = family()
@@ -572,15 +622,19 @@ def test_one_param_u_fixed_point_route_matches_rk4(family, b, x):
 
 def test_one_param_u_moving_point_stays_on_rk4():
     # the exact route against the sampled-path RK4 oracle at moving points:
-    # su11 moves (F, G), heisenberg moves the phase along its scalar path
+    # su11 moves (F, G), heisenberg moves the phase along its scalar path,
+    # u2 moves (Q, P) in R^2 with its scalars at 0, at twice su11's rate, so
+    # its oracle takes half the step
     rng = np.random.default_rng(37)
-    for fam in (su11_family(), heisenberg_family()):
+    for fam, dt in ((su11_family(), 1e-3), (heisenberg_family(), 1e-3),
+                    (u2_family(), 5e-4)):
         for _ in range(3):
-            b, x = rng.normal(size=(2, 3))
+            b = rng.normal(size=fam.algebra.dim)
+            x = rng.normal(size=len(fam.forms[0]))
             t = rng.uniform(-2.0, 2.0)
             assert not fam.system.is_fixed_point(b, x)
             res = one_param_u(fam, b, t, x)
-            oracle = sampled_path_rk4.one_param_u(fam, b, t, x, 1e-3)
+            oracle = sampled_path_rk4.one_param_u(fam, b, t, x, dt)
             assert abs(res.flow.c - oracle.flow.c) <= 1e-12
             assert np.abs(res.flow.f - oracle.flow.f).max() <= 1e-12
             assert np.abs(res.flow.g - oracle.flow.g).max() <= 1e-12
@@ -595,7 +649,7 @@ def test_one_param_u_step_grid_at_many_steps():
     # trajectory on a finer grid than the flow and the phase read the wrong
     # states.  The exact route reads the scalar's integral off the action.
     q0 = 0.8
-    fam = GeneratorFamily.from_forms(
+    fam = GeneratorFamily(
         [[[0.25, 0.0, -q0 / 4], [0.0, 0.25, 0.0], [-q0 / 4, 0.0, q0**2 / 4]]], [0.0])
     b = np.array([1.0])
     x = np.array([0.0, 0.5, 0.2])
@@ -613,10 +667,12 @@ def test_one_param_u_step_grid_at_many_steps():
 
 
 def test_generator_family_is_declared_data():
-    # fixed generators per direction plus constant scalar offsets: no
-    # callable returns a generator or a scalar, and the mode count is derived
+    # forms plus constant scalar offsets, and nothing else: no callable
+    # returns a generator or a scalar, and the rest is derived when built
     assert [f.name for f in dataclasses.fields(GeneratorFamily)] == [
-        "algebra", "system", "generators", "offsets", "phi"]
+        "forms", "offsets"]
+    assert not hasattr(GeneratorFamily, "from_forms")
+    assert not hasattr(ClassicalSystem, "trivial")
     fam = heisenberg_family(central_offset=0.05)
     x = np.array([0.3, -0.4, 0.9])
     a = np.array([0.7, -1.1, 0.2])
@@ -630,23 +686,16 @@ def _declared(fam, **change):
 
 
 @pytest.mark.parametrize("build, match", [
-    (_declared(su11_family(), generators=su11_family().generators[:2]),
-     r"need one generator per algebra direction \(3\), got 2"),
-    (_declared(su11_family(), system=ClassicalSystem.trivial(4)),
-     "the classical system has 4 directions, the algebra 3"),
-    (_declared(su11_family(), generators=[*su11_family().generators[:2],
-                                          QuadraticGenerator.from_blocks(modes=2)]),
-     "different mode counts"),
-    (_declared(heisenberg_family(), generators=[
-        *heisenberg_family().generators[:2],
-        QuadraticGenerator.from_blocks(modes=1, hbar=1.0)]),
-     "a generator has nonzero hbar"),
+    # directions on different mode counts: forms of unequal size
+    (_declared(su11_family(), forms=[*su11_family().forms[:2], np.zeros((5, 5))]),
+     r"3x3 like its first, got shape \(5, 5\)"),
     (_declared(su11_family(), offsets=[0.05, 0.0]),
      r"need 3 offsets, got shape \(2,\)"),
     (_declared(su11_family(), offsets=[0.05, math.nan, 0.0]),
      "offsets must be finite"),
-], ids=["generator-count", "system-dim", "mixed-modes", "generator-scalar",
-        "offsets-shape", "offsets-nan"])
+    (_declared(su11_family(), forms=[np.zeros((4, 4))] * 3),
+     r"\(2n\+1\)x\(2n\+1\)"),
+], ids=["mixed-modes", "offsets-shape", "offsets-nan", "even-size"])
 def test_generator_family_rejects_bad_declarations(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -674,10 +723,11 @@ def test_one_param_u_builds_no_generator_at_its_nodes(monkeypatch):
 def test_generator_blocks_do_not_depend_on_x(fam):
     # the family contract behind one_param_u's exact route
     rng = np.random.default_rng(41)
+    size = len(fam.forms[0])
     for _ in range(5):
         a = rng.normal(size=fam.algebra.dim)
-        at_zero = fam.generator(a, np.zeros(3))
-        for x in rng.normal(size=(4, 3)):
+        at_zero = fam.generator(a, np.zeros(size))
+        for x in rng.normal(size=(4, size)):
             gen = fam.generator(a, x)
             assert np.array_equal(gen.hpp, at_zero.hpp)
             assert np.array_equal(gen.hpm, at_zero.hpm)
@@ -756,7 +806,7 @@ def _u2_commutator_word(fam):
 
 
 @pytest.mark.parametrize("family, word, x, cutoff, grade", [
-    (u2_family, _u2_commutator_word, [0.0, 0.0, 0.0], 8, 4),
+    (u2_family, _u2_commutator_word, [0.0] * 5, 8, 4),
     (su11_family, lambda fam: GroupWord([(0, 0.4), (1, 0.3), (2, -0.5)]),
      [0.1, 0.5, -0.3], 60, 20),
 ])
@@ -798,14 +848,14 @@ def test_word_product_realizes_one_propagator(monkeypatch):
     fam = u2_family()
     word = _u2_commutator_word(fam)
     assert len(word.factors) == 8
-    word_product(fam, word, np.zeros(3), ModeBasis(2, 8))
+    word_product(fam, word, np.zeros(5), ModeBasis(2, 8))
     assert len(calls) == 1
 
 
 def test_word_product_empty_and_loop():
     fam = u2_family()
     basis = ModeBasis(2, 8)
-    res = word_product(fam, GroupWord([]), np.zeros(3), basis)
+    res = word_product(fam, GroupWord([]), np.zeros(5), basis)
     assert np.allclose(res.matrix, np.eye(basis.size))
     assert res.classical_is_loop
     assert res.loop_distance == pytest.approx(0.0, abs=1e-12)
@@ -816,7 +866,7 @@ def test_u2_contractible_loop_is_identity():
     fam = u2_family()
     basis = ModeBasis(2, 8)
     word = GroupWord([(2, 2 * math.pi)])
-    res = word_product(fam, word, np.zeros(3), basis)
+    res = word_product(fam, word, np.zeros(5), basis)
     assert res.classical_is_loop
     assert res.loop_distance < 1e-6
     assert abs(res.loop_phase) < 1e-6
@@ -827,7 +877,7 @@ def test_u2_commutator_word_closes():
     # its inverse: classically closed, quantum product must be the identity
     fam = u2_family()
     basis = ModeBasis(2, 8)
-    res = word_product(fam, _u2_commutator_word(fam), np.zeros(3), basis)
+    res = word_product(fam, _u2_commutator_word(fam), np.zeros(5), basis)
     assert res.classical_is_loop
     assert res.loop_distance < 1e-6
     assert abs(res.loop_phase) < 1e-6
@@ -871,7 +921,7 @@ def test_second_kind_coords_mixed_element():
     fam = u2_family()
     g = expm(0.1 * fam.algebra.rep[0] + 0.2 * fam.algebra.rep[2])
     alphas = second_kind_coords(g, fam.algebra)
-    prod = np.eye(2, dtype=complex)
+    prod = np.eye(6, dtype=complex)
     for k, val in enumerate(alphas):
         prod = prod @ expm(val * fam.algebra.rep[k])
     assert np.linalg.norm(prod - g) < 1e-10
@@ -881,7 +931,7 @@ def test_group_law_u2_identity_element():
     fam = u2_family()
     basis = ModeBasis(2, 8)
     g1 = expm(0.3 * fam.algebra.rep[2])
-    res = check_group_law(fam, g1, np.eye(2), np.zeros(3), basis)
+    res = check_group_law(fam, g1, np.eye(6), np.zeros(5), basis)
     assert res < 1e-8
 
 
@@ -894,7 +944,7 @@ def test_group_law_u2_random_pairs():
         a2 = 0.3 * rng.normal(size=4)
         g1 = expm(sum(c * r for c, r in zip(a1, fam.algebra.rep)))
         g2 = expm(sum(c * r for c, r in zip(a2, fam.algebra.rep)))
-        res = check_group_law(fam, g1, g2, np.zeros(3), basis)
+        res = check_group_law(fam, g1, g2, np.zeros(5), basis)
         assert res < 1e-6
 
 
@@ -977,10 +1027,16 @@ def test_symmetry_entries_reject_a_bad_point(x, named):
     # a NaN point gave an all-NaN x_out, and a (3, 1) point was accepted
     fam = su11_family()
     a, b = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    good = [0.1, 0.5, -0.3]
     basis = ModeBasis(1, 8)
     act = group_element_action(fam, expm(0.3 * fam.algebra.rep[0]),
                                np.zeros(3), basis)
-    for run in (lambda: one_param_u(fam, a, 0.5, x),
+    for run in (lambda: fam.system.flow(a, 0.5, x),
+                lambda: fam.system.trajectory(a, [0.5], x),
+                lambda: fam.system.tangent(a, 0.5, x, good),
+                lambda: fam.system.tangent(a, 0.5, good, x),
+                lambda: fam.system.is_fixed_point(a, x),
+                lambda: one_param_u(fam, a, 0.5, x),
                 lambda: check_vector_field_algebra(fam.system, fam.algebra, a, b, x),
                 lambda: act.map_point(x),
                 lambda: word_product(fam, GroupWord([(0, 0.5)]), x, basis),
