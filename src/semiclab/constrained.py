@@ -16,14 +16,18 @@ Jacobi blocks; V is a phase per occupation state times a real orthogonal
 matrix).  The padding keeps the integrand trustworthy out to the box edge;
 the vectors themselves stay at their own cutoff.
 
-The integrand is evaluated on the tensor grid of the per-axis quadrature
-nodes, (Y1, U_1(beta_1) ... U_k(beta_k) Y2) at every node combination, by
-one walk along the family's k - 1 adjacent overlaps W_s = V_s+ V_(s+1),
-built with the family from the real factors of V_s and V_(s+1), and real
-on a real plane.  The vectors are folded into the exponential rows of the
-first and last axes (on one axis, into the vector the rows act on), and
-the last overlap is multiplied in the order that keeps the intermediate
-smallest.  No node list is flattened or rebuilt.
+A plane integral is one walk along the family's k - 1 adjacent overlaps
+W_s = V_s+ V_(s+1), built with the family from the real factors of V_s and
+V_(s+1), and real on a real plane.  The box rule is separable and the
+integrand a product of per-axis exponentials, so each axis's weights c_i
+are contracted into one row sum_i c_i e^(x_i lam_s), and the walk carries
+vectors.  With lam_s = -i w_s and the rule symmetric about 0 the sines
+cancel: the row is sum_i c_i cos(x_i w_s) over the nonnegative half of the
+nodes, the middle one of an odd rule counted once.  ``pairings``, the
+contracted rule's oracle, walks the rows e^(b lam_s) of every node to the
+pairing tensor.  The vectors are folded into the rows of the first and
+last axes, and the last overlap is multiplied in the order that keeps the
+intermediate smallest.
 
 Every plane integral runs through one body: the pairing is checked at the
 boundary, and the box is always sized from the integrand's decay.  That
@@ -38,14 +42,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bogoliubov import BogoliubovFlow, GeneratorPath, integrate_flow, propagate_direct
 from .fock import FockVector, ModeBasis, _state_phases, displacement_eig, weighted_norm
-from .quadrature import QuadCertificate, integrate_box, trapezoid_weights
+from .quadrature import QuadCertificate, _expi, integrate_box, trapezoid_weights
 
 __all__ = [
     "IsotropicPlane",
@@ -170,7 +173,7 @@ class _DisplacementFamily:
 
     Everything is built here and never changed afterwards, so one family
     serves any number of threads: each axis's eigenpairs (lam_s, V_s), its
-    envelope grid and phase table e^(r lam_s) on that grid, and the k - 1
+    envelope grid and phase rows e^(r lam_s) on that grid, and the k - 1
     adjacent overlaps W_s = V_s+ V_(s+1).  ``nbytes`` is the size of those
     arrays.
 
@@ -183,12 +186,6 @@ class _DisplacementFamily:
         self.plane = plane
         self.big = basis.padded(pad)
         self.eigs = [displacement_eig(b, self.big) for b in plane.bs]
-        self.grids = [
-            np.linspace(0.05, min(_RADIUS_CAP, self.trust_radius(s)), _ENVELOPE_SAMPLES)
-            for s in range(plane.k)
-        ]
-        self.tables = [np.exp(np.outer(grid, lam))
-                       for grid, (lam, _) in zip(self.grids, self.eigs)]
         phases = [_state_phases(b, self.big) for b in plane.bs]
         # R_s = Re(conj(p_s) V_s), with no complex copy of V_s
         real = [p.real[:, None] * v.real + p.imag[:, None] * v.imag
@@ -199,14 +196,40 @@ class _DisplacementFamily:
             if not ratio.imag.any():
                 ratio = ratio.real
             self.overlaps.append(real[s].T @ (ratio[:, None] * real[s + 1]))
+        del real  # before the tables are built, to lower the build's peak memory
+        self.grids = [
+            np.linspace(0.05, min(_RADIUS_CAP, self.trust_radius(s)), _ENVELOPE_SAMPLES)
+            for s in range(plane.k)
+        ]
+        self.tables = self.phase_rows(self.grids)
         arrays = ([a for pair in self.eigs for a in pair] + self.grids + self.tables
                   + self.overlaps)
         self.nbytes = sum(a.nbytes for a in arrays)
 
+    def phase_rows(self, axes: Sequence) -> list:
+        """The rows e^(b lam_s) of the nodes b of each axis's node array
+        ``axes[s]``, one (nodes x dim) block per axis."""
+        return [_expi(np.outer(b, lam.imag)) for b, (lam, _) in zip(axes, self.eigs)]
+
     def pairings(self, y1: FockVector, y2: FockVector, axes: Sequence) -> np.ndarray:
         """(Y1, U_1(b_1) ... U_k(b_k) Y2) on the tensor grid of the per-axis
         node arrays ``axes``, one array of beta_s values per axis."""
-        return self._walk(*self._ends(y1, y2), axes)
+        return self._walk(*self._ends(y1, y2), self.phase_rows(axes))
+
+    def integral(self, y1: FockVector, y2: FockVector, axes: Sequence,
+                 weights: Sequence) -> complex:
+        """The sum of ``pairings(y1, y2, axes)`` against the outer product of
+        the per-axis ``weights``, for rules symmetric about 0, on which each
+        axis's contracted row sum_i c_i e^(x_i lam_s) is real (its sines
+        cancel), so the walk carries one vector."""
+        rows = []
+        for x, c, (lam, _) in zip(axes, weights, self.eigs):
+            if not (np.array_equal(x[::-1], -x) and np.array_equal(c[::-1], c)):
+                raise ValueError("every axis's rule must be symmetric about 0")
+            half = len(x) // 2
+            x, c = x[half:], c[half:]
+            rows.append((np.where(x > 0, 2 * c, c) @ np.cos(np.outer(x, lam.imag)))[None])
+        return self._walk(*self._ends(y1, y2), rows).item()
 
     def _ends(self, y1: FockVector, y2: FockVector) -> tuple:
         """head = V_1^T conj(y1) and tail = V_k+ y2 (V+ y formed as
@@ -214,29 +237,31 @@ class _DisplacementFamily:
         c1, c2 = (np.conj(y.embed(self.big).coeffs) for y in (y1, y2))
         return self.eigs[0][1].T @ c1, np.conj(self.eigs[-1][1].T @ c2)
 
-    def _walk(self, head: np.ndarray, tail: np.ndarray, axes: Sequence) -> np.ndarray:
-        """The pairing tensor from the ends of ``_ends``:
+    def _walk(self, head: np.ndarray, tail: np.ndarray, rows: Sequence) -> np.ndarray:
+        """The tensor of pairings from the ends of ``_ends`` and one
+        (m_s x dim) block of rows R_s per axis:
 
-            head^T e^(b_1 lam_1) W_1 ... W_(k-1) e^(b_k lam_k) tail,
+            head^T diag(R_1[i_1]) W_1 ... W_(k-1) diag(R_k[i_k]) tail,
 
         exact because isotropy makes the axis generators commute.  The
-        walk carries transposed rows, eigen-index first, so a real W
-        multiplies their real and imaginary parts in one real product.
+        walk carries transposed rows, eigen-index first and in C order, so
+        a real W multiplies their real and imaginary parts in one real
+        product.
         """
         if not self.overlaps:
-            return np.exp(np.outer(axes[0], self.eigs[0][0])) @ (head * tail)
-        cols = [np.exp(np.outer(lam, b)) for b, (lam, _) in zip(axes, self.eigs)]
+            return rows[0] @ (head * tail)
         dim = len(head)
         # left[m, i_1 ... i_s]: the column after axis s, grid axes flattened
-        left = head[:, None] * cols[0]
-        for w, phases in zip(self.overlaps[:-1], cols[1:-1]):
-            left = (_times(w.T, left)[:, :, None] * phases[:, None, :]).reshape(dim, -1)
-        right = tail[:, None] * cols[-1]
+        left = np.multiply(head[:, None], rows[0].T, order="C")
+        for w, phases in zip(self.overlaps[:-1], rows[1:-1]):
+            left = np.multiply(_times(w.T, left)[:, :, None], phases.T[:, None, :],
+                               order="C").reshape(dim, -1)
+        right = np.multiply(tail[:, None], rows[-1].T, order="C")
         if left.shape[1] < right.shape[1]:
             table = _times(self.overlaps[-1].T, left).T @ right
         else:
             table = left.T @ _times(self.overlaps[-1], right)
-        return table.reshape([len(b) for b in axes])
+        return table.reshape([len(r) for r in rows])
 
     def axis_envelope(self, y1: FockVector, y2: FockVector, axis: int) -> np.ndarray:
         """max(|pairing at +r B_s|, |pairing at -r B_s|) on the axis's grid r.
@@ -302,45 +327,39 @@ def _get_family(plane: IsotropicPlane, basis: ModeBasis, pad: int) -> _Displacem
     return fam
 
 
-def _auto_radius(fam: _DisplacementFamily, y1: FockVector,
-                 y2: FockVector) -> tuple:
-    """Smallest per-axis radius past which the sampled envelope stays tiny.
+def _axis_radius(grid: np.ndarray, env: np.ndarray, scale: float) -> float:
+    """Smallest radius of ``grid`` past which the envelope ``env`` sampled
+    on it stays below _TAIL_TARGET * scale.
 
     The truncated integrand is only faithful while it decays; past its
     floor it revives into cutoff artifacts.  The scan therefore stops at
     the envelope's global minimum and looks for the earliest radius from
     which the envelope stays below target up to that point.
     """
+    level_in, level_rev = 1e-6 * scale, 1e-3 * scale
+    # locate the first decay basin: entry point, then its floor before
+    # the envelope revives into cutoff artifacts
+    enter = np.flatnonzero((env[:-1] < level_in) & (env[1:] < 10 * level_in))
+    if not enter.size:
+        return float(grid[int(np.argmin(env))])
+    j_enter = int(enter[0])
+    revive = np.flatnonzero(env[j_enter + 1:] > level_rev)
+    j_rev = j_enter + 1 + int(revive[0]) if revive.size else len(grid)
+    j_floor = j_enter + int(np.argmin(env[j_enter:j_rev]))
+    # stays[j]: max(env[j], ..., env[j_floor]) is below target
+    stays = np.maximum.accumulate(env[j_floor::-1])[::-1] <= _TAIL_TARGET * scale
+    if not stays.any():
+        return float(grid[j_floor])
+    return float(min(1.15 * grid[int(np.argmax(stays))], grid[j_floor]))
+
+
+def _auto_radius(fam: _DisplacementFamily, y1: FockVector,
+                 y2: FockVector) -> tuple:
+    """Per-axis box radii: each axis's sampled envelope sets one
+    (``_axis_radius``), and a tilted plane widens them to a common box."""
     scale = max(y1.norm() * y2.norm(), 1e-30)
-    target = _TAIL_TARGET * scale
-    level_in = 1e-6 * scale
-    level_rev = 1e-3 * scale
-    radii = []
-    for s in range(fam.plane.k):
-        grid = fam.grids[s]
-        env = fam.axis_envelope(y1, y2, s)
-        # locate the first decay basin: entry point, then its floor before
-        # the envelope revives into cutoff artifacts
-        j_enter = None
-        for j in range(len(grid) - 1):
-            if env[j] < level_in and env[j + 1] < 10 * level_in:
-                j_enter = j
-                break
-        if j_enter is None:
-            radii.append(float(grid[int(np.argmin(env))]))
-            continue
-        j_rev = len(grid)
-        for j in range(j_enter + 1, len(grid)):
-            if env[j] > level_rev:
-                j_rev = j
-                break
-        j_floor = j_enter + int(np.argmin(env[j_enter:j_rev]))
-        chosen = grid[j_floor]
-        for j in range(j_floor + 1):
-            if env[j: j_floor + 1].max() <= target:
-                chosen = min(1.15 * grid[j], grid[j_floor])
-                break
-        radii.append(float(chosen))
+    radii = [_axis_radius(fam.grids[s], fam.axis_envelope(y1, y2, s), scale)
+             for s in range(fam.plane.k)]
     if fam.plane.k > 1:
         # the integrand decays in |sum beta_s B_s|, whose level sets are
         # tilted ellipsoids when the Gram matrix has off-diagonal weight;
@@ -376,13 +395,15 @@ def _checked_family(y1: FockVector, y2: FockVector, plane: IsotropicPlane,
 
 def _plane_integral(y1: FockVector, y2: FockVector, plane: IsotropicPlane,
                     quad: QuadSpec, weight: Optional[Callable] = None) -> QuadCertificate:
-    """Certified int dbeta weight(beta) (Y1, U[sum_s beta_s B_s] Y2) over
-    the decay-sized box, without the measure constant."""
+    """Certified int dbeta (Y1, U[sum_s beta_s B_s] Y2) over the
+    decay-sized box, without the measure constant.  A ``weight`` g, even
+    in its argument, weights the integrand by g(beta_1) ... g(beta_k)."""
     fam = _checked_family(y1, y2, plane, quad.pad)
 
-    def integrand(axes):
-        vals = fam.pairings(y1, y2, axes)
-        return vals if weight is None else weight(axes) * vals
+    def integrand(axes, weights):
+        if weight is not None:
+            weights = [c * weight(x) for x, c in zip(axes, weights)]
+        return fam.integral(y1, y2, axes, weights)
 
     return integrate_box(integrand, _auto_radius(fam, y1, y2), quad.order,
                          self_check_tol=quad.self_check)
@@ -417,14 +438,13 @@ def regularized_inner(
 ) -> float:
     """Gaussian-regularized self inner product; nonnegative on isotropic planes.
 
-    The weight e^(-eps |beta|^2) is folded into the integrand on the
-    decay-sized Gauss-Legendre box, which is uniformly accurate in eps.
+    The weight e^(-eps |beta|^2) = prod_s e^(-eps beta_s^2) is contracted
+    into each axis's weights on the decay-sized Gauss-Legendre box, which
+    is uniformly accurate in eps.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    cert = _plane_integral(
-        y, y, plane, quad,
-        weight=lambda axes: np.exp(-eps * reduce(np.add.outer, [b**2 for b in axes])))
+    cert = _plane_integral(y, y, plane, quad, weight=lambda x: np.exp(-eps * x**2))
     value = plane.a * cert.value
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise RuntimeError(f"regularized inner product came out non-real: {value}")
@@ -467,10 +487,10 @@ def decay_profile(
     # so no walk holds more than a few vectors at any k; the vectors are
     # embedded and their ends formed once for every ray
     ends = fam._ends(y1, y2)
-    rays = [fam._walk(*ends, [radii if t == s else np.zeros(1) for t in range(k)])
-            for s in range(k)]
+    rays = [fam._walk(*ends, fam.phase_rows(
+        [radii if t == s else np.zeros(1) for t in range(k)])) for s in range(k)]
     if k > 1:
-        rays.append(np.array([fam._walk(*ends, [np.array([r])] * k)
+        rays.append(np.array([fam._walk(*ends, fam.phase_rows([np.array([r])] * k))
                               for r in radii * (1 / math.sqrt(k))]))
     worst = 0.0
     for vals in rays:

@@ -41,7 +41,7 @@ import numpy as np
 from scipy import fft
 
 from .bogoliubov import _weighted, profile_sum, step_count
-from .quadrature import gauss_legendre, trapezoid_weights
+from .quadrature import _expi, gauss_legendre, trapezoid_weights
 from .symmetry import _point, action_form
 
 __all__ = [
@@ -144,7 +144,7 @@ class ShapeFunction:
         if inside.any():
             coeffs, freqs = self.spectrum
             rel = flat[inside] - self.grid.lo
-            out[inside] = np.exp(1j * np.outer(rel, freqs)) @ coeffs
+            out[inside] = _expi(np.outer(rel, freqs)) @ coeffs
         return out.reshape(points.shape)
 
     def at_shifted_grid(self, shifts: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ class ShapeFunction:
         """
         shifts = np.asarray(shifts, dtype=float).reshape(-1)
         coeffs, freqs = self.spectrum
-        vals = fft.ifft(coeffs * np.exp(1j * np.outer(shifts, freqs)),
+        vals = fft.ifft(coeffs * _expi(np.outer(shifts, freqs)),
                         axis=1, norm="forward")
         pts = self.grid.points[None, :] + shifts[:, None]
         outside = (pts < self.grid.lo) | (pts > self.grid.hi)
@@ -242,10 +242,12 @@ def k_lambda(x: np.ndarray, f: ShapeFunction, lam: float,
         )
     pts = xgrid.points
     xi = (pts - q) / root
+    # times 1/lam, as numpy's complex division scales an imaginary exponent,
+    # so the phase equals np.exp(1j * p * (pts - q) / lam) bitwise
     vals = (
         lam ** -0.25
         * np.exp(1j * s / lam)
-        * np.exp(1j * p * (pts - q) / lam)
+        * _expi(p * (pts - q) * (1 / lam))
         * f.at(xi)
     )
     return GridWave(xgrid, vals, lam)
@@ -388,8 +390,8 @@ def _displaced_rows(g: ShapeFunction, dx: np.ndarray,
     """
     _, dq, dp = dx
     betas = np.asarray(betas, dtype=float).reshape(-1)
-    phases = np.exp(-0.5j * betas**2 * dp * dq)[:, None] * np.exp(
-        1j * np.outer(betas, dp * g.grid.points))
+    phases = _expi(-0.5 * betas**2 * dp * dq)[:, None] * _expi(
+        np.outer(betas, dp * g.grid.points))
     return phases * g.at_shifted_grid(-betas * dq)
 
 
@@ -584,7 +586,8 @@ def direct_inner(
             shifted = cp2.fiber.at_shifted_grid(shifts)
         for g2 in fibers:
             _require_same_grid(g1, g2)
-        phase_xi = np.exp(1j * np.outer(p2 - p1, g1.grid.points) / root)
+        # times 1/root, as in k_lambda's phase
+        phase_xi = _expi(np.outer(p2 - p1, g1.grid.points) * (1 / root))
         rows = (shifted * phase_xi) @ np.conj(g1.values) * g1.grid.spacing
         phases = np.exp(1j * (s2 - s1) / lam) * np.exp(
             1j * p2 * (q1 - q2) / lam)

@@ -256,7 +256,7 @@ class ClassicalSystem:
         return (self.flow(a, t, x + dx) - self.flow(a, t, x - dx)) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorFamily:
     """A symmetry family: its classical forms and scalar offsets, and their
     Weyl quantization, derived once, when built.
@@ -271,7 +271,8 @@ class GeneratorFamily:
     (the Weyl symbol's h - X . grad(h) / 2, its ordering constant and a
     declared constant, where an anomaly is injected), tabulated on (1, Q, P).
     So H(a: X) = sum_i a_i G_i + a . hbar(X), whose blocks do not move with
-    X.  ``phi`` is ``standard_phi``.
+    X.  ``phi`` is ``standard_phi``.  Families compare and hash by identity:
+    two declarations of the same forms are two families.
     """
 
     forms: np.ndarray

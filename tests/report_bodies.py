@@ -4,9 +4,12 @@ two checkouts byte for byte.
 Prints ``report_body`` of every config under ``configs/`` at seed 0, then
 the rows and the log-log slope of five sweeps: squeeze over ``dt`` and
 ``N``, rotation over ``dt``, su11-metaplectic-loop over ``h`` and
-packet-harmonic over ``lambda``, and then, for the u2, su11 and heisenberg
+packet-harmonic over ``lambda``, then, for the u2, su11 and heisenberg
 families, the structure constants and each basis direction's generator
-H(e_i: 0) at the zero point.  Floats are printed with ``repr``, so equal
+H(e_i: 0) at the zero point, and last the two-axis vacuum pairing with its
+certificate (value, radius, order-doubling delta) on the base plane and
+the mixed plane of ``test_basis_change_invariance_mixing``, a path that no
+shipped scenario reaches.  Floats are printed with ``repr``, so equal
 output means bitwise equal values.  Not a test module: run it as
 
     PYTHONPATH=src python tests/report_bodies.py > bodies.txt
@@ -19,6 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from semiclab.cli import load_config, report_body, run_scenario, sweep
+from semiclab.constrained import QuadSpec, inner_constrained_detailed, make_plane
+from semiclab.fock import ModeBasis, vacuum_state
 from semiclab.scenarios import heisenberg_family, su11_family, u2_family
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -52,6 +57,21 @@ def main() -> None:
             gen = fam.generator(np.eye(m)[i], np.zeros(size))
             print(f"generator {i}", repr(gen.hpp.tolist()), repr(gen.hpm.tolist()),
                   repr(gen.hbar))
+    b1, b2 = np.array([1.0, 0.3]), np.array([-0.2, 0.9])
+    th = 0.6
+    t = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]]) @ np.diag(
+        [1.1, 0.9])
+    planes = [("base", make_plane([b1, b2])),
+              ("mixed", make_plane([t[0, 0] * b1 + t[0, 1] * b2,
+                                    t[1, 0] * b1 + t[1, 1] * b2],
+                                   a=abs(np.linalg.det(t))))]
+    vac = vacuum_state(ModeBasis(2, 4))
+    for name, plane in planes:
+        value, cert = inner_constrained_detailed(
+            vac, vac, plane, QuadSpec(pad=30, order=48, self_check=1e-7))
+        print(f"== two-axis vacuum {name}")
+        print("value", repr(value), "radius", repr(cert.radius),
+              "delta", repr(cert.order_doubling_delta))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import envelope_oracle
 import numpy as np
 import pairing_oracle
 import pytest
+import radius_oracle
 
 from semiclab.bogoliubov import GeneratorPath, integrate_flow
 from semiclab.constrained import (
@@ -355,6 +356,48 @@ def test_three_axis_pairing_tensor_against_per_node_products():
         assert np.max(np.abs(table - oracle)) <= 1e-12 * scale, shape
 
 
+@pytest.mark.parametrize("bs, cutoff, pad", [
+    (([1.0],), 24, 12),
+    (([0.6 - 0.8j],), 16, 12),
+    (([1.0, 0.3], [-0.2, 0.9]), 3, 6),
+    (([1.0, 0.5j], [0.4 + 0.2j, 0.4]), 3, 6),
+    # the dim-630 family of the plane-families benchmark
+    (([1.0, 0.3], [-0.2, 0.9]), 4, 30),
+    (([1.0, 0.2, 0.0], [0.0, 0.3, 1.0], [0.2, -1.0, 0.4]), 2, 2),
+])
+@pytest.mark.parametrize("order", [7, 48])
+def test_contracted_rule_matches_the_weighted_pairing_tensor(bs, cutoff, pad, order):
+    # the half-node cosine rows against the full rule summed over the
+    # pairing tensor, unweighted and with regularized_inner's even weight
+    from semiclab.constrained import _DisplacementFamily
+
+    rng = np.random.default_rng(order)
+    plane = make_plane([np.array(b) for b in bs])
+    basis = ModeBasis(plane.modes, cutoff)
+    fam = _DisplacementFamily(plane, basis, pad)
+    y1, y2 = (random_low_state(basis, rng, min(cutoff, 2)) for _ in range(2))
+    x, w = gauss_legendre(order)
+    radii = rng.uniform(1.0, 3.0, size=plane.k)
+    axes = [r * x for r in radii]
+    for eps in (0.0, 0.3):
+        weights = [r * w * np.exp(-eps * b**2) for r, b in zip(radii, axes)]
+        value = fam.integral(y1, y2, axes, weights)
+        oracle = np.sum(reduce(np.multiply.outer, weights) * fam.pairings(y1, y2, axes))
+        assert abs(value - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+
+def test_contracted_rule_rejects_an_asymmetric_rule():
+    from semiclab.constrained import _DisplacementFamily
+
+    basis = ModeBasis(1, 4)
+    fam = _DisplacementFamily(make_plane([np.array([1.0])]), basis, 2)
+    y = vacuum_state(basis)
+    x, w = gauss_legendre(8)
+    for axes, weights in (([x + 0.1], [w]), ([x], [w * (1 + x)])):
+        with pytest.raises(ValueError, match="symmetric about 0"):
+            fam.integral(y, y, axes, weights)
+
+
 @pytest.mark.parametrize("bs", [
     ([1.0, 0.3], [-0.2, 0.9]),
     # complex and isotropic, so the overlap W = V1+ V2 is a complex array
@@ -375,12 +418,19 @@ def test_pairing_tensor_at_the_benchmark_size_against_a_dense_family(bs, monkeyp
     monkeypatch.setattr(constrained, "displacement_eig", dense_fock.displacement_eig)
     dense = constrained._DisplacementFamily(plane, basis, pad=30)
     y1, y2 = (random_low_state(basis, rng, 1) for _ in range(2))
-    x, _ = gauss_legendre(48)
-    axes = [r * x for r in constrained._auto_radius(fam, y1, y2)]
+    x, w = gauss_legendre(48)
+    radii = constrained._auto_radius(fam, y1, y2)
+    axes = [r * x for r in radii]
     table = fam.pairings(y1, y2, axes)
     oracle = pairing_oracle.pairings(dense, y1, y2, axes)
     assert table.shape == (48, 48)
     assert np.max(np.abs(table - oracle)) <= 1e-12 * y1.norm() * y2.norm()
+    # the contracted rule against the dense family's per-node products,
+    # within the table's bound summed over the (positive) weights
+    weights = reduce(np.multiply.outer, [r * w for r in radii])
+    value = fam.integral(y1, y2, axes, [r * w for r in radii])
+    assert (abs(value - np.sum(weights * oracle))
+            <= 1e-12 * y1.norm() * y2.norm() * np.sum(weights))
 
 
 def test_building_a_family_calls_displacement_eig_per_axis_and_no_dense_eigh(
@@ -423,7 +473,7 @@ def test_decay_profile_forms_the_ends_of_its_walks_once(monkeypatch):
     walk = constrained._DisplacementFamily._walk
     monkeypatch.setattr(
         constrained._DisplacementFamily, "_walk",
-        lambda fam, head, tail, axes: walk(fam, *fam._ends(y1, y2), axes))
+        lambda fam, head, tail, rows: walk(fam, *fam._ends(y1, y2), rows))
     embeds.clear()
     per_walk = decay_profile(y1, y2, plane, m=2)
     assert len(embeds) == 2 + 2 * (plane.k + constrained._DECAY_SAMPLES)
@@ -548,6 +598,10 @@ def test_gauss_legendre_rule_is_built_once_and_read_only():
     assert gauss_legendre(64)[0] is x
     with pytest.raises(ValueError):
         x[0] = 0.0
+    # the contracted plane rule folds every rule onto its nonnegative half
+    for n in (7, 8, 48, 96):
+        x, w = gauss_legendre(n)
+        assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
 
 
 def _orbit_state(basis, n_alpha=12):
@@ -772,5 +826,42 @@ def test_axis_envelope_tables_against_pairings_oracle(monkeypatch):
         constrained._DisplacementFamily, "axis_envelope",
         lambda fam, y1, y2, s: envelope_oracle.axis_envelope(
             fam, y1, y2, s, fam.grids[s]))
+    for fam, y1, y2, box in boxes:
+        assert constrained._auto_radius(fam, y1, y2) == box
+
+
+def test_axis_radius_scans_match_the_loop_oracle():
+    # envelopes that never enter a basin, enter and never revive, revive,
+    # floor above the target, sit below it throughout, or hold a NaN
+    from semiclab import constrained
+
+    rng = np.random.default_rng(41)
+    grid = np.linspace(0.05, 10.0, 320)
+    decay = np.exp(-grid**2)
+    nan = decay.copy()
+    nan[200] = np.nan
+    envelopes = [np.full(320, 0.5), decay, decay + 1e-2 * np.exp(-(grid - 9.0)**2),
+                 np.maximum(decay, 1e-9), np.full(320, 1e-14), nan]
+    envelopes += [decay * 10 ** rng.uniform(-2, 2, 320) for _ in range(20)]
+    for env in envelopes:
+        for scale in (1.0, 0.3, 1e-30):
+            assert (constrained._axis_radius(grid, env, scale)
+                    == radius_oracle.axis_radius(grid, env, scale))
+
+
+def test_auto_radius_equals_the_loop_scans_on_one_and_two_axis_planes(monkeypatch):
+    from semiclab import constrained
+
+    rng = np.random.default_rng(19)
+    cases = [([[1.0]], ModeBasis(1, 24), 12), ([[0.6 - 0.8j]], ModeBasis(1, 16), 12),
+             ([[2.5]], ModeBasis(1, 30), 40)] + _plane_family_cases()
+    boxes = []
+    for bs, basis, pad in cases:
+        plane = make_plane([np.asarray(b) for b in bs])
+        fam = constrained._DisplacementFamily(plane, basis, pad)
+        for max_total in (0, 1, 2):
+            y1, y2 = (random_low_state(basis, rng, max_total) for _ in range(2))
+            boxes.append((fam, y1, y2, constrained._auto_radius(fam, y1, y2)))
+    monkeypatch.setattr(constrained, "_axis_radius", radius_oracle.axis_radius)
     for fam, y1, y2, box in boxes:
         assert constrained._auto_radius(fam, y1, y2) == box

@@ -763,6 +763,43 @@ def test_displaced_rows_match_closed_form_through_at():
     assert np.abs(moved.values - expect[3]).max() < 1e-13
 
 
+def test_phase_tables_equal_the_complex_exponential_bitwise():
+    # cos + i sin against exp(1j theta) on seeded angles, up to and past
+    # the hundreds of radians that beta rows reach, and the packet tables
+    # built from it against their complex-exponential formulas
+    from scipy import fft
+
+    from semiclab.quadrature import _expi
+
+    rng = np.random.default_rng(47)
+    theta = np.concatenate([rng.uniform(-1, 1, 4000), rng.uniform(-800, 800, 4000),
+                            rng.uniform(-1e6, 1e6, 4000), [0.0, -0.0, math.pi]])
+    assert np.array_equal(_expi(theta), np.exp(1j * theta))
+    g = gaussian_shape(half_width=8, n=192, width=0.8, center=-0.4, momentum=0.6)
+    coeffs, freqs = g.spectrum
+    pts = rng.uniform(g.grid.lo, g.grid.hi, 64)
+    assert np.array_equal(
+        g.at(pts), np.exp(1j * np.outer(pts - g.grid.lo, freqs)) @ coeffs)
+    shifts = rng.uniform(-3, 3, 9)
+    rows = fft.ifft(coeffs * np.exp(1j * np.outer(shifts, freqs)), axis=1,
+                    norm="forward")
+    moved = g.grid.points + shifts[:, None]
+    rows[(moved < g.grid.lo) | (moved > g.grid.hi)] = 0.0
+    assert np.array_equal(g.at_shifted_grid(shifts), rows)
+    a, b = 0.7, -1.3
+    betas = rng.uniform(-30, 30, 12)
+    expect = (np.exp(-0.5j * betas**2 * a * b)[:, None]
+              * np.exp(1j * np.outer(betas, a * g.grid.points))
+              * g.at_shifted_grid(-betas * b))
+    assert np.array_equal(_displaced_rows(g, np.array([0.4, b, a]), betas), expect)
+    s, q, p, lam = 0.3, 0.2, -1.7, 0.01
+    grid = packet_grid(np.array([s, q, p]), g, lam)
+    pts = grid.points
+    expect = (lam ** -0.25 * np.exp(1j * s / lam) * np.exp(1j * p * (pts - q) / lam)
+              * g.at((pts - q) / math.sqrt(lam)))
+    assert np.array_equal(k_lambda(np.array([s, q, p]), g, lam, grid).values, expect)
+
+
 @pytest.mark.parametrize("xs", [[0.0, 0.1, 0.01], [-0.1, 0.01, 0.001]])
 def test_fit_loglog_slope_rejects_nonpositive_x(xs, capfd):
     with pytest.raises(ValueError, match="positive"):

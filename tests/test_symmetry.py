@@ -681,6 +681,13 @@ def test_generator_family_is_declared_data():
     assert gen.hbar == pytest.approx(a @ [x[2] / 2, -x[1] / 2, 1.05], abs=1e-15)
 
 
+def test_generator_family_compares_and_hashes_by_identity():
+    fam, other = su11_family(), su11_family()
+    assert fam == fam and fam != other
+    assert hash(fam) == hash(fam)
+    assert {fam: 1, other: 2}[fam] == 1
+
+
 def _declared(fam, **change):
     return lambda: dataclasses.replace(fam, **change)
 
