@@ -42,8 +42,10 @@ routes of a constant path do, with one D per distinct step length.  The
 update is y + D y, never (1 + D) y, which rounds every step the same way
 and lifts the rounding floor.  The direct routes of a time-dependent path
 keep ``rk4_step`` on -i H_tau psi and tabulate only the profile values,
-never one matrix per stage.  ``rk4`` with the right-hand side summed at
-every stage is the oracle of each step form in the tests.
+never one matrix per stage; a stage looks its row up by its time, which
+``rk4_step`` forms with the same float operations as ``_stage_times``.
+``rk4`` with the right-hand side summed at every stage is the oracle of
+each step form in the tests.
 
 ``compose_flows`` composes flows exactly, metaplectic phase included, so a
 product of evolutions stays one flow until ``propagator_from_flow``.
@@ -56,7 +58,6 @@ matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -108,7 +109,7 @@ _PICARD_GRID = 801  # Simpson nodes of each Picard iterate (odd)
 _INVARIANT_GATE = 1e-6
 _NORM_GATE = 1e-6
 _RICCATI_STRIDE = 10
-_STAGE_BLOCK = 64  # steps, or rows of a stage table, formed at a time
+_STAGE_BLOCK = 64  # steps formed at a time
 
 
 class FlowError(RuntimeError):
@@ -260,28 +261,6 @@ def _stacked(terms: Sequence[tuple], w: np.ndarray, parts: Sequence) -> np.ndarr
     shape = np.shape(parts[0])
     columns = w.T.reshape(w.T.shape + (1,) * len(shape))
     return np.broadcast_to(_weighted(terms, columns, parts), (len(w),) + shape)
-
-
-def _stage_reader(rows: Callable[[slice], Sequence]) -> Callable:
-    """The reader of a table of the terms over ``_stage_times`` for one run
-    of ``rk4``: called once per stage, in order, it returns the stage's row.
-    ``rk4_step`` reads t, t + h/2, t + h/2 and t + h, so stage 4k + i of
-    the run reads row 2k + (0, 1, 1, 2)[i].  The rows are read in order,
-    so ``rows(block)`` forms them ``_STAGE_BLOCK`` at a time, and a long run
-    holds one block of a table, not all of it."""
-    stages = itertools.count()
-    block = [-1, None]  # first row, rows
-
-    def read():
-        s = next(stages)
-        row = 2 * (s >> 2) + (0, 1, 1, 2)[s & 3]
-        first = row - row % _STAGE_BLOCK
-        if first != block[0]:
-            block[:] = first, None
-            block[1] = rows(slice(first, first + _STAGE_BLOCK))
-        return block[1][row - first]
-
-    return read
 
 
 @dataclass(frozen=True)
@@ -669,7 +648,8 @@ def _truncated_evolution(path: GeneratorPath, basis: ModeBasis, t: float,
     y' = A y with one A = -i H, so a step is y -> y + D y, D formed once per
     distinct step length (``_step_matrices``).  Otherwise the profile values
     are tabulated once and ``rk4_step`` steps y' = -i H_tau y, a stage
-    summing the term matrices with its row of the table.
+    summing the term matrices with its row of the table, looked up by the
+    stage's time.
     """
     path.check_time(t)
     steps = _rk4_steps(t, dt)
@@ -682,9 +662,9 @@ def _truncated_evolution(path: GeneratorPath, basis: ModeBasis, t: float,
         for _, h in steps:
             y = y + ds[h] @ y
         return y
-    w = profile_sum(path.terms, _stage_times(steps))[0]
-    w_at = _stage_reader(lambda rows: w[rows].tolist())
-    return _rk4_run(lambda _, psi: -1j * (_weighted(path.terms, w_at(), mats) @ psi),
+    times = _stage_times(steps)
+    row = dict(zip(times, profile_sum(path.terms, times)[0].tolist()))
+    return _rk4_run(lambda tau, psi: -1j * (_weighted(path.terms, row[tau], mats) @ psi),
                     y0, steps)
 
 

@@ -621,18 +621,18 @@ def transform_composed(
     g,
     basis: ModeBasis,
     point: Optional[Callable[[float], np.ndarray]] = None,
-    phi: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> ComposedFockState:
     """Transport a composed state through a group element of a quadratic family.
 
     The manifold is mapped by the classical action, fibers by the group
     unitary, and the constraint planes are transported through the
-    element's Bogoliubov flow.  When ``point``/``phi`` callables describing
-    the manifold are supplied, the constraints are also recomputed from the
-    transformed manifold and the two plane families are compared as real
-    subspaces; a projector gap beyond 1e-6 signals an anomalous family.
+    element's Bogoliubov flow.  When the manifold's ``point`` callable is
+    supplied, the constraints are also recomputed from the transformed
+    manifold with ``standard_phi`` and the two plane families are compared
+    as real subspaces; a projector gap beyond 1e-6 signals an anomalous
+    family.
     """
-    from .symmetry import group_element_action
+    from .symmetry import group_element_action, standard_phi
 
     n = len(state.alphas)
     new_fibers = []
@@ -645,12 +645,12 @@ def transform_composed(
         evolved = evolve_plane(state.plane(j), action.flow)
         for s, b in enumerate(evolved.bs):
             new_constraints[j, s] = b
-        if point is not None and phi is not None:
+        if point is not None:
             h = 1e-5
             x_plus = action.map_point(point(state.alphas[j] + h))
             x_minus = action.map_point(point(state.alphas[j] - h))
             dx = (np.asarray(x_plus) - np.asarray(x_minus)) / (2 * h)
-            recomputed = np.atleast_2d(phi(action.map_point(x0), dx))
+            recomputed = np.atleast_2d(standard_phi(action.map_point(x0), dx))
             dist = _real_span_distance(recomputed, np.atleast_2d(evolved.bs))
             if dist > _SUBSPACE_TOL:
                 raise RuntimeError(

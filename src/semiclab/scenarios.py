@@ -528,7 +528,7 @@ def _anomaly_checks(model: dict, run: dict, seed: int):
         r = x6().residual
         worst = 0.0
         for dx in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.3, -0.8])):
-            om = omega_matrix(fam, x0, dx, basis)
+            om = omega_matrix(dx, basis)
             comm = r @ om - om @ r
             worst = max(worst, float(np.linalg.norm(_restrict(comm, basis), 2)))
         return worst

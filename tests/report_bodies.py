@@ -8,7 +8,9 @@ packet-harmonic over ``lambda``, then, for the u2, su11 and heisenberg
 families, the structure constants and each basis direction's generator
 H(e_i: 0) at the zero point, and last the two-axis vacuum pairing with its
 certificate (value, radius, order-doubling delta) on the base plane and
-the mixed plane of ``test_basis_change_invariance_mixing``, a path that no
+the mixed plane of ``test_basis_change_invariance_mixing``, and after them
+``check_f3``'s four residuals and ``check_form_conditions``' two for the
+su11, heisenberg and u2 families at one seeded (a, b, X, dX): paths that no
 shipped scenario reaches.  Floats are printed with ``repr``, so equal
 output means bitwise equal values.  Not a test module: run it as
 
@@ -25,6 +27,7 @@ from semiclab.cli import load_config, report_body, run_scenario, sweep
 from semiclab.constrained import QuadSpec, inner_constrained_detailed, make_plane
 from semiclab.fock import ModeBasis, vacuum_state
 from semiclab.scenarios import heisenberg_family, su11_family, u2_family
+from semiclab.symmetry import check_f3, check_form_conditions
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -72,6 +75,18 @@ def main() -> None:
         print(f"== two-axis vacuum {name}")
         print("value", repr(value), "radius", repr(cert.radius),
               "delta", repr(cert.order_doubling_delta))
+    for name, build in (("su11", su11_family), ("heisenberg", heisenberg_family),
+                        ("u2", u2_family)):
+        fam = build()
+        rng = np.random.default_rng(41)
+        a, b = rng.normal(size=(2, fam.algebra.dim))
+        x, dx = rng.normal(size=(2, len(fam.forms[0])))
+        f3 = check_f3(fam, a, b, x, dx)
+        forms = check_form_conditions(fam, a, x, dx, ModeBasis(fam.modes, 8))
+        print(f"== residuals {name}")
+        print("f3", repr(f3.hpp_residual), repr(f3.hpm_residual),
+              repr(f3.hbar_residual), repr(f3.phi_residual))
+        print("forms", repr(forms[0]), repr(forms[1]))
 
 
 if __name__ == "__main__":

@@ -290,7 +290,7 @@ def test_criterion_9_anomaly_detection():
     keep = basis.grade_size(12)
     commutant = 0.0
     for dx in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.3, -0.8])):
-        om = omega_matrix(fam, x0, dx, basis)
+        om = omega_matrix(dx, basis)
         comm = r @ om - om @ r
         commutant = max(commutant, float(np.linalg.norm(comm[:keep, :keep], 2)))
     ok = (x6.is_scalar and abs(x6.scalar - 1j * eps) <= 1e-6

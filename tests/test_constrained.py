@@ -635,7 +635,6 @@ def test_transform_composed_rotation_preserves_inner():
     from scipy.linalg import expm
 
     from semiclab.scenarios import su11_family
-    from semiclab.symmetry import standard_phi
 
     fam = su11_family()
     basis = ModeBasis(1, 24)
@@ -643,8 +642,7 @@ def test_transform_composed_rotation_preserves_inner():
     g = expm(0.7 * fam.algebra.rep[0])
     spec = QuadSpec(pad=12, order=48)
     before = composed_inner(state, state, spec)
-    moved = transform_composed(state, fam, g, basis, point=point,
-                               phi=standard_phi)
+    moved = transform_composed(state, fam, g, basis, point=point)
     after = composed_inner(moved, moved, spec)
     assert abs(after - before) < 1e-6 * abs(before)
 
@@ -654,7 +652,6 @@ def test_transform_composed_anomalous_family_still_isometric():
     from scipy.linalg import expm
 
     from semiclab.scenarios import su11_family
-    from semiclab.symmetry import standard_phi
 
     fam = su11_family(central_offset=0.05)
     basis = ModeBasis(1, 24)
@@ -662,8 +659,7 @@ def test_transform_composed_anomalous_family_still_isometric():
     g = expm(0.5 * fam.algebra.rep[0])
     spec = QuadSpec(pad=12, order=48)
     before = composed_inner(state, state, spec)
-    moved = transform_composed(state, fam, g, basis, point=point,
-                               phi=standard_phi)
+    moved = transform_composed(state, fam, g, basis, point=point)
     after = composed_inner(moved, moved, spec)
     assert abs(after - before) < 1e-6 * abs(before)
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -478,7 +477,7 @@ def test_ladder_table_against_dense_oracle(modes, cutoff):
     # every operator that reads the ladder table, against products of the
     # dense a_i built state by state: bitwise, since the table adds the
     # nonzero terms of the dense products in the same order
-    from semiclab.symmetry import omega_matrix
+    from semiclab.symmetry import omega_matrix, standard_phi
 
     rng = np.random.default_rng(modes * 100 + cutoff)
     basis = ModeBasis(modes, cutoff)
@@ -529,10 +528,9 @@ def test_ladder_table_against_dense_oracle(modes, cutoff):
     gauss = gaussian_state(GaussianData(m, c=0.7 + 0.2j), basis)
     assert np.array_equal(gauss.coeffs, (0.7 + 0.2j) * acc)
 
-    phi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
-    fam = SimpleNamespace(phi=lambda x, dx: phi)
-    assert np.array_equal(omega_matrix(fam, None, None, basis),
-                          -1j * ladder_matrix(phi, basis))
+    dx = rng.normal(size=2 * modes + 1)
+    assert np.array_equal(omega_matrix(dx, basis),
+                          -1j * ladder_matrix(standard_phi(None, dx), basis))
 
     # displacement_eig's v is a phase per state times a real orthogonal Q,
     # and Q diag(w) Q^T is the real symmetric X built from the table

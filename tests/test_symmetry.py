@@ -185,15 +185,15 @@ def test_one_param_u_on_affine_conjugates_matches_rk4(conjugate, seed):
 
 @_CONJUGATES
 def test_consistency_residuals_on_affine_conjugates(conjugate, seed):
-    # the scalar delta-terms are exact, so the F3 scalar and X6 residuals
-    # sit at rounding level; phi keeps its central difference
+    # every delta-term is exact, so the F3 scalar and phi residuals and the
+    # X6 residual sit at rounding level
     fam = conjugate(seed)
     rng = np.random.default_rng(200 + seed)
     a, b = rng.normal(size=(2, fam.algebra.dim))
     x = rng.normal(size=len(fam.forms[0]))
     f3 = check_f3(fam, a, b, x)
     assert f3.max_quadratic <= 1e-9 and abs(f3.hbar_residual) <= 1e-12
-    assert f3.phi_residual <= 1e-6
+    assert f3.phi_residual <= 1e-14
     basis = ModeBasis(fam.modes, 16 if fam.modes == 1 else 10)
     assert check_x6(fam, a, b, x, basis).residual_norm <= 1e-11
 
@@ -283,18 +283,25 @@ def test_trajectory_samples_are_the_flow_at_their_times(family):
         assert np.array_equal(states[-1], system.flow(a, t, x))
 
 
-@pytest.mark.parametrize("family", [su11_family, heisenberg_family])
-def test_tangent_matches_central_differences(family):
+@pytest.mark.parametrize("family", [
+    su11_family, heisenberg_family, lambda: _u2_conjugate(3),
+], ids=["su11_family", "heisenberg_family", "u2_conjugate"])
+def test_velocity_and_its_unit_step_difference_are_flow_derivatives(family):
+    # the velocity is dX/dt of the flow, and its central difference at unit
+    # step along dX is the rate of dX pushed forward along the flow; the
+    # flow is quadratic in X, so its unit-step difference is that tangent
     system = family().system
     rng = np.random.default_rng(29)
     eps = 1e-6
     for _ in range(5):
-        a = rng.normal(size=3)
-        t = rng.uniform(-2.0, 2.0)
-        x, dx = rng.normal(size=(2, 3))
-        diff = (system.flow(a, t, x + eps * dx)
-                - system.flow(a, t, x - eps * dx)) / (2 * eps)
-        assert np.abs(system.tangent(a, t, x, dx) - diff).max() <= 1e-7
+        a = rng.normal(size=system.dim)
+        x, dx = rng.normal(size=(2, len(system.forms[0])))
+        rate = (system.flow(a, eps, x) - system.flow(a, -eps, x)) / (2 * eps)
+        assert np.abs(system.velocity(a, x) - rate).max() <= 1e-7
+        tangent = [(system.flow(a, s, x + dx) - system.flow(a, s, x - dx)) / 2
+                   for s in (eps, -eps)]
+        dv = (system.velocity(a, x + dx) - system.velocity(a, x - dx)) / 2
+        assert np.abs(dv - (tangent[0] - tangent[1]) / (2 * eps)).max() <= 1e-7
 
 
 def test_is_fixed_point_reads_the_form():
@@ -347,7 +354,7 @@ def test_wrong_length_coefficients_raise(a):
     with pytest.raises(ValueError, match="algebra coefficients"):
         fam.system.trajectory(a, [0.5], x)
     with pytest.raises(ValueError, match="algebra coefficients"):
-        fam.system.tangent(a, 0.5, x, x)
+        fam.system.velocity(a, x)
     with pytest.raises(ValueError, match="algebra coefficients"):
         fam.system.is_fixed_point(a, x)
     with pytest.raises(ValueError, match="algebra coefficients"):
@@ -420,7 +427,7 @@ def test_f3_su11_clean():
         rep = check_f3(fam, a, b, x)
         assert rep.max_quadratic < 1e-10
         assert abs(rep.hbar_residual) < 1e-10
-        assert rep.phi_residual < 1e-6
+        assert rep.phi_residual < 1e-14
 
 
 def test_f3_heisenberg_x_dependent():
@@ -429,7 +436,7 @@ def test_f3_heisenberg_x_dependent():
     rep = check_f3(fam, [1, 0, 0], [0, 1, 0], x)
     assert rep.max_quadratic < 1e-12
     assert abs(rep.hbar_residual) < 1e-9
-    assert rep.phi_residual < 1e-9
+    assert rep.phi_residual < 1e-14
 
 
 def test_f3_abelian_trivial():
@@ -512,7 +519,7 @@ def test_x6_anomaly_is_scalar_and_commutes_with_omega():
     r += 1j * quadratic_matrix(
         fam.generator(fam.algebra.bracket(ha, hb), x), basis)
     for dx in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.3, -0.8])):
-        om = omega_matrix(fam, x, dx, basis)
+        om = omega_matrix(dx, basis)
         comm = r @ om - om @ r
         keep = basis.grade_size(basis.cutoff - 4)
         assert np.linalg.norm(comm[:keep, :keep], 2) < 1e-6
@@ -534,8 +541,8 @@ def test_form_conditions_rotation():
     x = np.array([0.3, 0.8, -0.6])
     dx = np.array([0.5, -0.3, 0.9])
     res_omega, res_op = check_form_conditions(fam, [1, 0, 0], x, dx, basis)
-    assert res_omega < 1e-6
-    assert res_op < 1e-6
+    assert res_omega < 1e-14
+    assert res_op < 1e-12
 
 
 def test_form_conditions_squeeze():
@@ -545,8 +552,37 @@ def test_form_conditions_squeeze():
     dx = np.array([-0.2, 0.6, 0.1])
     for a in ([0, 1, 0], [0, 0, 1]):
         res_omega, res_op = check_form_conditions(fam, a, x, dx, basis)
-        assert res_omega < 1e-6
-        assert res_op < 1e-6
+        assert res_omega < 1e-14
+        assert res_op < 1e-12
+
+
+def test_a_wrong_pushforward_shows_in_the_phi_residual(monkeypatch):
+    # phi's delta-term reads the rate of the pushed-forward tangent: with the
+    # Hamilton field transposed in the velocity, the residual is far off
+    # rounding
+    fam = _su11_conjugate(0)
+    rng = np.random.default_rng(37)
+    a, b, x = rng.normal(size=(3, 3))
+    assert check_f3(fam, a, b, x).phi_residual <= 1e-14
+    monkeypatch.setattr("semiclab.symmetry._hamilton_field",
+                        lambda h: _hamilton_field(h).T)
+    assert check_f3(fam, a, b, x).phi_residual >= 1e-3
+
+
+def test_f3_and_form_conditions_run_no_flow(monkeypatch):
+    # their delta-terms are closed forms of the velocity, so no flow runs;
+    # the vector-field check still steps along the flow
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(ClassicalSystem, "trajectory", no_flow)
+    fam, basis = su11_family(), ModeBasis(1, 8)
+    a, b = np.array([0.4, -0.7, 0.3]), np.array([0.2, 0.5, -0.9])
+    x, dx = np.array([0.2, -0.5, 0.8]), np.array([0.3, 1.0, -0.7])
+    check_f3(fam, a, b, x)
+    check_form_conditions(fam, a, x, dx, basis)
+    with pytest.raises(AssertionError, match="a flow ran"):
+        check_vector_field_algebra(fam.system, fam.algebra, a, b, x)
 
 
 def test_one_param_u_identity_and_rotation_phases():
@@ -1040,15 +1076,16 @@ def test_symmetry_entries_reject_a_bad_point(x, named):
                                np.zeros(3), basis)
     for run in (lambda: fam.system.flow(a, 0.5, x),
                 lambda: fam.system.trajectory(a, [0.5], x),
-                lambda: fam.system.tangent(a, 0.5, x, good),
-                lambda: fam.system.tangent(a, 0.5, good, x),
+                lambda: fam.system.velocity(a, x),
                 lambda: fam.system.is_fixed_point(a, x),
                 lambda: one_param_u(fam, a, 0.5, x),
                 lambda: check_vector_field_algebra(fam.system, fam.algebra, a, b, x),
                 lambda: act.map_point(x),
                 lambda: word_product(fam, GroupWord([(0, 0.5)]), x, basis),
                 lambda: check_f3(fam, a, b, x),
+                lambda: check_f3(fam, a, b, good, x),
                 lambda: check_x6(fam, a, b, x, basis),
-                lambda: check_form_conditions(fam, a, x, [0.3, 1.0, -0.7], basis)):
+                lambda: check_form_conditions(fam, a, x, [0.3, 1.0, -0.7], basis),
+                lambda: check_form_conditions(fam, a, good, x, basis)):
         with pytest.raises(ValueError, match=named):
             run()
